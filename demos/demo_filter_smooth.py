@@ -19,8 +19,10 @@ from wishartsv.volproc import UEHyper, match_ue_to_bb
 
 T, SEED, DRAWS = 300, 11, 200
 
-# the constrained discount keeps E[D_t] stationary, so the simulated
-# series stays well-conditioned over the whole horizon
+# the constrained discount does not keep the simulated series
+# well-conditioned: here the returns shrink about 150-fold over the horizon
+# and cond(D_t) passes 1e4 (1e21 at T = 2000 with seed 1), which is why
+# the filters and samplers carry triangular factors only
 ue = UEHyper(q=3, k=1, n=8.0, lam=constrained_lambda(8.0, 1.0, 3), d0=np.eye(3))
 bb = match_ue_to_bb(ue)
 print(f"matched hyperparameters: k0={bb.k0}, beta={bb.beta:.6f}, b={bb.b}")
@@ -31,13 +33,13 @@ filt_b = bb_forward_filter(data, bb)
 
 gap = np.abs(filt_u.log_forecast - filt_b.log_forecast).max()
 print(f"forward filters: max |log forecast gap| = {gap:.3e} (bit-equal D paths: "
-      f"{np.array_equal(filt_u.d, filt_b.d)})")
+      f"{np.array_equal(filt_u.g, filt_b.g)})")
 print(f"log marginal likelihood: {filt_u.loglik:.3f}")
 
 quantiles = (0.1, 0.5, 0.9)
 for tag, filt, hyper in (("UE", filt_u, ue), ("BB", filt_b, bb)):
     ens = sample_ensemble(filt, hyper, DRAWS, seed=SEED + 1)
-    curves = correlation_summary(ens, (0, 1), quantiles)
+    curves = correlation_summary(ens, quantiles)[:, 0]  # pair (1, 2)
     mid = T // 2
     print(f"{tag} smoothed corr(1,2) at t={mid}: "
           + ", ".join(f"q{q:g}={curves[i, mid]:+.3f}" for i, q in enumerate(quantiles)))

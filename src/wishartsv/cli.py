@@ -41,7 +41,7 @@ from .filtering import (
 )
 from scipy.linalg import solve_triangular
 
-from .matops import chol_update, sym, uchol, uchol_inv_gram
+from .matops import chol_update, sym, uchol
 from .randsamp import (
     RNG_ALGORITHM,
     make_rng,
@@ -142,11 +142,13 @@ def simulate(model: str, hyper, T: int, seed: int):
         k_t = bb.k0
     else:
         raise InvalidParameter(f"unknown model {model!r}")
+    eye = np.eye(q)
     phis = np.empty((T + 1, q, q))
-    phis[0] = sample_wishart_bartlett(df0, uchol_inv_gram(np.sqrt(k) * d_chol), rng)
+    # the filter's factor G_0 (G_0 G_0' = k D_0); G_0^{-1} is the upper factor of (k D_0)^{-1}
+    g0 = np.sqrt(k) * uchol(np.asarray(hyper.d0, dtype=float)[::-1, ::-1]).T[::-1, ::-1]
+    phis[0] = sample_wishart_bartlett(df0, solve_triangular(g0, eye, lower=False), rng)
     returns = np.empty((T, q))
     sqrt_disc = np.sqrt(disc)
-    eye = np.eye(q)
     for t in range(1, T + 1):
         df = df_prior_of(k_t)
         if df <= q - 1:
@@ -210,7 +212,14 @@ def _flat_header(prefix: str, q: int):
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
-        cfg = json.loads(Path(args.config).read_text())
+        try:
+            cfg = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise ParseError(f"{args.config}: cannot read config: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.config}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from None
+        if not isinstance(cfg, dict):
+            raise ParseError(f"{args.config}: config must be a JSON object")
     for key in ("seed", "model", "draws", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -220,9 +229,16 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _required(cfg: dict, key: str):
+    try:
+        return cfg[key]
+    except KeyError:
+        raise InvalidParameter(f"config is missing required key {key!r}") from None
+
+
 def _hyper_from_cfg(cfg: dict, q: int, d0: np.ndarray):
-    n = cfg["n"]
-    lam = cfg["lambda"]
+    n = _required(cfg, "n")
+    lam = _required(cfg, "lambda")
     ue = UEHyper(q=q, k=1, n=n, lam=lam, d0=d0)
     return ue, match_ue_to_bb(ue)
 
@@ -237,16 +253,16 @@ def _d0_from_cfg(cfg: dict, q: int):
 
 
 def _load_data(cfg: dict) -> ReturnsSeries:
-    return load_returns_csv(cfg["data_csv"], cfg["q"])
+    return load_returns_csv(_required(cfg, "data_csv"), _required(cfg, "q"))
 
 
 def cmd_simulate(cfg: dict, outdir: Path) -> dict:
-    q = cfg["q"]
+    q = _required(cfg, "q")
     d0, warning = _d0_from_cfg(cfg, q)
     ue, bb = _hyper_from_cfg(cfg, q, d0)
     model = cfg.get("model", "ue")
     hyper = ue if model == "ue" else bb
-    series, phis = simulate(model if model != "matched" else "ue", hyper, cfg["T"], cfg["seed"])
+    series, phis = simulate(model if model != "matched" else "ue", hyper, _required(cfg, "T"), cfg["seed"])
     _write_csv(
         outdir / "returns.csv",
         ["t"] + [f"r{i + 1}" for i in range(q)],
@@ -282,9 +298,10 @@ def cmd_filter(cfg: dict, outdir: Path) -> dict:
         if filt is None:
             continue
         q = data.q
+        d = filt.g @ np.swapaxes(filt.g, 1, 2) / filt.k_obs  # dense D_t, for the table only
         rows = [
             [t, filt.k_seq[t]]
-            + list(filt.d[t].ravel())
+            + list(d[t].ravel())
             + ([filt.log_forecast[t - 1]] if t >= 1 else [""])
             for t in range(data.T + 1)
         ]
@@ -328,12 +345,12 @@ def cmd_smooth(cfg: dict, outdir: Path) -> dict:
         if filt is None:
             continue
         ens = sample_ensemble(filt, hyper, n_draws, cfg["seed"])
-        rows = []
-        for i in range(data.q):
-            for j in range(i + 1, data.q):
-                curves = correlation_summary(ens, (i, j), quantiles)
-                for t in range(data.T + 1):
-                    rows.append([t, i + 1, j + 1] + list(curves[:, t]))
+        curves = correlation_summary(ens, quantiles)
+        rows = [
+            [t, i + 1, j + 1] + list(curves[:, p, t])
+            for p, (i, j) in enumerate(zip(*np.triu_indices(data.q, k=1)))
+            for t in range(data.T + 1)
+        ]
         if rows:
             _write_csv(
                 outdir / f"correlations_{tag}.csv",

@@ -21,12 +21,21 @@ from .filtering import (
     bb_forward_filter,
     ue_forward_filter,
 )
-from .matops import logdet_spd
 from .randsamp import make_rng, sample_mvnormal_prec
 from .smoother import PrecisionPath, SmoothedEnsemble, bb_backward_sample, ue_backward_sample
 from .volproc import BBHyper, UEHyper
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _gauss_terms(factors: np.ndarray, returns: np.ndarray) -> np.ndarray:
+    """log N_q(r_t | 0, Phi_t^{-1}) + q/2 log(2 pi) per row, Phi_t = F_t' F_t.
+
+    From the factors: 1/2 log|Phi_t| = sum log diag F_t and
+    r' Phi_t r = |F_t r|^2.
+    """
+    fr = np.einsum("tij,tj->ti", factors, returns)
+    return np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1) - 0.5 * np.einsum("ti,ti->t", fr, fr)
 
 
 def path_loglik(path: PrecisionPath, data: ReturnsSeries) -> float:
@@ -35,12 +44,7 @@ def path_loglik(path: PrecisionPath, data: ReturnsSeries) -> float:
         raise DimensionMismatch(
             f"path (T={path.T}, q={path.q}) vs data (T={data.T}, q={data.q})"
         )
-    total = 0.0
-    for t in range(1, path.T + 1):
-        phi = path.phis[t]
-        r = data.returns[t - 1]
-        total += 0.5 * logdet_spd(phi) - 0.5 * float(r @ phi @ r) - 0.5 * data.q * LOG_2PI
-    return total
+    return float(_gauss_terms(path.factors[1:], data.returns).sum() - 0.5 * data.T * data.q * LOG_2PI)
 
 
 def log_sum_exp(x: np.ndarray) -> float:
@@ -164,29 +168,27 @@ def mixture_gibbs(
     for it in range(cfg.iterations):
         # refresh both precision paths on the current imputed series
         filt_u = ue_forward_filter(ReturnsSeries(r_u), ue)
-        path_u = ue_backward_sample(filt_u, ue, rng)
+        f_u = ue_backward_sample(filt_u, ue, rng).factors[1:]
         filt_b = bb_forward_filter(ReturnsSeries(r_b), bb)
-        path_b = bb_backward_sample(filt_b, bb, rng)
+        f_b = bb_backward_sample(filt_b, bb, rng).factors[1:]
         if degenerate:
-            path_b = PrecisionPath(model="bb", phis=path_u.phis)
+            # identical likelihood terms: both evaluated at the observed r_t
+            f_b = f_u
+            term_u = term_b = _gauss_terms(f_u, data.returns)
+        else:
+            # row t - 1 of r_u and r_b is read here before step t rewrites it
+            term_u, term_b = _gauss_terms(f_u, r_u), _gauss_terms(f_b, r_b)
+        logw1 = np.log(alpha) + term_u
+        logw0 = np.log1p(-alpha) + term_b
 
         for t in range(1, T + 1):
-            phi_u = path_u.phis[t]
-            phi_b = path_b.phis[t]
-            ru_t, rb_t = r_u[t - 1], r_b[t - 1]
-            if degenerate:
-                # identical likelihood terms: evaluate both at the observed r_t
-                ru_t = rb_t = data.returns[t - 1]
-                phi_b = phi_u
-            logw1 = np.log(alpha) + 0.5 * logdet_spd(phi_u) - 0.5 * float(ru_t @ phi_u @ ru_t)
-            logw0 = np.log1p(-alpha) + 0.5 * logdet_spd(phi_b) - 0.5 * float(rb_t @ phi_b @ rb_t)
-            z[t - 1] = int(rng.random() < bernoulli_logweight_prob(logw1, logw0))
+            z[t - 1] = int(rng.random() < bernoulli_logweight_prob(logw1[t - 1], logw0[t - 1]))
             if z[t - 1] == 1:
                 r_u[t - 1] = data.returns[t - 1]
-                r_b[t - 1] = sample_mvnormal_prec(phi_b, rng)
+                r_b[t - 1] = sample_mvnormal_prec(f_b[t - 1], rng)
             else:
                 r_b[t - 1] = data.returns[t - 1]
-                r_u[t - 1] = sample_mvnormal_prec(phi_u, rng)
+                r_u[t - 1] = sample_mvnormal_prec(f_u[t - 1], rng)
 
         a1, b1 = alpha_posterior_shapes(cfg.a0, cfg.b0, z)
         assert a1 + b1 == cfg.a0 + cfg.b0 + T
@@ -222,7 +224,7 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
     if not (0.0 < level < 1.0):
         raise InvalidParameter(f"level must be in (0, 1), got {level}")
     T, q = data.T, data.q
-    if filt.d.shape[0] != T + 1 or filt.d.shape[1] != q:
+    if filt.g.shape[0] != T + 1 or filt.g.shape[1] != q:
         raise DimensionMismatch("filter output does not match data")
     if filt.model == "ue":
         df_prior = np.full(T, filt.k_seq[0] - filt.k_obs)  # n = (n + k) - k
@@ -230,15 +232,13 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
         # prior-at-t df is beta * k_{t-1}; beta recovered from the df recursion
         beta = (filt.k_seq[1] - filt.k_obs) / filt.k_seq[0]
         df_prior = beta * filt.k_seq[:-1]
-    lengths = np.empty((T, q))
-    hits = np.empty((T, q))
-    for t in range(T):
-        nu = df_prior[t] + 1.0 - q
-        if nu <= 0:
-            raise InvalidParameter(f"predictive df {nu} <= 0 at t={t}")
-        scale = np.sqrt(filt.discount * filt.d[t].diagonal() / nu)
-        half = student_t.ppf(0.5 + level / 2.0, df=nu) * scale
-        lengths[t] = 2.0 * half
-        hits[t] = np.abs(data.returns[t]) <= half
+    nu = df_prior + 1.0 - q
+    if np.any(nu <= 0):
+        t = int(np.argmax(nu <= 0))
+        raise InvalidParameter(f"predictive df {nu[t]} <= 0 at t={t}")
+    d_diag = np.sum(filt.g[:-1] ** 2, axis=2) / filt.k_obs  # diag(D_{t-1}) = row sums of G G' / k
+    half = student_t.ppf(0.5 + level / 2.0, df=nu)[:, None] * np.sqrt(filt.discount * d_diag / nu[:, None])
+    lengths = 2.0 * half
+    hits = np.abs(data.returns) <= half
     coverage = np.cumsum(hits.sum(axis=1)) / (q * np.arange(1, T + 1))
     return lengths, coverage

@@ -7,6 +7,12 @@ k = 1 and y_t = r_t r_t' the one-step forecast is multivariate-t and
 log|D_t| admits a rank-1 update, so marginal-likelihood evaluation over
 an (n, lambda) grid is cheap.
 
+The filters store each k D_t only as an upper-triangular factor G_t with
+G_t G_t' = k D_t (square-root filtering, Bierman 1977).  Then
+G_t^{-1} = uchol((k D_t)^{-1}) is the scale factor of the filtered
+Wishart posterior of Phi_t, so the backward samplers need nothing but
+triangular products and solves against G_t.
+
 The forecast-density normalizer is Gamma((n+1)/2) / Gamma((n+1-q)/2);
 the q = 1, n = 1 case is then exactly standard Cauchy and the density
 integrates to one (verified against quadrature and Monte Carlo mixture
@@ -22,7 +28,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import chol_update, logdet_spd, quad_form, sym, uchol, uchol_inv_gram
+from .matops import chol_update, logdet_spd, quad_form, sym, uchol
 from .volproc import BBHyper, UEHyper
 
 LOG_PI = np.log(np.pi)
@@ -58,17 +64,16 @@ class ReturnsSeries:
 class FilterOutput:
     """Filtered sufficient statistics and forecast-density bookkeeping.
 
-    ``d`` stacks D_0..D_T; ``k_seq`` carries k_0..k_T for BB (constant
-    n + k for UE); ``p_chol`` caches P_t = uchol((k D_t)^{-1}) for the
-    backward samplers.
+    ``g`` stacks the upper-triangular factors G_0..G_T with positive
+    diagonal and G_t G_t' = k D_t; ``k_seq`` carries k_0..k_T for BB
+    (constant n + k for UE).
     """
 
     model: str  # "ue" | "bb"
-    d: np.ndarray  # (T+1, q, q)
+    g: np.ndarray  # (T+1, q, q)
     k_seq: np.ndarray  # (T+1,)
     log_forecast: np.ndarray  # (T,)
     loglik: float
-    p_chol: np.ndarray  # (T+1, q, q)
     k_obs: float  # likelihood df (k)
     discount: float  # lambda (UE) / b (BB)
 
@@ -83,64 +88,46 @@ def forecast_logdensity(r: np.ndarray, d_prev: np.ndarray, n: float, lam: float)
     q = r.shape[0]
     if n <= q - 1:
         raise InvalidParameter(f"forecast density needs n > q-1, got n={n}, q={q}")
-    return float(
+    return float(_forecast_logdensity(quad_form(r, d_prev), logdet_spd(d_prev), n, lam, q))
+
+
+def _forecast_logdensity(s, logdet, n, lam: float, q: int):
+    """forecast_logdensity from s = r' D^{-1} r and log|D|; elementwise over arrays."""
+    return (
         gammaln((n + 1.0) / 2.0)
         - gammaln((n + 1.0 - q) / 2.0)
-        - 0.5 * (q * np.log(lam) + logdet_spd(d_prev))
+        - 0.5 * (q * np.log(lam) + logdet)
         - 0.5 * q * LOG_PI
-        - 0.5 * (n + 1.0) * np.log1p(quad_form(r, d_prev) / lam)
-    )
-
-
-def logdet_update(logdet_prev: float, r: np.ndarray, d_prev: np.ndarray, lam: float, q: int) -> float:
-    """log|lam D_{t-1} + r r'| from log|D_{t-1}| via the rank-1 identity."""
-    return float(np.log1p(quad_form(r, d_prev) / lam) + q * np.log(lam) + logdet_prev)
-
-
-def _forecast_logdensity_factor(
-    r: np.ndarray, d_chol_prev: np.ndarray, logdet_prev: float, n: float, lam: float
-) -> float:
-    """forecast_logdensity evaluated from the Cholesky factor of D_{t-1}."""
-    q = r.shape[0]
-    w = solve_triangular(d_chol_prev, r, trans="T", lower=False)
-    return float(
-        gammaln((n + 1.0) / 2.0)
-        - gammaln((n + 1.0 - q) / 2.0)
-        - 0.5 * (q * np.log(lam) + logdet_prev)
-        - 0.5 * q * LOG_PI
-        - 0.5 * (n + 1.0) * np.log1p(float(w @ w) / lam)
+        - 0.5 * (n + 1.0) * np.log1p(s / lam)
     )
 
 
 def _filter(data: ReturnsSeries, d0: np.ndarray, discount: float, k_obs: float, df_prior):
-    """Shared recursion: returns (d, p_chol, log_forecast).
+    """Shared recursion: returns (g, log_forecast).
 
     ``df_prior[t-1]`` is the prior-at-t degrees of freedom used in the
-    one-step forecast density.  The sufficient statistic D_t is carried
-    as its Cholesky factor (rank-1 updates); the simulated data law can
-    drive cond(D_t) far past what dense refactorization tolerates.
+    one-step forecast density.  With J the reversal permutation,
+    J G_t' J is the upper Cholesky factor of J k D_t J, so the recursion
+    k D_t = discount k D_{t-1} + k r_t r_t' is a rank-1 update of that
+    factor; no matrix is refactored or inverted, which matters because
+    the simulated data law drives cond(D_t) far past what dense
+    refactorization tolerates.
     """
     q, T = data.q, data.T
-    d = np.empty((T + 1, q, q))
-    p_chol = np.empty((T + 1, q, q))
-    log_forecast = np.empty(T)
-    d_chol = uchol(sym(np.asarray(d0, dtype=float)))
+    g = np.empty((T + 1, q, q))
+    s = np.empty(T)
+    g_rev = np.sqrt(k_obs) * uchol(sym(np.asarray(d0, dtype=float))[::-1, ::-1])  # J G' J
     sqrt_disc = np.sqrt(discount)
     sqrt_k = np.sqrt(k_obs)
-    d[0] = d_chol.T @ d_chol
-    p_chol[0] = uchol_inv_gram(sqrt_k * d_chol)
-    logdet = 2.0 * float(np.sum(np.log(d_chol.diagonal())))
+    g[0] = g_rev.T[::-1, ::-1]
     for t in range(1, T + 1):
         r = data.returns[t - 1]
-        log_forecast[t - 1] = _forecast_logdensity_factor(
-            r, d_chol, logdet, float(df_prior[t - 1]), discount
-        )
-        w = solve_triangular(d_chol, r, trans="T", lower=False)
-        logdet = float(np.log1p(float(w @ w) / discount) + q * np.log(discount) + logdet)
-        d_chol = chol_update(sqrt_disc * d_chol, r)
-        d[t] = d_chol.T @ d_chol
-        p_chol[t] = uchol_inv_gram(sqrt_k * d_chol)
-    return d, p_chol, log_forecast
+        w = solve_triangular(g[t - 1], r, lower=False)
+        s[t - 1] = k_obs * float(w @ w)  # r' D_{t-1}^{-1} r
+        g_rev = chol_update(sqrt_disc * g_rev, sqrt_k * r[::-1])
+        g[t] = g_rev.T[::-1, ::-1]
+    logdet = 2.0 * np.log(np.diagonal(g[:-1], axis1=1, axis2=2)).sum(axis=1) - q * np.log(k_obs)
+    return g, _forecast_logdensity(s, logdet, df_prior[:T], discount, q)
 
 
 def ue_forward_filter(data: ReturnsSeries, ue: UEHyper) -> FilterOutput:
@@ -149,14 +136,13 @@ def ue_forward_filter(data: ReturnsSeries, ue: UEHyper) -> FilterOutput:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {ue.q}")
     if ue.k != 1:
         raise InvalidParameter("the returns-based filter is defined for k = 1")
-    d, p_chol, log_forecast = _filter(data, ue.d0, ue.lam, ue.k, np.full(data.T + 1, ue.n))
+    g, log_forecast = _filter(data, ue.d0, ue.lam, ue.k, np.full(data.T + 1, ue.n))
     return FilterOutput(
         model="ue",
-        d=d,
+        g=g,
         k_seq=np.full(data.T + 1, ue.n + ue.k),
         log_forecast=log_forecast,
         loglik=float(log_forecast.sum()),
-        p_chol=p_chol,
         k_obs=ue.k,
         discount=ue.lam,
     )
@@ -183,31 +169,16 @@ def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
     df_prior = bb.beta * k_seq  # prior-at-t df is beta * k_{t-1}
     if np.any(df_prior - bb.q + 1 <= 0):
         raise InvalidParameter("df path violates Beta-shape positivity along the filtration")
-    d, p_chol, log_forecast = _filter(data, bb.d0, bb.b, bb.k, df_prior)
+    g, log_forecast = _filter(data, bb.d0, bb.b, bb.k, df_prior)
     return FilterOutput(
         model="bb",
-        d=d,
+        g=g,
         k_seq=k_seq,
         log_forecast=log_forecast,
         loglik=float(log_forecast.sum()),
-        p_chol=p_chol,
         k_obs=bb.k,
         discount=bb.b,
     )
-
-
-def scale_recursion(y_mats: np.ndarray, d0: np.ndarray, discount: float) -> np.ndarray:
-    """General-k path: D_t = discount * D_{t-1} + y_t for supplied PSD y_t.
-
-    Simulation helper for non-rank-1 observations; no densities are
-    accumulated (the rank-1 log-determinant identity does not apply).
-    """
-    y_mats = np.asarray(y_mats, dtype=float)
-    d = np.empty((y_mats.shape[0] + 1,) + d0.shape)
-    d[0] = np.asarray(d0, dtype=float)
-    for t in range(1, d.shape[0]):
-        d[t] = discount * d[t - 1] + sym(y_mats[t - 1])
-    return d
 
 
 def marginal_loglik(data: ReturnsSeries, n: float, lam: float, d0: np.ndarray) -> float:

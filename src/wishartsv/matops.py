@@ -99,22 +99,3 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
             x[i + 1 :] = c * x[i + 1 :] - s * row
     return r
 
-
-def uchol_inv_gram(r: np.ndarray) -> np.ndarray:
-    """Upper U with U' U = (R' R)^{-1}, computed stably from the factor.
-
-    QR-factorize R^{-T} (triangular solve, then Householder QR) and fix
-    the diagonal signs; no gram matrix is ever formed.
-    """
-    from scipy.linalg import qr
-
-    r = np.asarray(r, dtype=float)
-    q = r.shape[0]
-    d = np.abs(r.diagonal())
-    if d.min() == 0.0 or d.min() < 1e-300 * max(d.max(), 1.0):
-        raise SingularMatrix("diagonal entry effectively zero")
-    x = solve_triangular(r, np.eye(q), trans="T", lower=False)  # R^{-T}
-    _, u = qr(x, mode="economic")
-    signs = np.sign(u.diagonal())
-    signs[signs == 0] = 1.0
-    return signs[:, None] * u

@@ -66,26 +66,32 @@ def sym_batch(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def sample_wishart_bartlett(
-    df: float, scale_chol: np.ndarray, rng: np.random.Generator, size: int | None = None
-):
-    """Wishart_q(df, A) draw(s) with ``scale_chol = uchol(A)``.
+def sample_wishart_factor(q: int, df: float, rng: np.random.Generator, size: int | None = None):
+    """W with W' W ~ Wishart_q(df, I).
 
-    Full-rank mode (df > q - 1) uses the Bartlett construction (U P)' U P.
-    Integer df < q gives a rank-df draw as a sum of outer products of
-    N(0, A) vectors.  With ``size`` set, returns (size, q, q).
+    Full-rank mode (df > q - 1) returns the q x q Bartlett factor.
+    Integer df < q returns df rows of N(0, I), a rank-df draw.  With
+    ``size`` set, a leading batch axis is added.
     """
-    p = np.asarray(scale_chol, dtype=float)
-    q = p.shape[0]
     if df > q - 1:
-        return _gram(sample_bartlett_factor(q, df, rng, size=size) @ p)
+        return sample_bartlett_factor(q, df, rng, size=size)
     if df == int(df) and df >= 1:
-        shape = (int(df), q) if size is None else (size, int(df), q)
-        x = rng.standard_normal(shape) @ p  # rows ~ N(0, P'P)
-        return _gram(x)
+        return rng.standard_normal((int(df), q) if size is None else (size, int(df), q))
     raise InvalidParameter(
         f"df must be > q-1 or a positive integer < q, got df={df}, q={q}"
     )
+
+
+def sample_wishart_bartlett(
+    df: float, scale_chol: np.ndarray, rng: np.random.Generator, size: int | None = None
+):
+    """Wishart_q(df, A) draw(s) (W P)' W P with ``scale_chol = P``, P' P = A.
+
+    W comes from ``sample_wishart_factor``.  With ``size`` set, returns
+    (size, q, q).
+    """
+    p = np.asarray(scale_chol, dtype=float)
+    return _gram(sample_wishart_factor(p.shape[0], df, rng, size=size) @ p)
 
 
 def uchol_batch(a: np.ndarray) -> np.ndarray:
@@ -119,12 +125,10 @@ def sample_matrix_beta(
     return sym_batch(np.swapaxes(t_inv, -1, -2) @ a1 @ t_inv)
 
 
-def sample_mvnormal_prec(prec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Zero-mean normal draw with covariance prec^{-1}.
+def sample_mvnormal_prec(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean normal draw with covariance (F' F)^{-1}, ``factor`` = F upper.
 
-    With R = uchol(prec) and z ~ N(0, I), x = R^{-1} z has covariance
-    (R' R)^{-1}.
+    With z ~ N(0, I), x = F^{-1} z has covariance (F' F)^{-1}.
     """
-    r = uchol(prec)
-    z = rng.standard_normal(r.shape[0])
-    return solve_triangular(r, z, lower=False)
+    z = rng.standard_normal(factor.shape[0])
+    return solve_triangular(factor, z, lower=False)

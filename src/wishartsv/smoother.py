@@ -1,28 +1,35 @@
 """Backward sampling of full precision paths Phi_{0:T} | D_T.
 
+Paths are stored as upper-triangular factors F_t with F_t' F_t = Phi_t
+and positive diagonal, and every step works on factors: with G_t the
+filter's factor (G_t G_t' = k D_t), a Wishart(df, (k D_t)^{-1}) draw is
+(W G_t^{-1})' (W G_t^{-1}) for W' W ~ Wishart(df, I).
+
 The UE conditional is Phi_t = lambda Phi_{t+1} + Z_t with an independent
-Wishart increment Z_t.  For BB the backward step acts on Bartlett
-factors: re-express Phi_{t+1} in the time-t coordinates, add a
-chi-square increment to each squared diagonal entry, and map back.  Per
-backward step BB needs only q chi-square draws; a full Wishart draw is
-required only at t = T.
+Wishart increment Z_t, a rank-k update of sqrt(lambda) F_{t+1}.  For BB
+the backward step acts on Bartlett factors: re-express Phi_{t+1} in the
+time-t coordinates, add a chi-square increment to each squared diagonal
+entry, and map back.  Per backward step BB needs only q chi-square
+draws; a full Wishart draw is required only at t = T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import InvalidParameter
 from .filtering import FilterOutput
-from .matops import inv_upper, sym, uchol
+from .matops import chol_update, inv_upper, sym, uchol
 from .randsamp import (
     _gram,
     sample_bartlett_factor,
     sample_chi2,
     sample_matrix_beta,
     sample_wishart_bartlett,
+    sample_wishart_factor,
     substream,
     sym_batch,
     uchol_batch,
@@ -32,19 +39,19 @@ from .volproc import BBHyper, UEHyper
 
 @dataclass(frozen=True)
 class PrecisionPath:
-    """One sampled path Phi_0..Phi_T (length T + 1)."""
+    """One sampled path Phi_0..Phi_T (length T + 1), as upper factors F_t' F_t = Phi_t."""
 
     model: str
-    phis: np.ndarray  # (T+1, q, q)
+    factors: np.ndarray  # (T+1, q, q)
     seed_info: tuple[int, int] | None = None  # (seed, draw_index) when ensemble-drawn
 
     @property
     def T(self) -> int:
-        return self.phis.shape[0] - 1
+        return self.factors.shape[0] - 1
 
     @property
     def q(self) -> int:
-        return self.phis.shape[1]
+        return self.factors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -60,82 +67,72 @@ class SmoothedEnsemble:
         return len(self.paths)
 
 
+def _right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """m G^{-1} for upper-triangular G, by a triangular solve."""
+    return solve_triangular(g, m.T, trans="T", lower=False).T
+
+
 def ue_backward_sample(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator) -> PrecisionPath:
     """Draw Phi_{0:T} | D_T for UE.
 
     Terminal draw from the filtered posterior Wishart(n + k, (k D_T)^{-1});
-    then Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(k, (k D_t)^{-1}).
+    then Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(k, (k D_t)^{-1}),
+    one rank-1 factor update per row of Z_t's factor W G_t^{-1}.
     """
     if filt.model != "ue":
         raise InvalidParameter(f"expected a UE filter output, got {filt.model!r}")
-    T = filt.d.shape[0] - 1
-    q = filt.d.shape[1]
-    phis = np.empty((T + 1, q, q))
-    phis[T] = sample_wishart_bartlett(ue.n + ue.k, filt.p_chol[T], rng)
+    T, q = filt.g.shape[0] - 1, filt.g.shape[1]
+    f = np.empty((T + 1, q, q))
+    f[T] = _right_solve(sample_bartlett_factor(q, ue.n + ue.k, rng), filt.g[T])
+    sqrt_lam = np.sqrt(ue.lam)
     for t in range(T - 1, -1, -1):
-        z = sample_wishart_bartlett(ue.k, filt.p_chol[t], rng)
-        phis[t] = ue.lam * phis[t + 1] + z
-    return PrecisionPath(model="ue", phis=phis)
+        f_t = sqrt_lam * f[t + 1]
+        for x in _right_solve(sample_wishart_factor(q, ue.k, rng), filt.g[t]):
+            f_t = chol_update(f_t, x)
+        f[t] = f_t
+    return PrecisionPath(model="ue", factors=f)
 
 
 def bb_backward_step(
-    phi_next: np.ndarray,
-    p_t: np.ndarray,
+    f_next: np.ndarray,
+    g_t: np.ndarray,
     beta: float,
     b: float,
     k_t: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One BB backward draw Phi_t | Phi_{t+1}, D_t.
+    """One BB backward draw of F_t (Phi_t = F_t' F_t) given F_{t+1} and G_t.
 
-    U~*_{t+1} = uchol(b (P_t^{-1})' Phi_{t+1} P_t^{-1}); the squared
-    diagonal gains theta_i ~ chi2_{(1-beta) k_t}; off-diagonal entries
-    are kept; Phi_t = (U* P_t)' U* P_t.
+    U~*_{t+1} = sqrt(b) F_{t+1} G_t is upper-triangular with positive
+    diagonal, so it is the Cholesky factor of b G_t' Phi_{t+1} G_t; its
+    squared diagonal gains theta_i ~ chi2_{(1-beta) k_t}; off-diagonal
+    entries are kept; F_t = U* G_t^{-1}.
     """
     df = (1.0 - beta) * k_t
     if df <= 0:
         raise InvalidParameter(f"(1 - beta) * k_t must be > 0, got {df}")
-    q = p_t.shape[0]
-    p_inv = inv_upper(p_t)
-    u_tilde = uchol(sym(b * p_inv.T @ phi_next @ p_inv))
-    theta = sample_chi2(df, rng, size=q)
-    u_star = u_tilde.copy()
-    u_star[np.diag_indices(q)] = np.sqrt(u_tilde.diagonal() ** 2 + theta)
-    m = u_star @ p_t
-    return sym(m.T @ m)
+    q = g_t.shape[0]
+    u = np.sqrt(b) * f_next @ g_t
+    idx = np.arange(q)
+    u[idx, idx] = np.sqrt(u[idx, idx] ** 2 + sample_chi2(df, rng, size=q))
+    return _right_solve(u, g_t)
 
 
 def bb_backward_sample(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator) -> PrecisionPath:
     """Draw Phi_{0:T} | D_T for BB.
 
     The terminal Wishart(k_T, (k D_T)^{-1}) draw is taken directly in
-    Bartlett-factor form so that the descending recursion can carry the
-    factor forward: only the chi-square diagonal increment and the
-    sqrt(b) U* P_t P_{t-1}^{-1} change of coordinates are needed per step.
+    Bartlett-factor form, F_T = U G_T^{-1}; each earlier factor is one
+    ``bb_backward_step``.
     """
     if filt.model != "bb":
         raise InvalidParameter(f"expected a BB filter output, got {filt.model!r}")
-    T = filt.d.shape[0] - 1
-    q = filt.d.shape[1]
-    phis = np.empty((T + 1, q, q))
-    u_star = sample_bartlett_factor(q, filt.k_seq[T], rng)
-    m = u_star @ filt.p_chol[T]
-    phis[T] = sym(m.T @ m)
-    if T == 0:
-        return PrecisionPath(model="bb", phis=phis)
-    u_tilde = np.sqrt(bb.b) * u_star @ filt.p_chol[T] @ inv_upper(filt.p_chol[T - 1])
-    for t in range(T, 0, -1):
-        df = (1.0 - bb.beta) * filt.k_seq[t - 1]
-        if df <= 0:
-            raise InvalidParameter(f"(1 - beta) * k_t must be > 0 at t={t - 1}")
-        theta = sample_chi2(df, rng, size=q)
-        u_star = u_tilde.copy()
-        u_star[np.diag_indices(q)] = np.sqrt(u_tilde.diagonal() ** 2 + theta)
-        m = u_star @ filt.p_chol[t - 1]
-        phis[t - 1] = sym(m.T @ m)
-        if t >= 2:
-            u_tilde = np.sqrt(bb.b) * u_star @ filt.p_chol[t - 1] @ inv_upper(filt.p_chol[t - 2])
-    return PrecisionPath(model="bb", phis=phis)
+    T, q = filt.g.shape[0] - 1, filt.g.shape[1]
+    f = np.empty((T + 1, q, q))
+    f[T] = _right_solve(sample_bartlett_factor(q, filt.k_seq[T], rng), filt.g[T])
+    for t in range(T - 1, -1, -1):
+        f[t] = bb_backward_step(f[t + 1], filt.g[t], bb.beta, bb.b, filt.k_seq[t], rng)
+    return PrecisionPath(model="bb", factors=f)
 
 
 def sample_ensemble(filt: FilterOutput, hyper, n_draws: int, seed: int) -> SmoothedEnsemble:
@@ -143,10 +140,7 @@ def sample_ensemble(filt: FilterOutput, hyper, n_draws: int, seed: int) -> Smoot
     if n_draws < 1:
         raise InvalidParameter(f"n_draws must be >= 1, got {n_draws}")
     sampler = ue_backward_sample if filt.model == "ue" else bb_backward_sample
-    paths = []
-    for i in range(n_draws):
-        path = sampler(filt, hyper, substream(seed, i))
-        paths.append(PrecisionPath(model=path.model, phis=path.phis, seed_info=(seed, i)))
+    paths = [replace(sampler(filt, hyper, substream(seed, i)), seed_info=(seed, i)) for i in range(n_draws)]
     return SmoothedEnsemble(model=filt.model, paths=paths)
 
 
@@ -239,28 +233,27 @@ def joint_consistency_report(
     }
 
 
-def correlation_summary(
-    ens: SmoothedEnsemble, pair: tuple[int, int], quantiles
-) -> np.ndarray:
-    """Per-time empirical quantiles of the implied correlation rho_ij.
+def correlation_summary(ens: SmoothedEnsemble, quantiles) -> np.ndarray:
+    """Per-time empirical quantiles of every implied correlation rho_ij, i < j.
 
-    For each draw and time, Sigma_t = Phi_t^{-1} and
-    rho = Sigma_ij / sqrt(Sigma_ii Sigma_jj); returns an array of shape
-    (len(quantiles), T + 1).
+    Sigma_t = Phi_t^{-1} = V V' with V = F_t^{-1}, so rho_ij is the cosine
+    between rows i and j of V: one triangular inverse per draw and time.
+    Returns (len(quantiles), q (q - 1) / 2, T + 1), pairs in row-major
+    order (0, 1), (0, 2), ..., (q - 2, q - 1).
     """
-    i, j = pair
     if ens.n_draws < 2:
         raise InvalidParameter("need at least 2 draws")
-    q = ens.paths[0].q
-    if not (0 <= i < q and 0 <= j < q) or i == j:
-        raise InvalidParameter(f"bad pair {pair} for q={q}")
     quantiles = np.asarray(list(quantiles), dtype=float)
     if np.any((quantiles <= 0) | (quantiles >= 1)):
         raise InvalidParameter("quantiles must lie in (0, 1)")
-    T = ens.paths[0].T
-    rho = np.empty((ens.n_draws, T + 1))
+    q = ens.paths[0].q
+    iu, ju = np.triu_indices(q, k=1)
+    rho = np.empty((ens.n_draws, iu.size, ens.paths[0].T + 1))
     for d_idx, path in enumerate(ens.paths):
-        for t in range(T + 1):
-            sigma = np.linalg.inv(path.phis[t])
-            rho[d_idx, t] = sigma[i, j] / np.sqrt(sigma[i, i] * sigma[j, j])
-    return np.quantile(rho, quantiles, axis=0)
+        # F is upper-triangular with a nonzero diagonal, so the pivoted LU
+        # inside solve never swaps rows: this is back-substitution
+        v = np.linalg.solve(path.factors, np.eye(q))
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        rho[d_idx] = np.einsum("tpk,tpk->pt", v[:, iu], v[:, ju])
+    # |cosine| <= 1 exactly, so clipping only removes rounding excess
+    return np.quantile(np.clip(rho, -1.0, 1.0), quantiles, axis=0)

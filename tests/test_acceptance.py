@@ -29,7 +29,7 @@ from wishartsv.filtering import (
     marginal_loglik,
     ue_forward_filter,
 )
-from wishartsv.matops import inv_upper, uchol, uchol_inv_gram
+from wishartsv.matops import uchol
 from wishartsv.randsamp import (
     make_rng,
     sample_chi2,
@@ -78,7 +78,7 @@ def test_criterion_01_matched_equivalence():
             data = ReturnsSeries(rng.standard_normal((100, q)) * rng.uniform(0.5, 2.0))
             fu = ue_forward_filter(data, ue)
             fb = bb_forward_filter(data, bb)
-            np.testing.assert_array_equal(fu.d, fb.d)
+            np.testing.assert_array_equal(fu.g, fb.g)
             np.testing.assert_array_equal(fb.k_seq, np.full(101, n + 1.0))
             assert np.abs(fu.log_forecast - fb.log_forecast).max() < 1e-10
             ml = marginal_loglik(data, n, lam, d0)
@@ -188,16 +188,15 @@ def test_criterion_07_joint_consistency():
         data = ReturnsSeries(np.random.default_rng(7).standard_normal((3, 2)))
         fb = bb_forward_filter(data, bb)
         t = 2
-        p_t, k_t = fb.p_chol[t], fb.k_seq[t]
-        p_inv = inv_upper(p_t)
-        phi_next = np.linalg.inv(fb.d[t + 1]) * fb.k_seq[t + 1]
-        base = uchol(bb.b * p_inv.T @ phi_next @ p_inv).diagonal() ** 2
+        g_t, k_t = fb.g[t], fb.k_seq[t]
+        f_next = np.sqrt(fb.k_seq[t + 1]) * np.linalg.inv(fb.g[t + 1])  # Phi_{t+1} = k_{t+1} D_{t+1}^{-1}
+        base = uchol(bb.b * g_t.T @ f_next.T @ f_next @ g_t).diagonal() ** 2
         rng = make_rng(777)
         n_draws = 20_000
         thetas = np.empty((n_draws, 2))
         for i in range(n_draws):
-            phi_t = bb_backward_step(phi_next, p_t, bb.beta, bb.b, k_t, rng)
-            thetas[i] = uchol(p_inv.T @ phi_t @ p_inv).diagonal() ** 2 - base
+            f_t = bb_backward_step(f_next, g_t, bb.beta, bb.b, k_t, rng)
+            thetas[i] = uchol(g_t.T @ f_t.T @ f_t @ g_t).diagonal() ** 2 - base
         df = (1.0 - bb.beta) * k_t
         for i in range(2):
             assert kstest(thetas[:, i], chi2_dist(df).cdf).statistic < 1.95 / np.sqrt(n_draws)
@@ -222,7 +221,7 @@ def test_criterion_09_forecast_normalization():
         d = np.array([[1.5, 0.4], [0.4, 1.0]])
         n, lam = 5.0, 0.8
         rng = make_rng(909)
-        p = uchol_inv_gram(np.sqrt(lam) * uchol(d))
+        p = uchol(np.linalg.inv(lam * d))  # P' P = (lam D)^{-1}
         phis = sample_wishart_bartlett(n, p, rng, size=200_000)
         ld = np.linalg.slogdet(phis)[1]
         for r in (np.array([0.3, -0.5]), np.array([1.5, 1.0])):
@@ -272,8 +271,10 @@ def test_criterion_11_plr_properties():
 
 def test_criterion_12_ppc_calibration():
     with criterion(12, "PPC calibration", 60.0):
-        # discount at the constrained value keeps the simulated data law
-        # scale-stationary over the long horizon
+        # the constrained discount does not keep the simulated series
+        # well-conditioned: with seed 1 the returns shrink by orders of
+        # magnitude and cond(D_t) passes 1e16, so the filters must work
+        # on factors throughout
         n = 8.0
         lam = constrained_lambda(n, 1.0, 3)
         ue = UEHyper(q=3, k=1, n=n, lam=lam, d0=np.eye(3))

@@ -225,6 +225,27 @@ class TestMain:
         with pytest.raises(FileNotFoundError):
             main(["filter", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize(
+        "config_text, error, message",
+        [
+            ('{"q": 2, "n": 5.0, "lambda": 0.8}', "InvalidParameter", "'data_csv'"),
+            (None, "ParseError", "cannot read config"),
+            ('{"q": 2, "n": 5.0,', "ParseError", "malformed JSON"),
+            ("[1, 2]", "ParseError", "JSON object"),
+        ],
+        ids=["missing-key", "missing-config", "malformed-json", "not-an-object"],
+    )
+    def test_bad_config_is_reported(self, tmp_path, capsys, config_text, error, message):
+        cfg_path = tmp_path / "cfg.json"
+        if config_text is not None:
+            cfg_path.write_text(config_text)
+        rc = main(["filter", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == error and message in record["message"]
+
     def test_parse_error_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,r1,r2\n2024-01-01,x,1\n")

@@ -36,7 +36,7 @@ class TestPathLoglik:
         for t in range(7):
             g = rng.standard_normal((2, 2))
             phis[t] = g.T @ g + np.eye(2)
-        path = PrecisionPath(model="ue", phis=phis)
+        path = PrecisionPath(model="ue", factors=np.swapaxes(np.linalg.cholesky(phis), 1, 2))
         expect = sum(
             multivariate_normal(cov=np.linalg.inv(phis[t])).logpdf(data.returns[t - 1])
             for t in range(1, 7)
@@ -45,12 +45,24 @@ class TestPathLoglik:
 
     def test_skips_phi0(self):
         data, _, _ = toy(T=3, q=1, seed=3)
-        phis = np.ones((4, 1, 1))
-        bad_phi0 = phis.copy()
+        factors = np.ones((4, 1, 1))
+        bad_phi0 = factors.copy()
         bad_phi0[0] = 99.0
-        assert path_loglik(PrecisionPath("ue", phis), data) == path_loglik(
+        assert path_loglik(PrecisionPath("ue", factors), data) == path_loglik(
             PrecisionPath("ue", bad_phi0), data
         )
+
+    def test_ill_conditioned_draws(self):
+        # simulated data whose sampled Phi_t reach cond > 1e12, where
+        # refactoring a dense Phi_t failed its pivot check on SPD draws
+        from wishartsv.cli import simulate
+
+        ue = UEHyper(q=3, k=1, n=8.0, lam=0.8, d0=np.eye(3))
+        bb = match_ue_to_bb(ue)
+        data, _ = simulate("ue", ue, 500, seed=1)
+        for filt, hyper, seed in ((ue_forward_filter(data, ue), ue, 0), (bb_forward_filter(data, bb), bb, 1)):
+            ll = ensemble_logliks(sample_ensemble(filt, hyper, 20, seed=seed), data)
+            assert ll.shape == (20,) and np.all(np.isfinite(ll))
 
 
 class TestLogSumExp:

@@ -12,12 +12,9 @@ from wishartsv.filtering import (
     constrained_lambda,
     forecast_logdensity,
     grid_search,
-    logdet_update,
     marginal_loglik,
-    scale_recursion,
     ue_forward_filter,
 )
-from wishartsv.matops import logdet_spd
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
 
@@ -72,25 +69,12 @@ class TestForecastDensity:
             forecast_logdensity(np.zeros(3), np.eye(3), 2.0, 0.8)
 
 
-class TestLogdetUpdate:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_against_direct(self, seed):
-        rng = np.random.default_rng(seed)
-        q = 3
-        g = rng.standard_normal((q, q))
-        d = g.T @ g + np.eye(q)
-        r = rng.standard_normal(q)
-        lam = 0.85
-        direct = logdet_spd(lam * d + np.outer(r, r))
-        assert logdet_update(logdet_spd(d), r, d, lam, q) == pytest.approx(direct, rel=1e-10)
-
-
 class TestForwardFilters:
     def test_ue_recursion_values(self):
         data = ReturnsSeries(np.array([[1.0], [2.0]]))
         ue = UEHyper(q=1, k=1, n=3, lam=0.5, d0=np.eye(1))
         filt = ue_forward_filter(data, ue)
-        np.testing.assert_allclose(filt.d[:, 0, 0], [1.0, 1.5, 4.75])
+        np.testing.assert_allclose(filt.g[:, 0, 0] ** 2, [1.0, 1.5, 4.75])
         np.testing.assert_allclose(filt.k_seq, [4.0, 4.0, 4.0])
         assert filt.loglik == pytest.approx(filt.log_forecast.sum())
 
@@ -109,30 +93,30 @@ class TestForwardFilters:
         bb = match_ue_to_bb(ue)
         fu = ue_forward_filter(data, ue)
         fb = bb_forward_filter(data, bb)
-        np.testing.assert_array_equal(fu.d, fb.d)
+        np.testing.assert_array_equal(fu.g, fb.g)
         np.testing.assert_allclose(fu.log_forecast, fb.log_forecast, rtol=1e-12)
         assert fu.loglik == pytest.approx(fb.loglik, rel=1e-12)
         np.testing.assert_allclose(fb.k_seq, np.full(61, 6.0))
 
     def test_p_chol_matches_definition(self):
-        data = toy_series(4, 2, seed=3)
-        ue = UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2))
+        # G_t is upper with positive diagonal and G_t G_t' = k D_t, so
+        # P_t = G_t^{-1} is uchol((k D_t)^{-1}); D_t from the dense recursion
+        data = toy_series(4, 3, seed=3)
+        d = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
+        ue = UEHyper(q=3, k=1, n=5, lam=0.8, d0=d)
         filt = ue_forward_filter(data, ue)
         for t in range(5):
-            p = filt.p_chol[t]
-            np.testing.assert_allclose(p.T @ p, np.linalg.inv(filt.d[t]), rtol=1e-9, atol=1e-12)
+            g = filt.g[t]
+            assert np.all(np.tril(g, -1) == 0) and np.all(g.diagonal() > 0)
+            np.testing.assert_allclose(g @ g.T, d, rtol=1e-12)
+            p = np.linalg.inv(g)
+            np.testing.assert_allclose(p.T @ p, np.linalg.inv(d), rtol=1e-9, atol=1e-12)
+            if t < 4:
+                d = 0.8 * d + np.outer(data.returns[t], data.returns[t])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ue_forward_filter(toy_series(5, 2), UEHyper(q=3, k=1, n=5, lam=0.8, d0=np.eye(3)))
-
-
-class TestScaleRecursion:
-    def test_values(self):
-        y = np.array([np.eye(2), 2 * np.eye(2)])
-        d = scale_recursion(y, np.eye(2), 0.5)
-        np.testing.assert_allclose(d[1], 1.5 * np.eye(2))
-        np.testing.assert_allclose(d[2], 2.75 * np.eye(2))
 
 
 class TestMarginalLoglik:

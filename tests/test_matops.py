@@ -8,7 +8,6 @@ from wishartsv.matops import (
     logdet_spd,
     quad_form,
     uchol,
-    uchol_inv_gram,
 )
 
 
@@ -164,24 +163,3 @@ class TestCholUpdate:
         expect = 2 * np.sum(np.log(np.diag(r))) + np.log1p(w @ w)
         updated = chol_update(r, x)
         assert 2 * np.sum(np.log(updated.diagonal())) == pytest.approx(expect, rel=1e-12)
-
-
-class TestUcholInvGram:
-    @pytest.mark.parametrize("q", [1, 2, 4])
-    def test_inverse_gram(self, q):
-        rng = np.random.default_rng(53 + q)
-        g = rng.standard_normal((q, q))
-        a = g.T @ g + q * np.eye(q)
-        r = uchol(a)
-        u = uchol_inv_gram(r)
-        assert np.all(np.tril(u, -1) == 0)
-        assert np.all(u.diagonal() > 0)
-        np.testing.assert_allclose(u.T @ u, np.linalg.inv(a), rtol=1e-9, atol=1e-12)
-
-    def test_diagonal(self):
-        u = uchol_inv_gram(np.diag([2.0, 4.0]))
-        np.testing.assert_allclose(u, np.diag([0.5, 0.25]))
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            uchol_inv_gram(np.diag([1.0, 0.0]))

