@@ -57,7 +57,11 @@ def load_returns_csv(path, q: int) -> ReturnsSeries:
     path = Path(path)
     rows = []
     stamps = []
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read returns: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -261,8 +265,9 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     d0, warning = _d0_from_cfg(cfg, q)
     ue, bb = _hyper_from_cfg(cfg, q, d0)
     model = cfg.get("model", "ue")
-    hyper = ue if model == "ue" else bb
-    series, phis = simulate(model if model != "matched" else "ue", hyper, _required(cfg, "T"), cfg["seed"])
+    if model not in ("ue", "bb"):
+        raise InvalidParameter(f"simulate draws from one model, ue or bb; got {model!r}")
+    series, phis = simulate(model, ue if model == "ue" else bb, _required(cfg, "T"), cfg["seed"])
     _write_csv(
         outdir / "returns.csv",
         ["t"] + [f"r{i + 1}" for i in range(q)],

@@ -226,13 +226,7 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
     T, q = data.T, data.q
     if filt.g.shape[0] != T + 1 or filt.g.shape[1] != q:
         raise DimensionMismatch("filter output does not match data")
-    if filt.model == "ue":
-        df_prior = np.full(T, filt.k_seq[0] - filt.k_obs)  # n = (n + k) - k
-    else:
-        # prior-at-t df is beta * k_{t-1}; beta recovered from the df recursion
-        beta = (filt.k_seq[1] - filt.k_obs) / filt.k_seq[0]
-        df_prior = beta * filt.k_seq[:-1]
-    nu = df_prior + 1.0 - q
+    nu = filt.df_prior + 1.0 - q
     if np.any(nu <= 0):
         t = int(np.argmax(nu <= 0))
         raise InvalidParameter(f"predictive df {nu[t]} <= 0 at t={t}")

@@ -3,15 +3,18 @@
 The sufficient-statistic recursions are those of the conjugate analysis:
 UE keeps D_t = lambda D_{t-1} + y_t with fixed posterior df n + k; BB
 keeps D_t = b D_{t-1} + y_t together with k_t = beta k_{t-1} + k.  With
-k = 1 and y_t = r_t r_t' the one-step forecast is multivariate-t and
-log|D_t| admits a rank-1 update, so marginal-likelihood evaluation over
-an (n, lambda) grid is cheap.
+k = 1 and y_t = r_t r_t' the one-step forecast is multivariate-t.
 
-The filters store each k D_t only as an upper-triangular factor G_t with
-G_t G_t' = k D_t (square-root filtering, Bierman 1977).  Then
+One pass, ``_scale_pass``, runs the recursion k D_t = disc k D_{t-1} +
+k r_t r_t' and stores each k D_t only as an upper-triangular factor G_t
+with G_t G_t' = k D_t (square-root filtering, Bierman 1977).  Then
 G_t^{-1} = uchol((k D_t)^{-1}) is the scale factor of the filtered
 Wishart posterior of Phi_t, so the backward samplers need nothing but
-triangular products and solves against G_t.
+triangular products and solves against G_t.  The pass also yields the
+forecast terms s_t = r_t' D_{t-1}^{-1} r_t and log|D_{t-1}| (from the
+diagonal of G_{t-1}), which do not depend on n: the filters,
+``marginal_loglik`` and ``grid_search`` all reduce them through
+``_forecast_logdensity``, and a grid costs one pass per lambda.
 
 The forecast-density normalizer is Gamma((n+1)/2) / Gamma((n+1-q)/2);
 the q = 1, n = 1 case is then exactly standard Cauchy and the density
@@ -66,12 +69,14 @@ class FilterOutput:
 
     ``g`` stacks the upper-triangular factors G_0..G_T with positive
     diagonal and G_t G_t' = k D_t; ``k_seq`` carries k_0..k_T for BB
-    (constant n + k for UE).
+    (constant n + k for UE); ``df_prior[t-1]`` is the prior-at-t degrees
+    of freedom of the one-step forecast (n for UE, beta k_{t-1} for BB).
     """
 
     model: str  # "ue" | "bb"
     g: np.ndarray  # (T+1, q, q)
     k_seq: np.ndarray  # (T+1,)
+    df_prior: np.ndarray  # (T,)
     log_forecast: np.ndarray  # (T,)
     loglik: float
     k_obs: float  # likelihood df (k)
@@ -102,18 +107,18 @@ def _forecast_logdensity(s, logdet, n, lam: float, q: int):
     )
 
 
-def _filter(data: ReturnsSeries, d0: np.ndarray, discount: float, k_obs: float, df_prior):
-    """Shared recursion: returns (g, log_forecast).
+def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float, k_obs: float):
+    """The scale recursion: returns (g, s, logdet).
 
-    ``df_prior[t-1]`` is the prior-at-t degrees of freedom used in the
-    one-step forecast density.  With J the reversal permutation,
+    ``g`` stacks G_0..G_T, ``s[t-1]`` = r_t' D_{t-1}^{-1} r_t and
+    ``logdet[t-1]`` = log|D_{t-1}|.  With J the reversal permutation,
     J G_t' J is the upper Cholesky factor of J k D_t J, so the recursion
     k D_t = discount k D_{t-1} + k r_t r_t' is a rank-1 update of that
     factor; no matrix is refactored or inverted, which matters because
     the simulated data law drives cond(D_t) far past what dense
     refactorization tolerates.
     """
-    q, T = data.q, data.T
+    T, q = returns.shape
     g = np.empty((T + 1, q, q))
     s = np.empty(T)
     g_rev = np.sqrt(k_obs) * uchol(sym(np.asarray(d0, dtype=float))[::-1, ::-1])  # J G' J
@@ -121,13 +126,29 @@ def _filter(data: ReturnsSeries, d0: np.ndarray, discount: float, k_obs: float, 
     sqrt_k = np.sqrt(k_obs)
     g[0] = g_rev.T[::-1, ::-1]
     for t in range(1, T + 1):
-        r = data.returns[t - 1]
+        r = returns[t - 1]
         w = solve_triangular(g[t - 1], r, lower=False)
-        s[t - 1] = k_obs * float(w @ w)  # r' D_{t-1}^{-1} r
+        s[t - 1] = k_obs * float(w @ w)
         g_rev = chol_update(sqrt_disc * g_rev, sqrt_k * r[::-1])
         g[t] = g_rev.T[::-1, ::-1]
     logdet = 2.0 * np.log(np.diagonal(g[:-1], axis1=1, axis2=2)).sum(axis=1) - q * np.log(k_obs)
-    return g, _forecast_logdensity(s, logdet, df_prior[:T], discount, q)
+    return g, s, logdet
+
+
+def _filter(model: str, data: ReturnsSeries, d0, discount: float, k_obs: float, k_seq, df_prior):
+    """The scale pass and its forecast log densities, as a FilterOutput."""
+    g, s, logdet = _scale_pass(data.returns, d0, discount, k_obs)
+    log_forecast = _forecast_logdensity(s, logdet, df_prior, discount, data.q)
+    return FilterOutput(
+        model=model,
+        g=g,
+        k_seq=k_seq,
+        df_prior=df_prior,
+        log_forecast=log_forecast,
+        loglik=float(log_forecast.sum()),
+        k_obs=k_obs,
+        discount=discount,
+    )
 
 
 def ue_forward_filter(data: ReturnsSeries, ue: UEHyper) -> FilterOutput:
@@ -136,16 +157,8 @@ def ue_forward_filter(data: ReturnsSeries, ue: UEHyper) -> FilterOutput:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {ue.q}")
     if ue.k != 1:
         raise InvalidParameter("the returns-based filter is defined for k = 1")
-    g, log_forecast = _filter(data, ue.d0, ue.lam, ue.k, np.full(data.T + 1, ue.n))
-    return FilterOutput(
-        model="ue",
-        g=g,
-        k_seq=np.full(data.T + 1, ue.n + ue.k),
-        log_forecast=log_forecast,
-        loglik=float(log_forecast.sum()),
-        k_obs=ue.k,
-        discount=ue.lam,
-    )
+    k_seq = np.full(data.T + 1, ue.n + ue.k)
+    return _filter("ue", data, ue.d0, ue.lam, ue.k, k_seq, np.full(data.T, float(ue.n)))
 
 
 def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
@@ -166,39 +179,19 @@ def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
         if abs(nxt - k_seq[t - 1]) <= 4.0 * eps * abs(k_seq[t - 1]):
             nxt = k_seq[t - 1]
         k_seq[t] = nxt
-    df_prior = bb.beta * k_seq  # prior-at-t df is beta * k_{t-1}
-    if np.any(df_prior - bb.q + 1 <= 0):
+    if np.any(bb.beta * k_seq - bb.q + 1 <= 0):
         raise InvalidParameter("df path violates Beta-shape positivity along the filtration")
-    g, log_forecast = _filter(data, bb.d0, bb.b, bb.k, df_prior)
-    return FilterOutput(
-        model="bb",
-        g=g,
-        k_seq=k_seq,
-        log_forecast=log_forecast,
-        loglik=float(log_forecast.sum()),
-        k_obs=bb.k,
-        discount=bb.b,
-    )
+    # prior-at-t df is beta * k_{t-1}
+    return _filter("bb", data, bb.d0, bb.b, bb.k, k_seq, bb.beta * k_seq[:T])
 
 
 def marginal_loglik(data: ReturnsSeries, n: float, lam: float, d0: np.ndarray) -> float:
-    """Sum of one-step forecast log densities, via the rank-1 logdet recursion."""
+    """Sum of one-step forecast log densities (k = 1), from one scale pass."""
     q = data.q
     if n <= q - 1:
         raise InvalidParameter(f"need n > q-1, got n={n}, q={q}")
-    d_chol = uchol(sym(np.asarray(d0, dtype=float)))
-    logdet = 2.0 * float(np.sum(np.log(d_chol.diagonal())))
-    sqrt_lam = np.sqrt(lam)
-    const = gammaln((n + 1.0) / 2.0) - gammaln((n + 1.0 - q) / 2.0) - 0.5 * q * LOG_PI
-    total = 0.0
-    for t in range(data.T):
-        r = data.returns[t]
-        w = solve_triangular(d_chol, r, trans="T", lower=False)
-        s = float(w @ w)
-        total += const - 0.5 * (q * np.log(lam) + logdet) - 0.5 * (n + 1.0) * np.log1p(s / lam)
-        logdet = np.log1p(s / lam) + q * np.log(lam) + logdet
-        d_chol = chol_update(sqrt_lam * d_chol, r)
-    return float(total)
+    _, s, logdet = _scale_pass(data.returns, d0, lam, 1.0)
+    return float(_forecast_logdensity(s, logdet, n, lam, q).sum())
 
 
 def grid_search(
@@ -224,10 +217,11 @@ def grid_search(
     for lam in lambda_grid:
         if not (0.0 < lam < 1.0):
             raise InvalidParameter(f"grid point lambda={lam} outside (0, 1)")
+    n_col = np.asarray(n_grid, dtype=float)[:, None]
     surface = np.empty((len(n_grid), len(lambda_grid)))
-    for i, n in enumerate(n_grid):
-        for j, lam in enumerate(lambda_grid):
-            surface[i, j] = marginal_loglik(data, n, lam, d0)
+    for j, lam in enumerate(lambda_grid):
+        _, s, logdet = _scale_pass(data.returns, d0, lam, 1.0)
+        surface[:, j] = _forecast_logdensity(s, logdet, n_col, lam, q).sum(axis=1)
     best = np.unravel_index(np.argmax(surface), surface.shape)
     return float(n_grid[best[0]]), float(lambda_grid[best[1]]), surface
 

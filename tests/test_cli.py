@@ -217,13 +217,28 @@ class TestMain:
         meta = json.loads((tmp_path / "run" / "meta.json").read_text())
         assert meta["config"]["seed"] == 7
 
-    def test_error_exit_code_and_record(self, tmp_path, capsys):
+    def test_error_exit_code_and_record(self, returns_csv, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        for cfg in (
+            {"data_csv": missing},
+            {"data_csv": str(returns_csv), "presample_csv": missing},
+        ):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.8, **cfg}))
+            rc = main(["filter", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            record = json.loads(err)
+            assert record["error"] == "ParseError" and missing in record["message"]
+
+    def test_simulate_rejects_matched(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps({"q": 2, "n": 5.0, "lambda": 0.8, "data_csv": str(tmp_path / "nope.csv")})
-        )
-        with pytest.raises(FileNotFoundError):
-            main(["filter", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.8, "T": 5}))
+        rc = main(["simulate", "--config", str(cfg_path), "--model", "matched", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InvalidParameter" and "matched" in record["message"]
 
     @pytest.mark.parametrize(
         "config_text, error, message",

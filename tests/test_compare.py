@@ -188,6 +188,13 @@ class TestPpcIntervals:
         _, coverage = ppc_intervals(filt, data, level=0.95)
         assert abs(coverage[-1] - 0.95) < 0.02
 
+    def test_empty_series(self):
+        data = ReturnsSeries(np.empty((0, 2)))
+        ue = UEHyper(q=2, k=1, n=5.0, lam=0.8, d0=np.eye(2))
+        for filt in (ue_forward_filter(data, ue), bb_forward_filter(data, match_ue_to_bb(ue))):
+            lengths, coverage = ppc_intervals(filt, data)
+            assert lengths.shape == (0, 2) and coverage.shape == (0,)
+
     def test_level_validation(self):
         data, ue, _ = toy(T=5, q=1)
         with pytest.raises(InvalidParameter):

@@ -1,10 +1,13 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 from scipy.stats import cauchy
 
+from wishartsv.cli import simulate
 from wishartsv.errors import DimensionMismatch, InvalidParameter
 from wishartsv.filtering import (
     ReturnsSeries,
@@ -21,6 +24,55 @@ from wishartsv.volproc import UEHyper, match_ue_to_bb
 def toy_series(T=40, q=2, seed=0):
     rng = np.random.default_rng(seed)
     return ReturnsSeries(rng.standard_normal((T, q)))
+
+
+def mvt_const(n, q):
+    return gammaln((n + 1.0) / 2.0) - gammaln((n + 1.0 - q) / 2.0) - 0.5 * q * math.log(math.pi)
+
+
+def dense_loglik(returns, n, lam, d0):
+    """Marginal log likelihood from the dense recursion D_t = lam D_{t-1} + r_t r_t'."""
+    T, q = returns.shape
+    d = np.array(d0, dtype=float)
+    total = T * mvt_const(n, q)
+    for r in returns:
+        s = r @ np.linalg.solve(d, r)
+        total -= 0.5 * (q * math.log(lam) + np.linalg.slogdet(d)[1]) + 0.5 * (n + 1.0) * math.log1p(s / lam)
+        d = lam * d + np.outer(r, r)
+    return total
+
+
+def decimal_loglik(returns, n, lam, digits=60):
+    """dense_loglik in ``digits``-digit decimal arithmetic (d0 = I).
+
+    Each step solves D_{t-1} x = r_t by Gaussian elimination, which also
+    gives |D_{t-1}| as the product of the pivots.  Inputs are converted
+    exactly from binary, so the only rounding is at ``digits`` digits,
+    far below what the conditioning of D_t costs in double precision.
+    """
+    T, q = returns.shape
+    with localcontext() as ctx:
+        ctx.prec = digits
+        lam_d = Decimal(lam)
+        d = [[Decimal(int(i == j)) for j in range(q)] for i in range(q)]
+        total = Decimal(0)
+        for row in returns:
+            r = [Decimal(float(x)) for x in row]
+            a = [d[i][:] + [r[i]] for i in range(q)]
+            det = Decimal(1)
+            for k in range(q):
+                det *= a[k][k]
+                for i in range(k + 1, q):
+                    f = a[i][k] / a[k][k]
+                    for j in range(k, q + 1):
+                        a[i][j] -= f * a[k][j]
+            x = [Decimal(0)] * q
+            for i in reversed(range(q)):
+                x[i] = (a[i][q] - sum(a[i][j] * x[j] for j in range(i + 1, q))) / a[i][i]
+            s = sum(r[i] * x[i] for i in range(q))
+            total -= (q * lam_d.ln() + det.ln()) / 2 + Decimal(n + 1.0) / 2 * (1 + s / lam_d).ln()
+            d = [[lam_d * d[i][j] + r[i] * r[j] for j in range(q)] for i in range(q)]
+    return float(total) + T * mvt_const(n, q)
 
 
 class TestReturnsSeries:
@@ -132,21 +184,32 @@ class TestMarginalLoglik:
         with pytest.raises(InvalidParameter):
             marginal_loglik(toy_series(5, 3), 1.5, 0.8, np.eye(3))
 
+    def test_ill_conditioned_against_decimal_reference(self):
+        # criterion 13's series, drawn from the UE law: cond(D_t) passes
+        # 1e16, so no double-precision recursion is exact here, but an
+        # error in one step's s_t must not carry into every later step
+        ue = UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3))
+        data, _ = simulate("ue", ue, 1000, seed=42)
+        ref = decimal_loglik(data.returns, 6.0, 0.85)
+        assert marginal_loglik(data, 6.0, 0.85, np.eye(3)) == pytest.approx(ref, rel=1e-3)
+        assert ue_forward_filter(data, ue).loglik == pytest.approx(ref, rel=1e-3)
+
 
 class TestGridSearch:
     def test_recovers_argmax(self):
-        data = toy_series(60, 1, seed=5)
-        n_grid = [2.0, 4.0, 8.0]
+        data = toy_series(200, 3, seed=5)
+        d0 = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
+        n_grid = [3.0, 5.0, 8.0]
         lam_grid = [0.7, 0.9]
-        n_star, lam_star, surface = grid_search(data, np.eye(1), n_grid, lam_grid)
+        n_star, lam_star, surface = grid_search(data, d0, n_grid, lam_grid)
         i, j = np.unravel_index(np.argmax(surface), surface.shape)
         assert n_star == n_grid[i] and lam_star == lam_grid[j]
         assert surface.shape == (3, 2)
         for i, n in enumerate(n_grid):
             for j, lam in enumerate(lam_grid):
-                assert surface[i, j] == pytest.approx(
-                    marginal_loglik(data, n, lam, np.eye(1)), rel=1e-12
-                )
+                ref = dense_loglik(data.returns, n, lam, d0)
+                assert surface[i, j] == pytest.approx(ref, rel=1e-10)
+                assert marginal_loglik(data, n, lam, d0) == pytest.approx(ref, rel=1e-10)
 
     def test_tie_breaks_to_first(self):
         data = ReturnsSeries(np.array([[0.5]]))
