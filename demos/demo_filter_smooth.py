@@ -12,8 +12,7 @@ Run: python3 demos/demo_filter_smooth.py
 
 import numpy as np
 
-from wishartsv.cli import simulate
-from wishartsv.filtering import bb_forward_filter, constrained_lambda, ue_forward_filter
+from wishartsv.filtering import bb_forward_filter, constrained_lambda, simulate, ue_forward_filter
 from wishartsv.smoother import correlation_summary, sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 

@@ -9,8 +9,7 @@ Run: python3 demos/demo_grid_search.py
 
 import numpy as np
 
-from wishartsv.cli import simulate
-from wishartsv.filtering import grid_search
+from wishartsv.filtering import grid_search, simulate
 from wishartsv.volproc import UEHyper
 
 TRUE_N, TRUE_LAM, T, SEED = 6.0, 0.85, 1000, 42

@@ -15,7 +15,6 @@ Run: python3 demos/demo_model_comparison.py
 
 import numpy as np
 
-from wishartsv.cli import simulate
 from wishartsv.compare import (
     MixtureConfig,
     batch_means_se,
@@ -23,7 +22,7 @@ from wishartsv.compare import (
     mixture_gibbs,
     ppc_intervals,
 )
-from wishartsv.filtering import bb_forward_filter, ue_forward_filter
+from wishartsv.filtering import bb_forward_filter, simulate, ue_forward_filter
 from wishartsv.smoother import sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 

@@ -25,6 +25,7 @@ from .filtering import (
     forecast_logdensity,
     grid_search,
     marginal_loglik,
+    simulate,
     ue_forward_filter,
 )
 from .smoother import (

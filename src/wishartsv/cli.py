@@ -37,17 +37,11 @@ from .filtering import (
     ReturnsSeries,
     bb_forward_filter,
     grid_search,
+    simulate,
     ue_forward_filter,
 )
-from scipy.linalg import solve_triangular
-
-from .matops import chol_update, sym, uchol
-from .randsamp import (
-    RNG_ALGORITHM,
-    make_rng,
-    sample_bartlett_factor,
-    sample_wishart_bartlett,
-)
+from .matops import sym, uchol
+from .randsamp import RNG_ALGORITHM
 from .smoother import correlation_summary, sample_ensemble
 from .volproc import UEHyper, match_ue_to_bb
 
@@ -116,66 +110,6 @@ def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):
     return avg, f"presample average was singular; added ridge {auto:.3e} * I"
 
 
-def simulate(model: str, hyper, T: int, seed: int):
-    """Generate returns and a matching precision sequence from the model.
-
-    Each Phi_t is drawn from its exact one-step prior given the past
-    returns (Wishart with the prior-at-t degrees of freedom and scale
-    (k * discount * D_{t-1})^{-1}), then r_t | Phi_t ~ N(0, Phi_t^{-1}).
-    The returns therefore follow the model's exact joint law (the
-    product of the one-step forecast densities), and the recursion stays
-    numerically bounded over long horizons because D_t tracks the data.
-    Stepping the state equation directly instead is only viable for
-    short horizons: the precision's log-determinant drifts, so condition
-    numbers overflow double precision within a few hundred steps.
-    """
-    rng = make_rng(seed)
-    if model == "ue":
-        ue = hyper
-        q, k = ue.q, ue.k
-        d_chol = uchol(np.asarray(ue.d0, dtype=float))
-        disc = ue.lam
-        df0, df_prior_of = ue.n + ue.k, lambda k_t: ue.n
-        k_t = ue.n + ue.k
-    elif model == "bb":
-        bb = hyper
-        q, k = bb.q, bb.k
-        d_chol = uchol(np.asarray(bb.d0, dtype=float))
-        disc = bb.b
-        df0, df_prior_of = bb.k0, lambda k_t: bb.beta * k_t
-        k_t = bb.k0
-    else:
-        raise InvalidParameter(f"unknown model {model!r}")
-    eye = np.eye(q)
-    phis = np.empty((T + 1, q, q))
-    # the filter's factor G_0 (G_0 G_0' = k D_0); G_0^{-1} is the upper factor of (k D_0)^{-1}
-    g0 = np.sqrt(k) * uchol(np.asarray(hyper.d0, dtype=float)[::-1, ::-1]).T[::-1, ::-1]
-    phis[0] = sample_wishart_bartlett(df0, solve_triangular(g0, eye, lower=False), rng)
-    returns = np.empty((T, q))
-    sqrt_disc = np.sqrt(disc)
-    for t in range(1, T + 1):
-        df = df_prior_of(k_t)
-        if df <= q - 1:
-            raise InvalidParameter(f"prior df {df} <= q - 1 at t={t}")
-        # All stochastic work happens in D_{t-1}-whitened coordinates,
-        # where every quantity is O(1): with A the Bartlett factor of
-        # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / (k * disc) is a
-        # Wishart(df, (k disc D_{t-1})^{-1}) draw and the standardized
-        # residual is w = sqrt(disc) A^{-1} z / sqrt(...).  No inverse
-        # factor of the (possibly extremely ill-conditioned) D is formed.
-        a = sample_bartlett_factor(q, df, rng)
-        w = solve_triangular(a, rng.standard_normal(q), lower=False) * np.sqrt(k * disc)
-        returns[t - 1] = d_chol.T @ w
-        r_inv_t = solve_triangular(d_chol, eye, trans="T", lower=False)  # R^{-T}
-        m = a @ r_inv_t / np.sqrt(k * disc)
-        phis[t] = m.T @ m
-        d_chol = chol_update(sqrt_disc * d_chol, returns[t - 1])
-        if model == "bb":
-            k_t = bb.beta * k_t + bb.k
-    series = ReturnsSeries(returns) if T > 0 else ReturnsSeries(np.empty((0, q)))
-    return series, phis
-
-
 # ---------------------------------------------------------------- output
 
 
@@ -230,7 +164,34 @@ def _load_config(args) -> dict:
             cfg[key] = val
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", "out")
+    _check_types(cfg)
     return cfg
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+# the JSON type each config field must have, as (description, check)
+_FIELD_TYPES = {
+    **dict.fromkeys(("q", "T", "draws", "seed", "burn_in", "batches"),
+                    ("an integer", lambda v: _number(v) and isinstance(v, int))),
+    **dict.fromkeys(("n", "lambda", "ridge", "a0", "b0", "level"), ("a number", _number)),
+    **dict.fromkeys(("data_csv", "presample_csv", "model", "out"), ("a string", lambda v: isinstance(v, str))),
+    **dict.fromkeys(("n_grid", "lambda_grid", "quantiles"), ("a list of numbers", _numbers)),
+    "d0": ("a square list of lists of numbers",
+           lambda v: isinstance(v, list) and all(_numbers(row) and len(row) == len(v) for row in v)),
+}
+
+
+def _check_types(cfg: dict) -> None:
+    for key, val in cfg.items():
+        if key in _FIELD_TYPES and not _FIELD_TYPES[key][1](val):
+            raise InvalidParameter(f"config field {key!r} must be {_FIELD_TYPES[key][0]}, got {val!r}")
 
 
 def _required(cfg: dict, key: str):

@@ -190,9 +190,7 @@ def mixture_gibbs(
                 r_b[t - 1] = data.returns[t - 1]
                 r_u[t - 1] = sample_mvnormal_prec(f_u[t - 1], rng)
 
-        a1, b1 = alpha_posterior_shapes(cfg.a0, cfg.b0, z)
-        assert a1 + b1 == cfg.a0 + cfg.b0 + T
-        alpha = rng.beta(a1, b1)
+        alpha = rng.beta(*alpha_posterior_shapes(cfg.a0, cfg.b0, z))
 
         if it >= cfg.burn_in:
             alpha_trace[it - cfg.burn_in] = alpha

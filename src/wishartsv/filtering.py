@@ -16,6 +16,9 @@ diagonal of G_{t-1}), which do not depend on n: the filters,
 ``marginal_loglik`` and ``grid_search`` all reduce them through
 ``_forecast_logdensity``, and a grid costs one pass per lambda.
 
+``simulate`` draws returns from a model's own joint law by running the
+same recursion forward, one exact one-step prior draw of Phi_t at a time.
+
 The forecast-density normalizer is Gamma((n+1)/2) / Gamma((n+1-q)/2);
 the q = 1, n = 1 case is then exactly standard Cauchy and the density
 integrates to one (verified against quadrature and Monte Carlo mixture
@@ -31,7 +34,8 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import chol_update, logdet_spd, quad_form, sym, uchol
+from .matops import chol_update, inv_upper, logdet_spd, quad_form, rchol, sym, uchol
+from .randsamp import make_rng, sample_bartlett_factor, sample_wishart_bartlett
 from .volproc import BBHyper, UEHyper
 
 LOG_PI = np.log(np.pi)
@@ -121,10 +125,10 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float, k_obs: flo
     T, q = returns.shape
     g = np.empty((T + 1, q, q))
     s = np.empty(T)
-    g_rev = np.sqrt(k_obs) * uchol(sym(np.asarray(d0, dtype=float))[::-1, ::-1])  # J G' J
+    g[0] = np.sqrt(k_obs) * rchol(sym(np.asarray(d0, dtype=float)))
+    g_rev = g[0].T[::-1, ::-1]  # J G' J
     sqrt_disc = np.sqrt(discount)
     sqrt_k = np.sqrt(k_obs)
-    g[0] = g_rev.T[::-1, ::-1]
     for t in range(1, T + 1):
         r = returns[t - 1]
         w = solve_triangular(g[t - 1], r, lower=False)
@@ -183,6 +187,51 @@ def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
         raise InvalidParameter("df path violates Beta-shape positivity along the filtration")
     # prior-at-t df is beta * k_{t-1}
     return _filter("bb", data, bb.d0, bb.b, bb.k, k_seq, bb.beta * k_seq[:T])
+
+
+def simulate(model: str, hyper, T: int, seed: int):
+    """Generate returns and a matching precision sequence from the model.
+
+    Each Phi_t is drawn from its exact one-step prior given the past
+    returns (Wishart with the prior-at-t degrees of freedom and scale
+    (k * discount * D_{t-1})^{-1}), then r_t | Phi_t ~ N(0, Phi_t^{-1}).
+    The returns therefore follow the model's exact joint law (the
+    product of the one-step forecast densities), and the recursion stays
+    numerically bounded over long horizons because D_t tracks the data.
+    Stepping the state equation directly instead is only viable for
+    short horizons: the precision's log-determinant drifts, so condition
+    numbers overflow double precision within a few hundred steps.
+    """
+    if model not in ("ue", "bb"):
+        raise InvalidParameter(f"unknown model {model!r}")
+    rng = make_rng(seed)
+    q, k = hyper.q, hyper.k
+    disc, k_t = (hyper.lam, hyper.n + hyper.k) if model == "ue" else (hyper.b, hyper.k0)
+    d_chol = uchol(np.asarray(hyper.d0, dtype=float))
+    phis = np.empty((T + 1, q, q))
+    # Phi_0 from Wishart(k_0, (k D_0)^{-1}), with the filter's factor G_0 (G_0 G_0' = k D_0)
+    phis[0] = sample_wishart_bartlett(k_t, inv_upper(np.sqrt(k) * rchol(hyper.d0)), rng)
+    returns = np.empty((T, q))
+    sqrt_disc = np.sqrt(disc)
+    for t in range(1, T + 1):
+        df = hyper.n if model == "ue" else hyper.beta * k_t
+        if df <= q - 1:
+            raise InvalidParameter(f"prior df {df} <= q - 1 at t={t}")
+        # All stochastic work happens in D_{t-1}-whitened coordinates,
+        # where every quantity is O(1): with A the Bartlett factor of
+        # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / (k * disc) is a
+        # Wishart(df, (k disc D_{t-1})^{-1}) draw and the standardized
+        # residual is w = sqrt(disc) A^{-1} z / sqrt(...).  No inverse
+        # factor of the (possibly extremely ill-conditioned) D is formed.
+        a = sample_bartlett_factor(q, df, rng)
+        w = solve_triangular(a, rng.standard_normal(q), lower=False) * np.sqrt(k * disc)
+        returns[t - 1] = d_chol.T @ w
+        m = solve_triangular(d_chol, a.T, lower=False).T / np.sqrt(k * disc)  # A R^{-T}
+        phis[t] = m.T @ m
+        d_chol = chol_update(sqrt_disc * d_chol, returns[t - 1])
+        if model == "bb":
+            k_t = hyper.beta * k_t + hyper.k
+    return ReturnsSeries(returns), phis
 
 
 def marginal_loglik(data: ReturnsSeries, n: float, lam: float, d0: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InvalidParameter
-from .matops import sym, uchol
+from .matops import gram, sym, uchol
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -26,15 +26,15 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def sample_chi2(df: float, rng: np.random.Generator, size=None):
-    """Chi-square draw(s) with real-valued df > 0 (gamma shape df/2, scale 2)."""
-    if df <= 0:
+def sample_chi2(df, rng: np.random.Generator, size=None):
+    """Chi-square draw(s) with real-valued df > 0 (gamma shape df/2, scale 2); df may be an array."""
+    if np.any(df <= 0):
         raise InvalidParameter(f"chi-square df must be > 0, got {df}")
     return rng.gamma(shape=df / 2.0, scale=2.0, size=size)
 
 
-def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
-    if a <= 0 or b <= 0:
+def sample_beta(a, b, rng: np.random.Generator, size=None):
+    if np.any(a <= 0) or np.any(b <= 0):
         raise InvalidParameter(f"beta shapes must be > 0, got ({a}, {b})")
     return rng.beta(a, b, size=size)
 
@@ -55,15 +55,6 @@ def sample_bartlett_factor(q: int, df: float, rng: np.random.Generator, size: in
     idx = np.arange(q)
     u[..., idx, idx] = diag
     return u
-
-
-def _gram(m: np.ndarray) -> np.ndarray:
-    """m' m for a single matrix or a stacked batch, re-symmetrized."""
-    return sym_batch(np.swapaxes(m, -1, -2) @ m)
-
-
-def sym_batch(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def sample_wishart_factor(q: int, df: float, rng: np.random.Generator, size: int | None = None):
@@ -91,12 +82,7 @@ def sample_wishart_bartlett(
     (size, q, q).
     """
     p = np.asarray(scale_chol, dtype=float)
-    return _gram(sample_wishart_factor(p.shape[0], df, rng, size=size) @ p)
-
-
-def uchol_batch(a: np.ndarray) -> np.ndarray:
-    """Stacked upper Cholesky factors R with R' R = a per slice."""
-    return np.swapaxes(np.linalg.cholesky(sym_batch(a)), -1, -2)
+    return gram(sample_wishart_factor(p.shape[0], df, rng, size=size) @ p)
 
 
 def sample_matrix_beta(
@@ -105,24 +91,15 @@ def sample_matrix_beta(
     """MatrixBeta_q(n1/2, n2/2) draw(s) via two Wisharts with identity scale.
 
     B = (T^{-1})' A1 T^{-1} with T = uchol(A1 + A2); the law does not
-    depend on the common Wishart scale, so it is fixed to I.
+    depend on the common Wishart scale, so it is fixed to I.  Each df
+    must be > q - 1 or a positive integer, as ``sample_wishart_factor``
+    checks.
     """
-    for name, df in (("n1", n1), ("n2", n2)):
-        if not (df > q - 1 or (df == int(df) and df >= 1)):
-            raise InvalidParameter(
-                f"{name} must be > q-1 or a positive integer, got {df}"
-            )
     eye = np.eye(q)
     a1 = sample_wishart_bartlett(n1, eye, rng, size=size)
     a2 = sample_wishart_bartlett(n2, eye, rng, size=size)
-    if size is None:
-        t = uchol(sym(a1 + a2))
-        # (T^{-1})' A1 T^{-1} through two triangular solves
-        x = solve_triangular(t, a1, trans="T", lower=False)
-        b = solve_triangular(t, x.T, trans="T", lower=False).T
-        return sym(b)
-    t_inv = np.linalg.inv(uchol_batch(a1 + a2))
-    return sym_batch(np.swapaxes(t_inv, -1, -2) @ a1 @ t_inv)
+    t_inv = np.linalg.inv(uchol(a1 + a2))
+    return sym(np.swapaxes(t_inv, -1, -2) @ a1 @ t_inv)
 
 
 def sample_mvnormal_prec(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -11,30 +11,34 @@ the backward step acts on Bartlett factors: re-express Phi_{t+1} in the
 time-t coordinates, add a chi-square increment to each squared diagonal
 entry, and map back.  Per backward step BB needs only q chi-square
 draws; a full Wishart draw is required only at t = T.
+
+Noise first: a sampler draws a path's noise before any arithmetic, in
+the order a step-by-step loop would consume it (the terminal Bartlett
+factor, then the increments for t = T-1 down to 0), and the steps
+``ue_backward_step`` and ``bb_backward_step`` are deterministic given
+that noise.  Both steps take a leading draws axis, (N, q, q) factors
+sharing G_t, so ``sample_ensemble`` runs all N paths, each with its own
+(seed, index) substream of noise, through one backward pass, and
+``joint_consistency_report`` runs the same steps on its stacked draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidParameter
 from .filtering import FilterOutput
-from .matops import chol_update, inv_upper, sym, uchol
+from .matops import chol_update, gram, inv_upper, rchol, right_solve
 from .randsamp import (
-    _gram,
     sample_bartlett_factor,
     sample_chi2,
-    sample_matrix_beta,
     sample_wishart_bartlett,
     sample_wishart_factor,
     substream,
-    sym_batch,
-    uchol_batch,
 )
-from .volproc import BBHyper, UEHyper
+from .volproc import BBHyper, UEHyper, bb_evolve, ue_evolve
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,65 @@ class SmoothedEnsemble:
         return len(self.paths)
 
 
-def _right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """m G^{-1} for upper-triangular G, by a triangular solve."""
-    return solve_triangular(g, m.T, trans="T", lower=False).T
+def ue_backward_step(f_next: np.ndarray, g_t: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
+    """One UE backward draw of F_t (Phi_t = F_t' F_t) given F_{t+1}, G_t and noise z.
+
+    z = W with W' W ~ Wishart(k, I), shape (..., rows, q); the increment
+    Z_t = (W G_t^{-1})' (W G_t^{-1}) is added to lam Phi_{t+1} by one
+    rank-1 factor update per row of W G_t^{-1}.
+    """
+    f_t = np.sqrt(lam) * f_next
+    x = right_solve(z, g_t)
+    for j in range(x.shape[-2]):
+        f_t = chol_update(f_t, x[..., j, :])
+    return f_t
+
+
+def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.ndarray) -> np.ndarray:
+    """One BB backward draw of F_t (Phi_t = F_t' F_t) given F_{t+1}, G_t and noise theta.
+
+    U~*_{t+1} = sqrt(b) F_{t+1} G_t is upper-triangular with positive
+    diagonal, so it is the Cholesky factor of b G_t' Phi_{t+1} G_t; its
+    squared diagonal gains theta (..., q), theta_i ~ chi2_{(1-beta) k_t};
+    off-diagonal entries are kept; F_t = U* G_t^{-1}.
+    """
+    u = np.sqrt(b) * f_next @ g_t
+    idx = np.arange(g_t.shape[0])
+    u[..., idx, idx] = np.sqrt(u[..., idx, idx] ** 2 + theta)
+    return right_solve(u, g_t)
+
+
+def _ue_noise(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator):
+    """Terminal Bartlett factor of Wishart(n + k, I), then the T increment factors W."""
+    T, q = filt.g.shape[0] - 1, filt.g.shape[1]
+    w_T = sample_bartlett_factor(q, ue.n + ue.k, rng)
+    return w_T, sample_wishart_factor(q, ue.k, rng, size=T)[::-1]
+
+
+def _bb_noise(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator):
+    """Terminal Bartlett factor of Wishart(k_T, I), then the T x q chi-square increments."""
+    T, q = filt.g.shape[0] - 1, filt.g.shape[1]
+    w_T = sample_bartlett_factor(q, filt.k_seq[T], rng)
+    df = (1.0 - bb.beta) * filt.k_seq[:T][::-1, None]
+    return w_T, sample_chi2(df, rng, size=(T, q))[::-1]
+
+
+# per model: its backward step and the noise one path consumes
+_MODELS = {"ue": (ue_backward_step, _ue_noise), "bb": (bb_backward_step, _bb_noise)}
+
+
+def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """F_0..F_T from the terminal Bartlett factor(s) and per-step noise, time axis first.
+
+    F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]).
+    """
+    step = _MODELS[filt.model][0]
+    T = filt.g.shape[0] - 1
+    f = np.empty((T + 1,) + w_T.shape)
+    f[T] = right_solve(w_T, filt.g[T])
+    for t in range(T - 1, -1, -1):
+        f[t] = step(f[t + 1], filt.g[t], filt.discount, noise[t])
+    return f
 
 
 def ue_backward_sample(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator) -> PrecisionPath:
@@ -77,45 +137,11 @@ def ue_backward_sample(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator
 
     Terminal draw from the filtered posterior Wishart(n + k, (k D_T)^{-1});
     then Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(k, (k D_t)^{-1}),
-    one rank-1 factor update per row of Z_t's factor W G_t^{-1}.
+    one ``ue_backward_step`` per t.
     """
     if filt.model != "ue":
         raise InvalidParameter(f"expected a UE filter output, got {filt.model!r}")
-    T, q = filt.g.shape[0] - 1, filt.g.shape[1]
-    f = np.empty((T + 1, q, q))
-    f[T] = _right_solve(sample_bartlett_factor(q, ue.n + ue.k, rng), filt.g[T])
-    sqrt_lam = np.sqrt(ue.lam)
-    for t in range(T - 1, -1, -1):
-        f_t = sqrt_lam * f[t + 1]
-        for x in _right_solve(sample_wishart_factor(q, ue.k, rng), filt.g[t]):
-            f_t = chol_update(f_t, x)
-        f[t] = f_t
-    return PrecisionPath(model="ue", factors=f)
-
-
-def bb_backward_step(
-    f_next: np.ndarray,
-    g_t: np.ndarray,
-    beta: float,
-    b: float,
-    k_t: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One BB backward draw of F_t (Phi_t = F_t' F_t) given F_{t+1} and G_t.
-
-    U~*_{t+1} = sqrt(b) F_{t+1} G_t is upper-triangular with positive
-    diagonal, so it is the Cholesky factor of b G_t' Phi_{t+1} G_t; its
-    squared diagonal gains theta_i ~ chi2_{(1-beta) k_t}; off-diagonal
-    entries are kept; F_t = U* G_t^{-1}.
-    """
-    df = (1.0 - beta) * k_t
-    if df <= 0:
-        raise InvalidParameter(f"(1 - beta) * k_t must be > 0, got {df}")
-    q = g_t.shape[0]
-    u = np.sqrt(b) * f_next @ g_t
-    idx = np.arange(q)
-    u[idx, idx] = np.sqrt(u[idx, idx] ** 2 + sample_chi2(df, rng, size=q))
-    return _right_solve(u, g_t)
+    return PrecisionPath(model="ue", factors=_backward_pass(filt, *_ue_noise(filt, ue, rng)))
 
 
 def bb_backward_sample(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator) -> PrecisionPath:
@@ -127,20 +153,23 @@ def bb_backward_sample(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator
     """
     if filt.model != "bb":
         raise InvalidParameter(f"expected a BB filter output, got {filt.model!r}")
-    T, q = filt.g.shape[0] - 1, filt.g.shape[1]
-    f = np.empty((T + 1, q, q))
-    f[T] = _right_solve(sample_bartlett_factor(q, filt.k_seq[T], rng), filt.g[T])
-    for t in range(T - 1, -1, -1):
-        f[t] = bb_backward_step(f[t + 1], filt.g[t], bb.beta, bb.b, filt.k_seq[t], rng)
-    return PrecisionPath(model="bb", factors=f)
+    return PrecisionPath(model="bb", factors=_backward_pass(filt, *_bb_noise(filt, bb, rng)))
 
 
 def sample_ensemble(filt: FilterOutput, hyper, n_draws: int, seed: int) -> SmoothedEnsemble:
-    """Independent backward draws with per-draw (seed, index) substreams."""
+    """Independent backward draws with per-draw (seed, index) substreams.
+
+    Draw i consumes substream (seed, i) exactly as
+    ``ue_backward_sample`` or ``bb_backward_sample`` would; all draws
+    then run through one backward pass on (N, q, q) stacks.
+    """
     if n_draws < 1:
         raise InvalidParameter(f"n_draws must be >= 1, got {n_draws}")
-    sampler = ue_backward_sample if filt.model == "ue" else bb_backward_sample
-    paths = [replace(sampler(filt, hyper, substream(seed, i)), seed_info=(seed, i)) for i in range(n_draws)]
+    noise_of = _MODELS[filt.model][1]
+    w_T, noise = zip(*(noise_of(filt, hyper, substream(seed, i)) for i in range(n_draws)))
+    f = _backward_pass(filt, np.stack(w_T), np.stack(noise, axis=1))
+    f = np.ascontiguousarray(np.swapaxes(f, 0, 1))
+    paths = [PrecisionPath(model=filt.model, factors=f[i], seed_info=(seed, i)) for i in range(n_draws)]
     return SmoothedEnsemble(model=filt.model, paths=paths)
 
 
@@ -168,52 +197,25 @@ def joint_consistency_report(
     """
     backward_model = backward_model or model
     if model == "ue":
-        ue, bb = hyper, None
-        k_obs, disc, beta = ue.k, ue.lam, ue.n / (ue.n + ue.k)
-        n_eff, k_eff = ue.n, ue.k
+        k_obs, disc, beta, df_prior = hyper.k, hyper.lam, hyper.n / (hyper.n + hyper.k), hyper.n
     else:
-        bb, ue = hyper, None
-        k_obs, disc, beta = bb.k, bb.b, bb.beta
-        n_eff, k_eff = bb.beta * bb.k0, bb.k
+        k_obs, disc, beta, df_prior = hyper.k, hyper.b, hyper.beta, hyper.beta * k_t
     q = d_t.shape[0]
-    rinv = inv_upper(uchol(np.asarray(d_t, dtype=float)))
-    p_t = uchol(sym(rinv @ rinv.T) / k_obs)  # uchol((k D_t)^{-1})
-    idx = np.arange(q)
+    g_t = np.sqrt(k_obs) * rchol(d_t)  # G_t G_t' = k D_t, as the filter builds it
+    p_t = inv_upper(g_t)  # P_t' P_t = (k D_t)^{-1}
 
     # forward join: Phi_t | D_t, then one evolution step
-    if model == "ue":
-        at = sample_wishart_bartlett(k_t, p_t, rng, size=n_draws)
-        m = uchol_batch(at)
-        psi = sample_matrix_beta(q, n_eff, k_eff, rng, size=n_draws)
-        anext = sym_batch(np.swapaxes(m, -1, -2) @ psi @ m) / disc
-    else:
-        u = sample_bartlett_factor(q, k_t, rng, size=n_draws)
-        at = _gram(u @ p_t)
-        shapes_a = (beta * k_t - idx) / 2.0  # (beta*k_t - i + 1)/2, 1-based i
-        if np.any(shapes_a <= 0):
-            raise InvalidParameter("nonpositive Beta shape in BB evolution")
-        eta = rng.beta(shapes_a, (1.0 - beta) * k_t / 2.0, size=(n_draws, q))
-        u_tilde = u.copy()
-        u_tilde[:, idx, idx] = np.sqrt(eta) * u[:, idx, idx]
-        anext = _gram(u_tilde @ p_t) / disc
+    at = sample_wishart_bartlett(k_t, p_t, rng, size=n_draws)
+    anext = ue_evolve(at, hyper, rng) if model == "ue" else bb_evolve(at, k_t, hyper, rng, p_prev=p_t)
 
-    # backward join: Phi_{t+1} from the one-step prior, then the backward
-    # conditional (under matching the UE and BB priors coincide)
-    df_prior = n_eff if model == "ue" else beta * k_t
-    bnext = sample_wishart_bartlett(df_prior, p_t / np.sqrt(disc), rng, size=n_draws)
+    # backward join: Phi_{t+1} from the one-step prior (under matching the
+    # UE and BB priors coincide), then one backward step
+    f_next = right_solve(sample_wishart_factor(q, df_prior, rng, size=n_draws), g_t) / np.sqrt(disc)
     if backward_model == "ue":
-        z = sample_wishart_bartlett(k_obs, p_t, rng, size=n_draws)
-        bt = disc * bnext + z
+        f_t = ue_backward_step(f_next, g_t, disc, sample_wishart_factor(q, k_obs, rng, size=n_draws))
     else:
-        df_theta = (1.0 - beta) * k_t
-        if df_theta <= 0:
-            raise InvalidParameter("(1 - beta) * k_t must be > 0")
-        p_inv = inv_upper(p_t)
-        u_tilde = uchol_batch(disc * np.swapaxes(p_inv, -1, -2) @ bnext @ p_inv)
-        theta = rng.gamma(shape=df_theta / 2.0, scale=2.0, size=(n_draws, q))
-        u_star = u_tilde.copy()
-        u_star[:, idx, idx] = np.sqrt(u_tilde[:, idx, idx] ** 2 + theta)
-        bt = _gram(u_star @ p_t)
+        f_t = bb_backward_step(f_next, g_t, disc, sample_chi2((1.0 - beta) * k_t, rng, size=(n_draws, q)))
+    bnext, bt = gram(f_next), gram(f_t)
 
     def zstat(xa, xb):
         ma, mb = xa.mean(axis=0), xb.mean(axis=0)

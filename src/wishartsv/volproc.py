@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .matops import inv_upper, sym, uchol
+from .matops import gram, right_solve, sym, uchol
 from .randsamp import sample_beta, sample_matrix_beta
 from .specfun import sqrt_beta_moment, tricomi_u
 
@@ -127,19 +127,23 @@ def _factor_pair(phi_prev: np.ndarray, p_prev: np.ndarray | None):
 
     With the caller's filter-context P the Bartlett convention gives
     U = uchol(Phi) P^{-1}; standalone (p_prev None) uses P = uchol(Phi),
-    U = I.
+    U = I.  A stack of Phi (N, q, q) gives a stack of U (one shared P)
+    or of P.
     """
     m = uchol(phi_prev)
     if p_prev is None:
-        return np.eye(m.shape[0]), m
-    return m @ inv_upper(np.asarray(p_prev, dtype=float)), np.asarray(p_prev, dtype=float)
+        return np.broadcast_to(np.eye(m.shape[-1]), m.shape), m
+    return right_solve(m, p_prev), np.asarray(p_prev, dtype=float)
 
 
 def ue_evolve(phi_prev: np.ndarray, ue: UEHyper, rng: np.random.Generator) -> np.ndarray:
-    """One draw of Phi_t | Phi_{t-1}: (UP)' Psi (UP) / lambda, Psi ~ MatrixBeta(n/2, k/2)."""
+    """One draw of Phi_t | Phi_{t-1}: (UP)' Psi (UP) / lambda, Psi ~ MatrixBeta(n/2, k/2).
+
+    ``phi_prev`` is (q, q), or (N, q, q) for N independent draws.
+    """
     m = uchol(phi_prev)  # the evolution depends on (U, P) only through U P
-    psi = sample_matrix_beta(ue.q, ue.n, ue.k, rng)
-    return sym(m.T @ psi @ m) / ue.lam
+    psi = sample_matrix_beta(ue.q, ue.n, ue.k, rng, size=m.shape[0] if m.ndim == 3 else None)
+    return sym(np.swapaxes(m, -1, -2) @ psi @ m) / ue.lam
 
 
 def bb_evolve(
@@ -155,21 +159,16 @@ def bb_evolve(
     eta_i ~ Beta((beta*k_prev - i + 1)/2, (1-beta)*k_prev/2); off-diagonal
     entries are carried over unchanged.  ``p_prev`` is the filter-context
     factor P_{t-1} = uchol((k D_{t-1})^{-1}); when omitted the standalone
-    convention P = uchol(Phi_{t-1}), U = I applies.
+    convention P = uchol(Phi_{t-1}), U = I applies.  ``phi_prev`` is
+    (q, q), or (N, q, q) for N independent draws.
     """
     u, p = _factor_pair(phi_prev, p_prev)
-    q = bb.q
-    shapes_a = (bb.beta * k_prev - np.arange(1, q + 1) + 1.0) / 2.0
-    shape_b = (1.0 - bb.beta) * k_prev / 2.0
-    if np.any(shapes_a <= 0) or shape_b <= 0:
-        raise InvalidParameter(
-            f"nonpositive Beta shape in BB evolution: beta*k_prev={bb.beta * k_prev}, q={q}"
-        )
-    eta = np.array([sample_beta(a, shape_b, rng) for a in shapes_a])
-    u_tilde = u.copy()
-    u_tilde[np.diag_indices(q)] = np.sqrt(eta) * np.abs(u.diagonal())
-    m = u_tilde @ p
-    return sym(m.T @ m) / bb.b
+    idx = np.arange(bb.q)
+    shapes_a = (bb.beta * k_prev - idx) / 2.0
+    eta = sample_beta(shapes_a, (1.0 - bb.beta) * k_prev / 2.0, rng, size=u.shape[:-1])
+    u_tilde = np.array(u)
+    u_tilde[..., idx, idx] = np.sqrt(eta) * np.abs(u[..., idx, idx])
+    return gram(u_tilde @ p) / bb.b
 
 
 def expected_ue_step(phi_prev: np.ndarray, ue: UEHyper) -> np.ndarray:

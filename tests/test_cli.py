@@ -9,10 +9,9 @@ from wishartsv.cli import (
     load_returns_csv,
     main,
     run_command,
-    simulate,
 )
 from wishartsv.errors import DimensionMismatch, InvalidParameter, ParseError
-from wishartsv.filtering import ReturnsSeries
+from wishartsv.filtering import ReturnsSeries, simulate
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
 
@@ -241,20 +240,29 @@ class TestMain:
         assert record["error"] == "InvalidParameter" and "matched" in record["message"]
 
     @pytest.mark.parametrize(
-        "config_text, error, message",
+        "command, config_text, error, message",
         [
-            ('{"q": 2, "n": 5.0, "lambda": 0.8}', "InvalidParameter", "'data_csv'"),
-            (None, "ParseError", "cannot read config"),
-            ('{"q": 2, "n": 5.0,', "ParseError", "malformed JSON"),
-            ("[1, 2]", "ParseError", "JSON object"),
+            ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8}', "InvalidParameter", "'data_csv'"),
+            ("filter", None, "ParseError", "cannot read config"),
+            ("filter", '{"q": 2, "n": 5.0,', "ParseError", "malformed JSON"),
+            ("filter", "[1, 2]", "ParseError", "JSON object"),
+            # wrongly typed values; DATA stands for a valid data_csv path
+            ("filter", '{"q": "2", "n": 5.0, "lambda": 0.8, "data_csv": DATA}', "InvalidParameter", "'q'"),
+            ("filter", '{"q": 2, "n": "5", "lambda": 0.8, "data_csv": DATA}', "InvalidParameter", "'n'"),
+            ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "d0": "eye", "data_csv": DATA}', "InvalidParameter", "'d0'"),
+            ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 2.5, "data_csv": DATA}', "InvalidParameter", "'draws'"),
+            ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "seed": "x", "data_csv": DATA}', "InvalidParameter", "'seed'"),
         ],
-        ids=["missing-key", "missing-config", "malformed-json", "not-an-object"],
+        ids=[
+            "missing-key", "missing-config", "malformed-json", "not-an-object",
+            "q-string", "n-string", "d0-string", "draws-float", "seed-string",
+        ],
     )
-    def test_bad_config_is_reported(self, tmp_path, capsys, config_text, error, message):
+    def test_bad_config_is_reported(self, returns_csv, tmp_path, capsys, command, config_text, error, message):
         cfg_path = tmp_path / "cfg.json"
         if config_text is not None:
-            cfg_path.write_text(config_text)
-        rc = main(["filter", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+            cfg_path.write_text(config_text.replace("DATA", json.dumps(str(returns_csv))))
+        rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1

@@ -16,7 +16,7 @@ from wishartsv.compare import (
     ppc_intervals,
 )
 from wishartsv.errors import EmptyEnsemble, InvalidParameter
-from wishartsv.filtering import ReturnsSeries, bb_forward_filter, ue_forward_filter
+from wishartsv.filtering import ReturnsSeries, bb_forward_filter, simulate, ue_forward_filter
 from wishartsv.smoother import PrecisionPath, SmoothedEnsemble, sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
@@ -55,8 +55,6 @@ class TestPathLoglik:
     def test_ill_conditioned_draws(self):
         # simulated data whose sampled Phi_t reach cond > 1e12, where
         # refactoring a dense Phi_t failed its pivot check on SPD draws
-        from wishartsv.cli import simulate
-
         ue = UEHyper(q=3, k=1, n=8.0, lam=0.8, d0=np.eye(3))
         bb = match_ue_to_bb(ue)
         data, _ = simulate("ue", ue, 500, seed=1)
@@ -149,6 +147,12 @@ class TestMixtureGibbs:
         np.testing.assert_array_equal(tr1.alpha, tr2.alpha)
         assert set(np.unique(tr1.z)) <= {0, 1}
 
+    def test_fractional_prior(self):
+        # a0 + s + b0 + T - s need not round to a0 + b0 + T in floating point
+        data, ue, bb = toy(T=50, q=2, seed=11)
+        tr = mixture_gibbs(data, ue, bb, MixtureConfig(a0=0.1, b0=0.2, iterations=20, burn_in=0, seed=12))
+        assert np.all((tr.alpha > 0) & (tr.alpha < 1))
+
     def test_degenerate_recovers_prior(self):
         # with identical likelihood terms alpha's stationary law is Beta(a0, b0)
         data, ue, bb = toy(T=10, q=2, seed=13)
@@ -180,8 +184,6 @@ class TestPpcIntervals:
     def test_calibration_under_the_model(self):
         # simulate straight from the one-step predictive margins and check
         # that empirical coverage approaches the nominal level
-        from wishartsv.cli import simulate
-
         ue = UEHyper(q=2, k=1, n=8.0, lam=0.85, d0=np.eye(2))
         data, _ = simulate("ue", ue, 1500, seed=17)
         filt = ue_forward_filter(data, ue)

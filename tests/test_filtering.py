@@ -3,19 +3,22 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 from scipy.stats import cauchy
 
-from wishartsv.cli import simulate
 from wishartsv.errors import DimensionMismatch, InvalidParameter
 from wishartsv.filtering import (
     ReturnsSeries,
+    _scale_pass,
     bb_forward_filter,
     constrained_lambda,
     forecast_logdensity,
     grid_search,
     marginal_loglik,
+    simulate,
     ue_forward_filter,
 )
 from wishartsv.volproc import UEHyper, match_ue_to_bb
@@ -169,6 +172,28 @@ class TestForwardFilters:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ue_forward_filter(toy_series(5, 2), UEHyper(q=3, k=1, n=5, lam=0.8, d0=np.eye(3)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        c=st.sampled_from([1e-150, 1.0, 1e150]),
+        T=st.integers(0, 1),
+        r=st.floats(-10.0, 10.0),
+        d0=st.floats(1e-2, 1e2),
+        n=st.floats(0.5, 20.0),
+        lam=st.floats(0.05, 0.99),
+    )
+    def test_scale_equivariance(self, c, T, r, d0, n, lam):
+        # returns x c and D_0 x c^2 give D_t x c^2: s_t = r_t' D_{t-1}^{-1} r_t
+        # is unchanged and each forecast log density drops by q log c
+        returns = np.full((T, 1), r)
+        s = _scale_pass(returns, np.array([[d0]]), lam, 1.0)[1]
+        s_c = _scale_pass(c * returns, np.array([[c * c * d0]]), lam, 1.0)[1]
+        np.testing.assert_allclose(s_c, s, rtol=1e-12, atol=0)
+        ue = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[d0]]))
+        ue_c = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[c * c * d0]]))
+        ll = ue_forward_filter(ReturnsSeries(returns), ue).loglik
+        ll_c = ue_forward_filter(ReturnsSeries(c * returns), ue_c).loglik
+        assert ll_c == pytest.approx(ll - T * np.log(c), rel=1e-12, abs=1e-9)
 
 
 class TestMarginalLoglik:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wishartsv.errors import NotPositiveDefinite, SingularMatrix
 from wishartsv.matops import (
@@ -7,8 +10,23 @@ from wishartsv.matops import (
     inv_upper,
     logdet_spd,
     quad_form,
+    right_solve,
     uchol,
 )
+
+ENTRIES = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def stacks(draw):
+    """(upper factors with positive diagonal (N, q, q), vectors (N, q), matrices (N, q, q))."""
+    q, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    r = np.triu(draw(hnp.arrays(float, (n, q, q), elements=ENTRIES)))
+    idx = np.arange(q)
+    r[:, idx, idx] = np.abs(r[:, idx, idx]) + 1e-3
+    x = draw(hnp.arrays(float, (n, q), elements=ENTRIES))
+    m = draw(hnp.arrays(float, (n, q, q), elements=ENTRIES))
+    return r, x, m
 
 
 def brute_det(a):
@@ -75,6 +93,29 @@ class TestInvUpper:
         r = np.triu(rng.standard_normal((q, q)))
         r[np.diag_indices(q)] = 1.0 + rng.random(q)
         np.testing.assert_allclose(inv_upper(inv_upper(r)), r, rtol=1e-10, atol=1e-12)
+
+
+class TestRightSolve:
+    def test_2x2(self):
+        g = np.array([[2.0, 1.0], [0.0, 4.0]])
+        m = np.array([[2.0, 3.0], [4.0, 6.0]])
+        np.testing.assert_allclose(right_solve(m, g) @ g, m, rtol=1e-15)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(stacks())
+    def test_stack_matches_slices(self, case):
+        # every row of every slice is a right-hand side of one solve with
+        # G = r[0]; a single-row right-hand side (q = 1 here) may take a
+        # different BLAS path, so only there the result may differ by an ulp
+        r, _, m = case
+        g = r[0]
+        stacked = right_solve(m, g)
+        for i in range(m.shape[0]):
+            one = right_solve(m[i], g)
+            if m.shape[-1] > 1:
+                np.testing.assert_array_equal(stacked[i], one)
+            else:
+                np.testing.assert_allclose(stacked[i], one, rtol=4.5e-16, atol=0)
 
 
 class TestQuadForm:
@@ -149,6 +190,15 @@ class TestCholUpdate:
         chol_update(r, x)
         np.testing.assert_array_equal(r, r0)
         np.testing.assert_array_equal(x, x0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(stacks())
+    def test_stack_matches_slices(self, case):
+        # the stacked rotations are the scalar loop's, elementwise
+        r, x, _ = case
+        stacked = chol_update(r, x)
+        for i in range(r.shape[0]):
+            np.testing.assert_array_equal(stacked[i], chol_update(r[i], x[i]))
 
     def test_extreme_conditioning(self):
         # determinant identity |R'R + xx'| = |R'R| (1 + x'(R'R)^{-1}x)

@@ -3,11 +3,10 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
-from wishartsv.cli import simulate
 from wishartsv.errors import InvalidParameter
-from wishartsv.filtering import ReturnsSeries, bb_forward_filter, constrained_lambda, ue_forward_filter
+from wishartsv.filtering import ReturnsSeries, bb_forward_filter, constrained_lambda, simulate, ue_forward_filter
 from wishartsv.matops import uchol
-from wishartsv.randsamp import make_rng
+from wishartsv.randsamp import make_rng, sample_chi2
 from wishartsv.smoother import (
     bb_backward_sample,
     bb_backward_step,
@@ -96,18 +95,16 @@ class TestBackwardSamplers:
         t = 2
         g_t = fb.g[t]
         k_t = fb.k_seq[t]
-        rng = make_rng(6)
         n_draws = 20_000
-        thetas = np.empty((n_draws, 2))
+        df = (1.0 - bb.beta) * k_t
         # any SPD conditioning value: Phi_{t+1} = k_{t+1} D_{t+1}^{-1}
         f_next = np.sqrt(fb.k_seq[t + 1]) * np.linalg.inv(fb.g[t + 1])
         u_tilde = uchol(bb.b * g_t.T @ gram(f_next) @ g_t)
         base = u_tilde.diagonal() ** 2
-        for i in range(n_draws):
-            f_t = bb_backward_step(f_next, g_t, bb.beta, bb.b, k_t, rng)
-            u_star = uchol(g_t.T @ gram(f_t) @ g_t)
-            thetas[i] = u_star.diagonal() ** 2 - base
-        df = (1.0 - bb.beta) * k_t
+        theta = sample_chi2(df, make_rng(6), size=(n_draws, 2))
+        f_t = bb_backward_step(np.broadcast_to(f_next, (n_draws, 2, 2)), g_t, bb.b, theta)
+        u_star = uchol(g_t.T @ gram(f_t) @ g_t)
+        thetas = np.diagonal(u_star, axis1=1, axis2=2) ** 2 - base
         for i in range(2):
             assert kstest(thetas[:, i], chi2_dist(df).cdf).statistic < 1.95 / np.sqrt(n_draws)
 
@@ -119,7 +116,8 @@ class TestBackwardSamplers:
         g_t = fb.g[t]
         f_next = np.sqrt(fb.k_seq[t + 1]) * np.linalg.inv(fb.g[t + 1])
         u_tilde = uchol(bb.b * g_t.T @ gram(f_next) @ g_t)
-        f_t = bb_backward_step(f_next, g_t, bb.beta, bb.b, fb.k_seq[t], make_rng(9))
+        theta = sample_chi2((1.0 - bb.beta) * fb.k_seq[t], make_rng(9), size=3)
+        f_t = bb_backward_step(f_next, g_t, bb.b, theta)
         u_star = uchol(g_t.T @ gram(f_t) @ g_t)
         off = ~np.eye(3, dtype=bool)
         np.testing.assert_allclose(u_star[off], u_tilde[off], atol=1e-10)
