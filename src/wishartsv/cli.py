@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -169,7 +170,8 @@ def _load_config(args) -> dict:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json reads NaN, Infinity and -Infinity as floats; none is a valid value
+    return (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and math.isfinite(v))
 
 
 def _numbers(v) -> bool:
@@ -178,12 +180,13 @@ def _numbers(v) -> bool:
 
 # the JSON type each config field must have, as (description, check)
 _FIELD_TYPES = {
-    **dict.fromkeys(("q", "T", "draws", "seed", "burn_in", "batches"),
+    **dict.fromkeys(("q", "T", "draws", "burn_in", "batches"),
                     ("an integer", lambda v: _number(v) and isinstance(v, int))),
-    **dict.fromkeys(("n", "lambda", "ridge", "a0", "b0", "level"), ("a number", _number)),
+    "seed": ("a non-negative integer", lambda v: _number(v) and isinstance(v, int) and v >= 0),
+    **dict.fromkeys(("n", "lambda", "ridge", "a0", "b0", "level"), ("a finite number", _number)),
     **dict.fromkeys(("data_csv", "presample_csv", "model", "out"), ("a string", lambda v: isinstance(v, str))),
-    **dict.fromkeys(("n_grid", "lambda_grid", "quantiles"), ("a list of numbers", _numbers)),
-    "d0": ("a square list of lists of numbers",
+    **dict.fromkeys(("n_grid", "lambda_grid", "quantiles"), ("a list of finite numbers", _numbers)),
+    "d0": ("a square list of lists of finite numbers",
            lambda v: isinstance(v, list) and all(_numbers(row) and len(row) == len(v) for row in v)),
 }
 
@@ -284,8 +287,8 @@ DEFAULT_LAMBDA_GRID = [round(0.600 + 0.001 * i, 3) for i in range(391)]
 def cmd_grid_search(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
     d0, warning = _d0_from_cfg(cfg, data.q)
-    n_grid = cfg.get("n_grid") or DEFAULT_N_GRID
-    lambda_grid = cfg.get("lambda_grid") or DEFAULT_LAMBDA_GRID
+    n_grid = cfg.get("n_grid", DEFAULT_N_GRID)
+    lambda_grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
     n_star, lambda_star, surface = grid_search(data, d0, n_grid, lambda_grid)
     rows = [
         [n, lam, surface[i, j]]

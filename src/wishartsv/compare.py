@@ -125,11 +125,11 @@ def alpha_posterior_shapes(a0: float, b0: float, z: np.ndarray) -> tuple[float, 
     return a0 + s, b0 + z.size - s
 
 
-def bernoulli_logweight_prob(logw1: float, logw0: float) -> float:
-    """P(z = 1) from two unnormalized log weights, overflow-safe."""
-    m = max(logw1, logw0)
+def bernoulli_logweight_prob(logw1, logw0):
+    """P(z = 1) from two unnormalized log weights, overflow-safe; elementwise over arrays."""
+    m = np.maximum(logw1, logw0)
     w1 = np.exp(logw1 - m)
-    return float(w1 / (w1 + np.exp(logw0 - m)))
+    return w1 / (w1 + np.exp(logw0 - m))
 
 
 def mixture_gibbs(
@@ -178,11 +178,10 @@ def mixture_gibbs(
         else:
             # row t - 1 of r_u and r_b is read here before step t rewrites it
             term_u, term_b = _gauss_terms(f_u, r_u), _gauss_terms(f_b, r_b)
-        logw1 = np.log(alpha) + term_u
-        logw0 = np.log1p(-alpha) + term_b
+        prob = bernoulli_logweight_prob(np.log(alpha) + term_u, np.log1p(-alpha) + term_b)
 
         for t in range(1, T + 1):
-            z[t - 1] = int(rng.random() < bernoulli_logweight_prob(logw1[t - 1], logw0[t - 1]))
+            z[t - 1] = int(rng.random() < prob[t - 1])
             if z[t - 1] == 1:
                 r_u[t - 1] = data.returns[t - 1]
                 r_b[t - 1] = sample_mvnormal_prec(f_b[t - 1], rng)

@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import chol_update, inv_upper, logdet_spd, quad_form, rchol, sym, uchol
+from .matops import chol_update, inv_upper, logdet_spd, quad_form, rchol, sym, tri_solve, uchol
 from .randsamp import make_rng, sample_bartlett_factor, sample_wishart_bartlett
 from .volproc import BBHyper, UEHyper
 
@@ -131,7 +130,7 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float, k_obs: flo
     sqrt_k = np.sqrt(k_obs)
     for t in range(1, T + 1):
         r = returns[t - 1]
-        w = solve_triangular(g[t - 1], r, lower=False)
+        w = tri_solve(g[t - 1], r)
         s[t - 1] = k_obs * float(w @ w)
         g_rev = chol_update(sqrt_disc * g_rev, sqrt_k * r[::-1])
         g[t] = g_rev.T[::-1, ::-1]
@@ -204,6 +203,8 @@ def simulate(model: str, hyper, T: int, seed: int):
     """
     if model not in ("ue", "bb"):
         raise InvalidParameter(f"unknown model {model!r}")
+    if T < 0:
+        raise InvalidParameter(f"T must be >= 0, got {T}")
     rng = make_rng(seed)
     q, k = hyper.q, hyper.k
     disc, k_t = (hyper.lam, hyper.n + hyper.k) if model == "ue" else (hyper.b, hyper.k0)
@@ -224,9 +225,9 @@ def simulate(model: str, hyper, T: int, seed: int):
         # residual is w = sqrt(disc) A^{-1} z / sqrt(...).  No inverse
         # factor of the (possibly extremely ill-conditioned) D is formed.
         a = sample_bartlett_factor(q, df, rng)
-        w = solve_triangular(a, rng.standard_normal(q), lower=False) * np.sqrt(k * disc)
+        w = tri_solve(a, rng.standard_normal(q)) * np.sqrt(k * disc)
         returns[t - 1] = d_chol.T @ w
-        m = solve_triangular(d_chol, a.T, lower=False).T / np.sqrt(k * disc)  # A R^{-T}
+        m = tri_solve(d_chol, a.T).T / np.sqrt(k * disc)  # A R^{-T}
         phis[t] = m.T @ m
         d_chol = chol_update(sqrt_disc * d_chol, returns[t - 1])
         if model == "bb":

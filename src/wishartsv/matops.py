@@ -8,12 +8,21 @@ appear in the public surface.
 ``sym``, ``uchol``, ``gram``, ``right_solve`` and ``chol_update`` accept
 a stack of matrices of shape (..., q, q), so one call serves one path or
 every draw of an ensemble.
+
+``tri_solve`` is the one triangular solve: every per-step solve of the
+filter, the samplers and ``simulate`` goes through it.  It makes the
+LAPACK ``trtrs`` call ``scipy.linalg.solve_triangular`` makes, without
+that wrapper's per-call validation overhead, so results are the same
+bits.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import NotPositiveDefinite, SingularMatrix
 
@@ -67,6 +76,41 @@ def rchol(a: np.ndarray) -> np.ndarray:
     return uchol(np.asarray(a, dtype=float)[::-1, ::-1]).T[::-1, ::-1]
 
 
+def _require_finite(a: np.ndarray) -> None:
+    """ValueError unless every entry of ``a`` is finite.
+
+    A finite sum of squares proves it with one dot product, which costs
+    less than the elementwise test; only when the sum is not finite (a
+    non-finite entry, or squares past 1e308) is the elementwise test run.
+    """
+    v = a.ravel("K")
+    if not math.isfinite(np.dot(v, v)) and not np.isfinite(v).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def tri_solve(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """x with R x = b (R' x = b with ``trans``), R upper-triangular (q, q).
+
+    b is (q,) or (q, m).  As in ``scipy.linalg.solve_triangular``, a
+    C-ordered R goes to LAPACK as the F-ordered R' with the triangle and
+    the transpose flipped.  Raises LinAlgError on a zero pivot and
+    ValueError when R or the solution is not finite; a non-finite b
+    always yields a non-finite solution, so it is caught there.
+    """
+    r = np.asarray(r, dtype=float)
+    _require_finite(r)
+    if r.flags.f_contiguous:
+        x, info = dtrtrs(r, b, lower=0, trans=int(trans))
+    else:
+        x, info = dtrtrs(r.T, b, lower=1, trans=int(not trans))
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    _require_finite(x)
+    return x
+
+
 def inv_upper(r: np.ndarray) -> np.ndarray:
     """Invert an upper-triangular matrix by back-substitution."""
     r = np.asarray(r, dtype=float)
@@ -74,7 +118,7 @@ def inv_upper(r: np.ndarray) -> np.ndarray:
     d = np.abs(r.diagonal())
     if d.min() < 1e-14 * max(d.max(), 0.0) or d.min() == 0.0:
         raise SingularMatrix("diagonal entry effectively zero")
-    return solve_triangular(r, np.eye(q), lower=False)
+    return tri_solve(r, np.eye(q))
 
 
 def right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -84,14 +128,14 @@ def right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     rows = m.reshape(-1, m.shape[-1])
-    return solve_triangular(g, rows.T, trans="T", lower=False).T.reshape(m.shape)
+    return tri_solve(g, rows.T, trans=True).T.reshape(m.shape)
 
 
 def quad_form(x: np.ndarray, a: np.ndarray) -> float:
     """x' a^{-1} x via a triangular solve against uchol(a)."""
     x = np.asarray(x, dtype=float)
     r = uchol(a)
-    w = solve_triangular(r, x, trans="T", lower=False)
+    w = tri_solve(r, x, trans=True)
     return float(w @ w)
 
 
@@ -107,25 +151,36 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     too ill-conditioned to refactor densely (the discounted scale
     recursion D_t = lam D_{t-1} + r_t r_t' produces exactly those over
     long horizons).  A stack r (..., q, q) with x (..., q) applies the
-    same rotations to every matrix at once; a single matrix keeps the
-    scalar loop, which is faster at these sizes than a stack of one.
+    same rotations to every matrix at once.  A single matrix runs the
+    rotations on Python floats instead: at q <= 5 a numpy call per
+    element costs more than the arithmetic.  Both paths take rho from
+    ``np.hypot`` (``math.hypot`` rounds differently) and round every
+    product and sum alike, so a slice of a stack and the matrix alone
+    give the same bits.
     """
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 2:
+        rows = r.tolist()
+        x = np.asarray(x, dtype=float).tolist()
+        q = len(rows)
+        for i in range(q):
+            row = rows[i]
+            rho = float(np.hypot(row[i], x[i]))
+            if rho <= 0.0:
+                raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
+            c = row[i] / rho
+            s = x[i] / rho
+            row[i] = rho
+            for j in range(i + 1, q):
+                rj, xj = row[j], x[j]
+                row[j] = c * rj + s * xj
+                x[j] = c * xj - s * rj
+        # the memory order of r, as a copy of r would have: a later
+        # matmul on the factor rounds differently in the other order
+        return np.array(rows, order="F" if np.isfortran(r) else "C")
     r = np.array(r, dtype=float)
     x = np.array(x, dtype=float)
     q = r.shape[-1]
-    if r.ndim == 2:
-        for i in range(q):
-            rho = float(np.hypot(r[i, i], x[i]))
-            if rho <= 0.0:
-                raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
-            c = r[i, i] / rho
-            s = x[i] / rho
-            r[i, i] = rho
-            if i + 1 < q:
-                row = r[i, i + 1 :].copy()
-                r[i, i + 1 :] = c * row + s * x[i + 1 :]
-                x[i + 1 :] = c * x[i + 1 :] - s * row
-        return r
     for i in range(q):
         rho = np.hypot(r[..., i, i], x[..., i])
         if np.any(rho <= 0.0):

@@ -9,10 +9,9 @@ results do not depend on worker count.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidParameter
-from .matops import gram, sym, uchol
+from .matops import gram, sym, tri_solve, uchol
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -108,4 +107,4 @@ def sample_mvnormal_prec(factor: np.ndarray, rng: np.random.Generator) -> np.nda
     With z ~ N(0, I), x = F^{-1} z has covariance (F' F)^{-1}.
     """
     z = rng.standard_normal(factor.shape[0])
-    return solve_triangular(factor, z, lower=False)
+    return tri_solve(factor, z)

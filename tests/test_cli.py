@@ -252,10 +252,20 @@ class TestMain:
             ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "d0": "eye", "data_csv": DATA}', "InvalidParameter", "'d0'"),
             ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 2.5, "data_csv": DATA}', "InvalidParameter", "'draws'"),
             ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "seed": "x", "data_csv": DATA}', "InvalidParameter", "'seed'"),
+            ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "seed": -1, "data_csv": DATA}', "InvalidParameter", "'seed'"),
+            # json reads NaN and Infinity as floats
+            ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "d0": [[NaN, 0], [0, 1]], "data_csv": DATA}',
+             "InvalidParameter", "'d0'"),
+            ("filter", '{"q": 2, "n": Infinity, "lambda": 0.8, "data_csv": DATA}', "InvalidParameter", "'n'"),
+            ("simulate", '{"q": 2, "n": 5.0, "lambda": 0.8, "T": -5}', "InvalidParameter", "T must be >= 0"),
+            # an empty grid is an error, not a request for the default grid
+            ("grid-search", '{"q": 2, "n_grid": [], "data_csv": DATA}', "InvalidParameter", "nonempty"),
+            ("grid-search", '{"q": 2, "lambda_grid": [], "data_csv": DATA}', "InvalidParameter", "nonempty"),
         ],
         ids=[
             "missing-key", "missing-config", "malformed-json", "not-an-object",
             "q-string", "n-string", "d0-string", "draws-float", "seed-string",
+            "seed-negative", "d0-nan", "n-infinity", "simulate-negative-T", "n-grid-empty", "lambda-grid-empty",
         ],
     )
     def test_bad_config_is_reported(self, returns_csv, tmp_path, capsys, command, config_text, error, message):

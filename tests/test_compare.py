@@ -128,6 +128,11 @@ class TestMixturePieces:
         assert bernoulli_logweight_prob(np.log(3.0), 0.0) == pytest.approx(0.75)
         assert bernoulli_logweight_prob(-2000.0, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert bernoulli_logweight_prob(0.0, -2000.0) == pytest.approx(1.0)
+        # over arrays, each entry is the scalar call's value, bit for bit
+        rng = np.random.default_rng(3)
+        logw1, logw0 = rng.normal(0.0, 50.0, (2, 1000))
+        expect = [bernoulli_logweight_prob(a, b) for a, b in zip(logw1.tolist(), logw0.tolist())]
+        np.testing.assert_array_equal(bernoulli_logweight_prob(logw1, logw0), expect)
 
     def test_config_burn_in_default(self):
         cfg = MixtureConfig(iterations=200)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import LinAlgError, solve_triangular
 
 from wishartsv.errors import NotPositiveDefinite, SingularMatrix
 from wishartsv.matops import (
@@ -11,6 +12,7 @@ from wishartsv.matops import (
     logdet_spd,
     quad_form,
     right_solve,
+    tri_solve,
     uchol,
 )
 
@@ -93,6 +95,45 @@ class TestInvUpper:
         r = np.triu(rng.standard_normal((q, q)))
         r[np.diag_indices(q)] = 1.0 + rng.random(q)
         np.testing.assert_allclose(inv_upper(inv_upper(r)), r, rtol=1e-10, atol=1e-12)
+
+
+class TestTriSolve:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(stacks(), st.booleans(), st.booleans(), st.sampled_from(["vector", "matrix", "transposed"]))
+    def test_matches_solve_triangular(self, case, trans, fortran, rhs):
+        # the same LAPACK call as scipy's wrapper, so the same bits, for
+        # either memory order of R; "transposed" is the F-ordered (q, m)
+        # right-hand side that right_solve and simulate pass
+        r, x, m = case
+        g = np.asfortranarray(r[0]) if fortran else r[0]
+        b = {"vector": x[0], "matrix": m[0], "transposed": m.reshape(-1, m.shape[-1]).T}[rhs]
+        expect = solve_triangular(g, b, trans=int(trans), lower=False)
+        np.testing.assert_array_equal(tri_solve(g, b, trans=trans), expect)
+
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_zero_pivot_raises(self, fortran):
+        r = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 3.0]])
+        r = np.asfortranarray(r) if fortran else r
+        with pytest.raises(LinAlgError, match="diagonal 1"):
+            tri_solve(r, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "r00, r01, b0, b1",
+        [
+            (np.nan, 1.0, 1.0, 1.0),
+            (np.inf, 1.0, 1.0, 1.0),  # the solution (0, 1/3) is finite
+            (2.0, np.nan, 1.0, 1.0),
+            (2.0, 1.0, np.nan, 1.0),
+            (2.0, 1.0, 1.0, -np.inf),
+            (1e-300, 1.0, 1e10, 0.0),  # finite input, overflowing solution
+        ],
+        ids=["r-nan-diagonal", "r-inf-diagonal", "r-nan", "b-nan", "b-inf", "overflow"],
+    )
+    def test_nonfinite_raises(self, r00, r01, b0, b1):
+        r = np.array([[r00, r01], [0.0, 3.0]])
+        for trans in (False, True):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                tri_solve(r, np.array([b0, b1]), trans=trans)
 
 
 class TestRightSolve:
@@ -190,6 +231,15 @@ class TestCholUpdate:
         chol_update(r, x)
         np.testing.assert_array_equal(r, r0)
         np.testing.assert_array_equal(x, x0)
+
+    def test_keeps_memory_order(self):
+        # uchol returns an F-ordered factor; matmuls downstream round by
+        # memory order, so the update must not change it
+        r = uchol(np.array([[2.0, 0.5], [0.5, 3.0]]))
+        x = np.array([0.7, -0.3])
+        assert chol_update(r, x).flags.f_contiguous
+        assert chol_update(np.ascontiguousarray(r), x).flags.c_contiguous
+        np.testing.assert_array_equal(chol_update(r, x), chol_update(np.ascontiguousarray(r), x))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(stacks())
