@@ -20,6 +20,7 @@ from wishartsv.compare import (
     batch_means_se,
     log_plr,
     mixture_gibbs,
+    path_loglik,
     ppc_intervals,
 )
 from wishartsv.filtering import bb_forward_filter, simulate, ue_forward_filter
@@ -36,7 +37,7 @@ filt_b = bb_forward_filter(data, bb)
 
 ens_u = sample_ensemble(filt_u, ue, DRAWS, seed=SEED + 1)
 ens_b = sample_ensemble(filt_b, bb, DRAWS, seed=SEED + 2)
-plr = log_plr(ens_u, ens_b, data)
+plr = log_plr(path_loglik(ens_u, data), path_loglik(ens_b, data))
 print(f"1. log posterior likelihood ratio (UE vs BB): {plr:+.3f} "
       f"({DRAWS} smoothed draws per model)")
 

@@ -29,8 +29,6 @@ from .filtering import (
     ue_forward_filter,
 )
 from .smoother import (
-    PrecisionPath,
-    SmoothedEnsemble,
     bb_backward_sample,
     correlation_summary,
     sample_ensemble,

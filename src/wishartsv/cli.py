@@ -25,6 +25,7 @@ from .compare import (
     batch_means_se,
     log_plr,
     mixture_gibbs,
+    path_loglik,
     ppc_intervals,
 )
 from .errors import (
@@ -184,7 +185,8 @@ _FIELD_TYPES = {
                     ("an integer", lambda v: _number(v) and isinstance(v, int))),
     "seed": ("a non-negative integer", lambda v: _number(v) and isinstance(v, int) and v >= 0),
     **dict.fromkeys(("n", "lambda", "ridge", "a0", "b0", "level"), ("a finite number", _number)),
-    **dict.fromkeys(("data_csv", "presample_csv", "model", "out"), ("a string", lambda v: isinstance(v, str))),
+    **dict.fromkeys(("data_csv", "presample_csv", "out"), ("a string", lambda v: isinstance(v, str))),
+    "model": ("one of 'ue', 'bb', 'matched'", lambda v: v in ("ue", "bb", "matched")),
     **dict.fromkeys(("n_grid", "lambda_grid", "quantiles"), ("a list of finite numbers", _numbers)),
     "d0": ("a square list of lists of finite numbers",
            lambda v: isinstance(v, list) and all(_numbers(row) and len(row) == len(v) for row in v)),
@@ -336,7 +338,7 @@ def cmd_compare_plr(cfg: dict, outdir: Path) -> dict:
     n_draws = cfg.get("draws", 100)
     ens_u = sample_ensemble(filt_u, ue, n_draws, cfg["seed"])
     ens_b = sample_ensemble(filt_b, bb, n_draws, cfg["seed"] + 1)
-    value = log_plr(ens_u, ens_b, data)
+    value = log_plr(path_loglik(ens_u, data), path_loglik(ens_b, data))
     return {"log_plr": value, "draws": n_draws, "warning": warning}
 
 
@@ -351,10 +353,13 @@ def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
         burn_in=cfg.get("burn_in"),
         seed=cfg["seed"],
     )
+    n_batches = cfg.get("batches", 50)
+    kept = mix.iterations - mix.burn_in
+    if not 2 <= n_batches <= kept:
+        raise InvalidParameter(f"batches must lie in [2, {kept}], the kept draws; got {n_batches}")
     trace = mixture_gibbs(data, ue, bb, mix)
     _write_csv(outdir / "alpha_trace.csv", ["iteration", "alpha"],
                [[i, a] for i, a in enumerate(trace.alpha)])
-    n_batches = cfg.get("batches", 50)
     below = (trace.alpha < 0.5).astype(float)
     return {
         "alpha_mean": float(trace.alpha.mean()),

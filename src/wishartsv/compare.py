@@ -22,7 +22,7 @@ from .filtering import (
     ue_forward_filter,
 )
 from .randsamp import make_rng, sample_mvnormal_prec
-from .smoother import PrecisionPath, SmoothedEnsemble, bb_backward_sample, ue_backward_sample
+from .smoother import bb_backward_sample, ue_backward_sample
 from .volproc import BBHyper, UEHyper
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -38,13 +38,18 @@ def _gauss_terms(factors: np.ndarray, returns: np.ndarray) -> np.ndarray:
     return np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1) - 0.5 * np.einsum("ti,ti->t", fr, fr)
 
 
-def path_loglik(path: PrecisionPath, data: ReturnsSeries) -> float:
-    """log prod_t N_q(r_t | 0, Phi_t^{-1}) along a sampled path (t = 1..T)."""
-    if path.T != data.T or path.q != data.q:
-        raise DimensionMismatch(
-            f"path (T={path.T}, q={path.q}) vs data (T={data.T}, q={data.q})"
-        )
-    return float(_gauss_terms(path.factors[1:], data.returns).sum() - 0.5 * data.T * data.q * LOG_2PI)
+def path_loglik(factors: np.ndarray, data: ReturnsSeries):
+    """log prod_t N_q(r_t | 0, Phi_t^{-1}) along each path in factors (..., T + 1, q, q).
+
+    One value per leading index; draws and time share one ``_gauss_terms`` call.
+    """
+    if factors.shape[-3:] != (data.T + 1, data.q, data.q):
+        raise DimensionMismatch(f"paths {factors.shape} vs data (T={data.T}, q={data.q})")
+    lead = factors.shape[:-3]
+    f = factors[..., 1:, :, :].reshape(-1, data.q, data.q)
+    r = np.broadcast_to(data.returns, lead + data.returns.shape).reshape(-1, data.q)
+    terms = _gauss_terms(f, r).reshape(lead + (data.T,))
+    return terms.sum(axis=-1) - 0.5 * data.T * data.q * LOG_2PI
 
 
 def log_sum_exp(x: np.ndarray) -> float:
@@ -55,22 +60,13 @@ def log_sum_exp(x: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(x - m))))
 
 
-def ensemble_logliks(ens: SmoothedEnsemble, data: ReturnsSeries) -> np.ndarray:
-    if ens.logliks is not None:
-        return np.asarray(ens.logliks, dtype=float)
-    if ens.n_draws == 0:
-        raise EmptyEnsemble("ensemble has no paths")
-    return np.array([path_loglik(p, data) for p in ens.paths])
-
-
-def log_plr(ens_u: SmoothedEnsemble, ens_b: SmoothedEnsemble, data: ReturnsSeries) -> float:
-    """Log posterior likelihood ratio of the first ensemble to the second.
+def log_plr(lu, lb) -> float:
+    """Log posterior likelihood ratio of ensemble u to b, from their ``path_loglik`` arrays.
 
     Each side is a mean-normalized log-sum-exp, so unequal ensemble
     sizes still target the ratio of posterior expectations.
     """
-    lu = ensemble_logliks(ens_u, data)
-    lb = ensemble_logliks(ens_b, data)
+    lu, lb = np.asarray(lu, dtype=float), np.asarray(lb, dtype=float)
     return (log_sum_exp(lu) - np.log(lu.size)) - (log_sum_exp(lb) - np.log(lb.size))
 
 
@@ -168,9 +164,9 @@ def mixture_gibbs(
     for it in range(cfg.iterations):
         # refresh both precision paths on the current imputed series
         filt_u = ue_forward_filter(ReturnsSeries(r_u), ue)
-        f_u = ue_backward_sample(filt_u, ue, rng).factors[1:]
+        f_u = ue_backward_sample(filt_u, ue, rng)[1:]
         filt_b = bb_forward_filter(ReturnsSeries(r_b), bb)
-        f_b = bb_backward_sample(filt_b, bb, rng).factors[1:]
+        f_b = bb_backward_sample(filt_b, bb, rng)[1:]
         if degenerate:
             # identical likelihood terms: both evaluated at the observed r_t
             f_b = f_u

@@ -261,11 +261,20 @@ class TestMain:
             # an empty grid is an error, not a request for the default grid
             ("grid-search", '{"q": 2, "n_grid": [], "data_csv": DATA}', "InvalidParameter", "nonempty"),
             ("grid-search", '{"q": 2, "lambda_grid": [], "data_csv": DATA}', "InvalidParameter", "nonempty"),
+            # rejected before any output is written
+            ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "model": "UE", "data_csv": DATA}', "InvalidParameter", "'model'"),
+            ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 3, "quantiles": [], "data_csv": DATA}',
+             "InvalidParameter", "quantiles"),
+            ("compare-mixture", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 20, "batches": 0, "data_csv": DATA}',
+             "InvalidParameter", "kept draws"),
+            ("compare-mixture", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 20, "batches": 19, "data_csv": DATA}',
+             "InvalidParameter", "kept draws"),
         ],
         ids=[
             "missing-key", "missing-config", "malformed-json", "not-an-object",
             "q-string", "n-string", "d0-string", "draws-float", "seed-string",
             "seed-negative", "d0-nan", "n-infinity", "simulate-negative-T", "n-grid-empty", "lambda-grid-empty",
+            "model-unknown", "quantiles-empty", "batches-zero", "batches-above-kept",
         ],
     )
     def test_bad_config_is_reported(self, returns_csv, tmp_path, capsys, command, config_text, error, message):
@@ -278,6 +287,7 @@ class TestMain:
         assert err.count("\n") == 1
         record = json.loads(err)
         assert record["error"] == error and message in record["message"]
+        assert not list((tmp_path / "x").glob("*"))
 
     def test_parse_error_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest, multivariate_normal
 
 from wishartsv.compare import (
+    LOG_2PI,
     MixtureConfig,
+    _gauss_terms,
     alpha_posterior_shapes,
     batch_means_se,
     bernoulli_logweight_prob,
-    ensemble_logliks,
     log_plr,
     log_sum_exp,
     mixture_gibbs,
@@ -17,7 +21,7 @@ from wishartsv.compare import (
 )
 from wishartsv.errors import EmptyEnsemble, InvalidParameter
 from wishartsv.filtering import ReturnsSeries, bb_forward_filter, simulate, ue_forward_filter
-from wishartsv.smoother import PrecisionPath, SmoothedEnsemble, sample_ensemble
+from wishartsv.smoother import sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
 
@@ -36,7 +40,7 @@ class TestPathLoglik:
         for t in range(7):
             g = rng.standard_normal((2, 2))
             phis[t] = g.T @ g + np.eye(2)
-        path = PrecisionPath(model="ue", factors=np.swapaxes(np.linalg.cholesky(phis), 1, 2))
+        path = np.swapaxes(np.linalg.cholesky(phis), 1, 2)
         expect = sum(
             multivariate_normal(cov=np.linalg.inv(phis[t])).logpdf(data.returns[t - 1])
             for t in range(1, 7)
@@ -48,9 +52,7 @@ class TestPathLoglik:
         factors = np.ones((4, 1, 1))
         bad_phi0 = factors.copy()
         bad_phi0[0] = 99.0
-        assert path_loglik(PrecisionPath("ue", factors), data) == path_loglik(
-            PrecisionPath("ue", bad_phi0), data
-        )
+        assert path_loglik(factors, data) == path_loglik(bad_phi0, data)
 
     def test_ill_conditioned_draws(self):
         # simulated data whose sampled Phi_t reach cond > 1e12, where
@@ -59,8 +61,26 @@ class TestPathLoglik:
         bb = match_ue_to_bb(ue)
         data, _ = simulate("ue", ue, 500, seed=1)
         for filt, hyper, seed in ((ue_forward_filter(data, ue), ue, 0), (bb_forward_filter(data, bb), bb, 1)):
-            ll = ensemble_logliks(sample_ensemble(filt, hyper, 20, seed=seed), data)
+            ll = path_loglik(sample_ensemble(filt, hyper, 20, seed=seed), data)
             assert ll.shape == (20,) and np.all(np.isfinite(ll))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 7), st.integers(0, 6), st.data())
+    def test_stack_matches_slices(self, q, n, T, draw):
+        # draws and time share one axis in the stacked call; every path's
+        # loglik keeps the bits of a one-path call, and a one-path call
+        # keeps the bits of the per-path sum over t
+        entries = st.floats(-1e3, 1e3)
+        f = np.triu(draw.draw(hnp.arrays(float, (n, T + 1, q, q), elements=entries)))
+        idx = np.arange(q)
+        f[..., idx, idx] = np.abs(f[..., idx, idx]) + 1e-3
+        data = ReturnsSeries(draw.draw(hnp.arrays(float, (T, q), elements=entries)))
+        single = [path_loglik(f[i], data) for i in range(n)]
+        for i in range(n):
+            ref = _gauss_terms(f[i, 1:], data.returns).sum() - 0.5 * T * q * LOG_2PI
+            assert np.array_equal(single[i], ref) and np.ndim(single[i]) == 0
+        stacked = path_loglik(f, data)
+        assert stacked.shape == (n,) and np.array_equal(stacked, single)
 
 
 class TestLogSumExp:
@@ -84,21 +104,20 @@ class TestLogPlr:
         fb = bb_forward_filter(data, bb)
         ens_u = sample_ensemble(fu, ue, 30, seed=5)
         ens_b = sample_ensemble(fb, bb, 30, seed=6)
-        ab = log_plr(ens_u, ens_b, data)
-        ba = log_plr(ens_b, ens_u, data)
+        lu, lb = path_loglik(ens_u, data), path_loglik(ens_b, data)
+        ab = log_plr(lu, lb)
+        ba = log_plr(lb, lu)
         assert ab == pytest.approx(-ba, rel=1e-12)
-        assert log_plr(ens_u, ens_u, data) == pytest.approx(0.0, abs=1e-12)
+        assert log_plr(lu, lu) == pytest.approx(0.0, abs=1e-12)
 
     def test_shift_invariant_mean_normalization(self):
         # doubling an ensemble by repetition leaves the estimate unchanged
         data, ue, bb = toy(T=8, q=1, seed=7)
         fu = ue_forward_filter(data, ue)
         ens = sample_ensemble(fu, ue, 10, seed=8)
-        ll = ensemble_logliks(ens, data)
-        doubled = SmoothedEnsemble(model="ue", paths=[], logliks=np.concatenate([ll, ll]))
-        single = SmoothedEnsemble(model="ue", paths=[], logliks=ll)
-        ref = sample_ensemble(ue_forward_filter(data, ue), ue, 6, seed=9)
-        assert log_plr(doubled, ref, data) == pytest.approx(log_plr(single, ref, data), rel=1e-12)
+        ll = path_loglik(ens, data)
+        ref = path_loglik(sample_ensemble(ue_forward_filter(data, ue), ue, 6, seed=9), data)
+        assert log_plr(np.concatenate([ll, ll]), ref) == pytest.approx(log_plr(ll, ref), rel=1e-12)
 
 
 class TestBatchMeansSe:

@@ -55,13 +55,13 @@ def setting(case):
 
 
 def ensemble_factors(filt, hyper):
-    return np.array([p.factors for p in sample_ensemble(filt, hyper, N_DRAWS, SEED).paths])
+    return sample_ensemble(filt, hyper, N_DRAWS, SEED)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_SINGLE))
 def test_single_path_samplers(case):
     filt, hyper, sampler = setting(case)
-    single = np.array([sampler(filt, hyper, substream(SEED, i)).factors for i in range(N_DRAWS)])
+    single = np.array([sampler(filt, hyper, substream(SEED, i)) for i in range(N_DRAWS)])
     assert sha(single) == GOLDEN_SINGLE[case]
 
 
@@ -74,7 +74,7 @@ def test_ue_ensemble_matches_single_paths():
     filt, ue, _ = setting("ue")
     ens = ensemble_factors(filt, ue)
     for i in range(N_DRAWS):
-        single = ue_backward_sample(filt, ue, substream(SEED, i)).factors
+        single = ue_backward_sample(filt, ue, substream(SEED, i))
         err = np.abs(ens[i] - single).max(axis=(1, 2)) / np.abs(single).max(axis=(1, 2))
         assert err.max() <= 1e-12
 

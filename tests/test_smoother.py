@@ -3,15 +3,15 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
+from consistency import joint_consistency_report
 from wishartsv.errors import InvalidParameter
 from wishartsv.filtering import ReturnsSeries, bb_forward_filter, constrained_lambda, simulate, ue_forward_filter
 from wishartsv.matops import uchol
-from wishartsv.randsamp import make_rng, sample_chi2
+from wishartsv.randsamp import make_rng, sample_chi2, substream
 from wishartsv.smoother import (
     bb_backward_sample,
     bb_backward_step,
     correlation_summary,
-    joint_consistency_report,
     sample_ensemble,
     ue_backward_sample,
 )
@@ -48,16 +48,16 @@ class TestBackwardSamplers:
     def test_ue_path_shape_and_spd(self):
         data, ue, _, fu, _ = filters()
         path = ue_backward_sample(fu, ue, make_rng(1))
-        assert path.factors.shape == (21, 2, 2)
-        assert_factors(path.factors)
-        assert np.all(np.linalg.eigvalsh(gram(path.factors)) > 0)
+        assert path.shape == (21, 2, 2)
+        assert_factors(path)
+        assert np.all(np.linalg.eigvalsh(gram(path)) > 0)
 
     def test_bb_path_shape_and_spd(self):
         data, _, bb, _, fb = filters()
         path = bb_backward_sample(fb, bb, make_rng(2))
-        assert path.factors.shape == (21, 2, 2)
-        assert_factors(path.factors)
-        assert np.all(np.linalg.eigvalsh(gram(path.factors)) > 0)
+        assert path.shape == (21, 2, 2)
+        assert_factors(path)
+        assert np.all(np.linalg.eigvalsh(gram(path)) > 0)
 
     def test_model_mismatch(self):
         data, ue, bb, fu, fb = filters()
@@ -68,11 +68,11 @@ class TestBackwardSamplers:
 
     def test_reproducible(self):
         data, ue, bb, fu, fb = filters()
-        a = ue_backward_sample(fu, ue, make_rng(7)).factors
-        b = ue_backward_sample(fu, ue, make_rng(7)).factors
+        a = ue_backward_sample(fu, ue, make_rng(7))
+        b = ue_backward_sample(fu, ue, make_rng(7))
         np.testing.assert_array_equal(a, b)
-        a = bb_backward_sample(fb, bb, make_rng(7)).factors
-        b = bb_backward_sample(fb, bb, make_rng(7)).factors
+        a = bb_backward_sample(fb, bb, make_rng(7))
+        b = bb_backward_sample(fb, bb, make_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_ue_terminal_marginal(self):
@@ -82,7 +82,7 @@ class TestBackwardSamplers:
         n_draws = 20_000
         rng = make_rng(4)
         draws = np.array(
-            [ue_backward_sample(fu, ue, rng).factors[-1, 0, 0] ** 2 for _ in range(n_draws)]
+            [ue_backward_sample(fu, ue, rng)[-1, 0, 0] ** 2 for _ in range(n_draws)]
         )
         scale = 1.0 / fu.g[-1, 0, 0] ** 2  # D_T^{-1} with k = 1
         stat = kstest(draws / scale, chi2_dist(ue.n + 1).cdf).statistic
@@ -128,7 +128,7 @@ class TestBackwardSamplers:
         bb = match_ue_to_bb(ue)
         fb = bb_forward_filter(data, bb)
         path = bb_backward_sample(fb, bb, make_rng(10))
-        assert path.factors.shape == (1, 2, 2)
+        assert path.shape == (1, 2, 2)
 
 
 # Phi_0..Phi_4 drawn by the dense-matrix samplers that predate the factor
@@ -198,7 +198,7 @@ class TestGoldenPaths:
             path, golden = ue_backward_sample(fu, ue, make_rng(101)), GOLDEN_UE
         else:
             path, golden = bb_backward_sample(fb, bb, make_rng(102)), GOLDEN_BB
-        phis = gram(path.factors)
+        phis = gram(path)
         assert np.abs(phis - golden).max() <= 1e-10 * np.abs(golden).max()
 
 
@@ -220,8 +220,7 @@ class TestIllConditioned:
         for filt, hyper in ((ue_forward_filter(data, ue), ue), (bb_forward_filter(data, bb), bb)):
             assert_factors(filt.g)
             ens = sample_ensemble(filt, hyper, 10, seed=3)
-            for path in ens.paths:
-                assert_factors(path.factors)
+            assert_factors(ens)
             curves = correlation_summary(ens, [0.025, 0.5, 0.975])
             assert np.all(np.isfinite(curves)) and np.all(np.abs(curves) <= 1.0)
 
@@ -261,10 +260,11 @@ class TestEnsembles:
     def test_seed_info_and_reproducibility(self):
         data, ue, _, fu, _ = filters(T=6, q=2)
         ens = sample_ensemble(fu, ue, 5, seed=3)
-        assert ens.n_draws == 5
-        assert ens.paths[2].seed_info == (3, 2)
+        assert ens.shape == (5, 7, 2, 2)
+        # draw 2 is the single-path draw from substream (3, 2)
+        np.testing.assert_allclose(ens[2], ue_backward_sample(fu, ue, substream(3, 2)), rtol=1e-12)
         again = sample_ensemble(fu, ue, 5, seed=3)
-        np.testing.assert_array_equal(ens.paths[4].factors, again.paths[4].factors)
+        np.testing.assert_array_equal(ens[4], again[4])
 
     def test_correlation_summary_shape_and_range(self):
         data, ue, _, fu, _ = filters(T=8, q=3, seed=12)
@@ -275,15 +275,21 @@ class TestEnsembles:
         assert np.all(curves >= -1) and np.all(curves <= 1)
         assert np.all(np.diff(curves, axis=0) >= 0)  # quantile ordering
         # dense reference: invert each Phi_t and read rho_ij
-        sigma = np.linalg.inv(gram(np.array([p.factors for p in ens.paths])))
+        sigma = np.linalg.inv(gram(ens))
         for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
             rho = sigma[..., i, j] / np.sqrt(sigma[..., i, i] * sigma[..., j, j])
             np.testing.assert_allclose(curves[:, k], np.quantile(rho, levels, axis=0), rtol=1e-10)
 
+    def test_correlation_summary_q1(self):
+        # one coordinate has no pairs: an empty table, not an error
+        data, ue, _, fu, _ = filters(T=4, q=1)
+        assert correlation_summary(sample_ensemble(fu, ue, 3, seed=0), [0.5]).shape == (1, 0, 5)
+
     def test_correlation_summary_validation(self):
         data, ue, _, fu, _ = filters(T=4, q=2)
         ens = sample_ensemble(fu, ue, 3, seed=0)
-        with pytest.raises(InvalidParameter):
-            correlation_summary(ens, [0.0, 0.5])
+        for levels in ([0.0, 0.5], [], [0.5, np.nan]):
+            with pytest.raises(InvalidParameter):
+                correlation_summary(ens, levels)
         with pytest.raises(InvalidParameter):
             correlation_summary(sample_ensemble(fu, ue, 1, seed=0), [0.5])
