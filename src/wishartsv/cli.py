@@ -1,8 +1,8 @@
 """Command-line workflows: simulate, filter, grid-search, smooth, compare-plr,
 compare-mixture, ppc.
 
-The CLI fixes k = 1 (normal likelihoods for the returns); the library
-paths support general k.  Every run writes a ``meta.json`` echoing the
+Every model has k = 1 (one normal return vector per observation), so
+the config has no k.  Every run writes a ``meta.json`` echoing the
 configuration, seed, and package version, and per-time tables as plain
 CSV so any plotting tool can consume them.
 """
@@ -269,7 +269,7 @@ def cmd_filter(cfg: dict, outdir: Path) -> dict:
         if filt is None:
             continue
         q = data.q
-        d = filt.g @ np.swapaxes(filt.g, 1, 2) / filt.k_obs  # dense D_t, for the table only
+        d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
         rows = [
             [t, filt.k_seq[t]]
             + list(d[t].ravel())

@@ -9,7 +9,7 @@ interval checks, and batch-means standard errors for chain output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import t as student_t
@@ -111,7 +111,6 @@ class MixtureTrace:
 
     alpha: np.ndarray  # (kept,)
     z: np.ndarray  # (kept, T) in {0, 1}
-    meta: dict = field(default_factory=dict)
 
 
 def alpha_posterior_shapes(a0: float, b0: float, z: np.ndarray) -> tuple[float, float]:
@@ -191,16 +190,7 @@ def mixture_gibbs(
             alpha_trace[it - cfg.burn_in] = alpha
             z_trace[it - cfg.burn_in] = z
 
-    meta = {
-        "a0": cfg.a0,
-        "b0": cfg.b0,
-        "iterations": cfg.iterations,
-        "burn_in": cfg.burn_in,
-        "seed": cfg.seed,
-        "degenerate": degenerate,
-        "init": "alpha from prior, z iid Bernoulli(1/2)",
-    }
-    return MixtureTrace(alpha=alpha_trace, z=z_trace, meta=meta)
+    return MixtureTrace(alpha=alpha_trace, z=z_trace)
 
 
 def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
@@ -223,7 +213,7 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
     if np.any(nu <= 0):
         t = int(np.argmax(nu <= 0))
         raise InvalidParameter(f"predictive df {nu[t]} <= 0 at t={t}")
-    d_diag = np.sum(filt.g[:-1] ** 2, axis=2) / filt.k_obs  # diag(D_{t-1}) = row sums of G G' / k
+    d_diag = np.sum(filt.g[:-1] ** 2, axis=2)  # diag(D_{t-1}) = row sums of G G'
     half = student_t.ppf(0.5 + level / 2.0, df=nu)[:, None] * np.sqrt(filt.discount * d_diag / nu[:, None])
     lengths = 2.0 * half
     hits = np.abs(data.returns) <= half

@@ -5,10 +5,10 @@ UE keeps D_t = lambda D_{t-1} + y_t with fixed posterior df n + k; BB
 keeps D_t = b D_{t-1} + y_t together with k_t = beta k_{t-1} + k.  With
 k = 1 and y_t = r_t r_t' the one-step forecast is multivariate-t.
 
-One pass, ``_scale_pass``, runs the recursion k D_t = disc k D_{t-1} +
-k r_t r_t' and stores each k D_t only as an upper-triangular factor G_t
-with G_t G_t' = k D_t (square-root filtering, Bierman 1977).  Then
-G_t^{-1} = uchol((k D_t)^{-1}) is the scale factor of the filtered
+One pass, ``_scale_pass``, runs the recursion D_t = disc D_{t-1} +
+r_t r_t' and stores each D_t only as an upper-triangular factor G_t
+with G_t G_t' = D_t (square-root filtering, Bierman 1977).  Then
+G_t^{-1} = uchol(D_t^{-1}) is the scale factor of the filtered
 Wishart posterior of Phi_t, so the backward samplers need nothing but
 triangular products and solves against G_t.  The pass also yields the
 forecast terms s_t = r_t' D_{t-1}^{-1} r_t and log|D_{t-1}| (from the
@@ -71,7 +71,7 @@ class FilterOutput:
     """Filtered sufficient statistics and forecast-density bookkeeping.
 
     ``g`` stacks the upper-triangular factors G_0..G_T with positive
-    diagonal and G_t G_t' = k D_t; ``k_seq`` carries k_0..k_T for BB
+    diagonal and G_t G_t' = D_t; ``k_seq`` carries k_0..k_T for BB
     (constant n + k for UE); ``df_prior[t-1]`` is the prior-at-t degrees
     of freedom of the one-step forecast (n for UE, beta k_{t-1} for BB).
     """
@@ -82,7 +82,6 @@ class FilterOutput:
     df_prior: np.ndarray  # (T,)
     log_forecast: np.ndarray  # (T,)
     loglik: float
-    k_obs: float  # likelihood df (k)
     discount: float  # lambda (UE) / b (BB)
 
 
@@ -110,13 +109,13 @@ def _forecast_logdensity(s, logdet, n, lam: float, q: int):
     )
 
 
-def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float, k_obs: float):
+def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     """The scale recursion: returns (g, s, logdet).
 
     ``g`` stacks G_0..G_T, ``s[t-1]`` = r_t' D_{t-1}^{-1} r_t and
     ``logdet[t-1]`` = log|D_{t-1}|.  With J the reversal permutation,
-    J G_t' J is the upper Cholesky factor of J k D_t J, so the recursion
-    k D_t = discount k D_{t-1} + k r_t r_t' is a rank-1 update of that
+    J G_t' J is the upper Cholesky factor of J D_t J, so the recursion
+    D_t = discount D_{t-1} + r_t r_t' is a rank-1 update of that
     factor; no matrix is refactored or inverted, which matters because
     the simulated data law drives cond(D_t) far past what dense
     refactorization tolerates.
@@ -124,23 +123,22 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float, k_obs: flo
     T, q = returns.shape
     g = np.empty((T + 1, q, q))
     s = np.empty(T)
-    g[0] = np.sqrt(k_obs) * rchol(sym(np.asarray(d0, dtype=float)))
+    g[0] = rchol(sym(np.asarray(d0, dtype=float)))
     g_rev = g[0].T[::-1, ::-1]  # J G' J
     sqrt_disc = np.sqrt(discount)
-    sqrt_k = np.sqrt(k_obs)
     for t in range(1, T + 1):
         r = returns[t - 1]
         w = tri_solve(g[t - 1], r)
-        s[t - 1] = k_obs * float(w @ w)
-        g_rev = chol_update(sqrt_disc * g_rev, sqrt_k * r[::-1])
+        s[t - 1] = float(w @ w)
+        g_rev = chol_update(sqrt_disc * g_rev, r[::-1])
         g[t] = g_rev.T[::-1, ::-1]
-    logdet = 2.0 * np.log(np.diagonal(g[:-1], axis1=1, axis2=2)).sum(axis=1) - q * np.log(k_obs)
+    logdet = 2.0 * np.log(np.diagonal(g[:-1], axis1=1, axis2=2)).sum(axis=1)
     return g, s, logdet
 
 
-def _filter(model: str, data: ReturnsSeries, d0, discount: float, k_obs: float, k_seq, df_prior):
+def _filter(model: str, data: ReturnsSeries, d0, discount: float, k_seq, df_prior):
     """The scale pass and its forecast log densities, as a FilterOutput."""
-    g, s, logdet = _scale_pass(data.returns, d0, discount, k_obs)
+    g, s, logdet = _scale_pass(data.returns, d0, discount)
     log_forecast = _forecast_logdensity(s, logdet, df_prior, discount, data.q)
     return FilterOutput(
         model=model,
@@ -149,27 +147,22 @@ def _filter(model: str, data: ReturnsSeries, d0, discount: float, k_obs: float, 
         df_prior=df_prior,
         log_forecast=log_forecast,
         loglik=float(log_forecast.sum()),
-        k_obs=k_obs,
         discount=discount,
     )
 
 
 def ue_forward_filter(data: ReturnsSeries, ue: UEHyper) -> FilterOutput:
-    """Conjugate UE filter with y_t = r_t r_t' (k = 1 analysis path)."""
+    """Conjugate UE filter with y_t = r_t r_t': D_t = lambda D_{t-1} + y_t."""
     if data.q != ue.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {ue.q}")
-    if ue.k != 1:
-        raise InvalidParameter("the returns-based filter is defined for k = 1")
     k_seq = np.full(data.T + 1, ue.n + ue.k)
-    return _filter("ue", data, ue.d0, ue.lam, ue.k, k_seq, np.full(data.T, float(ue.n)))
+    return _filter("ue", data, ue.d0, ue.lam, k_seq, np.full(data.T, float(ue.n)))
 
 
 def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
     """Conjugate BB filter: D_t = b D_{t-1} + y_t, k_t = beta k_{t-1} + k."""
     if data.q != bb.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {bb.q}")
-    if bb.k != 1:
-        raise InvalidParameter("the returns-based filter is defined for k = 1")
     T = data.T
     k_seq = np.empty(T + 1)
     k_seq[0] = bb.k0
@@ -185,7 +178,7 @@ def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
     if np.any(bb.beta * k_seq - bb.q + 1 <= 0):
         raise InvalidParameter("df path violates Beta-shape positivity along the filtration")
     # prior-at-t df is beta * k_{t-1}
-    return _filter("bb", data, bb.d0, bb.b, bb.k, k_seq, bb.beta * k_seq[:T])
+    return _filter("bb", data, bb.d0, bb.b, k_seq, bb.beta * k_seq[:T])
 
 
 def simulate(model: str, hyper, T: int, seed: int):
@@ -193,7 +186,7 @@ def simulate(model: str, hyper, T: int, seed: int):
 
     Each Phi_t is drawn from its exact one-step prior given the past
     returns (Wishart with the prior-at-t degrees of freedom and scale
-    (k * discount * D_{t-1})^{-1}), then r_t | Phi_t ~ N(0, Phi_t^{-1}).
+    (discount * D_{t-1})^{-1}), then r_t | Phi_t ~ N(0, Phi_t^{-1}).
     The returns therefore follow the model's exact joint law (the
     product of the one-step forecast densities), and the recursion stays
     numerically bounded over long horizons because D_t tracks the data.
@@ -201,17 +194,20 @@ def simulate(model: str, hyper, T: int, seed: int):
     short horizons: the precision's log-determinant drifts, so condition
     numbers overflow double precision within a few hundred steps.
     """
-    if model not in ("ue", "bb"):
+    hyper_type = {"ue": UEHyper, "bb": BBHyper}.get(model)
+    if hyper_type is None:
         raise InvalidParameter(f"unknown model {model!r}")
+    if not isinstance(hyper, hyper_type):
+        raise InvalidParameter(f"model {model!r} needs a {hyper_type.__name__}, got {type(hyper).__name__}")
     if T < 0:
         raise InvalidParameter(f"T must be >= 0, got {T}")
     rng = make_rng(seed)
-    q, k = hyper.q, hyper.k
+    q = hyper.q
     disc, k_t = (hyper.lam, hyper.n + hyper.k) if model == "ue" else (hyper.b, hyper.k0)
     d_chol = uchol(np.asarray(hyper.d0, dtype=float))
     phis = np.empty((T + 1, q, q))
-    # Phi_0 from Wishart(k_0, (k D_0)^{-1}), with the filter's factor G_0 (G_0 G_0' = k D_0)
-    phis[0] = sample_wishart_bartlett(k_t, inv_upper(np.sqrt(k) * rchol(hyper.d0)), rng)
+    # Phi_0 from Wishart(k_0, D_0^{-1}), with the filter's factor G_0 (G_0 G_0' = D_0)
+    phis[0] = sample_wishart_bartlett(k_t, inv_upper(rchol(hyper.d0)), rng)
     returns = np.empty((T, q))
     sqrt_disc = np.sqrt(disc)
     for t in range(1, T + 1):
@@ -220,14 +216,14 @@ def simulate(model: str, hyper, T: int, seed: int):
             raise InvalidParameter(f"prior df {df} <= q - 1 at t={t}")
         # All stochastic work happens in D_{t-1}-whitened coordinates,
         # where every quantity is O(1): with A the Bartlett factor of
-        # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / (k * disc) is a
-        # Wishart(df, (k disc D_{t-1})^{-1}) draw and the standardized
-        # residual is w = sqrt(disc) A^{-1} z / sqrt(...).  No inverse
-        # factor of the (possibly extremely ill-conditioned) D is formed.
+        # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / disc is a
+        # Wishart(df, (disc D_{t-1})^{-1}) draw and the standardized
+        # residual is w = sqrt(disc) A^{-1} z.  No inverse factor of the
+        # (possibly extremely ill-conditioned) D is formed.
         a = sample_bartlett_factor(q, df, rng)
-        w = tri_solve(a, rng.standard_normal(q)) * np.sqrt(k * disc)
+        w = tri_solve(a, rng.standard_normal(q)) * sqrt_disc
         returns[t - 1] = d_chol.T @ w
-        m = tri_solve(d_chol, a.T).T / np.sqrt(k * disc)  # A R^{-T}
+        m = tri_solve(d_chol, a.T).T / sqrt_disc  # A R^{-T}
         phis[t] = m.T @ m
         d_chol = chol_update(sqrt_disc * d_chol, returns[t - 1])
         if model == "bb":
@@ -240,7 +236,7 @@ def marginal_loglik(data: ReturnsSeries, n: float, lam: float, d0: np.ndarray) -
     q = data.q
     if n <= q - 1:
         raise InvalidParameter(f"need n > q-1, got n={n}, q={q}")
-    _, s, logdet = _scale_pass(data.returns, d0, lam, 1.0)
+    _, s, logdet = _scale_pass(data.returns, d0, lam)
     return float(_forecast_logdensity(s, logdet, n, lam, q).sum())
 
 
@@ -270,7 +266,7 @@ def grid_search(
     n_col = np.asarray(n_grid, dtype=float)[:, None]
     surface = np.empty((len(n_grid), len(lambda_grid)))
     for j, lam in enumerate(lambda_grid):
-        _, s, logdet = _scale_pass(data.returns, d0, lam, 1.0)
+        _, s, logdet = _scale_pass(data.returns, d0, lam)
         surface[:, j] = _forecast_logdensity(s, logdet, n_col, lam, q).sum(axis=1)
     best = np.unravel_index(np.argmax(surface), surface.shape)
     return float(n_grid[best[0]]), float(lambda_grid[best[1]]), surface

@@ -3,11 +3,11 @@
 A path is its array of upper-triangular factors F_0..F_T, (T + 1, q, q),
 with F_t' F_t = Phi_t and positive diagonal, and an ensemble of N paths
 is one (N, T + 1, q, q) array.  Every step works on factors: with G_t the
-filter's factor (G_t G_t' = k D_t), a Wishart(df, (k D_t)^{-1}) draw is
+filter's factor (G_t G_t' = D_t), a Wishart(df, D_t^{-1}) draw is
 (W G_t^{-1})' (W G_t^{-1}) for W' W ~ Wishart(df, I).
 
 The UE conditional is Phi_t = lambda Phi_{t+1} + Z_t with an independent
-Wishart increment Z_t, a rank-k update of sqrt(lambda) F_{t+1}.  For BB
+Wishart(1) increment Z_t, a rank-1 update of sqrt(lambda) F_{t+1}.  For BB
 the backward step acts on Bartlett factors: re-express Phi_{t+1} in the
 time-t coordinates, add a chi-square increment to each squared diagonal
 entry, and map back.  Per backward step BB needs only q chi-square
@@ -36,15 +36,11 @@ from .volproc import BBHyper, UEHyper
 def ue_backward_step(f_next: np.ndarray, g_t: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
     """One UE backward draw of F_t (Phi_t = F_t' F_t) given F_{t+1}, G_t and noise z.
 
-    z = W with W' W ~ Wishart(k, I), shape (..., rows, q); the increment
-    Z_t = (W G_t^{-1})' (W G_t^{-1}) is added to lam Phi_{t+1} by one
-    rank-1 factor update per row of W G_t^{-1}.
+    z is a row, shape (..., q), with z' z ~ Wishart(1, I); the increment
+    Z_t = x' x with x = z G_t^{-1} is added to lam Phi_{t+1} by one
+    rank-1 factor update.
     """
-    f_t = np.sqrt(lam) * f_next
-    x = right_solve(z, g_t)
-    for j in range(x.shape[-2]):
-        f_t = chol_update(f_t, x[..., j, :])
-    return f_t
+    return chol_update(np.sqrt(lam) * f_next, right_solve(z, g_t))
 
 
 def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.ndarray) -> np.ndarray:
@@ -62,10 +58,11 @@ def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.nd
 
 
 def _ue_noise(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator):
-    """Terminal Bartlett factor of Wishart(n + k, I), then the T increment factors W."""
+    """Terminal Bartlett factor of Wishart(n + 1, I), then the T x q increment rows z."""
     T, q = filt.g.shape[0] - 1, filt.g.shape[1]
     w_T = sample_bartlett_factor(q, ue.n + ue.k, rng)
-    return w_T, sample_wishart_factor(q, ue.k, rng, size=T)[::-1]
+    # the one row of a Wishart(1, I) factor: N(0, I) at q >= 2, sqrt(chi2_1) at q = 1
+    return w_T, sample_wishart_factor(q, 1, rng, size=T)[::-1, 0]
 
 
 def _bb_noise(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator):
@@ -97,8 +94,8 @@ def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np
 def ue_backward_sample(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator) -> np.ndarray:
     """Draw Phi_{0:T} | D_T for UE, as its factors F_0..F_T.
 
-    Terminal draw from the filtered posterior Wishart(n + k, (k D_T)^{-1});
-    then Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(k, (k D_t)^{-1}),
+    Terminal draw from the filtered posterior Wishart(n + 1, D_T^{-1});
+    then Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(1, D_t^{-1}),
     one ``ue_backward_step`` per t.
     """
     if filt.model != "ue":
@@ -109,7 +106,7 @@ def ue_backward_sample(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator
 def bb_backward_sample(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator) -> np.ndarray:
     """Draw Phi_{0:T} | D_T for BB, as its factors F_0..F_T.
 
-    The terminal Wishart(k_T, (k D_T)^{-1}) draw is taken directly in
+    The terminal Wishart(k_T, D_T^{-1}) draw is taken directly in
     Bartlett-factor form, F_T = U G_T^{-1}; each earlier factor is one
     ``bb_backward_step``.
     """

@@ -1,29 +1,21 @@
 """Special functions behind the closed-form conditional moments.
 
-Tricomi's U(a, b, z) is only needed on a small region: a > 0 with z > 0
-(integral representation), and the continuation a = -1/2, b = 0 reached
-through Kummer's relation U(a,b,z) = z^{1-b} U(a-b+1, 2-b, z).  A robust
-quadrature on the integral representation covers the whole region; no
-general-purpose U machinery is attempted.
+The only Tricomi value the moments need is U(-1/2, 0, z), z >= 0, and it
+has a closed form in modified Bessel functions: with x = z/2,
+U(-1/2, 0, z) = x e^x [K_0(x) + K_1(x)] / sqrt(pi) (DLMF 13.6, with the
+contiguous relations of 13.3).  The exponentially scaled Bessel
+functions keep it finite for every z.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, k0e, k1e
 
 from .errors import InvalidParameter
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def log_gamma(x: float) -> float:
-    if x <= 0:
-        raise InvalidParameter(f"log_gamma requires x > 0, got {x}")
-    return float(gammaln(x))
 
 
 def sqrt_beta_moment(m: int, n: float, k: float) -> float:
@@ -38,44 +30,23 @@ def sqrt_beta_moment(m: int, n: float, k: float) -> float:
         raise InvalidParameter(f"need k > 0, got {k}")
     s = n - m
     return math.exp(
-        log_gamma((s + 2) / 2.0)
-        + log_gamma((s + k + 1) / 2.0)
-        - log_gamma((s + 1) / 2.0)
-        - log_gamma((s + k + 2) / 2.0)
+        gammaln((s + 2) / 2.0)
+        + gammaln((s + k + 1) / 2.0)
+        - gammaln((s + 1) / 2.0)
+        - gammaln((s + k + 2) / 2.0)
     )
 
 
-def _u_integral(a: float, b: float, z: float) -> float:
-    # U(a,b,z) = (1/Gamma(a)) \int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt.
-    # Substituting t = s^2 softens the endpoint singularity:
-    # U = (2/Gamma(a)) \int_0^inf e^{-z s^2} s^{2a-1} (1+s^2)^{b-a-1} ds.
-    c = b - a - 1.0
+def tricomi_u_neg_half(z: float) -> float:
+    """Tricomi's U(-1/2, 0, z) for z >= 0, from the Bessel closed form.
 
-    def integrand(s: float) -> float:
-        return math.exp(-z * s * s + (2.0 * a - 1.0) * math.log(s) + c * math.log1p(s * s))
-
-    # Split at the scale where the Gaussian factor turns over.
-    cut = max(1.0, 3.0 / math.sqrt(z))
-    val1, _ = quad(integrand, 0.0, cut, epsabs=0.0, epsrel=1e-11, limit=200)
-    val2, _ = quad(integrand, cut, np.inf, epsabs=1e-300, epsrel=1e-11, limit=200)
-    return 2.0 * (val1 + val2) / math.exp(log_gamma(a))
-
-
-def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi's confluent hypergeometric function on the supported region.
-
-    Supported: a > 0 with z > 0 (direct quadrature), and the pair
-    (a, b) = (-1/2, 0) for z >= 0, evaluated as z * U(1/2, 2, z) with the
-    z -> 0 limit 1/sqrt(pi).
+    Increases from its z -> 0 limit 1/sqrt(pi) like sqrt(z) for large z.
     """
-    if a == -0.5 and b == 0.0:
-        if z < 0:
-            raise InvalidParameter("z must be >= 0 for U(-1/2, 0, z)")
-        if z == 0.0:
-            return 1.0 / SQRT_PI
-        return z * _u_integral(0.5, 2.0, z)
-    if a > 0 and z > 0:
-        return _u_integral(a, b, z)
-    raise InvalidParameter(
-        f"unsupported arguments a={a}, b={b}, z={z}; need a > 0, z > 0 or (a, b) = (-1/2, 0)"
-    )
+    if not z >= 0:
+        raise InvalidParameter(f"z must be >= 0 for U(-1/2, 0, z), got {z}")
+    x = z / 2.0
+    # x K_1(x) -> 1 as x -> 0, but 1/x overflows inside k1e at subnormal x;
+    # there the limit is exact to double precision
+    if x < 1e-300:
+        return 1.0 / SQRT_PI
+    return float(x * (k0e(x) + k1e(x))) / SQRT_PI

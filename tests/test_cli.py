@@ -109,6 +109,12 @@ class TestSimulate:
     def test_unknown_model(self):
         with pytest.raises(InvalidParameter):
             simulate("xx", None, 3, seed=0)
+        ue = UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2))
+        # a hyperparameter set of the other model is rejected, not half-used
+        with pytest.raises(InvalidParameter):
+            simulate("ue", match_ue_to_bb(ue), 3, seed=0)
+        with pytest.raises(InvalidParameter):
+            simulate("bb", ue, 3, seed=0)
 
 
 class TestCommands:

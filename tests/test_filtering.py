@@ -186,8 +186,8 @@ class TestForwardFilters:
         # returns x c and D_0 x c^2 give D_t x c^2: s_t = r_t' D_{t-1}^{-1} r_t
         # is unchanged and each forecast log density drops by q log c
         returns = np.full((T, 1), r)
-        s = _scale_pass(returns, np.array([[d0]]), lam, 1.0)[1]
-        s_c = _scale_pass(c * returns, np.array([[c * c * d0]]), lam, 1.0)[1]
+        s = _scale_pass(returns, np.array([[d0]]), lam)[1]
+        s_c = _scale_pass(c * returns, np.array([[c * c * d0]]), lam)[1]
         np.testing.assert_allclose(s_c, s, rtol=1e-12, atol=0)
         ue = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[d0]]))
         ue_c = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[c * c * d0]]))

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 
+from consistency import kummer_partner
 from wishartsv.errors import InvalidParameter
 from wishartsv.randsamp import make_rng, sample_beta, sample_chi2
-from wishartsv.specfun import log_gamma, sqrt_beta_moment, tricomi_u
+from wishartsv.specfun import sqrt_beta_moment, tricomi_u_neg_half
 
 
 def half_moment_quadrature(z: float) -> float:
@@ -24,21 +25,6 @@ def half_moment_quadrature(z: float) -> float:
         limit=200,
     )
     return val / math.sqrt(2.0)
-
-
-class TestLogGamma:
-    def test_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-12)
-
-    def test_factorial(self):
-        assert log_gamma(7.0) == pytest.approx(math.log(720.0), rel=1e-12)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidParameter):
-            log_gamma(0.0)
 
 
 class TestSqrtBetaMoment:
@@ -68,20 +54,23 @@ class TestSqrtBetaMoment:
 
 class TestTricomiU:
     def test_limit_at_zero(self):
-        assert tricomi_u(-0.5, 0.0, 0.0) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
+        assert tricomi_u_neg_half(0.0) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
 
-    def test_quadrature_anchor(self):
-        assert tricomi_u(1.0, 1.0, 1.0) == pytest.approx(0.596347, rel=1e-5)
+    @pytest.mark.parametrize("z", [5e-324, 1e-310, 1e-300, 1e-12])
+    def test_limit_at_tiny_z(self, z):
+        # U(-1/2, 0, z) increases in z, so it never falls below its z -> 0 limit
+        v = tricomi_u_neg_half(z)
+        assert math.isfinite(v) and v >= 1 / math.sqrt(math.pi)
+        assert v == pytest.approx(1 / math.sqrt(math.pi), rel=1e-10)
 
     def test_large_z_asymptote(self):
-        # U(a, b, z) ~ z^{-a}
-        assert tricomi_u(0.5, 2.0, 100.0) == pytest.approx(0.1, rel=0.02)
+        # U(a, b, z) ~ z^{-a}, read through U(1/2, 2, z) = U(-1/2, 0, z) / z
+        assert tricomi_u_neg_half(100.0) / 100.0 == pytest.approx(0.1, rel=0.02)
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     def test_kummer_self_consistency(self, z):
-        lhs = tricomi_u(-0.5, 0.0, z)
-        rhs = z * tricomi_u(0.5, 2.0, z)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
+        lhs = tricomi_u_neg_half(z)
+        assert lhs == pytest.approx(kummer_partner(z), rel=1e-8)
         # independent re-derivation via the chi-square half moment
         assert lhs == pytest.approx(half_moment_quadrature(z), rel=1e-8)
 
@@ -90,15 +79,13 @@ class TestTricomiU:
         # sqrt(2) U(-1/2, 0, c/2) = E[sqrt(c + theta)], theta ~ chi2_1
         draws = np.sqrt(c + sample_chi2(1.0, make_rng(int(10 * c) + 1), size=1_000_000))
         se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(math.sqrt(2.0) * tricomi_u(-0.5, 0.0, c / 2.0) - draws.mean()) < 4 * se
+        assert abs(math.sqrt(2.0) * tricomi_u_neg_half(c / 2.0) - draws.mean()) < 4 * se
 
     def test_monotone_in_z(self):
         zs = np.linspace(0.0, 8.0, 30)
-        vals = [tricomi_u(-0.5, 0.0, z) for z in zs]
+        vals = [tricomi_u_neg_half(z) for z in zs]
         assert np.all(np.diff(vals) > 0)
 
     def test_unsupported_region(self):
         with pytest.raises(InvalidParameter):
-            tricomi_u(-1.0, 0.5, 1.0)
-        with pytest.raises(InvalidParameter):
-            tricomi_u(1.0, 1.0, -1.0)
+            tricomi_u_neg_half(-1.0)

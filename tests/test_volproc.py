@@ -70,6 +70,11 @@ class TestMatching:
             UEHyper(q=2, k=1, n=5, lam=1.2, d0=np.eye(2))
         with pytest.raises(InvalidParameter):
             BBHyper(q=3, k=1, beta=0.5, b=0.8, k0=3.0, d0=np.eye(3))  # beta*k0 <= q-1
+        # each observation is one return vector: the likelihood df is 1
+        with pytest.raises(InvalidParameter):
+            UEHyper(q=3, k=2, n=5, lam=0.8, d0=np.eye(3))
+        with pytest.raises(InvalidParameter):
+            BBHyper(q=3, k=0.5, beta=0.8, b=0.8, k0=5.0, d0=np.eye(3))
         with pytest.raises(NotPositiveDefinite):
             UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
