@@ -77,7 +77,7 @@ def load_returns_csv(path, q: int) -> ReturnsSeries:
                     v = float(cell)
                 except ValueError:
                     raise ParseError(f"{path}:{line_no}: column {col}: not a number: {cell!r}") from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise ParseError(f"{path}:{line_no}: column {col}: non-finite value {cell!r}")
                 vals.append(v)
             rows.append(vals)

@@ -10,11 +10,14 @@ r_t r_t' and stores each D_t only as an upper-triangular factor G_t
 with G_t G_t' = D_t (square-root filtering, Bierman 1977).  Then
 G_t^{-1} = uchol(D_t^{-1}) is the scale factor of the filtered
 Wishart posterior of Phi_t, so the backward samplers need nothing but
-triangular products and solves against G_t.  The pass also yields the
-forecast terms s_t = r_t' D_{t-1}^{-1} r_t and log|D_{t-1}| (from the
-diagonal of G_{t-1}), which do not depend on n: the filters,
-``marginal_loglik`` and ``grid_search`` all reduce them through
-``_forecast_logdensity``, and a grid costs one pass per lambda.
+triangular products and solves against G_t.  Its loop over t is one
+Givens rank-1 update per step (Gill, Golub, Murray & Saunders 1974) on
+Python floats, with no numpy call or solve inside it.  After the loop
+the pass yields the forecast terms s_t = r_t' D_{t-1}^{-1} r_t, from one
+back-substitution over all t, and log|D_{t-1}|, from the diagonal of
+G_{t-1}.  Neither depends on n: the filters, ``marginal_loglik`` and
+``grid_search`` all reduce them through ``_forecast_logdensity``, and a
+grid costs one pass per lambda.
 
 ``simulate`` draws returns from a model's own joint law by running the
 same recursion forward, one exact one-step prior draw of Phi_t at a time.
@@ -27,13 +30,15 @@ oracles in the tests).
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import chol_update, inv_upper, logdet_spd, quad_form, rchol, sym, tri_solve, uchol
+from .matops import _givens_update, chol_update, inv_upper, logdet_spd, quad_form, rchol, sym, tri_solve, uchol
 from .randsamp import make_rng, sample_bartlett_factor, sample_wishart_bartlett
 from .volproc import BBHyper, UEHyper
 
@@ -119,20 +124,41 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     factor; no matrix is refactored or inverted, which matters because
     the simulated data law drives cond(D_t) far past what dense
     refactorization tolerates.
+
+    The loop over t keeps J G_t' J as rows of Python floats and applies
+    ``chol_update``'s rotations to them with ``matops._givens_update``;
+    at q <= 5 a numpy call per step costs more than the arithmetic.  Each
+    factor goes into one flat buffer, reshaped once.  Then s_t =
+    |G_{t-1}^{-1} r_t|^2 comes from one back-substitution over all t.
+    Raises InvalidParameter at the first t where G_t or s_t is not
+    finite, i.e. where the returns overflow double precision.
     """
     T, q = returns.shape
-    g = np.empty((T + 1, q, q))
-    s = np.empty(T)
-    g[0] = rchol(sym(np.asarray(d0, dtype=float)))
-    g_rev = g[0].T[::-1, ::-1]  # J G' J
-    sqrt_disc = np.sqrt(discount)
-    for t in range(1, T + 1):
-        r = returns[t - 1]
-        w = tri_solve(g[t - 1], r)
-        s[t - 1] = float(w @ w)
-        g_rev = chol_update(sqrt_disc * g_rev, r[::-1])
-        g[t] = g_rev.T[::-1, ::-1]
-    logdet = 2.0 * np.log(np.diagonal(g[:-1], axis1=1, axis2=2)).sum(axis=1)
+    rows = rchol(sym(np.asarray(d0, dtype=float))).T[::-1, ::-1].tolist()  # J G_0' J
+    flat = array("d")
+    for row in rows:
+        flat.extend(row)
+    sqrt_disc = math.sqrt(discount)
+    for x in returns[:, ::-1].tolist():
+        _givens_update(rows, x, sqrt_disc)
+        for row in rows:
+            flat.extend(row)
+    g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
+    g_prev = g[:-1]
+    w = [None] * q
+    with np.errstate(all="ignore"):  # overflow is reported below
+        for i in reversed(range(q)):
+            acc = returns[:, i]
+            for j in range(i + 1, q):
+                acc = acc - g_prev[:, i, j] * w[j]
+            w[i] = acc / g_prev[:, i, i]
+        s = sum(wi * wi for wi in w)
+    bad = ~np.isfinite(g[1:]).all(axis=(1, 2)) | ~np.isfinite(s)
+    if bad.any():
+        raise InvalidParameter(
+            f"scale recursion overflows at t={int(np.argmax(bad)) + 1}: s_t or D_t is not finite"
+        )
+    logdet = 2.0 * np.log(np.diagonal(g_prev, axis1=1, axis2=2)).sum(axis=1)
     return g, s, logdet
 
 
@@ -236,6 +262,8 @@ def marginal_loglik(data: ReturnsSeries, n: float, lam: float, d0: np.ndarray) -
     q = data.q
     if n <= q - 1:
         raise InvalidParameter(f"need n > q-1, got n={n}, q={q}")
+    if not (0.0 < lam < 1.0):
+        raise InvalidParameter(f"need 0 < lambda < 1, got lambda={lam}")
     _, s, logdet = _scale_pass(data.returns, d0, lam)
     return float(_forecast_logdensity(s, logdet, n, lam, q).sum())
 

@@ -9,11 +9,16 @@ appear in the public surface.
 a stack of matrices of shape (..., q, q), so one call serves one path or
 every draw of an ensemble.
 
-``tri_solve`` is the one triangular solve: every per-step solve of the
-filter, the samplers and ``simulate`` goes through it.  It makes the
-LAPACK ``trtrs`` call ``scipy.linalg.solve_triangular`` makes, without
-that wrapper's per-call validation overhead, so results are the same
-bits.
+``tri_solve`` is the one triangular solve of a single factor: every
+per-step solve of the samplers and ``simulate`` goes through it.  It
+makes the LAPACK ``trtrs`` call ``scipy.linalg.solve_triangular`` makes,
+without that wrapper's per-call validation overhead, so results are the
+same bits.  The filter's scale pass makes no per-step solve: it solves
+against all T factors at once after its loop.
+
+The Givens loop of the rank-1 update exists once, on Python floats, in
+``_givens_update``.  ``chol_update`` runs it on one matrix, and the
+filter's scale pass runs it on a factor kept as lists across all steps.
 """
 
 from __future__ import annotations
@@ -152,29 +157,16 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     recursion D_t = lam D_{t-1} + r_t r_t' produces exactly those over
     long horizons).  A stack r (..., q, q) with x (..., q) applies the
     same rotations to every matrix at once.  A single matrix runs the
-    rotations on Python floats instead: at q <= 5 a numpy call per
-    element costs more than the arithmetic.  Both paths take rho from
-    ``np.hypot`` (``math.hypot`` rounds differently) and round every
-    product and sum alike, so a slice of a stack and the matrix alone
-    give the same bits.
+    rotations on Python floats instead, in ``_givens_update``: at q <= 5
+    a numpy call per element costs more than the arithmetic.  Both paths
+    take rho from ``np.hypot`` (``math.hypot`` rounds differently) and
+    round every product and sum alike, so a slice of a stack and the
+    matrix alone give the same bits.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim == 2:
         rows = r.tolist()
-        x = np.asarray(x, dtype=float).tolist()
-        q = len(rows)
-        for i in range(q):
-            row = rows[i]
-            rho = float(np.hypot(row[i], x[i]))
-            if rho <= 0.0:
-                raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
-            c = row[i] / rho
-            s = x[i] / rho
-            row[i] = rho
-            for j in range(i + 1, q):
-                rj, xj = row[j], x[j]
-                row[j] = c * rj + s * xj
-                x[j] = c * xj - s * rj
+        _givens_update(rows, np.asarray(x, dtype=float).tolist())
         # the memory order of r, as a copy of r would have: a later
         # matmul on the factor rounds differently in the other order
         return np.array(rows, order="F" if np.isfortran(r) else "C")
@@ -193,3 +185,26 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
             r[..., i, i + 1 :] = c * row + s * x[..., i + 1 :]
             x[..., i + 1 :] = c * x[..., i + 1 :] - s * row
     return r
+
+
+def _givens_update(rows: list, x: list, scale: float = 1.0) -> None:
+    """``chol_update`` of scale * R, with R held as a list of rows of Python floats.
+
+    Rotates x into the upper-triangular ``rows`` in place, so they become
+    the factor of scale^2 R' R + x x'; x is overwritten.  Row i is scaled
+    just before its rotation, which rounds as scaling R first would.
+    """
+    q = len(rows)
+    for i in range(q):
+        row = rows[i]
+        rii = scale * row[i]
+        rho = float(np.hypot(rii, x[i]))
+        if rho <= 0.0:
+            raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
+        c = rii / rho
+        s = x[i] / rho
+        row[i] = rho
+        for j in range(i + 1, q):
+            rj, xj = scale * row[j], x[j]
+            row[j] = c * rj + s * xj
+            x[j] = c * xj - s * rj

@@ -67,9 +67,10 @@ class TestLoadReturnsCsv:
 
     def test_nonfinite_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
-        write_returns(p, [["2024-01-01", "inf", 0.2]])
-        with pytest.raises(ParseError):
-            load_returns_csv(p, 2)
+        for cell in ("inf", "nan", "-inf"):
+            write_returns(p, [["2024-01-01", 0.1, 0.2], ["2024-01-02", 0.3, cell]])
+            with pytest.raises(ParseError, match=rf"bad\.csv:3: column 3: non-finite value '{cell}'"):
+                load_returns_csv(p, 2)
 
 
 class TestD0FromPresample:
@@ -293,6 +294,21 @@ class TestMain:
         assert err.count("\n") == 1
         record = json.loads(err)
         assert record["error"] == error and message in record["message"]
+        assert not list((tmp_path / "x").glob("*"))
+
+    @pytest.mark.parametrize("command", ["filter", "grid-search"])
+    def test_overflowing_returns_are_reported(self, tmp_path, capsys, command):
+        # s_1 = |r_1|^2 = 2e400 overflows, although the log likelihood is finite
+        data = tmp_path / "big.csv"
+        write_returns(data, [["2024-01-01", 1e200, 1e200], ["2024-01-02", 1e200, -1e200]])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.9, "data_csv": str(data)}))
+        rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "InvalidParameter" and "t=1" in record["message"]
         assert not list((tmp_path / "x").glob("*"))
 
     def test_parse_error_is_reported(self, tmp_path, capsys):

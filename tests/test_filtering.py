@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 from scipy.stats import cauchy
 
@@ -21,6 +22,7 @@ from wishartsv.filtering import (
     simulate,
     ue_forward_filter,
 )
+from wishartsv.matops import chol_update, rchol
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
 
@@ -195,6 +197,47 @@ class TestForwardFilters:
         ll_c = ue_forward_filter(ReturnsSeries(c * returns), ue_c).loglik
         assert ll_c == pytest.approx(ll - T * np.log(c), rel=1e-12, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(1, 5),
+        T=st.integers(0, 8),
+        discount=st.floats(0.05, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scale_pass_matches_stacked_updates(self, q, T, discount, seed):
+        # the reference advances J G_t' J with the stacked chol_update and
+        # solves against each G_{t-1} on its own
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((q, q))
+        d0 = a @ a.T + 0.1 * np.eye(q)
+        returns = rng.standard_normal((T, q))
+        g, s, logdet = _scale_pass(returns, d0, discount)
+        g_rev = rchol(d0).T[::-1, ::-1][None]
+        ref = [g_rev[0].T[::-1, ::-1]]
+        for r in returns:
+            g_rev = chol_update(np.sqrt(discount) * g_rev, r[::-1][None])
+            ref.append(g_rev[0].T[::-1, ::-1])
+        np.testing.assert_array_equal(g, np.array(ref))
+        w = [solve_triangular(ref[t], returns[t]) for t in range(T)]
+        np.testing.assert_allclose(s, [wt @ wt for wt in w], rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(logdet, [2.0 * np.log(gt.diagonal()).sum() for gt in ref[:-1]])
+
+    def test_overflow_is_reported(self):
+        # s_t overflows double precision although each log density is finite
+        # (about -2.77e3 and -3.23e3 here); it must not become -inf
+        ue = UEHyper(q=2, k=1, n=5, lam=0.9, d0=np.eye(2))
+        big = np.array([[1e200, 1e200], [1e200, -1e200]])
+        for returns, t in ((big, 1), (np.vstack([np.ones(2), big]), 2)):
+            data = ReturnsSeries(returns)
+            for run in (
+                lambda: ue_forward_filter(data, ue),
+                lambda: bb_forward_filter(data, match_ue_to_bb(ue)),
+                lambda: marginal_loglik(data, 5.0, 0.9, np.eye(2)),
+                lambda: grid_search(data, np.eye(2), [5.0], [0.9]),
+            ):
+                with pytest.raises(InvalidParameter, match=f"t={t}:"):
+                    run()
+
 
 class TestMarginalLoglik:
     def test_matches_filter_sum(self):
@@ -208,6 +251,11 @@ class TestMarginalLoglik:
     def test_invalid_n(self):
         with pytest.raises(InvalidParameter):
             marginal_loglik(toy_series(5, 3), 1.5, 0.8, np.eye(3))
+
+    @pytest.mark.parametrize("lam", [-0.5, 0.0, 1.0, float("nan")])
+    def test_invalid_lambda(self, lam):
+        with pytest.raises(InvalidParameter, match="lambda"):
+            marginal_loglik(toy_series(5, 2), 5.0, lam, np.eye(2))
 
     def test_ill_conditioned_against_decimal_reference(self):
         # criterion 13's series, drawn from the UE law: cond(D_t) passes
