@@ -237,12 +237,12 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     _write_csv(
         outdir / "returns.csv",
         ["t"] + [f"r{i + 1}" for i in range(q)],
-        [[t + 1] + list(series.returns[t]) for t in range(series.T)],
+        [[t] + r for t, r in enumerate(series.returns.tolist(), start=1)],
     )
     _write_csv(
         outdir / "true_path.csv",
         ["t"] + _flat_header("phi", q),
-        [[t] + list(phis[t].ravel()) for t in range(phis.shape[0])],
+        [[t] + phi for t, phi in enumerate(phis.reshape(-1, q * q).tolist())],
     )
     return {"T": series.T, "q": q, "model": model, "warning": warning}
 
@@ -271,10 +271,10 @@ def cmd_filter(cfg: dict, outdir: Path) -> dict:
         q = data.q
         d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
         rows = [
-            [t, filt.k_seq[t]]
-            + list(d[t].ravel())
-            + ([filt.log_forecast[t - 1]] if t >= 1 else [""])
-            for t in range(data.T + 1)
+            [t, k, *d_t, log_f]
+            for t, (k, d_t, log_f) in enumerate(
+                zip(filt.k_seq.tolist(), d.reshape(-1, q * q).tolist(), [""] + filt.log_forecast.tolist())
+            )
         ]
         _write_csv(outdir / f"filtered_{tag}.csv", ["t", "k_t"] + _flat_header("d", q) + ["log_forecast"], rows)
         summaries[tag] = {"loglik": filt.loglik}
@@ -293,9 +293,9 @@ def cmd_grid_search(cfg: dict, outdir: Path) -> dict:
     lambda_grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
     n_star, lambda_star, surface = grid_search(data, d0, n_grid, lambda_grid)
     rows = [
-        [n, lam, surface[i, j]]
-        for i, n in enumerate(n_grid)
-        for j, lam in enumerate(lambda_grid)
+        [n, lam, value]
+        for n, surface_row in zip(n_grid, surface.tolist())
+        for lam, value in zip(lambda_grid, surface_row)
     ]
     _write_csv(outdir / "surface.csv", ["n", "lambda", "loglik"], rows)
     return {
@@ -316,11 +316,11 @@ def cmd_smooth(cfg: dict, outdir: Path) -> dict:
         if filt is None:
             continue
         ens = sample_ensemble(filt, hyper, n_draws, cfg["seed"])
-        curves = correlation_summary(ens, quantiles)
+        curves = correlation_summary(ens, quantiles).transpose(1, 2, 0).tolist()  # [pair][t][level]
         rows = [
-            [t, i + 1, j + 1] + list(curves[:, p, t])
-            for p, (i, j) in enumerate(zip(*np.triu_indices(data.q, k=1)))
-            for t in range(data.T + 1)
+            [t, i + 1, j + 1] + levels
+            for i, j, pair in zip(*np.triu_indices(data.q, k=1), curves)
+            for t, levels in enumerate(pair)
         ]
         if rows:
             _write_csv(
@@ -358,8 +358,7 @@ def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
     if not 2 <= n_batches <= kept:
         raise InvalidParameter(f"batches must lie in [2, {kept}], the kept draws; got {n_batches}")
     trace = mixture_gibbs(data, ue, bb, mix)
-    _write_csv(outdir / "alpha_trace.csv", ["iteration", "alpha"],
-               [[i, a] for i, a in enumerate(trace.alpha)])
+    _write_csv(outdir / "alpha_trace.csv", ["iteration", "alpha"], list(enumerate(trace.alpha.tolist())))
     below = (trace.alpha < 0.5).astype(float)
     return {
         "alpha_mean": float(trace.alpha.mean()),
@@ -380,8 +379,8 @@ def cmd_ppc(cfg: dict, outdir: Path) -> dict:
             continue
         lengths, coverage = ppc_intervals(filt, data, level)
         rows = [
-            [t + 1] + list(lengths[t]) + [coverage[t]]
-            for t in range(data.T)
+            [t] + length_t + [coverage_t]
+            for t, (length_t, coverage_t) in enumerate(zip(lengths.tolist(), coverage.tolist()), start=1)
         ]
         _write_csv(
             outdir / f"ppc_{tag}.csv",

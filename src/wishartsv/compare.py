@@ -21,6 +21,7 @@ from .filtering import (
     bb_forward_filter,
     ue_forward_filter,
 )
+from .matops import _require_finite
 from .randsamp import make_rng, sample_mvnormal_prec
 from .smoother import bb_backward_sample, ue_backward_sample
 from .volproc import BBHyper, UEHyper
@@ -183,6 +184,9 @@ def mixture_gibbs(
             else:
                 r_b[t - 1] = data.returns[t - 1]
                 r_u[t - 1] = sample_mvnormal_prec(f_u[t - 1], rng)
+        # the samplers checked every factor; check the draws once per sweep
+        _require_finite(r_u)
+        _require_finite(r_b)
 
         alpha = rng.beta(*alpha_posterior_shapes(cfg.a0, cfg.b0, z))
 

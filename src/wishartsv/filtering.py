@@ -31,14 +31,13 @@ oracles in the tests).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import _givens_update, chol_update, inv_upper, logdet_spd, quad_form, rchol, sym, tri_solve, uchol
+from .matops import _givens_chain, chol_update, inv_upper, logdet_spd, quad_form, rchol, sym, tri_solve, uchol
 from .randsamp import make_rng, sample_bartlett_factor, sample_wishart_bartlett
 from .volproc import BBHyper, UEHyper
 
@@ -125,9 +124,9 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     the simulated data law drives cond(D_t) far past what dense
     refactorization tolerates.
 
-    The loop over t keeps J G_t' J as rows of Python floats and applies
-    ``chol_update``'s rotations to them with ``matops._givens_update``;
-    at q <= 5 a numpy call per step costs more than the arithmetic.  Each
+    The loop over t, ``matops._givens_chain``, keeps J G_t' J as rows of
+    Python floats and applies ``chol_update``'s rotations to them; at
+    q <= 5 a numpy call per step costs more than the arithmetic.  Each
     factor goes into one flat buffer, reshaped once.  Then s_t =
     |G_{t-1}^{-1} r_t|^2 comes from one back-substitution over all t.
     Raises InvalidParameter at the first t where G_t or s_t is not
@@ -135,14 +134,7 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     """
     T, q = returns.shape
     rows = rchol(sym(np.asarray(d0, dtype=float))).T[::-1, ::-1].tolist()  # J G_0' J
-    flat = array("d")
-    for row in rows:
-        flat.extend(row)
-    sqrt_disc = math.sqrt(discount)
-    for x in returns[:, ::-1].tolist():
-        _givens_update(rows, x, sqrt_disc)
-        for row in rows:
-            flat.extend(row)
+    flat = _givens_chain(rows, returns[:, ::-1].tolist(), math.sqrt(discount))
     g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
     g_prev = g[:-1]
     w = [None] * q
@@ -190,17 +182,17 @@ def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
     if data.q != bb.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {bb.q}")
     T = data.T
-    k_seq = np.empty(T + 1)
-    k_seq[0] = bb.k0
-    eps = np.finfo(float).eps
-    for t in range(1, T + 1):
-        nxt = bb.beta * k_seq[t - 1] + bb.k
+    beta, k = float(bb.beta), float(bb.k)
+    k_seq = [float(bb.k0)]
+    tol = 4.0 * math.ulp(1.0)  # 4 machine epsilons
+    for _ in range(T):
+        prev = k_seq[-1]
+        nxt = beta * prev + k
         # snap the recursion at its fixed point k/(1 - beta): at matched
         # hyperparameters k_t is exactly n + k, and a 1-ulp drift per
         # step would otherwise accumulate
-        if abs(nxt - k_seq[t - 1]) <= 4.0 * eps * abs(k_seq[t - 1]):
-            nxt = k_seq[t - 1]
-        k_seq[t] = nxt
+        k_seq.append(prev if abs(nxt - prev) <= tol * abs(prev) else nxt)
+    k_seq = np.array(k_seq)
     if np.any(bb.beta * k_seq - bb.q + 1 <= 0):
         raise InvalidParameter("df path violates Beta-shape positivity along the filtration")
     # prior-at-t df is beta * k_{t-1}

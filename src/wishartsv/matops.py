@@ -9,21 +9,26 @@ appear in the public surface.
 a stack of matrices of shape (..., q, q), so one call serves one path or
 every draw of an ensemble.
 
-``tri_solve`` is the one triangular solve of a single factor: every
-per-step solve of the samplers and ``simulate`` goes through it.  It
+``tri_solve`` is the one triangular solve of a single factor.  It
 makes the LAPACK ``trtrs`` call ``scipy.linalg.solve_triangular`` makes,
-without that wrapper's per-call validation overhead, so results are the
-same bits.  The filter's scale pass makes no per-step solve: it solves
-against all T factors at once after its loop.
+in ``_trtrs``, without that wrapper's per-call validation overhead, so
+results are the same bits.  ``_trtrs`` and ``_right_solve`` are
+``tri_solve`` and ``right_solve`` without the finiteness checks: the
+backward passes and the mixture sampler's imputation call them at every
+step and check for non-finite values once per pass instead.  The
+filter's scale pass makes no per-step solve: it solves against all T
+factors at once after its loop.
 
 The Givens loop of the rank-1 update exists once, on Python floats, in
-``_givens_update``.  ``chol_update`` runs it on one matrix, and the
-filter's scale pass runs it on a factor kept as lists across all steps.
+``_givens_update``.  ``chol_update`` runs it on one matrix, and
+``_givens_chain`` runs it along a whole recursion on a factor kept as
+lists: the filter's scale pass and the single-path UE backward pass.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -104,6 +109,16 @@ def tri_solve(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     _require_finite(r)
+    x = _trtrs(r, b, trans)
+    _require_finite(x)
+    return x
+
+
+def _trtrs(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """``tri_solve`` without its finiteness checks; R must be a float array.
+
+    Still raises LinAlgError on a zero pivot.
+    """
     if r.flags.f_contiguous:
         x, info = dtrtrs(r, b, lower=0, trans=int(trans))
     else:
@@ -112,7 +127,6 @@ def tri_solve(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
         raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    _require_finite(x)
     return x
 
 
@@ -131,9 +145,16 @@ def right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     Every row of every matrix in a stack m (..., rows, q) is a right-hand side.
     """
-    m = np.asarray(m, dtype=float)
-    rows = m.reshape(-1, m.shape[-1])
-    return tri_solve(g, rows.T, trans=True).T.reshape(m.shape)
+    g = np.asarray(g, dtype=float)
+    _require_finite(g)
+    x = _right_solve(np.asarray(m, dtype=float), g)
+    _require_finite(x)
+    return x
+
+
+def _right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``right_solve`` without its finiteness checks; m and G must be float arrays."""
+    return _trtrs(g, m.reshape(-1, m.shape[-1]).T, trans=True).T.reshape(m.shape)
 
 
 def quad_form(x: np.ndarray, a: np.ndarray) -> float:
@@ -208,3 +229,21 @@ def _givens_update(rows: list, x: list, scale: float = 1.0) -> None:
             rj, xj = scale * row[j], x[j]
             row[j] = c * rj + s * xj
             x[j] = c * xj - s * rj
+
+
+def _givens_chain(rows: list, xs, scale: float) -> array:
+    """All factors of R_{i+1}' R_{i+1} = scale^2 R_i' R_i + x_i x_i', on Python floats.
+
+    ``rows`` holds R_0 as a list of rows and each x in ``xs`` is a list
+    of q floats; one ``_givens_update`` per x advances ``rows`` in
+    place.  Returns R_0, R_1, ..., R_len(xs), row-major, in one flat
+    buffer, so a caller reshapes them once.
+    """
+    flat = array("d")
+    for row in rows:
+        flat.extend(row)
+    for x in xs:
+        _givens_update(rows, x, scale)
+        for row in rows:
+            flat.extend(row)
+    return flat

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter
-from .matops import gram, sym, tri_solve, uchol
+from .matops import _trtrs, gram, sym, uchol
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -102,9 +102,13 @@ def sample_matrix_beta(
 
 
 def sample_mvnormal_prec(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Zero-mean normal draw with covariance (F' F)^{-1}, ``factor`` = F upper.
+    """Zero-mean normal draw with covariance (F' F)^{-1}, ``factor`` = F upper (float array).
 
-    With z ~ N(0, I), x = F^{-1} z has covariance (F' F)^{-1}.
+    With z ~ N(0, I), x = F^{-1} z has covariance (F' F)^{-1}, by the
+    ``tri_solve`` LAPACK call without its finiteness checks: it runs
+    once per time step of a mixture sweep, so the sweep checks the
+    factors and the draws once each instead.  A zero pivot still raises
+    LinAlgError.
     """
     z = rng.standard_normal(factor.shape[0])
-    return tri_solve(factor, z)
+    return _trtrs(factor, z)

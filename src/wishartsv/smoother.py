@@ -20,15 +20,25 @@ factor, then the increments for t = T-1 down to 0), and the steps
 that noise.  Both steps take a leading draws axis, (N, q, q) factors
 sharing G_t, so ``sample_ensemble`` runs all N paths, each with its own
 (seed, index) substream of noise, through one backward pass.
+
+That pass checks G for non-finite values once before its loop and F
+once after it, so the BB step it runs makes its product and LAPACK
+solve with no check of its own.  One UE path does not step at all: its rows
+x_t = z_t G_t^{-1} do not depend on F, so after solving for all of them
+the pass runs Phi_t = lambda Phi_{t+1} + x_t' x_t as the filter runs its
+scale recursion, one chain of Givens rotations on Python floats
+(``matops._givens_chain``), with the same bits as the step-by-step loop.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import InvalidParameter
 from .filtering import FilterOutput
-from .matops import chol_update, right_solve
+from .matops import _givens_chain, _require_finite, _right_solve, _trtrs, chol_update, right_solve
 from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from .volproc import BBHyper, UEHyper
 
@@ -49,12 +59,22 @@ def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.nd
     U~*_{t+1} = sqrt(b) F_{t+1} G_t is upper-triangular with positive
     diagonal, so it is the Cholesky factor of b G_t' Phi_{t+1} G_t; its
     squared diagonal gains theta (..., q), theta_i ~ chi2_{(1-beta) k_t};
-    off-diagonal entries are kept; F_t = U* G_t^{-1}.
+    off-diagonal entries are kept; F_t = U* G_t^{-1}.  Raises ValueError
+    when G_t or F_t is not finite.
     """
-    u = np.sqrt(b) * f_next @ g_t
-    idx = np.arange(g_t.shape[0])
-    u[..., idx, idx] = np.sqrt(u[..., idx, idx] ** 2 + theta)
-    return right_solve(u, g_t)
+    _require_finite(g_t)
+    f_t = _bb_step(f_next, g_t, b, theta)
+    _require_finite(f_t)
+    return f_t
+
+
+def _bb_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.ndarray) -> np.ndarray:
+    """``bb_backward_step`` with no finiteness checks, on one factor or a stack."""
+    u = math.sqrt(b) * f_next @ g_t
+    q = g_t.shape[0]
+    diag = u.reshape(u.shape[:-2] + (q * q,))[..., :: q + 1]  # a view of u's diagonal
+    diag[...] = np.sqrt(diag ** 2 + theta)
+    return _right_solve(u, g_t)
 
 
 def _ue_noise(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator):
@@ -73,22 +93,50 @@ def _bb_noise(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator):
     return w_T, sample_chi2(df, rng, size=(T, q))[::-1]
 
 
-# per model: its backward step and the noise one path consumes
-_MODELS = {"ue": (ue_backward_step, _ue_noise), "bb": (bb_backward_step, _bb_noise)}
+# the noise one path of each model consumes
+_NOISE = {"ue": _ue_noise, "bb": _bb_noise}
 
 
 def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """F_0..F_T from the terminal Bartlett factor(s) and per-step noise, time axis first.
 
     F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]).
+    One UE path, a single (q, q) W_T, runs as ``_ue_chain``; every other
+    pass makes one step call per t.  G is checked for non-finite values
+    before the pass and F after it (ValueError), so neither the chain
+    nor the BB step checks its own solves.
     """
-    step = _MODELS[filt.model][0]
-    T = filt.g.shape[0] - 1
-    f = np.empty((T + 1,) + w_T.shape)
-    f[T] = right_solve(w_T, filt.g[T])
-    for t in range(T - 1, -1, -1):
-        f[t] = step(f[t + 1], filt.g[t], filt.discount, noise[t])
+    g = filt.g
+    _require_finite(g)
+    T = g.shape[0] - 1
+    with np.errstate(all="ignore"):  # a non-finite F_t is reported below
+        f_T = _right_solve(w_T, g[T])
+        if filt.model == "ue" and w_T.ndim == 2:
+            f = _ue_chain(g, f_T, noise, filt.discount)
+        else:
+            f = np.empty((T + 1,) + w_T.shape)
+            f[T] = f_T
+            step = ue_backward_step if filt.model == "ue" else _bb_step
+            for t in range(T - 1, -1, -1):
+                f[t] = step(f[t + 1], g[t], filt.discount, noise[t])
+    _require_finite(f)
     return f
+
+
+def _ue_chain(g: np.ndarray, f_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
+    """One UE path, as the rank-1 recursion Phi_t = lam Phi_{t+1} + x_t' x_t.
+
+    The rows x_t = z_t G_t^{-1} do not depend on F, so all T are solved
+    first; then ``_givens_chain`` runs the rotations of ``ue_backward_step``
+    from F_T down to F_0 on Python floats.  Each result is the same bits
+    as the step's.
+    """
+    T, q = g.shape[0] - 1, g.shape[1]
+    x = np.empty((T, q))
+    for t in range(T):
+        x[t] = _trtrs(g[t], z[t], trans=True)
+    flat = _givens_chain(f_T.tolist(), x[::-1].tolist(), math.sqrt(lam))
+    return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
 
 
 def ue_backward_sample(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator) -> np.ndarray:
@@ -124,7 +172,7 @@ def sample_ensemble(filt: FilterOutput, hyper, n_draws: int, seed: int) -> np.nd
     """
     if n_draws < 1:
         raise InvalidParameter(f"n_draws must be >= 1, got {n_draws}")
-    noise_of = _MODELS[filt.model][1]
+    noise_of = _NOISE[filt.model]
     w_T, noise = zip(*(noise_of(filt, hyper, substream(seed, i)) for i in range(n_draws)))
     f = _backward_pass(filt, np.stack(w_T), np.stack(noise, axis=1))
     return np.ascontiguousarray(np.swapaxes(f, 0, 1))

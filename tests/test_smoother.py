@@ -1,21 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
 from consistency import joint_consistency_report
 from wishartsv.errors import InvalidParameter
 from wishartsv.filtering import ReturnsSeries, bb_forward_filter, constrained_lambda, simulate, ue_forward_filter
-from wishartsv.matops import uchol
-from wishartsv.randsamp import make_rng, sample_chi2, substream
+from wishartsv.matops import right_solve, uchol
+from wishartsv.randsamp import make_rng, sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from wishartsv.smoother import (
     bb_backward_sample,
     bb_backward_step,
     correlation_summary,
     sample_ensemble,
     ue_backward_sample,
+    ue_backward_step,
 )
-from wishartsv.volproc import UEHyper, match_ue_to_bb
+from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 
 
 def filters(T=20, q=2, seed=0, n=5.0, lam=0.8):
@@ -129,6 +135,83 @@ class TestBackwardSamplers:
         fb = bb_forward_filter(data, bb)
         path = bb_backward_sample(fb, bb, make_rng(10))
         assert path.shape == (1, 2, 2)
+
+
+def stepwise_path(filt, w_T, noise, step):
+    """F_T = W_T G_T^{-1}, then one public backward step per t from T - 1 down to 0."""
+    f = [right_solve(w_T, filt.g[-1])]
+    for t in range(filt.g.shape[0] - 2, -1, -1):
+        f.append(step(f[-1], filt.g[t], filt.discount, noise[t]))
+    return np.array(f[::-1])
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestSinglePathEquivalence:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(1, 5),
+        T=st.integers(0, 8),
+        discount=st.floats(0.05, 0.99),
+        matched=st.booleans(),
+        df_excess=st.floats(0.5, 10.0),
+        beta_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_samplers_match_public_steps(self, q, T, discount, matched, df_excess, beta_frac, seed):
+        # each sampler must be, bit for bit, a loop of its public step on
+        # the noise it documents: the terminal Bartlett factor, then the
+        # increments for t = T - 1 down to 0
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((q, q))
+        d0 = a @ a.T + 0.1 * np.eye(q)
+        data = ReturnsSeries(rng.standard_normal((T, q)))
+        ue = UEHyper(q=q, k=1, n=q - 1 + df_excess, lam=discount, d0=d0)
+        if matched:
+            bb = match_ue_to_bb(ue)
+        else:
+            # beta > (q - 1) / q keeps beta k_t > q - 1 at the fixed point k / (1 - beta)
+            lo = 0.3 if q == 1 else (q - 1) / q + 0.01
+            beta = lo + (0.98 - lo) * beta_frac
+            bb = BBHyper(q=q, k=1, beta=beta, b=discount, k0=(q - 1 + df_excess) / beta, d0=d0)
+        fu, fb = ue_forward_filter(data, ue), bb_forward_filter(data, bb)
+
+        noise = make_rng(seed)
+        w_T = sample_bartlett_factor(q, ue.n + 1, noise)
+        z = sample_wishart_factor(q, 1, noise, size=T)[::-1, 0]
+        expect = stepwise_path(fu, w_T, z, ue_backward_step)
+        assert_same_bits(ue_backward_sample(fu, ue, make_rng(seed)), expect)
+
+        noise = make_rng(seed)
+        w_T = sample_bartlett_factor(q, fb.k_seq[T], noise)
+        theta = sample_chi2((1.0 - bb.beta) * fb.k_seq[:T][::-1, None], noise, size=(T, q))[::-1]
+        expect = stepwise_path(fb, w_T, theta, bb_backward_step)
+        assert_same_bits(bb_backward_sample(fb, bb, make_rng(seed)), expect)
+
+
+class TestBackwardErrors:
+    @pytest.mark.parametrize("model", ["ue", "bb"])
+    @pytest.mark.parametrize(
+        "t, entry, value, error",
+        [
+            (2, (0, 1), np.nan, ValueError),  # an interior G_t
+            (4, (1, 1), np.inf, ValueError),  # G_T, solved against first
+            (0, (0, 0), np.nan, ValueError),
+            (2, (1, 1), 0.0, LinAlgError),  # a zero pivot
+            (4, (0, 0), 0.0, LinAlgError),
+            (0, (1, 1), 0.0, LinAlgError),
+        ],
+    )
+    def test_bad_filter_factor(self, model, t, entry, value, error):
+        data, ue, bb, fu, fb = filters(T=4, q=2)
+        filt, hyper, sampler = (fu, ue, ue_backward_sample) if model == "ue" else (fb, bb, bb_backward_sample)
+        g = filt.g.copy()
+        g[(t,) + entry] = value
+        with pytest.raises(error):
+            sampler(dataclasses.replace(filt, g=g), hyper, make_rng(0))
 
 
 # Phi_0..Phi_4 drawn by the dense-matrix samplers that predate the factor
