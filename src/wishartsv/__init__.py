@@ -14,7 +14,6 @@ from .errors import (
     InvalidParameter,
     NotPositiveDefinite,
     ParseError,
-    SingularMatrix,
     WishartSVError,
 )
 from .filtering import (

@@ -9,10 +9,6 @@ class NotPositiveDefinite(WishartSVError):
     """A matrix required to be symmetric positive definite is not."""
 
 
-class SingularMatrix(WishartSVError):
-    """A triangular matrix has an effectively zero diagonal entry."""
-
-
 class InvalidParameter(WishartSVError):
     """A hyperparameter or argument violates its stated constraints."""
 

@@ -15,12 +15,14 @@ Givens rank-1 update per step (Gill, Golub, Murray & Saunders 1974) on
 Python floats, with no numpy call or solve inside it.  After the loop
 the pass yields the forecast terms s_t = r_t' D_{t-1}^{-1} r_t, from one
 back-substitution over all t, and log|D_{t-1}|, from the diagonal of
-G_{t-1}.  Neither depends on n: the filters, ``marginal_loglik`` and
-``grid_search`` all reduce them through ``_forecast_logdensity``, and a
+G_{t-1}.  Neither depends on n: the filters, ``forecast_logdensity``
+(a pass of one step) and ``grid_search`` (and so ``marginal_loglik``, its
+one-cell case) all reduce them through ``_forecast_logdensity``, and a
 grid costs one pass per lambda.
 
 ``simulate`` draws returns from a model's own joint law by running the
-same recursion forward, one exact one-step prior draw of Phi_t at a time.
+same recursion forward, one exact one-step prior draw of Phi_t at a time,
+with the scale pass's Givens update.
 
 The forecast-density normalizer is Gamma((n+1)/2) / Gamma((n+1-q)/2);
 the q = 1, n = 1 case is then exactly standard Cauchy and the density
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import _givens_chain, chol_update, inv_upper, logdet_spd, quad_form, rchol, sym, tri_solve, uchol
+from .matops import _givens_chain, _givens_update, rchol, tri_solve, uchol
 from .randsamp import make_rng, sample_bartlett_factor, sample_wishart_bartlett
 from .volproc import BBHyper, UEHyper
 
@@ -93,13 +95,20 @@ def forecast_logdensity(r: np.ndarray, d_prev: np.ndarray, n: float, lam: float)
     """Log one-step forecast density of r_t | D_{t-1} (k = 1 likelihood).
 
     Multivariate-t: Gamma((n+1)/2)/Gamma((n+1-q)/2) * |lam D|^{-1/2} *
-    pi^{-q/2} * (1 + r' D^{-1} r / lam)^{-(n+1)/2}; requires n > q - 1.
+    pi^{-q/2} * (1 + r' D^{-1} r / lam)^{-(n+1)/2}; requires n > q - 1
+    and a finite lam > 0 (lam = 1 included).  The terms come from a
+    one-step ``_scale_pass``, so a return whose statistics overflow
+    double precision raises InvalidParameter, as ``marginal_loglik``
+    does, rather than returning -inf.
     """
     r = np.asarray(r, dtype=float)
     q = r.shape[0]
-    if n <= q - 1:
+    if not n > q - 1:
         raise InvalidParameter(f"forecast density needs n > q-1, got n={n}, q={q}")
-    return float(_forecast_logdensity(quad_form(r, d_prev), logdet_spd(d_prev), n, lam, q))
+    if not 0.0 < lam < math.inf:
+        raise InvalidParameter(f"forecast density needs a finite lambda > 0, got lambda={lam}")
+    _, s, logdet = _scale_pass(r[None], d_prev, 1.0)
+    return float(_forecast_logdensity(s[0], logdet[0], n, lam, q))
 
 
 def _forecast_logdensity(s, logdet, n, lam: float, q: int):
@@ -125,15 +134,20 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     refactorization tolerates.
 
     The loop over t, ``matops._givens_chain``, keeps J G_t' J as rows of
-    Python floats and applies ``chol_update``'s rotations to them; at
-    q <= 5 a numpy call per step costs more than the arithmetic.  Each
-    factor goes into one flat buffer, reshaped once.  Then s_t =
+    Python floats and applies Givens rotations to them; at q <= 5 a
+    numpy call per step costs more than the arithmetic.  Each factor
+    goes into one flat buffer, reshaped once.  Then s_t =
     |G_{t-1}^{-1} r_t|^2 comes from one back-substitution over all t.
-    Raises InvalidParameter at the first t where G_t or s_t is not
-    finite, i.e. where the returns overflow double precision.
+    Raises InvalidParameter unless d0 is q x q, NotPositiveDefinite
+    unless it is symmetric positive definite, and InvalidParameter at
+    the first t where G_t or s_t is not finite, i.e. where the returns
+    overflow double precision.
     """
     T, q = returns.shape
-    rows = rchol(sym(np.asarray(d0, dtype=float))).T[::-1, ::-1].tolist()  # J G_0' J
+    d0 = np.asarray(d0, dtype=float)
+    if d0.shape != (q, q):
+        raise InvalidParameter(f"d0 must be {q}x{q}, got {d0.shape}")
+    rows = uchol(d0[::-1, ::-1]).tolist()  # J G_0' J
     flat = _givens_chain(rows, returns[:, ::-1].tolist(), math.sqrt(discount))
     g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
     g_prev = g[:-1]
@@ -222,16 +236,18 @@ def simulate(model: str, hyper, T: int, seed: int):
     rng = make_rng(seed)
     q = hyper.q
     disc, k_t = (hyper.lam, hyper.n + hyper.k) if model == "ue" else (hyper.b, hyper.k0)
-    d_chol = uchol(np.asarray(hyper.d0, dtype=float))
+    rows = uchol(hyper.d0).tolist()  # R_0 with R_0' R_0 = D_0
     phis = np.empty((T + 1, q, q))
     # Phi_0 from Wishart(k_0, D_0^{-1}), with the filter's factor G_0 (G_0 G_0' = D_0)
-    phis[0] = sample_wishart_bartlett(k_t, inv_upper(rchol(hyper.d0)), rng)
+    phis[0] = sample_wishart_bartlett(k_t, tri_solve(rchol(hyper.d0), np.eye(q)), rng)
     returns = np.empty((T, q))
-    sqrt_disc = np.sqrt(disc)
+    sqrt_disc = math.sqrt(disc)
     for t in range(1, T + 1):
         df = hyper.n if model == "ue" else hyper.beta * k_t
         if df <= q - 1:
             raise InvalidParameter(f"prior df {df} <= q - 1 at t={t}")
+        # F-ordered, as uchol returns it: d_chol.T @ w rounds by memory order
+        d_chol = np.array(rows, order="F")
         # All stochastic work happens in D_{t-1}-whitened coordinates,
         # where every quantity is O(1): with A the Bartlett factor of
         # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / disc is a
@@ -243,21 +259,15 @@ def simulate(model: str, hyper, T: int, seed: int):
         returns[t - 1] = d_chol.T @ w
         m = tri_solve(d_chol, a.T).T / sqrt_disc  # A R^{-T}
         phis[t] = m.T @ m
-        d_chol = chol_update(sqrt_disc * d_chol, returns[t - 1])
+        _givens_update(rows, returns[t - 1].tolist(), sqrt_disc)
         if model == "bb":
             k_t = hyper.beta * k_t + hyper.k
     return ReturnsSeries(returns), phis
 
 
 def marginal_loglik(data: ReturnsSeries, n: float, lam: float, d0: np.ndarray) -> float:
-    """Sum of one-step forecast log densities (k = 1), from one scale pass."""
-    q = data.q
-    if n <= q - 1:
-        raise InvalidParameter(f"need n > q-1, got n={n}, q={q}")
-    if not (0.0 < lam < 1.0):
-        raise InvalidParameter(f"need 0 < lambda < 1, got lambda={lam}")
-    _, s, logdet = _scale_pass(data.returns, d0, lam)
-    return float(_forecast_logdensity(s, logdet, n, lam, q).sum())
+    """Sum of one-step forecast log densities (k = 1): the one-cell ``grid_search``."""
+    return float(grid_search(data, d0, [n], [lam])[2][0, 0])
 
 
 def grid_search(
@@ -278,7 +288,7 @@ def grid_search(
         raise InvalidParameter("grids must be nonempty")
     q = data.q
     for n in n_grid:
-        if n <= q - 1:
+        if not n > q - 1:
             raise InvalidParameter(f"grid point n={n} invalid for q={q}")
     for lam in lambda_grid:
         if not (0.0 < lam < 1.0):
@@ -294,6 +304,6 @@ def grid_search(
 
 def constrained_lambda(n: float, k: float, q: int) -> float:
     """Discount implied by lambda^{-1} = 1 + k / (n - q - 1); needs n > q + 1."""
-    if n <= q + 1:
+    if not n > q + 1:
         raise InvalidParameter(f"need n > q + 1, got n={n}, q={q}")
     return (n - q - 1.0) / (n - q - 1.0 + k)

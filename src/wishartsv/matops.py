@@ -19,10 +19,11 @@ step and check for non-finite values once per pass instead.  The
 filter's scale pass makes no per-step solve: it solves against all T
 factors at once after its loop.
 
-The Givens loop of the rank-1 update exists once, on Python floats, in
-``_givens_update``.  ``chol_update`` runs it on one matrix, and
-``_givens_chain`` runs it along a whole recursion on a factor kept as
-lists: the filter's scale pass and the single-path UE backward pass.
+The Givens loop of the rank-1 update runs on Python floats in
+``_givens_update``: once per step in ``simulate``, and along a whole
+recursion in ``_givens_chain`` (the filter's scale pass and the
+single-path UE backward pass).  ``chol_update`` makes the same
+rotations on a stack of matrices at once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import NotPositiveDefinite, SingularMatrix
+from .errors import NotPositiveDefinite
 
 # Relative pivot tolerance for positive-definiteness checks.  Rank-1
 # observation matrices y_t = r r' are singular by design and are never
@@ -130,16 +131,6 @@ def _trtrs(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
     return x
 
 
-def inv_upper(r: np.ndarray) -> np.ndarray:
-    """Invert an upper-triangular matrix by back-substitution."""
-    r = np.asarray(r, dtype=float)
-    q = r.shape[0]
-    d = np.abs(r.diagonal())
-    if d.min() < 1e-14 * max(d.max(), 0.0) or d.min() == 0.0:
-        raise SingularMatrix("diagonal entry effectively zero")
-    return tri_solve(r, np.eye(q))
-
-
 def right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """m G^{-1} for upper-triangular G, by one triangular solve.
 
@@ -157,19 +148,6 @@ def _right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _trtrs(g, m.reshape(-1, m.shape[-1]).T, trans=True).T.reshape(m.shape)
 
 
-def quad_form(x: np.ndarray, a: np.ndarray) -> float:
-    """x' a^{-1} x via a triangular solve against uchol(a)."""
-    x = np.asarray(x, dtype=float)
-    r = uchol(a)
-    w = tri_solve(r, x, trans=True)
-    return float(w @ w)
-
-
-def logdet_spd(a: np.ndarray) -> float:
-    """log det of an SPD matrix, from its Cholesky diagonal."""
-    return 2.0 * float(np.sum(np.log(uchol(a).diagonal())))
-
-
 def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of R' R + x x' by Givens-style rank-1 update.
 
@@ -177,20 +155,12 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     too ill-conditioned to refactor densely (the discounted scale
     recursion D_t = lam D_{t-1} + r_t r_t' produces exactly those over
     long horizons).  A stack r (..., q, q) with x (..., q) applies the
-    same rotations to every matrix at once.  A single matrix runs the
-    rotations on Python floats instead, in ``_givens_update``: at q <= 5
-    a numpy call per element costs more than the arithmetic.  Both paths
-    take rho from ``np.hypot`` (``math.hypot`` rounds differently) and
-    round every product and sum alike, so a slice of a stack and the
-    matrix alone give the same bits.
+    same rotations to every matrix at once, so a slice of a stack and
+    the matrix alone give the same bits; the result keeps r's memory
+    order.  The rotations are those of ``_givens_update``: both take rho
+    from ``np.hypot`` (``math.hypot`` rounds differently) and round every
+    product and sum alike.
     """
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 2:
-        rows = r.tolist()
-        _givens_update(rows, np.asarray(x, dtype=float).tolist())
-        # the memory order of r, as a copy of r would have: a later
-        # matmul on the factor rounds differently in the other order
-        return np.array(rows, order="F" if np.isfortran(r) else "C")
     r = np.array(r, dtype=float)
     x = np.array(x, dtype=float)
     q = r.shape[-1]
@@ -208,7 +178,7 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _givens_update(rows: list, x: list, scale: float = 1.0) -> None:
+def _givens_update(rows: list, x: list, scale: float) -> None:
     """``chol_update`` of scale * R, with R held as a list of rows of Python floats.
 
     Rotates x into the upper-triangular ``rows`` in place, so they become

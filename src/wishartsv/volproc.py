@@ -43,7 +43,7 @@ class UEHyper:
         if self.q < 1:
             raise InvalidParameter(f"q must be >= 1, got {self.q}")
         _check_discount("lambda", self.lam)
-        if self.n <= self.q - 1:
+        if not self.n > self.q - 1:
             raise InvalidParameter(f"n must be > q-1, got n={self.n}, q={self.q}")
         if self.k != 1:
             raise InvalidParameter(f"k must be 1, got {self.k}")
@@ -75,12 +75,12 @@ class BBHyper:
         _check_discount("b", self.b)
         if self.k != 1:
             raise InvalidParameter(f"k must be 1, got {self.k}")
-        if self.k0 <= 0:
+        if not self.k0 > 0:
             raise InvalidParameter(f"k0 must be > 0, got {self.k0}")
         # Every Beta shape (beta*k_{t-1} - i + 1)/2 in the evolution must stay
         # positive along the filtration; k_t >= min(k0, k/(1-beta)) makes
         # beta*k0 > q - 1 the binding condition at construction time.
-        if self.beta * self.k0 <= self.q - 1:
+        if not self.beta * self.k0 > self.q - 1:
             raise InvalidParameter(
                 f"need beta*k0 > q-1, got beta*k0={self.beta * self.k0}, q={self.q}"
             )

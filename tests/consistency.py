@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from wishartsv.matops import gram, inv_upper, rchol, right_solve
+from wishartsv.matops import gram, rchol, right_solve, tri_solve
 from wishartsv.randsamp import sample_chi2, sample_wishart_bartlett, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, ue_backward_step
 from wishartsv.volproc import bb_evolve, ue_evolve
@@ -57,7 +57,7 @@ def joint_consistency_report(
         disc, beta, df_prior = hyper.b, hyper.beta, hyper.beta * k_t
     q = d_t.shape[0]
     g_t = rchol(d_t)  # G_t G_t' = D_t, as the filter builds it
-    p_t = inv_upper(g_t)  # P_t' P_t = D_t^{-1}
+    p_t = tri_solve(g_t, np.eye(q))  # P_t = G_t^{-1}, P_t' P_t = D_t^{-1}
 
     # forward join: Phi_t | D_t, then one evolution step
     at = sample_wishart_bartlett(k_t, p_t, rng, size=n_draws)

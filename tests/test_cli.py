@@ -268,6 +268,11 @@ class TestMain:
             # an empty grid is an error, not a request for the default grid
             ("grid-search", '{"q": 2, "n_grid": [], "data_csv": DATA}', "InvalidParameter", "nonempty"),
             ("grid-search", '{"q": 2, "lambda_grid": [], "data_csv": DATA}', "InvalidParameter", "nonempty"),
+            # grid-search builds no hyperparameters, so the scale pass checks d0
+            ("grid-search", '{"q": 2, "d0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "data_csv": DATA}',
+             "InvalidParameter", "d0 must be 2x2"),
+            ("grid-search", '{"q": 2, "d0": [[1, 0.5], [0, 1]], "data_csv": DATA}',
+             "NotPositiveDefinite", "not symmetric"),
             # rejected before any output is written
             ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "model": "UE", "data_csv": DATA}', "InvalidParameter", "'model'"),
             ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 3, "quantiles": [], "data_csv": DATA}',
@@ -281,6 +286,7 @@ class TestMain:
             "missing-key", "missing-config", "malformed-json", "not-an-object",
             "q-string", "n-string", "d0-string", "draws-float", "seed-string",
             "seed-negative", "d0-nan", "n-infinity", "simulate-negative-T", "n-grid-empty", "lambda-grid-empty",
+            "grid-d0-shape", "grid-d0-asymmetric",
             "model-unknown", "quantiles-empty", "batches-zero", "batches-above-kept",
         ],
     )

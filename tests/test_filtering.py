@@ -10,7 +10,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 from scipy.stats import cauchy
 
-from wishartsv.errors import DimensionMismatch, InvalidParameter
+from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     ReturnsSeries,
     _scale_pass,
@@ -121,9 +121,47 @@ class TestForecastDensity:
         val, _ = quad(inner, -np.inf, np.inf, limit=100)
         assert val == pytest.approx(1.0, rel=1e-6)
 
+    def test_matches_dense_closed_form(self):
+        # r' D^{-1} r and log|D| from a dense solve and slogdet
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            q = int(rng.integers(1, 6))
+            a = rng.standard_normal((q, q))
+            d = a @ a.T + 0.1 * np.eye(q)
+            r = rng.standard_normal(q)
+            n = q - 1 + 0.01 + 20.0 * rng.random()
+            lam = 1.0 if rng.random() < 0.2 else 0.05 + 0.94 * rng.random()
+            s = r @ np.linalg.solve(d, r)
+            expect = mvt_const(n, q) - 0.5 * (q * math.log(lam) + np.linalg.slogdet(d)[1])
+            expect -= 0.5 * (n + 1.0) * math.log1p(s / lam)
+            assert forecast_logdensity(r, d, n, lam) == pytest.approx(expect, rel=1e-13, abs=0)
+
+    def test_2x2_hand_case(self):
+        # D^{-1} = (1/16) [[5, -2], [-2, 4]], so r = (1, 1) gives s = 5/16; |D| = 16
+        d = np.array([[4.0, 2.0], [2.0, 5.0]])
+        expect = mvt_const(3.0, 2) - 0.5 * math.log(16.0) - 2.0 * math.log1p(5.0 / 16.0)
+        assert forecast_logdensity(np.ones(2), d, 3.0, 1.0) == pytest.approx(expect, rel=1e-14)
+
     def test_df_bound(self):
-        with pytest.raises(InvalidParameter):
-            forecast_logdensity(np.zeros(3), np.eye(3), 2.0, 0.8)
+        for n in (2.0, float("nan")):
+            with pytest.raises(InvalidParameter, match="n > q-1"):
+                forecast_logdensity(np.zeros(3), np.eye(3), n, 0.8)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan"), float("inf")])
+    def test_invalid_lambda(self, lam):
+        with pytest.raises(InvalidParameter, match="lambda"):
+            forecast_logdensity(np.ones(2), np.eye(2), 5.0, lam)
+
+    def test_bad_scale(self):
+        with pytest.raises(InvalidParameter, match="d0 must be 2x2"):
+            forecast_logdensity(np.ones(2), np.eye(3), 5.0, 0.8)
+        with pytest.raises(NotPositiveDefinite):
+            forecast_logdensity(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 5.0, 0.8)
+
+    def test_overflow_is_reported(self):
+        # s = |r|^2 = 2e400 overflows although the log density is finite
+        with pytest.raises(InvalidParameter, match="t=1:"):
+            forecast_logdensity(np.array([1e200, 1e200]), np.eye(2), 5.0, 0.9)
 
 
 class TestForwardFilters:
@@ -249,8 +287,9 @@ class TestMarginalLoglik:
         )
 
     def test_invalid_n(self):
-        with pytest.raises(InvalidParameter):
-            marginal_loglik(toy_series(5, 3), 1.5, 0.8, np.eye(3))
+        for n in (1.5, float("nan")):
+            with pytest.raises(InvalidParameter):
+                marginal_loglik(toy_series(5, 3), n, 0.8, np.eye(3))
 
     @pytest.mark.parametrize("lam", [-0.5, 0.0, 1.0, float("nan")])
     def test_invalid_lambda(self, lam):
@@ -294,6 +333,25 @@ class TestGridSearch:
         with pytest.raises(InvalidParameter):
             grid_search(toy_series(3, 1), np.eye(1), [], [0.8])
 
+    def test_nan_n(self):
+        with pytest.raises(InvalidParameter, match="n=nan"):
+            grid_search(toy_series(3, 1), np.eye(1), [float("nan"), 3.0], [0.9])
+
+    def test_d0_shape(self):
+        with pytest.raises(InvalidParameter, match=r"d0 must be 3x3, got \(2, 2\)"):
+            grid_search(toy_series(5, 3), np.eye(2), [5.0], [0.8])
+        with pytest.raises(InvalidParameter, match=r"d0 must be 2x2, got \(3, 3\)"):
+            marginal_loglik(toy_series(5, 2), 5.0, 0.8, np.eye(3))
+
+    def test_d0_asymmetric(self):
+        d0 = np.array([[1.0, 0.5], [0.0, 1.0]])
+        for run in (
+            lambda: grid_search(toy_series(5, 2), d0, [5.0], [0.8]),
+            lambda: marginal_loglik(toy_series(5, 2), 5.0, 0.8, d0),
+        ):
+            with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+                run()
+
 
 class TestConstrainedLambda:
     def test_exact_value(self):
@@ -305,5 +363,6 @@ class TestConstrainedLambda:
         assert 1.0 / lam == pytest.approx(1.0 + 2.0 / 5.0, rel=1e-14)
 
     def test_domain(self):
-        with pytest.raises(InvalidParameter):
-            constrained_lambda(4.0, 1.0, 3)
+        for n in (4.0, float("nan")):
+            with pytest.raises(InvalidParameter):
+                constrained_lambda(n, 1.0, 3)

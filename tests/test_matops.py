@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import LinAlgError, solve_triangular
 
-from wishartsv.errors import NotPositiveDefinite, SingularMatrix
+from wishartsv.errors import NotPositiveDefinite
 from wishartsv.matops import (
     chol_update,
-    inv_upper,
-    logdet_spd,
-    quad_form,
     right_solve,
     tri_solve,
     uchol,
@@ -29,19 +26,6 @@ def stacks(draw):
     x = draw(hnp.arrays(float, (n, q), elements=ENTRIES))
     m = draw(hnp.arrays(float, (n, q, q), elements=ENTRIES))
     return r, x, m
-
-
-def brute_det(a):
-    """Cofactor-expansion determinant, independent of any factorization."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1) ** j * a[0, j] * brute_det(minor)
-    return total
 
 
 class TestUchol:
@@ -70,31 +54,6 @@ class TestUchol:
         assert np.all(np.tril(r, -1) == 0)
         assert np.all(r.diagonal() > 0)
         np.testing.assert_allclose(r.T @ r, a, rtol=1e-10)
-
-
-class TestInvUpper:
-    def test_identity(self):
-        np.testing.assert_allclose(inv_upper(np.eye(2)), np.eye(2))
-
-    def test_2x2(self):
-        r = np.array([[2.0, 1.0], [0.0, 2.0]])
-        inv = inv_upper(r)
-        np.testing.assert_allclose(inv, [[0.5, -0.25], [0.0, 0.5]])
-        np.testing.assert_allclose(r @ inv, np.eye(2), atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(inv_upper(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            inv_upper(np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-    @pytest.mark.parametrize("q", [1, 3, 6])
-    def test_involution(self, q):
-        rng = np.random.default_rng(7 + q)
-        r = np.triu(rng.standard_normal((q, q)))
-        r[np.diag_indices(q)] = 1.0 + rng.random(q)
-        np.testing.assert_allclose(inv_upper(inv_upper(r)), r, rtol=1e-10, atol=1e-12)
 
 
 class TestTriSolve:
@@ -159,50 +118,6 @@ class TestRightSolve:
                 np.testing.assert_allclose(stacked[i], one, rtol=4.5e-16, atol=0)
 
 
-class TestQuadForm:
-    def test_identity(self):
-        assert quad_form(np.array([1.0, 0.0]), np.eye(2)) == pytest.approx(1.0)
-
-    def test_zero_vector(self):
-        a = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
-        assert quad_form(np.zeros(3), a) == 0.0
-
-    def test_2x2_hand_oracle(self):
-        # a^{-1} = (1/16) [[5, -2], [-2, 4]]; x = (1,1) gives (5-2-2+4)/16 = 5/16
-        a = np.array([[4.0, 2.0], [2.0, 5.0]])
-        assert quad_form(np.array([1.0, 1.0]), a) == pytest.approx(0.3125, rel=1e-12)
-
-    @pytest.mark.parametrize("q", [1, 2, 4])
-    def test_nonnegative(self, q):
-        rng = np.random.default_rng(13 + q)
-        g = rng.standard_normal((q, q))
-        a = g.T @ g + q * np.eye(q)
-        for _ in range(20):
-            x = rng.standard_normal(q)
-            assert quad_form(x, a) > 0
-        assert quad_form(np.zeros(q), a) == 0.0
-
-
-class TestLogdetSpd:
-    def test_identity(self):
-        assert logdet_spd(np.eye(5)) == pytest.approx(0.0)
-
-    def test_diagonal(self):
-        assert logdet_spd(np.diag([2.0, 3.0])) == pytest.approx(np.log(6.0), rel=1e-12)
-
-    def test_2x2(self):
-        assert logdet_spd(np.array([[4.0, 2.0], [2.0, 5.0]])) == pytest.approx(
-            np.log(16.0), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("q", [1, 2, 3, 4])
-    def test_against_cofactor_expansion(self, q):
-        rng = np.random.default_rng(29 + q)
-        g = rng.standard_normal((q, q))
-        a = g.T @ g + q * np.eye(q)
-        assert logdet_spd(a) == pytest.approx(np.log(brute_det(a)), rel=1e-10)
-
-
 class TestCholUpdate:
     def test_2x2_hand_case(self):
         # I + (1,1)(1,1)' = [[2,1],[1,2]]
@@ -244,7 +159,7 @@ class TestCholUpdate:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(stacks())
     def test_stack_matches_slices(self, case):
-        # the stacked rotations are the scalar loop's, elementwise
+        # each matrix of a stack is rotated as it would be alone
         r, x, _ = case
         stacked = chol_update(r, x)
         for i in range(r.shape[0]):

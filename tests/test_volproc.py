@@ -64,8 +64,12 @@ class TestMatching:
         assert back.k == pytest.approx(ue.k, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(InvalidParameter):
-            UEHyper(q=2, k=1, n=0.5, lam=0.8, d0=np.eye(2))
+        for n in (0.5, np.nan):
+            with pytest.raises(InvalidParameter):
+                UEHyper(q=2, k=1, n=n, lam=0.8, d0=np.eye(2))
+        for k0 in (-1.0, np.nan):
+            with pytest.raises(InvalidParameter):
+                BBHyper(q=1, k=1, beta=0.5, b=0.8, k0=k0, d0=np.eye(1))
         with pytest.raises(InvalidParameter):
             UEHyper(q=2, k=1, n=5, lam=1.2, d0=np.eye(2))
         with pytest.raises(InvalidParameter):
