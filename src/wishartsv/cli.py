@@ -195,7 +195,9 @@ _FIELD_TYPES = {
 
 def _check_types(cfg: dict) -> None:
     for key, val in cfg.items():
-        if key in _FIELD_TYPES and not _FIELD_TYPES[key][1](val):
+        if key not in _FIELD_TYPES:
+            raise InvalidParameter(f"unknown config field {key!r}")
+        if not _FIELD_TYPES[key][1](val):
             raise InvalidParameter(f"config field {key!r} must be {_FIELD_TYPES[key][0]}, got {val!r}")
 
 

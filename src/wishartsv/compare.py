@@ -185,8 +185,8 @@ def mixture_gibbs(
                 r_b[t - 1] = data.returns[t - 1]
                 r_u[t - 1] = sample_mvnormal_prec(f_u[t - 1], rng)
         # the samplers checked every factor; check the draws once per sweep
-        _require_finite(r_u)
-        _require_finite(r_b)
+        _require_finite(r_u, "imputed UE returns")
+        _require_finite(r_b, "imputed BB returns")
 
         alpha = rng.beta(*alpha_posterior_shapes(cfg.a0, cfg.b0, z))
 

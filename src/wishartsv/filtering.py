@@ -242,26 +242,33 @@ def simulate(model: str, hyper, T: int, seed: int):
     phis[0] = sample_wishart_bartlett(k_t, tri_solve(rchol(hyper.d0), np.eye(q)), rng)
     returns = np.empty((T, q))
     sqrt_disc = math.sqrt(disc)
-    for t in range(1, T + 1):
-        df = hyper.n if model == "ue" else hyper.beta * k_t
-        if df <= q - 1:
-            raise InvalidParameter(f"prior df {df} <= q - 1 at t={t}")
-        # F-ordered, as uchol returns it: d_chol.T @ w rounds by memory order
-        d_chol = np.array(rows, order="F")
-        # All stochastic work happens in D_{t-1}-whitened coordinates,
-        # where every quantity is O(1): with A the Bartlett factor of
-        # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / disc is a
-        # Wishart(df, (disc D_{t-1})^{-1}) draw and the standardized
-        # residual is w = sqrt(disc) A^{-1} z.  No inverse factor of the
-        # (possibly extremely ill-conditioned) D is formed.
-        a = sample_bartlett_factor(q, df, rng)
-        w = tri_solve(a, rng.standard_normal(q)) * sqrt_disc
-        returns[t - 1] = d_chol.T @ w
-        m = tri_solve(d_chol, a.T).T / sqrt_disc  # A R^{-T}
-        phis[t] = m.T @ m
-        _givens_update(rows, returns[t - 1].tolist(), sqrt_disc)
-        if model == "bb":
-            k_t = hyper.beta * k_t + hyper.k
+    with np.errstate(all="ignore"):  # a non-finite r_t or Phi_t is reported below
+        for t in range(1, T + 1):
+            df = hyper.n if model == "ue" else hyper.beta * k_t
+            if df <= q - 1:
+                raise InvalidParameter(f"prior df {df} <= q - 1 at t={t}")
+            # F-ordered, as uchol returns it: d_chol.T @ w rounds by memory order
+            d_chol = np.array(rows, order="F")
+            # All stochastic work happens in D_{t-1}-whitened coordinates,
+            # where every quantity is O(1): with A the Bartlett factor of
+            # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / disc is a
+            # Wishart(df, (disc D_{t-1})^{-1}) draw and the standardized
+            # residual is w = sqrt(disc) A^{-1} z.  No inverse factor of the
+            # (possibly extremely ill-conditioned) D is formed.
+            a = sample_bartlett_factor(q, df, rng)
+            if not a.diagonal().all():  # a chi-square draw underflowed: A^{-1} z is infinite
+                returns[t - 1] = np.inf
+                break
+            w = tri_solve(a, rng.standard_normal(q)) * sqrt_disc
+            returns[t - 1] = d_chol.T @ w
+            m = tri_solve(d_chol, a.T).T / sqrt_disc  # A R^{-T}
+            phis[t] = m.T @ m
+            _givens_update(rows, returns[t - 1].tolist(), sqrt_disc)
+            if model == "bb":
+                k_t = hyper.beta * k_t + hyper.k
+    bad = ~np.isfinite(returns).all(axis=1) | ~np.isfinite(phis[1:]).all(axis=(1, 2))
+    if bad.any():
+        raise InvalidParameter(f"simulated r_t or Phi_t overflows double precision at t={int(np.argmax(bad)) + 1}")
     return ReturnsSeries(returns), phis
 
 

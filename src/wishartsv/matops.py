@@ -9,15 +9,17 @@ appear in the public surface.
 a stack of matrices of shape (..., q, q), so one call serves one path or
 every draw of an ensemble.
 
+Kernels compute; passes check.  No kernel tests for non-finite values:
+each pass (the scale pass, a backward pass, ``simulate``, a mixture
+sweep) checks its input once and its output once, and raises a package
+error naming the time step.  ``uchol`` rejects a non-finite matrix, and
+the rank-1 updates and ``tri_solve`` raise only on a zero pivot.
+
 ``tri_solve`` is the one triangular solve of a single factor.  It
 makes the LAPACK ``trtrs`` call ``scipy.linalg.solve_triangular`` makes,
-in ``_trtrs``, without that wrapper's per-call validation overhead, so
-results are the same bits.  ``_trtrs`` and ``_right_solve`` are
-``tri_solve`` and ``right_solve`` without the finiteness checks: the
-backward passes and the mixture sampler's imputation call them at every
-step and check for non-finite values once per pass instead.  The
-filter's scale pass makes no per-step solve: it solves against all T
-factors at once after its loop.
+without that wrapper's per-call validation overhead, so results are the
+same bits.  The filter's scale pass makes no per-step solve: it solves
+against all T factors at once after its loop.
 
 The Givens loop of the rank-1 update runs on Python floats in
 ``_givens_update``: once per step in ``simulate``, and along a whole
@@ -28,14 +30,13 @@ rotations on a stack of matrices at once.
 
 from __future__ import annotations
 
-import math
 from array import array
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import NotPositiveDefinite
+from .errors import InvalidParameter, NotPositiveDefinite
 
 # Relative pivot tolerance for positive-definiteness checks.  Rank-1
 # observation matrices y_t = r r' are singular by design and are never
@@ -65,10 +66,12 @@ def check_symmetric(a: np.ndarray, rtol: float = 1e-8) -> None:
 def uchol(a: np.ndarray) -> np.ndarray:
     """Upper-triangular Cholesky factor R with R' R = a, per matrix.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    ``PIVOT_RTOL * max(diag(a))`` of its own matrix.
+    Raises NotPositiveDefinite on a non-finite entry, and when a pivot
+    falls at or below ``PIVOT_RTOL * max(diag(a))`` of its own matrix.
     """
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():  # NaN passes the symmetry and pivot tests
+        raise NotPositiveDefinite("matrix has a non-finite entry")
     check_symmetric(a)
     try:
         lower = np.linalg.cholesky(sym(a))
@@ -87,38 +90,19 @@ def rchol(a: np.ndarray) -> np.ndarray:
     return uchol(np.asarray(a, dtype=float)[::-1, ::-1]).T[::-1, ::-1]
 
 
-def _require_finite(a: np.ndarray) -> None:
-    """ValueError unless every entry of ``a`` is finite.
-
-    A finite sum of squares proves it with one dot product, which costs
-    less than the elementwise test; only when the sum is not finite (a
-    non-finite entry, or squares past 1e308) is the elementwise test run.
-    """
-    v = a.ravel("K")
-    if not math.isfinite(np.dot(v, v)) and not np.isfinite(v).all():
-        raise ValueError("array must not contain infs or NaNs")
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """InvalidParameter unless every entry of ``a`` is finite."""
+    if not np.isfinite(a).all():
+        raise InvalidParameter(f"{what} is not finite")
 
 
 def tri_solve(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """x with R x = b (R' x = b with ``trans``), R upper-triangular (q, q).
+    """x with R x = b (R' x = b with ``trans``), R upper-triangular (q, q) float array.
 
     b is (q,) or (q, m).  As in ``scipy.linalg.solve_triangular``, a
     C-ordered R goes to LAPACK as the F-ordered R' with the triangle and
-    the transpose flipped.  Raises LinAlgError on a zero pivot and
-    ValueError when R or the solution is not finite; a non-finite b
-    always yields a non-finite solution, so it is caught there.
-    """
-    r = np.asarray(r, dtype=float)
-    _require_finite(r)
-    x = _trtrs(r, b, trans)
-    _require_finite(x)
-    return x
-
-
-def _trtrs(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """``tri_solve`` without its finiteness checks; R must be a float array.
-
-    Still raises LinAlgError on a zero pivot.
+    the transpose flipped.  Raises LinAlgError on a zero pivot; a
+    non-finite R or b gives a non-finite x, which the calling pass checks.
     """
     if r.flags.f_contiguous:
         x, info = dtrtrs(r, b, lower=0, trans=int(trans))
@@ -132,20 +116,11 @@ def _trtrs(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
 
 
 def right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """m G^{-1} for upper-triangular G, by one triangular solve.
+    """m G^{-1} for upper-triangular G, by one ``tri_solve``; m and G are float arrays.
 
     Every row of every matrix in a stack m (..., rows, q) is a right-hand side.
     """
-    g = np.asarray(g, dtype=float)
-    _require_finite(g)
-    x = _right_solve(np.asarray(m, dtype=float), g)
-    _require_finite(x)
-    return x
-
-
-def _right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``right_solve`` without its finiteness checks; m and G must be float arrays."""
-    return _trtrs(g, m.reshape(-1, m.shape[-1]).T, trans=True).T.reshape(m.shape)
+    return tri_solve(g, m.reshape(-1, m.shape[-1]).T, trans=True).T.reshape(m.shape)
 
 
 def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter
-from .matops import _trtrs, gram, sym, uchol
+from .matops import gram, sym, tri_solve, uchol
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -104,11 +104,10 @@ def sample_matrix_beta(
 def sample_mvnormal_prec(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Zero-mean normal draw with covariance (F' F)^{-1}, ``factor`` = F upper (float array).
 
-    With z ~ N(0, I), x = F^{-1} z has covariance (F' F)^{-1}, by the
-    ``tri_solve`` LAPACK call without its finiteness checks: it runs
-    once per time step of a mixture sweep, so the sweep checks the
-    factors and the draws once each instead.  A zero pivot still raises
-    LinAlgError.
+    With z ~ N(0, I), x = F^{-1} z has covariance (F' F)^{-1}, one
+    ``tri_solve``.  Like every kernel it checks nothing but the zero
+    pivot (LinAlgError): a mixture sweep runs it once per time step on
+    factors the backward pass has checked, and checks the draws once.
     """
     z = rng.standard_normal(factor.shape[0])
-    return _trtrs(factor, z)
+    return tri_solve(factor, z)

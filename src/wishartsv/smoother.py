@@ -21,12 +21,14 @@ that noise.  Both steps take a leading draws axis, (N, q, q) factors
 sharing G_t, so ``sample_ensemble`` runs all N paths, each with its own
 (seed, index) substream of noise, through one backward pass.
 
-That pass checks G for non-finite values once before its loop and F
-once after it, so the BB step it runs makes its product and LAPACK
-solve with no check of its own.  One UE path does not step at all: its rows
-x_t = z_t G_t^{-1} do not depend on F, so after solving for all of them
-the pass runs Phi_t = lambda Phi_{t+1} + x_t' x_t as the filter runs its
-scale recursion, one chain of Givens rotations on Python floats
+The steps compute and the pass checks: G once before its loop and F
+once after it, so a path leaves the pass as finite factors with a
+positive diagonal or as a package error naming the first bad t.
+
+One UE path does not step at all: its rows x_t = z_t G_t^{-1} do not
+depend on F, so after solving for all of them the pass runs
+Phi_t = lambda Phi_{t+1} + x_t' x_t as the filter runs its scale
+recursion, one chain of Givens rotations on Python floats
 (``matops._givens_chain``), with the same bits as the step-by-step loop.
 """
 
@@ -36,9 +38,9 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, NotPositiveDefinite
 from .filtering import FilterOutput
-from .matops import _givens_chain, _require_finite, _right_solve, _trtrs, chol_update, right_solve
+from .matops import _givens_chain, chol_update, right_solve, tri_solve
 from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from .volproc import BBHyper, UEHyper
 
@@ -59,22 +61,14 @@ def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.nd
     U~*_{t+1} = sqrt(b) F_{t+1} G_t is upper-triangular with positive
     diagonal, so it is the Cholesky factor of b G_t' Phi_{t+1} G_t; its
     squared diagonal gains theta (..., q), theta_i ~ chi2_{(1-beta) k_t};
-    off-diagonal entries are kept; F_t = U* G_t^{-1}.  Raises ValueError
-    when G_t or F_t is not finite.
+    off-diagonal entries are kept; F_t = U* G_t^{-1}.  Checks nothing:
+    the backward pass checks G before its loop and F after it.
     """
-    _require_finite(g_t)
-    f_t = _bb_step(f_next, g_t, b, theta)
-    _require_finite(f_t)
-    return f_t
-
-
-def _bb_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.ndarray) -> np.ndarray:
-    """``bb_backward_step`` with no finiteness checks, on one factor or a stack."""
     u = math.sqrt(b) * f_next @ g_t
     q = g_t.shape[0]
     diag = u.reshape(u.shape[:-2] + (q * q,))[..., :: q + 1]  # a view of u's diagonal
     diag[...] = np.sqrt(diag ** 2 + theta)
-    return _right_solve(u, g_t)
+    return right_solve(u, g_t)
 
 
 def _ue_noise(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator):
@@ -102,25 +96,40 @@ def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np
 
     F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]).
     One UE path, a single (q, q) W_T, runs as ``_ue_chain``; every other
-    pass makes one step call per t.  G is checked for non-finite values
-    before the pass and F after it (ValueError), so neither the chain
-    nor the BB step checks its own solves.
+    pass makes one step call per t.  ``_check_factors`` checks G before
+    the loop, so no solve meets a zero pivot, and F after it.
     """
     g = filt.g
-    _require_finite(g)
+    _check_factors(g, "filter factor G")
     T = g.shape[0] - 1
     with np.errstate(all="ignore"):  # a non-finite F_t is reported below
-        f_T = _right_solve(w_T, g[T])
+        f_T = right_solve(w_T, g[T])
         if filt.model == "ue" and w_T.ndim == 2:
             f = _ue_chain(g, f_T, noise, filt.discount)
         else:
             f = np.empty((T + 1,) + w_T.shape)
             f[T] = f_T
-            step = ue_backward_step if filt.model == "ue" else _bb_step
+            step = ue_backward_step if filt.model == "ue" else bb_backward_step
             for t in range(T - 1, -1, -1):
                 f[t] = step(f[t + 1], g[t], filt.discount, noise[t])
-    _require_finite(f)
+    _check_factors(f, "sampled factor F", backward=True)
     return f
+
+
+def _check_factors(a: np.ndarray, what: str, backward: bool = False) -> None:
+    """Raise at the first bad a[t], time axis first, that a pass meets (the last if ``backward``).
+
+    InvalidParameter if a[t] is not finite, NotPositiveDefinite if a diagonal entry is <= 0.
+    """
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    if np.isfinite(a).all() and diag.min() > 0:  # the common case, in two reductions
+        return
+    finite = np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+    bad = np.flatnonzero(~(finite & (diag > 0).reshape(a.shape[0], -1).all(axis=1)))
+    t = int(bad[-1] if backward else bad[0])
+    if not finite[t]:
+        raise InvalidParameter(f"{what} is not finite at t={t}")
+    raise NotPositiveDefinite(f"{what} has a diagonal entry <= 0 at t={t}")
 
 
 def _ue_chain(g: np.ndarray, f_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
@@ -134,7 +143,7 @@ def _ue_chain(g: np.ndarray, f_T: np.ndarray, z: np.ndarray, lam: float) -> np.n
     T, q = g.shape[0] - 1, g.shape[1]
     x = np.empty((T, q))
     for t in range(T):
-        x[t] = _trtrs(g[t], z[t], trans=True)
+        x[t] = tri_solve(g[t], z[t], trans=True)
     flat = _givens_chain(f_T.tolist(), x[::-1].tolist(), math.sqrt(lam))
     return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
 
@@ -184,6 +193,8 @@ def correlation_summary(factors: np.ndarray, quantiles) -> np.ndarray:
     Over an ensemble of N >= 2 paths, ``factors`` (N, T + 1, q, q):
     Sigma_t = Phi_t^{-1} = V V' with V = F_t^{-1}, so rho_ij is the cosine
     between rows i and j of V: one triangular inverse per draw and time.
+    Each row is scaled by a power of two before its norm, so the norm
+    neither overflows nor underflows: 2^k F gives the same bits as F.
     Returns (len(quantiles), q (q - 1) / 2, T + 1), pairs in row-major
     order (0, 1), (0, 2), ..., (q - 2, q - 1).
     """
@@ -196,6 +207,7 @@ def correlation_summary(factors: np.ndarray, quantiles) -> np.ndarray:
     # F is upper-triangular with a nonzero diagonal, so the pivoted LU
     # inside solve never swaps rows: this is back-substitution
     v = np.linalg.solve(factors, np.eye(factors.shape[-1]))
+    v = np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1])
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     rho = np.empty((factors.shape[0], iu.size, factors.shape[1]))
     for p, (i, j) in enumerate(zip(iu, ju)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .matops import gram, right_solve, sym, uchol
+from .matops import _require_finite, gram, right_solve, sym, uchol
 from .randsamp import sample_beta, sample_matrix_beta
 from .specfun import sqrt_beta_moment, tricomi_u_neg_half
 
@@ -137,7 +137,9 @@ def _factor_pair(phi_prev: np.ndarray, p_prev: np.ndarray | None):
     m = uchol(phi_prev)
     if p_prev is None:
         return np.broadcast_to(np.eye(m.shape[-1]), m.shape), m
-    return right_solve(m, p_prev), np.asarray(p_prev, dtype=float)
+    p_prev = np.asarray(p_prev, dtype=float)
+    _require_finite(p_prev, "p_prev")
+    return right_solve(m, p_prev), p_prev
 
 
 def ue_evolve(phi_prev: np.ndarray, ue: UEHyper, rng: np.random.Generator) -> np.ndarray:

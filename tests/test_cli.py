@@ -12,7 +12,7 @@ from wishartsv.cli import (
 )
 from wishartsv.errors import DimensionMismatch, InvalidParameter, ParseError
 from wishartsv.filtering import ReturnsSeries, simulate
-from wishartsv.volproc import UEHyper, match_ue_to_bb
+from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 
 
 def write_returns(path, rows, header=("date", "r1", "r2")):
@@ -116,6 +116,14 @@ class TestSimulate:
             simulate("ue", match_ue_to_bb(ue), 3, seed=0)
         with pytest.raises(InvalidParameter):
             simulate("bb", ue, 3, seed=0)
+
+    def test_overflow_is_reported(self):
+        # unmatched BB: k_t -> 1/(1 - beta) = 5, so beta k_t -> 4 = q - 1 and
+        # the Bartlett draws blow up; at t=39 a chi-square draw underflows to 0
+        a = np.random.default_rng(5).standard_normal((5, 5))
+        bb = BBHyper(q=5, k=1, beta=0.8, b=0.85, k0=20, d0=a @ a.T + np.eye(5))
+        with pytest.raises(InvalidParameter, match="at t=35$"):
+            simulate("bb", bb, 40, seed=5)
 
 
 class TestCommands:
@@ -260,6 +268,7 @@ class TestMain:
             ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 2.5, "data_csv": DATA}', "InvalidParameter", "'draws'"),
             ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "seed": "x", "data_csv": DATA}', "InvalidParameter", "'seed'"),
             ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "seed": -1, "data_csv": DATA}', "InvalidParameter", "'seed'"),
+            ("smooth", '{"q": 2, "n": 5.0, "lambda": 0.8, "draw": 3, "data_csv": DATA}', "InvalidParameter", "'draw'"),
             # json reads NaN and Infinity as floats
             ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "d0": [[NaN, 0], [0, 1]], "data_csv": DATA}',
              "InvalidParameter", "'d0'"),
@@ -285,7 +294,7 @@ class TestMain:
         ids=[
             "missing-key", "missing-config", "malformed-json", "not-an-object",
             "q-string", "n-string", "d0-string", "draws-float", "seed-string",
-            "seed-negative", "d0-nan", "n-infinity", "simulate-negative-T", "n-grid-empty", "lambda-grid-empty",
+            "seed-negative", "unknown-key", "d0-nan", "n-infinity", "simulate-negative-T", "n-grid-empty", "lambda-grid-empty",
             "grid-d0-shape", "grid-d0-asymmetric",
             "model-unknown", "quantiles-empty", "batches-zero", "batches-above-kept",
         ],
@@ -316,6 +325,35 @@ class TestMain:
         record = json.loads(err)
         assert record["error"] == "InvalidParameter" and "t=1" in record["message"]
         assert not list((tmp_path / "x").glob("*"))
+
+    @pytest.mark.parametrize("command", ["smooth", "compare-plr", "compare-mixture"])
+    def test_nonfinite_draws_are_reported(self, tmp_path, capsys, command):
+        # a pegged rate: column 2 is all zeros, so D_t's second pivot is
+        # lambda^t and G_T^{-1} overflows; every draw of Phi_T is infinite
+        data = tmp_path / "peg.csv"
+        r1 = np.random.default_rng(0).standard_normal(2840)
+        write_returns(data, [[t, v, 0.0] for t, v in enumerate(r1.tolist())])
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"q": 2, "n": 5, "lambda": 0.6, "data_csv": str(data), "draws": 4, "burn_in": 2, "batches": 2}
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "InvalidParameter" and "t=2840" in record["message"]
+
+    @pytest.mark.parametrize("command", ["smooth", "compare-plr"])
+    def test_huge_scale_runs_clean(self, tmp_path, capsys, command):
+        # G_t and F_t near 1e160: finite, although their squares overflow
+        data = tmp_path / "big.csv"
+        rows = np.random.default_rng(1).standard_normal((50, 2)) * 1e160
+        write_returns(data, [[t, *row] for t, row in enumerate(rows.tolist())])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q": 2, "n": 5, "lambda": 0.9, "d0": [[1e300, 0], [0, 1e300]],
+                                        "data_csv": str(data), "draws": 5}))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_parse_error_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -23,7 +23,7 @@ from wishartsv.filtering import (
     ue_forward_filter,
 )
 from wishartsv.matops import chol_update, rchol
-from wishartsv.volproc import UEHyper, match_ue_to_bb
+from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 
 
 def toy_series(T=40, q=2, seed=0):
@@ -351,6 +351,27 @@ class TestGridSearch:
         ):
             with pytest.raises(NotPositiveDefinite, match="not symmetric"):
                 run()
+
+
+class TestNonfiniteD0:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d0: UEHyper(q=2, k=1, n=5.0, lam=0.9, d0=d0),
+            lambda d0: BBHyper(q=2, k=1, beta=0.8, b=0.9, k0=5.0, d0=d0),
+            lambda d0: grid_search(ReturnsSeries(np.empty((0, 2))), d0, [5.0], [0.9]),
+            lambda d0: grid_search(toy_series(T=3), d0, [5.0], [0.9]),
+            lambda d0: marginal_loglik(toy_series(T=3), 5.0, 0.9, d0),
+            lambda d0: forecast_logdensity(np.ones(2), d0, 5.0, 0.9),
+        ],
+        ids=["UEHyper", "BBHyper", "grid_search-T0", "grid_search", "marginal_loglik", "forecast_logdensity"],
+    )
+    def test_rejected(self, call, value):
+        d0 = np.eye(2)
+        d0[0, 0] = value
+        with pytest.raises(NotPositiveDefinite, match="non-finite"):
+            call(d0)
 
 
 class TestConstrainedLambda:

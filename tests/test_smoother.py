@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
 from consistency import joint_consistency_report
-from wishartsv.errors import InvalidParameter
+from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import ReturnsSeries, bb_forward_filter, constrained_lambda, simulate, ue_forward_filter
 from wishartsv.matops import right_solve, uchol
 from wishartsv.randsamp import make_rng, sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
@@ -197,20 +196,21 @@ class TestBackwardErrors:
     @pytest.mark.parametrize(
         "t, entry, value, error",
         [
-            (2, (0, 1), np.nan, ValueError),  # an interior G_t
-            (4, (1, 1), np.inf, ValueError),  # G_T, solved against first
-            (0, (0, 0), np.nan, ValueError),
-            (2, (1, 1), 0.0, LinAlgError),  # a zero pivot
-            (4, (0, 0), 0.0, LinAlgError),
-            (0, (1, 1), 0.0, LinAlgError),
+            (2, (0, 1), np.nan, InvalidParameter),  # an interior G_t
+            (4, (1, 1), np.inf, InvalidParameter),  # G_T, solved against first
+            (0, (0, 0), np.nan, InvalidParameter),
+            (2, (1, 1), 0.0, NotPositiveDefinite),  # a zero pivot
+            (4, (0, 0), 0.0, NotPositiveDefinite),
+            (0, (1, 1), 0.0, NotPositiveDefinite),
         ],
     )
     def test_bad_filter_factor(self, model, t, entry, value, error):
+        # G is checked once, before the pass, and the error names t
         data, ue, bb, fu, fb = filters(T=4, q=2)
         filt, hyper, sampler = (fu, ue, ue_backward_sample) if model == "ue" else (fb, bb, bb_backward_sample)
         g = filt.g.copy()
         g[(t,) + entry] = value
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"G .* t={t}$"):
             sampler(dataclasses.replace(filt, g=g), hyper, make_rng(0))
 
 
@@ -362,6 +362,14 @@ class TestEnsembles:
         for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
             rho = sigma[..., i, j] / np.sqrt(sigma[..., i, i] * sigma[..., j, j])
             np.testing.assert_allclose(curves[:, k], np.quantile(rho, levels, axis=0), rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [530, -530])
+    def test_correlation_summary_scale_invariant(self, k):
+        # V = F^{-1} has rows near 2^-k, whose squares over- or underflow
+        data, ue, _, fu, _ = filters(T=8, q=3, seed=12)
+        ens = sample_ensemble(fu, ue, 20, seed=1)
+        levels = [0.1, 0.5, 0.9]
+        np.testing.assert_array_equal(correlation_summary(ens * 2.0**k, levels), correlation_summary(ens, levels))
 
     def test_correlation_summary_q1(self):
         # one coordinate has no pairs: an empty table, not an error
