@@ -12,7 +12,7 @@ Run: python3 demos/demo_filter_smooth.py
 
 import numpy as np
 
-from wishartsv.filtering import bb_forward_filter, constrained_lambda, simulate, ue_forward_filter
+from wishartsv.filtering import constrained_lambda, forward_filter, simulate
 from wishartsv.smoother import correlation_summary, sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
@@ -26,9 +26,9 @@ ue = UEHyper(q=3, k=1, n=8.0, lam=constrained_lambda(8.0, 1.0, 3), d0=np.eye(3))
 bb = match_ue_to_bb(ue)
 print(f"matched hyperparameters: k0={bb.k0}, beta={bb.beta:.6f}, b={bb.b}")
 
-data, _ = simulate("ue", ue, T, seed=SEED)
-filt_u = ue_forward_filter(data, ue)
-filt_b = bb_forward_filter(data, bb)
+data, _ = simulate(ue, T, seed=SEED)
+filt_u = forward_filter(data, ue)
+filt_b = forward_filter(data, bb)
 
 gap = np.abs(filt_u.log_forecast - filt_b.log_forecast).max()
 print(f"forward filters: max |log forecast gap| = {gap:.3e} (bit-equal D paths: "
@@ -36,8 +36,8 @@ print(f"forward filters: max |log forecast gap| = {gap:.3e} (bit-equal D paths: 
 print(f"log marginal likelihood: {filt_u.loglik:.3f}")
 
 quantiles = (0.1, 0.5, 0.9)
-for tag, filt, hyper in (("UE", filt_u, ue), ("BB", filt_b, bb)):
-    ens = sample_ensemble(filt, hyper, DRAWS, seed=SEED + 1)
+for tag, filt in (("UE", filt_u), ("BB", filt_b)):
+    ens = sample_ensemble(filt, n_draws=DRAWS, seed=SEED + 1)
     curves = correlation_summary(ens, quantiles)[:, 0]  # pair (1, 2)
     mid = T // 2
     print(f"{tag} smoothed corr(1,2) at t={mid}: "

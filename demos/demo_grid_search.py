@@ -15,7 +15,7 @@ from wishartsv.volproc import UEHyper
 TRUE_N, TRUE_LAM, T, SEED = 6.0, 0.85, 1000, 42
 
 ue = UEHyper(q=3, k=1, n=TRUE_N, lam=TRUE_LAM, d0=np.eye(3))
-data, _ = simulate("ue", ue, T, seed=SEED)
+data, _ = simulate(ue, T, seed=SEED)
 
 n_grid = [float(n) for n in range(3, 11)]
 lam_grid = [round(0.70 + 0.025 * i, 3) for i in range(11)]

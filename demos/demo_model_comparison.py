@@ -23,7 +23,7 @@ from wishartsv.compare import (
     path_loglik,
     ppc_intervals,
 )
-from wishartsv.filtering import bb_forward_filter, simulate, ue_forward_filter
+from wishartsv.filtering import forward_filter, simulate
 from wishartsv.smoother import sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
@@ -31,12 +31,12 @@ T, SEED, DRAWS = 200, 5, 150
 
 ue = UEHyper(q=2, k=1, n=6.0, lam=0.8, d0=np.eye(2))
 bb = match_ue_to_bb(ue)
-data, _ = simulate("ue", ue, T, seed=SEED)
-filt_u = ue_forward_filter(data, ue)
-filt_b = bb_forward_filter(data, bb)
+data, _ = simulate(ue, T, seed=SEED)
+filt_u = forward_filter(data, ue)
+filt_b = forward_filter(data, bb)
 
-ens_u = sample_ensemble(filt_u, ue, DRAWS, seed=SEED + 1)
-ens_b = sample_ensemble(filt_b, bb, DRAWS, seed=SEED + 2)
+ens_u = sample_ensemble(filt_u, n_draws=DRAWS, seed=SEED + 1)
+ens_b = sample_ensemble(filt_b, n_draws=DRAWS, seed=SEED + 2)
 plr = log_plr(path_loglik(ens_u, data), path_loglik(ens_b, data))
 print(f"1. log posterior likelihood ratio (UE vs BB): {plr:+.3f} "
       f"({DRAWS} smoothed draws per model)")

@@ -19,20 +19,14 @@ from .errors import (
 from .filtering import (
     FilterOutput,
     ReturnsSeries,
-    bb_forward_filter,
     constrained_lambda,
     forecast_logdensity,
+    forward_filter,
     grid_search,
     marginal_loglik,
     simulate,
-    ue_forward_filter,
 )
-from .smoother import (
-    bb_backward_sample,
-    correlation_summary,
-    sample_ensemble,
-    ue_backward_sample,
-)
+from .smoother import backward_sample, correlation_summary, sample_ensemble
 from .volproc import (
     BBHyper,
     UEHyper,

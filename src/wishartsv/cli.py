@@ -35,13 +35,7 @@ from .errors import (
     ParseError,
     WishartSVError,
 )
-from .filtering import (
-    ReturnsSeries,
-    bb_forward_filter,
-    grid_search,
-    simulate,
-    ue_forward_filter,
-)
+from .filtering import ReturnsSeries, forward_filter, grid_search, simulate
 from .matops import sym, uchol
 from .randsamp import RNG_ALGORITHM
 from .smoother import correlation_summary, sample_ensemble
@@ -199,6 +193,11 @@ def _check_types(cfg: dict) -> None:
             raise InvalidParameter(f"unknown config field {key!r}")
         if not _FIELD_TYPES[key][1](val):
             raise InvalidParameter(f"config field {key!r} must be {_FIELD_TYPES[key][0]}, got {val!r}")
+    # D_0 comes from d0, from presample_csv (with an optional ridge), or is I
+    if "d0" in cfg and "presample_csv" in cfg:
+        raise InvalidParameter("config fields 'd0' and 'presample_csv' both set D_0; give one")
+    if "ridge" in cfg and "presample_csv" not in cfg:
+        raise InvalidParameter("config field 'ridge' applies only with 'presample_csv'")
 
 
 def _required(cfg: dict, key: str):
@@ -235,7 +234,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     model = cfg.get("model", "ue")
     if model not in ("ue", "bb"):
         raise InvalidParameter(f"simulate draws from one model, ue or bb; got {model!r}")
-    series, phis = simulate(model, ue if model == "ue" else bb, _required(cfg, "T"), cfg["seed"])
+    series, phis = simulate(ue if model == "ue" else bb, _required(cfg, "T"), cfg["seed"])
     _write_csv(
         outdir / "returns.csv",
         ["t"] + [f"r{i + 1}" for i in range(q)],
@@ -253,19 +252,19 @@ def _filter_pair(cfg: dict, data: ReturnsSeries):
     d0, warning = _d0_from_cfg(cfg, data.q)
     ue, bb = _hyper_from_cfg(cfg, data.q, d0)
     model = cfg.get("model", "matched")
-    filt_u = ue_forward_filter(data, ue) if model in ("ue", "matched") else None
-    filt_b = bb_forward_filter(data, bb) if model in ("bb", "matched") else None
+    filt_u = forward_filter(data, ue) if model in ("ue", "matched") else None
+    filt_b = forward_filter(data, bb) if model in ("bb", "matched") else None
     if model == "matched":
         # guard the hyperparameter-matching wiring end to end
         gap = np.abs(filt_u.log_forecast - filt_b.log_forecast).max()
         if gap > 1e-8:
             raise WishartSVError(f"matched UE/BB forecast densities disagree by {gap}")
-    return ue, bb, filt_u, filt_b, warning
+    return filt_u, filt_b, warning
 
 
 def cmd_filter(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    ue, bb, filt_u, filt_b, warning = _filter_pair(cfg, data)
+    filt_u, filt_b, warning = _filter_pair(cfg, data)
     summaries = {}
     for tag, filt in (("ue", filt_u), ("bb", filt_b)):
         if filt is None:
@@ -310,14 +309,14 @@ def cmd_grid_search(cfg: dict, outdir: Path) -> dict:
 
 def cmd_smooth(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    ue, bb, filt_u, filt_b, warning = _filter_pair(cfg, data)
+    filt_u, filt_b, warning = _filter_pair(cfg, data)
     n_draws = cfg.get("draws", 100)
     quantiles = cfg.get("quantiles", [0.025, 0.5, 0.975])
     out = {}
-    for tag, filt, hyper in (("ue", filt_u, ue), ("bb", filt_b, bb)):
+    for tag, filt in (("ue", filt_u), ("bb", filt_b)):
         if filt is None:
             continue
-        ens = sample_ensemble(filt, hyper, n_draws, cfg["seed"])
+        ens = sample_ensemble(filt, n_draws=n_draws, seed=cfg["seed"])
         curves = correlation_summary(ens, quantiles).transpose(1, 2, 0).tolist()  # [pair][t][level]
         rows = [
             [t, i + 1, j + 1] + levels
@@ -336,10 +335,10 @@ def cmd_smooth(cfg: dict, outdir: Path) -> dict:
 
 def cmd_compare_plr(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    ue, bb, filt_u, filt_b, warning = _filter_pair({**cfg, "model": "matched"}, data)
+    filt_u, filt_b, warning = _filter_pair({**cfg, "model": "matched"}, data)
     n_draws = cfg.get("draws", 100)
-    ens_u = sample_ensemble(filt_u, ue, n_draws, cfg["seed"])
-    ens_b = sample_ensemble(filt_b, bb, n_draws, cfg["seed"] + 1)
+    ens_u = sample_ensemble(filt_u, n_draws=n_draws, seed=cfg["seed"])
+    ens_b = sample_ensemble(filt_b, n_draws=n_draws, seed=cfg["seed"] + 1)
     value = log_plr(path_loglik(ens_u, data), path_loglik(ens_b, data))
     return {"log_plr": value, "draws": n_draws, "warning": warning}
 
@@ -373,7 +372,7 @@ def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
 
 def cmd_ppc(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    ue, bb, filt_u, filt_b, warning = _filter_pair(cfg, data)
+    filt_u, filt_b, warning = _filter_pair(cfg, data)
     level = cfg.get("level", 0.95)
     out = {}
     for tag, filt in (("ue", filt_u), ("bb", filt_b)):

@@ -15,15 +15,10 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .errors import DimensionMismatch, EmptyEnsemble, InvalidParameter
-from .filtering import (
-    FilterOutput,
-    ReturnsSeries,
-    bb_forward_filter,
-    ue_forward_filter,
-)
+from .filtering import FilterOutput, ReturnsSeries, forward_filter
 from .matops import _require_finite
 from .randsamp import make_rng, sample_mvnormal_prec
-from .smoother import bb_backward_sample, ue_backward_sample
+from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -163,10 +158,8 @@ def mixture_gibbs(
 
     for it in range(cfg.iterations):
         # refresh both precision paths on the current imputed series
-        filt_u = ue_forward_filter(ReturnsSeries(r_u), ue)
-        f_u = ue_backward_sample(filt_u, ue, rng)[1:]
-        filt_b = bb_forward_filter(ReturnsSeries(r_b), bb)
-        f_b = bb_backward_sample(filt_b, bb, rng)[1:]
+        f_u = backward_sample(forward_filter(ReturnsSeries(r_u), ue), rng)[1:]
+        f_b = backward_sample(forward_filter(ReturnsSeries(r_b), bb), rng)[1:]
         if degenerate:
             # identical likelihood terms: both evaluated at the observed r_t
             f_b = f_u

@@ -5,6 +5,12 @@ UE keeps D_t = lambda D_{t-1} + y_t with fixed posterior df n + k; BB
 keeps D_t = b D_{t-1} + y_t together with k_t = beta k_{t-1} + k.  With
 k = 1 and y_t = r_t r_t' the one-step forecast is multivariate-t.
 
+A hyperparameter set, ``UEHyper`` or ``BBHyper``, is the only statement
+of the model.  ``forward_filter(data, hyper)`` runs either model and
+keeps ``hyper`` in its ``FilterOutput``; ``simulate(hyper, T, seed)``
+draws from either.  Both read the discount, k_0..k_T and the prior df
+from one function, ``_df_path``, the one copy of the BB df recursion.
+
 One pass, ``_scale_pass``, runs the recursion D_t = disc D_{t-1} +
 r_t r_t' and stores each D_t only as an upper-triangular factor G_t
 with G_t G_t' = D_t (square-root filtering, Bierman 1977).  Then
@@ -15,7 +21,7 @@ Givens rank-1 update per step (Gill, Golub, Murray & Saunders 1974) on
 Python floats, with no numpy call or solve inside it.  After the loop
 the pass yields the forecast terms s_t = r_t' D_{t-1}^{-1} r_t, from one
 back-substitution over all t, and log|D_{t-1}|, from the diagonal of
-G_{t-1}.  Neither depends on n: the filters, ``forecast_logdensity``
+G_{t-1}.  Neither depends on n: the filter, ``forecast_logdensity``
 (a pass of one step) and ``grid_search`` (and so ``marginal_loglik``, its
 one-cell case) all reduce them through ``_forecast_logdensity``, and a
 grid costs one pass per lambda.
@@ -55,8 +61,8 @@ class ReturnsSeries:
 
     def __post_init__(self):
         r = np.atleast_2d(np.asarray(self.returns, dtype=float))
-        if r.ndim != 2:
-            raise DimensionMismatch(f"returns must be a T x q array, got ndim={r.ndim}")
+        if r.ndim != 2 or r.shape[1] < 1:
+            raise DimensionMismatch(f"returns must be a T x q array with q >= 1, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise InvalidParameter("returns contain non-finite values")
         if self.timestamps is not None and len(self.timestamps) != r.shape[0]:
@@ -76,13 +82,16 @@ class ReturnsSeries:
 class FilterOutput:
     """Filtered sufficient statistics and forecast-density bookkeeping.
 
-    ``g`` stacks the upper-triangular factors G_0..G_T with positive
-    diagonal and G_t G_t' = D_t; ``k_seq`` carries k_0..k_T for BB
-    (constant n + k for UE); ``df_prior[t-1]`` is the prior-at-t degrees
-    of freedom of the one-step forecast (n for UE, beta k_{t-1} for BB).
+    ``hyper`` is the hyperparameter set the filter ran with; its type,
+    ``UEHyper`` or ``BBHyper``, is the model, and the backward samplers
+    read everything they need from here.  ``g`` stacks the
+    upper-triangular factors G_0..G_T with positive diagonal and
+    G_t G_t' = D_t; ``k_seq`` carries k_0..k_T for BB (constant n + k for
+    UE); ``df_prior[t-1]`` is the prior-at-t degrees of freedom of the
+    one-step forecast (n for UE, beta k_{t-1} for BB).
     """
 
-    model: str  # "ue" | "bb"
+    hyper: UEHyper | BBHyper  # the model the filter ran
     g: np.ndarray  # (T+1, q, q)
     k_seq: np.ndarray  # (T+1,)
     df_prior: np.ndarray  # (T,)
@@ -168,36 +177,19 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     return g, s, logdet
 
 
-def _filter(model: str, data: ReturnsSeries, d0, discount: float, k_seq, df_prior):
-    """The scale pass and its forecast log densities, as a FilterOutput."""
-    g, s, logdet = _scale_pass(data.returns, d0, discount)
-    log_forecast = _forecast_logdensity(s, logdet, df_prior, discount, data.q)
-    return FilterOutput(
-        model=model,
-        g=g,
-        k_seq=k_seq,
-        df_prior=df_prior,
-        log_forecast=log_forecast,
-        loglik=float(log_forecast.sum()),
-        discount=discount,
-    )
+def _df_path(hyper, T: int):
+    """(discount, k_0..k_T, prior df at t = 1..T) of a hyperparameter set over T steps.
 
-
-def ue_forward_filter(data: ReturnsSeries, ue: UEHyper) -> FilterOutput:
-    """Conjugate UE filter with y_t = r_t r_t': D_t = lambda D_{t-1} + y_t."""
-    if data.q != ue.q:
-        raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {ue.q}")
-    k_seq = np.full(data.T + 1, ue.n + ue.k)
-    return _filter("ue", data, ue.d0, ue.lam, k_seq, np.full(data.T, float(ue.n)))
-
-
-def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
-    """Conjugate BB filter: D_t = b D_{t-1} + y_t, k_t = beta k_{t-1} + k."""
-    if data.q != bb.q:
-        raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {bb.q}")
-    T = data.T
-    beta, k = float(bb.beta), float(bb.k)
-    k_seq = [float(bb.k0)]
+    UE keeps k_t = n + k and prior df n.  BB runs k_t = beta k_{t-1} + k
+    with prior df beta k_{t-1}, which must stay above q - 1: raises
+    InvalidParameter at the first t where it does not.
+    """
+    if isinstance(hyper, UEHyper):
+        return hyper.lam, np.full(T + 1, hyper.n + hyper.k), np.full(T, float(hyper.n))
+    if not isinstance(hyper, BBHyper):
+        raise InvalidParameter(f"expected a UEHyper or BBHyper, got {type(hyper).__name__}")
+    beta, k = float(hyper.beta), float(hyper.k)
+    k_seq = [float(hyper.k0)]
     tol = 4.0 * math.ulp(1.0)  # 4 machine epsilons
     for _ in range(T):
         prev = k_seq[-1]
@@ -207,14 +199,39 @@ def bb_forward_filter(data: ReturnsSeries, bb: BBHyper) -> FilterOutput:
         # step would otherwise accumulate
         k_seq.append(prev if abs(nxt - prev) <= tol * abs(prev) else nxt)
     k_seq = np.array(k_seq)
-    if np.any(bb.beta * k_seq - bb.q + 1 <= 0):
-        raise InvalidParameter("df path violates Beta-shape positivity along the filtration")
-    # prior-at-t df is beta * k_{t-1}
-    return _filter("bb", data, bb.d0, bb.b, k_seq, bb.beta * k_seq[:T])
+    df_prior = hyper.beta * k_seq[:T]
+    bad = df_prior <= hyper.q - 1
+    if bad.any():
+        t = int(np.argmax(bad)) + 1
+        raise InvalidParameter(f"prior df {df_prior[t - 1]} <= q - 1 at t={t}")
+    return hyper.b, k_seq, df_prior
 
 
-def simulate(model: str, hyper, T: int, seed: int):
-    """Generate returns and a matching precision sequence from the model.
+def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutput:
+    """The conjugate filter of the model ``hyper`` states, with y_t = r_t r_t'.
+
+    D_t = discount D_{t-1} + y_t, the discount being lambda (UE) or b
+    (BB); BB also runs k_t = beta k_{t-1} + k.  Matched UE and BB give
+    the same output but for ``hyper``, the model every later step reads.
+    """
+    discount, k_seq, df_prior = _df_path(hyper, data.T)
+    if data.q != hyper.q:
+        raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {hyper.q}")
+    g, s, logdet = _scale_pass(data.returns, hyper.d0, discount)
+    log_forecast = _forecast_logdensity(s, logdet, df_prior, discount, data.q)
+    return FilterOutput(
+        hyper=hyper,
+        g=g,
+        k_seq=k_seq,
+        df_prior=df_prior,
+        log_forecast=log_forecast,
+        loglik=float(log_forecast.sum()),
+        discount=discount,
+    )
+
+
+def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
+    """Generate returns and a matching precision sequence from the model ``hyper`` states.
 
     Each Phi_t is drawn from its exact one-step prior given the past
     returns (Wishart with the prior-at-t degrees of freedom and scale
@@ -226,27 +243,19 @@ def simulate(model: str, hyper, T: int, seed: int):
     short horizons: the precision's log-determinant drifts, so condition
     numbers overflow double precision within a few hundred steps.
     """
-    hyper_type = {"ue": UEHyper, "bb": BBHyper}.get(model)
-    if hyper_type is None:
-        raise InvalidParameter(f"unknown model {model!r}")
-    if not isinstance(hyper, hyper_type):
-        raise InvalidParameter(f"model {model!r} needs a {hyper_type.__name__}, got {type(hyper).__name__}")
     if T < 0:
         raise InvalidParameter(f"T must be >= 0, got {T}")
+    disc, k_seq, df_prior = _df_path(hyper, T)
     rng = make_rng(seed)
     q = hyper.q
-    disc, k_t = (hyper.lam, hyper.n + hyper.k) if model == "ue" else (hyper.b, hyper.k0)
     rows = uchol(hyper.d0).tolist()  # R_0 with R_0' R_0 = D_0
     phis = np.empty((T + 1, q, q))
     # Phi_0 from Wishart(k_0, D_0^{-1}), with the filter's factor G_0 (G_0 G_0' = D_0)
-    phis[0] = sample_wishart_bartlett(k_t, tri_solve(rchol(hyper.d0), np.eye(q)), rng)
+    phis[0] = sample_wishart_bartlett(k_seq[0], tri_solve(rchol(hyper.d0), np.eye(q)), rng)
     returns = np.empty((T, q))
     sqrt_disc = math.sqrt(disc)
     with np.errstate(all="ignore"):  # a non-finite r_t or Phi_t is reported below
-        for t in range(1, T + 1):
-            df = hyper.n if model == "ue" else hyper.beta * k_t
-            if df <= q - 1:
-                raise InvalidParameter(f"prior df {df} <= q - 1 at t={t}")
+        for t, df in enumerate(df_prior.tolist(), start=1):
             # F-ordered, as uchol returns it: d_chol.T @ w rounds by memory order
             d_chol = np.array(rows, order="F")
             # All stochastic work happens in D_{t-1}-whitened coordinates,
@@ -264,8 +273,6 @@ def simulate(model: str, hyper, T: int, seed: int):
             m = tri_solve(d_chol, a.T).T / sqrt_disc  # A R^{-T}
             phis[t] = m.T @ m
             _givens_update(rows, returns[t - 1].tolist(), sqrt_disc)
-            if model == "bb":
-                k_t = hyper.beta * k_t + hyper.k
     bad = ~np.isfinite(returns).all(axis=1) | ~np.isfinite(phis[1:]).all(axis=(1, 2))
     if bad.any():
         raise InvalidParameter(f"simulated r_t or Phi_t overflows double precision at t={int(np.argmax(bad)) + 1}")

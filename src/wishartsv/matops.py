@@ -12,8 +12,11 @@ every draw of an ensemble.
 Kernels compute; passes check.  No kernel tests for non-finite values:
 each pass (the scale pass, a backward pass, ``simulate``, a mixture
 sweep) checks its input once and its output once, and raises a package
-error naming the time step.  ``uchol`` rejects a non-finite matrix, and
-the rank-1 updates and ``tri_solve`` raise only on a zero pivot.
+error naming the time step.  ``uchol`` rejects a non-finite matrix.  A
+zero pivot makes ``tri_solve`` raise LinAlgError and ``_givens_update``
+NotPositiveDefinite (a Python float division by zero would raise
+ZeroDivisionError), while ``chol_update`` divides 0 by 0 and returns a
+NaN factor, which the calling pass reports with its t.
 
 ``tri_solve`` is the one triangular solve of a single factor.  It
 makes the LAPACK ``trtrs`` call ``scipy.linalg.solve_triangular`` makes,
@@ -134,15 +137,13 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     the matrix alone give the same bits; the result keeps r's memory
     order.  The rotations are those of ``_givens_update``: both take rho
     from ``np.hypot`` (``math.hypot`` rounds differently) and round every
-    product and sum alike.
+    product and sum alike.  A zero pivot gives NaN entries, not an error.
     """
     r = np.array(r, dtype=float)
     x = np.array(x, dtype=float)
     q = r.shape[-1]
     for i in range(q):
         rho = np.hypot(r[..., i, i], x[..., i])
-        if np.any(rho <= 0.0):
-            raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
         c = (r[..., i, i] / rho)[..., None]
         s = (x[..., i] / rho)[..., None]
         r[..., i, i] = rho

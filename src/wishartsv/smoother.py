@@ -1,5 +1,12 @@
 """Backward sampling of full precision paths Phi_{0:T} | D_T.
 
+Matched UE and BB share one forward filter and differ only here, in the
+backward law.  The model is the type of the filter output's ``hyper``:
+``backward_sample(filt, rng)`` draws one path and
+``sample_ensemble(filt, n_draws, seed)`` N of them, and neither takes
+the hyperparameters again, so the law sampled is always the one the
+filter ran.
+
 A path is its array of upper-triangular factors F_0..F_T, (T + 1, q, q),
 with F_t' F_t = Phi_t and positive diagonal, and an ensemble of N paths
 is one (N, T + 1, q, q) array.  Every step works on factors: with G_t the
@@ -42,7 +49,7 @@ from .errors import InvalidParameter, NotPositiveDefinite
 from .filtering import FilterOutput
 from .matops import _givens_chain, chol_update, right_solve, tri_solve
 from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
-from .volproc import BBHyper, UEHyper
+from .volproc import UEHyper
 
 
 def ue_backward_step(f_next: np.ndarray, g_t: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
@@ -71,24 +78,20 @@ def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.nd
     return right_solve(u, g_t)
 
 
-def _ue_noise(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator):
-    """Terminal Bartlett factor of Wishart(n + 1, I), then the T x q increment rows z."""
-    T, q = filt.g.shape[0] - 1, filt.g.shape[1]
-    w_T = sample_bartlett_factor(q, ue.n + ue.k, rng)
-    # the one row of a Wishart(1, I) factor: N(0, I) at q >= 2, sqrt(chi2_1) at q = 1
-    return w_T, sample_wishart_factor(q, 1, rng, size=T)[::-1, 0]
+def _noise(filt: FilterOutput, rng: np.random.Generator):
+    """One path's noise: the terminal Bartlett factor of Wishart(k_T, I), then per-step noise.
 
-
-def _bb_noise(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator):
-    """Terminal Bartlett factor of Wishart(k_T, I), then the T x q chi-square increments."""
+    UE draws T rows z of Wishart(1, I) factors, BB a T x q array of
+    chi-square increments with df (1 - beta) k_t; both are drawn for
+    t = T-1 down to 0 and returned in time order.
+    """
     T, q = filt.g.shape[0] - 1, filt.g.shape[1]
     w_T = sample_bartlett_factor(q, filt.k_seq[T], rng)
-    df = (1.0 - bb.beta) * filt.k_seq[:T][::-1, None]
+    if isinstance(filt.hyper, UEHyper):
+        # the one row of a Wishart(1, I) factor: N(0, I) at q >= 2, sqrt(chi2_1) at q = 1
+        return w_T, sample_wishart_factor(q, 1, rng, size=T)[::-1, 0]
+    df = (1.0 - filt.hyper.beta) * filt.k_seq[:T][::-1, None]
     return w_T, sample_chi2(df, rng, size=(T, q))[::-1]
-
-
-# the noise one path of each model consumes
-_NOISE = {"ue": _ue_noise, "bb": _bb_noise}
 
 
 def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -104,12 +107,13 @@ def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np
     T = g.shape[0] - 1
     with np.errstate(all="ignore"):  # a non-finite F_t is reported below
         f_T = right_solve(w_T, g[T])
-        if filt.model == "ue" and w_T.ndim == 2:
+        ue = isinstance(filt.hyper, UEHyper)
+        if ue and w_T.ndim == 2:
             f = _ue_chain(g, f_T, noise, filt.discount)
         else:
             f = np.empty((T + 1,) + w_T.shape)
             f[T] = f_T
-            step = ue_backward_step if filt.model == "ue" else bb_backward_step
+            step = ue_backward_step if ue else bb_backward_step
             for t in range(T - 1, -1, -1):
                 f[t] = step(f[t + 1], g[t], filt.discount, noise[t])
     _check_factors(f, "sampled factor F", backward=True)
@@ -148,41 +152,27 @@ def _ue_chain(g: np.ndarray, f_T: np.ndarray, z: np.ndarray, lam: float) -> np.n
     return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
 
 
-def ue_backward_sample(filt: FilterOutput, ue: UEHyper, rng: np.random.Generator) -> np.ndarray:
-    """Draw Phi_{0:T} | D_T for UE, as its factors F_0..F_T.
+def backward_sample(filt: FilterOutput, rng: np.random.Generator) -> np.ndarray:
+    """Draw Phi_{0:T} | D_T for the model ``filt.hyper`` states, as its factors F_0..F_T.
 
-    Terminal draw from the filtered posterior Wishart(n + 1, D_T^{-1});
-    then Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(1, D_t^{-1}),
-    one ``ue_backward_step`` per t.
+    The terminal draw from the filtered posterior Wishart(k_T, D_T^{-1})
+    is taken in Bartlett-factor form, F_T = W G_T^{-1}.  UE then runs
+    Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(1, D_t^{-1}), one
+    ``ue_backward_step`` per t; BB makes one ``bb_backward_step`` per t.
     """
-    if filt.model != "ue":
-        raise InvalidParameter(f"expected a UE filter output, got {filt.model!r}")
-    return _backward_pass(filt, *_ue_noise(filt, ue, rng))
+    return _backward_pass(filt, *_noise(filt, rng))
 
 
-def bb_backward_sample(filt: FilterOutput, bb: BBHyper, rng: np.random.Generator) -> np.ndarray:
-    """Draw Phi_{0:T} | D_T for BB, as its factors F_0..F_T.
-
-    The terminal Wishart(k_T, D_T^{-1}) draw is taken directly in
-    Bartlett-factor form, F_T = U G_T^{-1}; each earlier factor is one
-    ``bb_backward_step``.
-    """
-    if filt.model != "bb":
-        raise InvalidParameter(f"expected a BB filter output, got {filt.model!r}")
-    return _backward_pass(filt, *_bb_noise(filt, bb, rng))
-
-
-def sample_ensemble(filt: FilterOutput, hyper, n_draws: int, seed: int) -> np.ndarray:
+def sample_ensemble(filt: FilterOutput, n_draws: int, seed: int) -> np.ndarray:
     """Independent backward draws with per-draw (seed, index) substreams.
 
-    Draw i consumes substream (seed, i) exactly as
-    ``ue_backward_sample`` or ``bb_backward_sample`` would; all draws
-    then run through one backward pass on (N, q, q) stacks.
+    Draw i consumes substream (seed, i) exactly as ``backward_sample``
+    would; all draws then run through one backward pass on (N, q, q)
+    stacks.
     """
     if n_draws < 1:
         raise InvalidParameter(f"n_draws must be >= 1, got {n_draws}")
-    noise_of = _NOISE[filt.model]
-    w_T, noise = zip(*(noise_of(filt, hyper, substream(seed, i)) for i in range(n_draws)))
+    w_T, noise = zip(*(_noise(filt, substream(seed, i)) for i in range(n_draws)))
     f = _backward_pass(filt, np.stack(w_T), np.stack(noise, axis=1))
     return np.ascontiguousarray(np.swapaxes(f, 0, 1))
 

@@ -21,13 +21,12 @@ from wishartsv.compare import (
 )
 from wishartsv.filtering import (
     ReturnsSeries,
-    bb_forward_filter,
     constrained_lambda,
     forecast_logdensity,
+    forward_filter,
     grid_search,
     marginal_loglik,
     simulate,
-    ue_forward_filter,
 )
 from wishartsv.matops import gram, uchol
 from wishartsv.randsamp import (
@@ -73,8 +72,8 @@ def test_criterion_01_matched_equivalence():
             ue = UEHyper(q=q, k=1, n=n, lam=lam, d0=d0)
             bb = match_ue_to_bb(ue)
             data = ReturnsSeries(rng.standard_normal((100, q)) * rng.uniform(0.5, 2.0))
-            fu = ue_forward_filter(data, ue)
-            fb = bb_forward_filter(data, bb)
+            fu = forward_filter(data, ue)
+            fb = forward_filter(data, bb)
             np.testing.assert_array_equal(fu.g, fb.g)
             np.testing.assert_array_equal(fb.k_seq, np.full(101, n + 1.0))
             assert np.abs(fu.log_forecast - fb.log_forecast).max() < 1e-10
@@ -184,7 +183,7 @@ def test_criterion_07_joint_consistency():
         ue = UEHyper(q=2, k=1, n=5.0, lam=0.8, d0=np.eye(2))
         bb = match_ue_to_bb(ue)
         data = ReturnsSeries(np.random.default_rng(7).standard_normal((3, 2)))
-        fb = bb_forward_filter(data, bb)
+        fb = forward_filter(data, bb)
         t = 2
         g_t, k_t = fb.g[t], fb.k_seq[t]
         f_next = np.sqrt(fb.k_seq[t + 1]) * np.linalg.inv(fb.g[t + 1])  # Phi_{t+1} = k_{t+1} D_{t+1}^{-1}
@@ -272,9 +271,9 @@ def test_criterion_12_ppc_calibration():
         lam = constrained_lambda(n, 1.0, 3)
         ue = UEHyper(q=3, k=1, n=n, lam=lam, d0=np.eye(3))
         bb = match_ue_to_bb(ue)
-        data, _ = simulate("ue", ue, 2000, seed=1)
-        fu = ue_forward_filter(data, ue)
-        fb = bb_forward_filter(data, bb)
+        data, _ = simulate(ue, 2000, seed=1)
+        fu = forward_filter(data, ue)
+        fb = forward_filter(data, bb)
         lengths_u, cov_u = ppc_intervals(fu, data, level=0.95)
         lengths_b, cov_b = ppc_intervals(fb, data, level=0.95)
         assert 0.935 <= cov_u[-1] <= 0.965
@@ -285,7 +284,7 @@ def test_criterion_12_ppc_calibration():
 def test_criterion_13_end_to_end_smoke():
     with criterion(13, "end-to-end grid recovery", 300.0):
         ue = UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3))
-        data, _ = simulate("ue", ue, 1000, seed=42)
+        data, _ = simulate(ue, 1000, seed=42)
         n_grid = list(range(3, 21))
         lam_grid = [round(0.600 + 0.005 * i, 3) for i in range(79)]  # 5x coarsened
         n_star, lam_star, _ = grid_search(data, np.eye(3), n_grid, lam_grid)

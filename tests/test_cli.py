@@ -94,28 +94,22 @@ class TestD0FromPresample:
 class TestSimulate:
     def test_shapes_and_determinism(self):
         ue = UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2))
-        s1, p1 = simulate("ue", ue, 12, seed=3)
-        s2, p2 = simulate("ue", ue, 12, seed=3)
+        s1, p1 = simulate(ue, 12, seed=3)
+        s2, p2 = simulate(ue, 12, seed=3)
         assert s1.T == 12 and p1.shape == (13, 2, 2)
         np.testing.assert_array_equal(s1.returns, s2.returns)
         np.testing.assert_array_equal(p1, p2)
 
     def test_bb_runs_and_paths_spd(self):
         bb = match_ue_to_bb(UEHyper(q=3, k=1, n=6, lam=0.85, d0=np.eye(3)))
-        s, p = simulate("bb", bb, 15, seed=4)
+        s, p = simulate(bb, 15, seed=4)
         assert s.q == 3
         for phi in p:
             assert np.all(np.linalg.eigvalsh(phi) > 0)
 
     def test_unknown_model(self):
         with pytest.raises(InvalidParameter):
-            simulate("xx", None, 3, seed=0)
-        ue = UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2))
-        # a hyperparameter set of the other model is rejected, not half-used
-        with pytest.raises(InvalidParameter):
-            simulate("ue", match_ue_to_bb(ue), 3, seed=0)
-        with pytest.raises(InvalidParameter):
-            simulate("bb", ue, 3, seed=0)
+            simulate(None, 3, seed=0)
 
     def test_overflow_is_reported(self):
         # unmatched BB: k_t -> 1/(1 - beta) = 5, so beta k_t -> 4 = q - 1 and
@@ -123,7 +117,7 @@ class TestSimulate:
         a = np.random.default_rng(5).standard_normal((5, 5))
         bb = BBHyper(q=5, k=1, beta=0.8, b=0.85, k0=20, d0=a @ a.T + np.eye(5))
         with pytest.raises(InvalidParameter, match="at t=35$"):
-            simulate("bb", bb, 40, seed=5)
+            simulate(bb, 40, seed=5)
 
 
 class TestCommands:
@@ -290,6 +284,12 @@ class TestMain:
              "InvalidParameter", "kept draws"),
             ("compare-mixture", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 20, "batches": 19, "data_csv": DATA}',
              "InvalidParameter", "kept draws"),
+            # DATES stands for a CSV with only its timestamp column
+            ("grid-search", '{"q": 0, "data_csv": DATES}', "DimensionMismatch", "q >= 1"),
+            # D_0 is stated once: by d0, or by presample_csv with an optional ridge
+            ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "d0": [[1, 0], [0, 1]], "presample_csv": DATA, '
+             '"data_csv": DATA}', "InvalidParameter", "'presample_csv'"),
+            ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "ridge": 0.1, "data_csv": DATA}', "InvalidParameter", "'ridge'"),
         ],
         ids=[
             "missing-key", "missing-config", "malformed-json", "not-an-object",
@@ -297,11 +297,15 @@ class TestMain:
             "seed-negative", "unknown-key", "d0-nan", "n-infinity", "simulate-negative-T", "n-grid-empty", "lambda-grid-empty",
             "grid-d0-shape", "grid-d0-asymmetric",
             "model-unknown", "quantiles-empty", "batches-zero", "batches-above-kept",
+            "q-zero", "d0-and-presample", "ridge-without-presample",
         ],
     )
     def test_bad_config_is_reported(self, returns_csv, tmp_path, capsys, command, config_text, error, message):
         cfg_path = tmp_path / "cfg.json"
+        dates = tmp_path / "dates.csv"
+        dates.write_text("t\n2024-01-01\n2024-01-02\n")
         if config_text is not None:
+            config_text = config_text.replace("DATES", json.dumps(str(dates)))
             cfg_path.write_text(config_text.replace("DATA", json.dumps(str(returns_csv))))
         rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert rc == 1

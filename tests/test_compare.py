@@ -20,7 +20,7 @@ from wishartsv.compare import (
     ppc_intervals,
 )
 from wishartsv.errors import EmptyEnsemble, InvalidParameter
-from wishartsv.filtering import ReturnsSeries, bb_forward_filter, simulate, ue_forward_filter
+from wishartsv.filtering import ReturnsSeries, forward_filter, simulate
 from wishartsv.smoother import sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
@@ -59,9 +59,9 @@ class TestPathLoglik:
         # refactoring a dense Phi_t failed its pivot check on SPD draws
         ue = UEHyper(q=3, k=1, n=8.0, lam=0.8, d0=np.eye(3))
         bb = match_ue_to_bb(ue)
-        data, _ = simulate("ue", ue, 500, seed=1)
-        for filt, hyper, seed in ((ue_forward_filter(data, ue), ue, 0), (bb_forward_filter(data, bb), bb, 1)):
-            ll = path_loglik(sample_ensemble(filt, hyper, 20, seed=seed), data)
+        data, _ = simulate(ue, 500, seed=1)
+        for filt, seed in ((forward_filter(data, ue), 0), (forward_filter(data, bb), 1)):
+            ll = path_loglik(sample_ensemble(filt, 20, seed=seed), data)
             assert ll.shape == (20,) and np.all(np.isfinite(ll))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -100,10 +100,10 @@ class TestLogSumExp:
 class TestLogPlr:
     def test_antisymmetry_and_zero(self):
         data, ue, bb = toy(T=10, q=2, seed=4)
-        fu = ue_forward_filter(data, ue)
-        fb = bb_forward_filter(data, bb)
-        ens_u = sample_ensemble(fu, ue, 30, seed=5)
-        ens_b = sample_ensemble(fb, bb, 30, seed=6)
+        fu = forward_filter(data, ue)
+        fb = forward_filter(data, bb)
+        ens_u = sample_ensemble(fu, 30, seed=5)
+        ens_b = sample_ensemble(fb, 30, seed=6)
         lu, lb = path_loglik(ens_u, data), path_loglik(ens_b, data)
         ab = log_plr(lu, lb)
         ba = log_plr(lb, lu)
@@ -113,10 +113,10 @@ class TestLogPlr:
     def test_shift_invariant_mean_normalization(self):
         # doubling an ensemble by repetition leaves the estimate unchanged
         data, ue, bb = toy(T=8, q=1, seed=7)
-        fu = ue_forward_filter(data, ue)
-        ens = sample_ensemble(fu, ue, 10, seed=8)
+        fu = forward_filter(data, ue)
+        ens = sample_ensemble(fu, 10, seed=8)
         ll = path_loglik(ens, data)
-        ref = path_loglik(sample_ensemble(ue_forward_filter(data, ue), ue, 6, seed=9), data)
+        ref = path_loglik(sample_ensemble(forward_filter(data, ue), 6, seed=9), data)
         assert log_plr(np.concatenate([ll, ll]), ref) == pytest.approx(log_plr(ll, ref), rel=1e-12)
 
 
@@ -190,14 +190,14 @@ class TestMixtureGibbs:
 class TestPpcIntervals:
     def test_matched_models_identical(self):
         data, ue, bb = toy(T=40, q=3, seed=15)
-        lu, cu = ppc_intervals(ue_forward_filter(data, ue), data)
-        lb, cb = ppc_intervals(bb_forward_filter(data, bb), data)
+        lu, cu = ppc_intervals(forward_filter(data, ue), data)
+        lb, cb = ppc_intervals(forward_filter(data, bb), data)
         np.testing.assert_allclose(lu, lb, rtol=1e-12)
         np.testing.assert_allclose(cu, cb, rtol=1e-12)
 
     def test_shapes_and_monotone_level(self):
         data, ue, _ = toy(T=20, q=2, seed=16)
-        filt = ue_forward_filter(data, ue)
+        filt = forward_filter(data, ue)
         l95, c95 = ppc_intervals(filt, data, level=0.95)
         l50, c50 = ppc_intervals(filt, data, level=0.50)
         assert l95.shape == (20, 2) and c95.shape == (20,)
@@ -209,19 +209,19 @@ class TestPpcIntervals:
         # simulate straight from the one-step predictive margins and check
         # that empirical coverage approaches the nominal level
         ue = UEHyper(q=2, k=1, n=8.0, lam=0.85, d0=np.eye(2))
-        data, _ = simulate("ue", ue, 1500, seed=17)
-        filt = ue_forward_filter(data, ue)
+        data, _ = simulate(ue, 1500, seed=17)
+        filt = forward_filter(data, ue)
         _, coverage = ppc_intervals(filt, data, level=0.95)
         assert abs(coverage[-1] - 0.95) < 0.02
 
     def test_empty_series(self):
         data = ReturnsSeries(np.empty((0, 2)))
         ue = UEHyper(q=2, k=1, n=5.0, lam=0.8, d0=np.eye(2))
-        for filt in (ue_forward_filter(data, ue), bb_forward_filter(data, match_ue_to_bb(ue))):
+        for filt in (forward_filter(data, ue), forward_filter(data, match_ue_to_bb(ue))):
             lengths, coverage = ppc_intervals(filt, data)
             assert lengths.shape == (0, 2) and coverage.shape == (0,)
 
     def test_level_validation(self):
         data, ue, _ = toy(T=5, q=1)
         with pytest.raises(InvalidParameter):
-            ppc_intervals(ue_forward_filter(data, ue), data, level=1.5)
+            ppc_intervals(forward_filter(data, ue), data, level=1.5)

@@ -14,13 +14,12 @@ from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDef
 from wishartsv.filtering import (
     ReturnsSeries,
     _scale_pass,
-    bb_forward_filter,
     constrained_lambda,
     forecast_logdensity,
+    forward_filter,
     grid_search,
     marginal_loglik,
     simulate,
-    ue_forward_filter,
 )
 from wishartsv.matops import chol_update, rchol
 from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
@@ -92,6 +91,13 @@ class TestReturnsSeries:
     def test_timestamp_length(self):
         with pytest.raises(DimensionMismatch):
             ReturnsSeries(np.zeros((3, 1)), timestamps=("a", "b"))
+
+    def test_needs_a_column(self):
+        # q = 0 would reach grid_search and marginal_loglik as a numpy
+        # reduction error; T = 0 is a valid empty series
+        with pytest.raises(DimensionMismatch):
+            ReturnsSeries(np.zeros((3, 0)))
+        assert ReturnsSeries(np.zeros((0, 2))).T == 0
 
 
 class TestForecastDensity:
@@ -168,7 +174,7 @@ class TestForwardFilters:
     def test_ue_recursion_values(self):
         data = ReturnsSeries(np.array([[1.0], [2.0]]))
         ue = UEHyper(q=1, k=1, n=3, lam=0.5, d0=np.eye(1))
-        filt = ue_forward_filter(data, ue)
+        filt = forward_filter(data, ue)
         np.testing.assert_allclose(filt.g[:, 0, 0] ** 2, [1.0, 1.5, 4.75])
         np.testing.assert_allclose(filt.k_seq, [4.0, 4.0, 4.0])
         assert filt.loglik == pytest.approx(filt.log_forecast.sum())
@@ -176,7 +182,7 @@ class TestForwardFilters:
     def test_bb_k_recursion(self):
         data = toy_series(5, 2, seed=1)
         bb = match_ue_to_bb(UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2)))
-        filt = bb_forward_filter(data, bb)
+        filt = forward_filter(data, bb)
         expect = [6.0]
         for _ in range(5):
             expect.append(bb.beta * expect[-1] + 1.0)
@@ -186,8 +192,8 @@ class TestForwardFilters:
         data = toy_series(60, 3, seed=2)
         ue = UEHyper(q=3, k=1, n=5, lam=0.8, d0=np.eye(3))
         bb = match_ue_to_bb(ue)
-        fu = ue_forward_filter(data, ue)
-        fb = bb_forward_filter(data, bb)
+        fu = forward_filter(data, ue)
+        fb = forward_filter(data, bb)
         np.testing.assert_array_equal(fu.g, fb.g)
         np.testing.assert_allclose(fu.log_forecast, fb.log_forecast, rtol=1e-12)
         assert fu.loglik == pytest.approx(fb.loglik, rel=1e-12)
@@ -199,7 +205,7 @@ class TestForwardFilters:
         data = toy_series(4, 3, seed=3)
         d = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
         ue = UEHyper(q=3, k=1, n=5, lam=0.8, d0=d)
-        filt = ue_forward_filter(data, ue)
+        filt = forward_filter(data, ue)
         for t in range(5):
             g = filt.g[t]
             assert np.all(np.tril(g, -1) == 0) and np.all(g.diagonal() > 0)
@@ -211,7 +217,18 @@ class TestForwardFilters:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            ue_forward_filter(toy_series(5, 2), UEHyper(q=3, k=1, n=5, lam=0.8, d0=np.eye(3)))
+            forward_filter(toy_series(5, 2), UEHyper(q=3, k=1, n=5, lam=0.8, d0=np.eye(3)))
+
+    def test_bb_df_path_error_is_shared_with_simulate(self):
+        # k_t runs 10, 6, 4, so the prior df at t=3 is beta k_2 = 2 = q - 1
+        bb = BBHyper(q=3, k=1, beta=0.5, b=0.9, k0=10.0, d0=np.eye(3))
+        with pytest.raises(InvalidParameter, match="at t=3$") as filtered:
+            forward_filter(toy_series(5, 3), bb)
+        with pytest.raises(InvalidParameter, match="at t=3$") as simulated:
+            simulate(bb, 5, seed=0)
+        assert str(filtered.value) == str(simulated.value)
+        # t=3 lies past a horizon of 2
+        assert forward_filter(toy_series(2, 3), bb).k_seq.tolist() == [10.0, 6.0, 4.0]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -231,8 +248,8 @@ class TestForwardFilters:
         np.testing.assert_allclose(s_c, s, rtol=1e-12, atol=0)
         ue = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[d0]]))
         ue_c = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[c * c * d0]]))
-        ll = ue_forward_filter(ReturnsSeries(returns), ue).loglik
-        ll_c = ue_forward_filter(ReturnsSeries(c * returns), ue_c).loglik
+        ll = forward_filter(ReturnsSeries(returns), ue).loglik
+        ll_c = forward_filter(ReturnsSeries(c * returns), ue_c).loglik
         assert ll_c == pytest.approx(ll - T * np.log(c), rel=1e-12, abs=1e-9)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -268,8 +285,8 @@ class TestForwardFilters:
         for returns, t in ((big, 1), (np.vstack([np.ones(2), big]), 2)):
             data = ReturnsSeries(returns)
             for run in (
-                lambda: ue_forward_filter(data, ue),
-                lambda: bb_forward_filter(data, match_ue_to_bb(ue)),
+                lambda: forward_filter(data, ue),
+                lambda: forward_filter(data, match_ue_to_bb(ue)),
                 lambda: marginal_loglik(data, 5.0, 0.9, np.eye(2)),
                 lambda: grid_search(data, np.eye(2), [5.0], [0.9]),
             ):
@@ -281,7 +298,7 @@ class TestMarginalLoglik:
     def test_matches_filter_sum(self):
         data = toy_series(80, 2, seed=4)
         ue = UEHyper(q=2, k=1, n=6, lam=0.85, d0=np.eye(2))
-        filt = ue_forward_filter(data, ue)
+        filt = forward_filter(data, ue)
         assert marginal_loglik(data, 6.0, 0.85, np.eye(2)) == pytest.approx(
             filt.loglik, rel=1e-12
         )
@@ -301,10 +318,10 @@ class TestMarginalLoglik:
         # 1e16, so no double-precision recursion is exact here, but an
         # error in one step's s_t must not carry into every later step
         ue = UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3))
-        data, _ = simulate("ue", ue, 1000, seed=42)
+        data, _ = simulate(ue, 1000, seed=42)
         ref = decimal_loglik(data.returns, 6.0, 0.85)
         assert marginal_loglik(data, 6.0, 0.85, np.eye(3)) == pytest.approx(ref, rel=1e-3)
-        assert ue_forward_filter(data, ue).loglik == pytest.approx(ref, rel=1e-3)
+        assert forward_filter(data, ue).loglik == pytest.approx(ref, rel=1e-3)
 
 
 class TestGridSearch:

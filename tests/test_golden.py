@@ -1,8 +1,8 @@
 """Golden sha256 values of seeded sampler, simulation and filter output.
 
 Recorded with the per-draw sequential samplers, where draw i of
-``sample_ensemble(filt, hyper, N, seed)`` was exactly
-``sampler(filt, hyper, substream(seed, i))``.  A refactor that keeps
+``sample_ensemble(filt, N, seed)`` was exactly
+``backward_sample(filt, substream(seed, i))``.  A refactor that keeps
 the RNG draw order and the arithmetic keeps these bytes.  The UE
 ensemble is held to the single-path sampler within a per-matrix
 relative 1e-12 instead: a triangular solve with many right-hand sides
@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from wishartsv.compare import MixtureConfig, mixture_gibbs
-from wishartsv.filtering import ReturnsSeries, bb_forward_filter, grid_search, simulate, ue_forward_filter
+from wishartsv.filtering import ReturnsSeries, forward_filter, grid_search, simulate
 from wishartsv.randsamp import substream
-from wishartsv.smoother import bb_backward_sample, sample_ensemble, ue_backward_sample
+from wishartsv.smoother import backward_sample, sample_ensemble
 from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 
 SEED, N_DRAWS = 11, 8
@@ -75,14 +75,14 @@ def sha(a):
 
 
 def setting(case):
-    """(filter, hyper, single-path sampler) at q = 3, T = 50."""
+    """The filter output at q = 3, T = 50."""
     data = ReturnsSeries(np.random.default_rng(5).standard_normal((50, 3)))
     ue = UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3))
     if case == "ue":
-        return ue_forward_filter(data, ue), ue, ue_backward_sample
+        return forward_filter(data, ue)
     # the unmatched prior df makes k_t, and so the chi-square df, vary with t
     bb = match_ue_to_bb(ue) if case == "bb" else BBHyper(q=3, k=1, beta=0.8, b=0.85, k0=20.0, d0=np.eye(3))
-    return bb_forward_filter(data, bb), bb, bb_backward_sample
+    return forward_filter(data, bb)
 
 
 def scale_matrix(q):
@@ -91,27 +91,23 @@ def scale_matrix(q):
     return a @ a.T + np.eye(q)
 
 
-def ensemble_factors(filt, hyper):
-    return sample_ensemble(filt, hyper, N_DRAWS, SEED)
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN_SINGLE))
 def test_single_path_samplers(case):
-    filt, hyper, sampler = setting(case)
-    single = np.array([sampler(filt, hyper, substream(SEED, i)) for i in range(N_DRAWS)])
+    filt = setting(case)
+    single = np.array([backward_sample(filt, substream(SEED, i)) for i in range(N_DRAWS)])
     assert sha(single) == GOLDEN_SINGLE[case]
 
 
 @pytest.mark.parametrize("case", ["bb", "bb-unmatched"])
 def test_bb_ensemble(case):
-    assert sha(ensemble_factors(*setting(case)[:2])) == GOLDEN_SINGLE[case]
+    assert sha(sample_ensemble(setting(case), N_DRAWS, SEED)) == GOLDEN_SINGLE[case]
 
 
 def test_ue_ensemble_matches_single_paths():
-    filt, ue, _ = setting("ue")
-    ens = ensemble_factors(filt, ue)
+    filt = setting("ue")
+    ens = sample_ensemble(filt, N_DRAWS, SEED)
     for i in range(N_DRAWS):
-        single = ue_backward_sample(filt, ue, substream(SEED, i))
+        single = backward_sample(filt, substream(SEED, i))
         err = np.abs(ens[i] - single).max(axis=(1, 2)) / np.abs(single).max(axis=(1, 2))
         assert err.max() <= 1e-12
 
@@ -133,7 +129,7 @@ def test_simulate(model, q):
     else:
         # unmatched, so the prior df beta k_{t-1} varies with t
         hyper = BBHyper(q=q, k=1, beta=0.9, b=0.85, k0=q + 15.0, d0=scale_matrix(q))
-    data, phis = simulate(model, hyper, 40, seed=q)
+    data, phis = simulate(hyper, 40, seed=q)
     assert (sha(data.returns), sha(phis)) == GOLDEN_SIMULATE[model, q]
 
 
@@ -145,4 +141,4 @@ def test_grid_surface():
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_LOG_FORECAST))
 def test_log_forecast(case):
-    assert sha(setting(case)[0].log_forecast) == GOLDEN_LOG_FORECAST[case]
+    assert sha(setting(case).log_forecast) == GOLDEN_LOG_FORECAST[case]

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from wishartsv.compare import MixtureConfig, mixture_gibbs, path_loglik
 from wishartsv.errors import WishartSVError
-from wishartsv.filtering import ReturnsSeries, bb_forward_filter, ue_forward_filter
+from wishartsv.filtering import ReturnsSeries, forward_filter
 from wishartsv.randsamp import make_rng
-from wishartsv.smoother import bb_backward_sample, correlation_summary, sample_ensemble, ue_backward_sample
+from wishartsv.smoother import backward_sample, correlation_summary, sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
 
@@ -52,16 +52,13 @@ def test_passes_return_valid_output_or_raise_package_errors(q, T, u, v, pegged, 
         return out
 
     filtered = 0
-    for model, filt_fn, sampler, hyper in (
-        ("ue", ue_forward_filter, ue_backward_sample, ue),
-        ("bb", bb_forward_filter, bb_backward_sample, bb),
-    ):
-        filt = outcome(lambda: filt_fn(data, hyper), lambda f: valid_factors(f.g) and np.isfinite(f.loglik))
+    for hyper in (ue, bb):
+        filt = outcome(lambda: forward_filter(data, hyper), lambda f: valid_factors(f.g) and np.isfinite(f.loglik))
         if filt is None:
             continue
         filtered += 1
-        outcome(lambda: sampler(filt, hyper, make_rng(seed)), valid_factors)
-        ens = outcome(lambda: sample_ensemble(filt, hyper, 3, seed), valid_factors)
+        outcome(lambda: backward_sample(filt, make_rng(seed)), valid_factors)
+        ens = outcome(lambda: sample_ensemble(filt, 3, seed), valid_factors)
         if ens is None:
             continue
         outcome(lambda: path_loglik(ens, data), lambda ll: np.isfinite(ll).all())

@@ -9,15 +9,15 @@ from scipy.stats import kstest
 
 from consistency import joint_consistency_report
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
-from wishartsv.filtering import ReturnsSeries, bb_forward_filter, constrained_lambda, simulate, ue_forward_filter
+from wishartsv.filtering import ReturnsSeries, constrained_lambda, forward_filter, simulate
 from wishartsv.matops import right_solve, uchol
 from wishartsv.randsamp import make_rng, sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from wishartsv.smoother import (
-    bb_backward_sample,
+    _backward_pass,
+    backward_sample,
     bb_backward_step,
     correlation_summary,
     sample_ensemble,
-    ue_backward_sample,
     ue_backward_step,
 )
 from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
@@ -28,7 +28,7 @@ def filters(T=20, q=2, seed=0, n=5.0, lam=0.8):
     data = ReturnsSeries(rng.standard_normal((T, q)))
     ue = UEHyper(q=q, k=1, n=n, lam=lam, d0=np.eye(q))
     bb = match_ue_to_bb(ue)
-    return data, ue, bb, ue_forward_filter(data, ue), bb_forward_filter(data, bb)
+    return data, ue, bb, forward_filter(data, ue), forward_filter(data, bb)
 
 
 def gram(factors):
@@ -52,32 +52,25 @@ def max_abs_z(report):
 class TestBackwardSamplers:
     def test_ue_path_shape_and_spd(self):
         data, ue, _, fu, _ = filters()
-        path = ue_backward_sample(fu, ue, make_rng(1))
+        path = backward_sample(fu, make_rng(1))
         assert path.shape == (21, 2, 2)
         assert_factors(path)
         assert np.all(np.linalg.eigvalsh(gram(path)) > 0)
 
     def test_bb_path_shape_and_spd(self):
         data, _, bb, _, fb = filters()
-        path = bb_backward_sample(fb, bb, make_rng(2))
+        path = backward_sample(fb, make_rng(2))
         assert path.shape == (21, 2, 2)
         assert_factors(path)
         assert np.all(np.linalg.eigvalsh(gram(path)) > 0)
 
-    def test_model_mismatch(self):
-        data, ue, bb, fu, fb = filters()
-        with pytest.raises(InvalidParameter):
-            ue_backward_sample(fb, ue, make_rng(0))
-        with pytest.raises(InvalidParameter):
-            bb_backward_sample(fu, bb, make_rng(0))
-
     def test_reproducible(self):
         data, ue, bb, fu, fb = filters()
-        a = ue_backward_sample(fu, ue, make_rng(7))
-        b = ue_backward_sample(fu, ue, make_rng(7))
+        a = backward_sample(fu, make_rng(7))
+        b = backward_sample(fu, make_rng(7))
         np.testing.assert_array_equal(a, b)
-        a = bb_backward_sample(fb, bb, make_rng(7))
-        b = bb_backward_sample(fb, bb, make_rng(7))
+        a = backward_sample(fb, make_rng(7))
+        b = backward_sample(fb, make_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_ue_terminal_marginal(self):
@@ -87,7 +80,7 @@ class TestBackwardSamplers:
         n_draws = 20_000
         rng = make_rng(4)
         draws = np.array(
-            [ue_backward_sample(fu, ue, rng)[-1, 0, 0] ** 2 for _ in range(n_draws)]
+            [backward_sample(fu, rng)[-1, 0, 0] ** 2 for _ in range(n_draws)]
         )
         scale = 1.0 / fu.g[-1, 0, 0] ** 2  # D_T^{-1} with k = 1
         stat = kstest(draws / scale, chi2_dist(ue.n + 1).cdf).statistic
@@ -131,8 +124,8 @@ class TestBackwardSamplers:
         data = ReturnsSeries(np.empty((0, 2)))
         ue = UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2))
         bb = match_ue_to_bb(ue)
-        fb = bb_forward_filter(data, bb)
-        path = bb_backward_sample(fb, bb, make_rng(10))
+        fb = forward_filter(data, bb)
+        path = backward_sample(fb, make_rng(10))
         assert path.shape == (1, 2, 2)
 
 
@@ -176,19 +169,19 @@ class TestSinglePathEquivalence:
             lo = 0.3 if q == 1 else (q - 1) / q + 0.01
             beta = lo + (0.98 - lo) * beta_frac
             bb = BBHyper(q=q, k=1, beta=beta, b=discount, k0=(q - 1 + df_excess) / beta, d0=d0)
-        fu, fb = ue_forward_filter(data, ue), bb_forward_filter(data, bb)
+        fu, fb = forward_filter(data, ue), forward_filter(data, bb)
 
         noise = make_rng(seed)
         w_T = sample_bartlett_factor(q, ue.n + 1, noise)
         z = sample_wishart_factor(q, 1, noise, size=T)[::-1, 0]
         expect = stepwise_path(fu, w_T, z, ue_backward_step)
-        assert_same_bits(ue_backward_sample(fu, ue, make_rng(seed)), expect)
+        assert_same_bits(backward_sample(fu, make_rng(seed)), expect)
 
         noise = make_rng(seed)
         w_T = sample_bartlett_factor(q, fb.k_seq[T], noise)
         theta = sample_chi2((1.0 - bb.beta) * fb.k_seq[:T][::-1, None], noise, size=(T, q))[::-1]
         expect = stepwise_path(fb, w_T, theta, bb_backward_step)
-        assert_same_bits(bb_backward_sample(fb, bb, make_rng(seed)), expect)
+        assert_same_bits(backward_sample(fb, make_rng(seed)), expect)
 
 
 class TestBackwardErrors:
@@ -207,11 +200,22 @@ class TestBackwardErrors:
     def test_bad_filter_factor(self, model, t, entry, value, error):
         # G is checked once, before the pass, and the error names t
         data, ue, bb, fu, fb = filters(T=4, q=2)
-        filt, hyper, sampler = (fu, ue, ue_backward_sample) if model == "ue" else (fb, bb, bb_backward_sample)
+        filt = fu if model == "ue" else fb
         g = filt.g.copy()
         g[(t,) + entry] = value
         with pytest.raises(error, match=f"G .* t={t}$"):
-            sampler(dataclasses.replace(filt, g=g), hyper, make_rng(0))
+            backward_sample(dataclasses.replace(filt, g=g), make_rng(0))
+
+    def test_zero_pivot_in_stacked_ue_pass(self):
+        # a zero terminal diagonal entry meets a zero increment coordinate:
+        # the rank-1 update's pivot is 0, and the pass names the t of the fault
+        data, ue, bb, fu, fb = filters(T=4, q=2)
+        w_T = np.eye(2)[None].copy()
+        w_T[0, 0, 0] = 0.0
+        z = np.ones((4, 1, 2))
+        z[3, 0, 0] = 0.0
+        with pytest.raises(NotPositiveDefinite, match="F .* t=4$"):
+            _backward_pass(fu, w_T, z)
 
 
 # Phi_0..Phi_4 drawn by the dense-matrix samplers that predate the factor
@@ -278,9 +282,9 @@ class TestGoldenPaths:
     def test_same_seed_paths(self, model):
         data, ue, bb, fu, fb = filters(T=4, q=3, seed=0)
         if model == "ue":
-            path, golden = ue_backward_sample(fu, ue, make_rng(101)), GOLDEN_UE
+            path, golden = backward_sample(fu, make_rng(101)), GOLDEN_UE
         else:
-            path, golden = bb_backward_sample(fb, bb, make_rng(102)), GOLDEN_BB
+            path, golden = backward_sample(fb, make_rng(102)), GOLDEN_BB
         phis = gram(path)
         assert np.abs(phis - golden).max() <= 1e-10 * np.abs(golden).max()
 
@@ -299,10 +303,10 @@ class TestIllConditioned:
         c = ILL_CONDITIONED[case]
         ue = UEHyper(q=3, k=1, n=c["n"], lam=c["lam"], d0=np.eye(3))
         bb = match_ue_to_bb(ue)
-        data, _ = simulate("ue", ue, c["T"], seed=c["seed"])
-        for filt, hyper in ((ue_forward_filter(data, ue), ue), (bb_forward_filter(data, bb), bb)):
+        data, _ = simulate(ue, c["T"], seed=c["seed"])
+        for filt in (forward_filter(data, ue), forward_filter(data, bb)):
             assert_factors(filt.g)
-            ens = sample_ensemble(filt, hyper, 10, seed=3)
+            ens = sample_ensemble(filt, 10, seed=3)
             assert_factors(ens)
             curves = correlation_summary(ens, [0.025, 0.5, 0.975])
             assert np.all(np.isfinite(curves)) and np.all(np.abs(curves) <= 1.0)
@@ -342,16 +346,16 @@ class TestJointConsistency:
 class TestEnsembles:
     def test_seed_info_and_reproducibility(self):
         data, ue, _, fu, _ = filters(T=6, q=2)
-        ens = sample_ensemble(fu, ue, 5, seed=3)
+        ens = sample_ensemble(fu, 5, seed=3)
         assert ens.shape == (5, 7, 2, 2)
         # draw 2 is the single-path draw from substream (3, 2)
-        np.testing.assert_allclose(ens[2], ue_backward_sample(fu, ue, substream(3, 2)), rtol=1e-12)
-        again = sample_ensemble(fu, ue, 5, seed=3)
+        np.testing.assert_allclose(ens[2], backward_sample(fu, substream(3, 2)), rtol=1e-12)
+        again = sample_ensemble(fu, 5, seed=3)
         np.testing.assert_array_equal(ens[4], again[4])
 
     def test_correlation_summary_shape_and_range(self):
         data, ue, _, fu, _ = filters(T=8, q=3, seed=12)
-        ens = sample_ensemble(fu, ue, 40, seed=1)
+        ens = sample_ensemble(fu, 40, seed=1)
         levels = [0.1, 0.5, 0.9]
         curves = correlation_summary(ens, levels)
         assert curves.shape == (3, 3, 9)
@@ -367,20 +371,20 @@ class TestEnsembles:
     def test_correlation_summary_scale_invariant(self, k):
         # V = F^{-1} has rows near 2^-k, whose squares over- or underflow
         data, ue, _, fu, _ = filters(T=8, q=3, seed=12)
-        ens = sample_ensemble(fu, ue, 20, seed=1)
+        ens = sample_ensemble(fu, 20, seed=1)
         levels = [0.1, 0.5, 0.9]
         np.testing.assert_array_equal(correlation_summary(ens * 2.0**k, levels), correlation_summary(ens, levels))
 
     def test_correlation_summary_q1(self):
         # one coordinate has no pairs: an empty table, not an error
         data, ue, _, fu, _ = filters(T=4, q=1)
-        assert correlation_summary(sample_ensemble(fu, ue, 3, seed=0), [0.5]).shape == (1, 0, 5)
+        assert correlation_summary(sample_ensemble(fu, 3, seed=0), [0.5]).shape == (1, 0, 5)
 
     def test_correlation_summary_validation(self):
         data, ue, _, fu, _ = filters(T=4, q=2)
-        ens = sample_ensemble(fu, ue, 3, seed=0)
+        ens = sample_ensemble(fu, 3, seed=0)
         for levels in ([0.0, 0.5], [], [0.5, np.nan]):
             with pytest.raises(InvalidParameter):
                 correlation_summary(ens, levels)
         with pytest.raises(InvalidParameter):
-            correlation_summary(sample_ensemble(fu, ue, 1, seed=0), [0.5])
+            correlation_summary(sample_ensemble(fu, 1, seed=0), [0.5])

@@ -88,7 +88,7 @@ class TestEvolve:
         ue = UEHyper(q=1, k=1, n=5, lam=0.8, d0=np.eye(1))
         rng = make_rng(31)
         n_draws = 30_000
-        draws = np.array([ue_evolve(np.array([[2.0]]), ue, rng)[0, 0] for _ in range(n_draws)])
+        draws = ue_evolve(np.full((n_draws, 1, 1), 2.0), ue, rng)[:, 0, 0]
         se = draws.std(ddof=1) / np.sqrt(n_draws)
         assert abs(draws.mean() - 5 * 2 / (0.8 * 6)) < 4 * se
 
@@ -113,9 +113,7 @@ class TestEvolve:
         bb = match_ue_to_bb(UEHyper(q=1, k=1, n=5, lam=0.8, d0=np.eye(1)))
         rng = make_rng(33)
         n_draws = 30_000
-        draws = np.array(
-            [bb_evolve(np.array([[2.0]]), 6.0, bb, rng)[0, 0] for _ in range(n_draws)]
-        )
+        draws = bb_evolve(np.full((n_draws, 1, 1), 2.0), 6.0, bb, rng)[:, 0, 0]
         se = draws.std(ddof=1) / np.sqrt(n_draws)
         assert abs(draws.mean() - (5 / 6) * 2 / 0.8) < 4 * se
 
@@ -124,7 +122,7 @@ class TestEvolve:
         phi = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
         rng = make_rng(34)
         n_draws = 30_000
-        draws = np.array([bb_evolve(phi, 6.0, bb, rng) for _ in range(n_draws)])
+        draws = bb_evolve(np.broadcast_to(phi, (n_draws, 3, 3)), 6.0, bb, rng)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n_draws)
         np.testing.assert_array_less(np.abs(mean - expected_bb_step(phi, bb)), 4 * se + 1e-12)
