@@ -2,9 +2,11 @@
 compare-mixture, ppc.
 
 Every model has k = 1 (one normal return vector per observation), so
-the config has no k.  Every run writes a ``meta.json`` echoing the
-configuration, seed, and package version, and per-time tables as plain
-CSV so any plotting tool can consume them.
+the config has no k.  A run's models travel as one dict keyed ``"ue"``
+and ``"bb"``; flags and config keys pass one set of checks, and every
+bad input exits 1 with a one-line JSON record.  Every run writes a
+``meta.json`` echoing the configuration, seed, and package version, and
+per-time tables as plain CSV so any plotting tool can consume them.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ from .volproc import UEHyper, match_ue_to_bb
 
 
 def load_returns_csv(path, q: int) -> ReturnsSeries:
-    """Strictly parse a returns CSV: header, ISO timestamp column, q numeric columns."""
+    """Strictly parse a returns CSV: header, timestamp column (required, not read), q numeric columns."""
     path = Path(path)
     rows = []
-    stamps = []
     try:
         fh = path.open(newline="")
     except OSError as exc:
@@ -64,7 +65,6 @@ def load_returns_csv(path, q: int) -> ReturnsSeries:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != q + 1:
                 raise ParseError(f"{path}:{line_no}: expected {q + 1} fields, got {len(row)}")
-            stamps.append(row[0])
             vals = []
             for col, cell in enumerate(row[1:], start=2):
                 try:
@@ -77,7 +77,7 @@ def load_returns_csv(path, q: int) -> ReturnsSeries:
             rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return ReturnsSeries(np.array(rows), timestamps=tuple(stamps))
+    return ReturnsSeries(np.array(rows))
 
 
 def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):
@@ -116,24 +116,15 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
-def _write_meta(outdir: Path, cfg: dict, extra: dict | None = None, t0: float | None = None):
+def _write_meta(outdir: Path, cfg: dict, command: str, t0: float):
     meta = {
         "config": cfg,
         "version": __version__,
         "rng": RNG_ALGORITHM,
-        "wall_time_s": None if t0 is None else round(time.time() - t0, 3),
+        "wall_time_s": round(time.time() - t0, 3),
+        "command": command,
     }
-    if extra:
-        meta.update(extra)
-    (outdir / "meta.json").write_text(json.dumps(meta, indent=2, default=_jsonable) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+    (outdir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def _flat_header(prefix: str, q: int):
@@ -207,13 +198,6 @@ def _required(cfg: dict, key: str):
         raise InvalidParameter(f"config is missing required key {key!r}") from None
 
 
-def _hyper_from_cfg(cfg: dict, q: int, d0: np.ndarray):
-    n = _required(cfg, "n")
-    lam = _required(cfg, "lambda")
-    ue = UEHyper(q=q, k=1, n=n, lam=lam, d0=d0)
-    return ue, match_ue_to_bb(ue)
-
-
 def _d0_from_cfg(cfg: dict, q: int):
     if "d0" in cfg:
         return np.asarray(cfg["d0"], dtype=float), None
@@ -223,18 +207,37 @@ def _d0_from_cfg(cfg: dict, q: int):
     return np.eye(q), None
 
 
+def _models(cfg: dict, q: int):
+    """({"ue": the config's UEHyper, "bb": its matched BBHyper}, D_0 warning)."""
+    d0, warning = _d0_from_cfg(cfg, q)
+    ue = UEHyper(q=q, k=1, n=_required(cfg, "n"), lam=_required(cfg, "lambda"), d0=d0)
+    return {"ue": ue, "bb": match_ue_to_bb(ue)}, warning
+
+
+def _filters(cfg: dict, data: ReturnsSeries, model: str):
+    """({tag: FilterOutput}, D_0 warning) for model "ue", "bb" or "matched" (both)."""
+    hypers, warning = _models(cfg, data.q)
+    tags = ("ue", "bb") if model == "matched" else (model,)
+    filts = {tag: forward_filter(data, hypers[tag]) for tag in tags}
+    if len(filts) == 2:
+        # guard the hyperparameter-matching wiring end to end
+        gap = np.abs(filts["ue"].log_forecast - filts["bb"].log_forecast).max()
+        if gap > 1e-8:
+            raise WishartSVError(f"matched UE/BB forecast densities disagree by {gap}")
+    return filts, warning
+
+
 def _load_data(cfg: dict) -> ReturnsSeries:
     return load_returns_csv(_required(cfg, "data_csv"), _required(cfg, "q"))
 
 
 def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     q = _required(cfg, "q")
-    d0, warning = _d0_from_cfg(cfg, q)
-    ue, bb = _hyper_from_cfg(cfg, q, d0)
+    hypers, warning = _models(cfg, q)
     model = cfg.get("model", "ue")
     if model not in ("ue", "bb"):
         raise InvalidParameter(f"simulate draws from one model, ue or bb; got {model!r}")
-    series, phis = simulate(ue if model == "ue" else bb, _required(cfg, "T"), cfg["seed"])
+    series, phis = simulate(hypers[model], _required(cfg, "T"), cfg["seed"])
     _write_csv(
         outdir / "returns.csv",
         ["t"] + [f"r{i + 1}" for i in range(q)],
@@ -248,27 +251,11 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     return {"T": series.T, "q": q, "model": model, "warning": warning}
 
 
-def _filter_pair(cfg: dict, data: ReturnsSeries):
-    d0, warning = _d0_from_cfg(cfg, data.q)
-    ue, bb = _hyper_from_cfg(cfg, data.q, d0)
-    model = cfg.get("model", "matched")
-    filt_u = forward_filter(data, ue) if model in ("ue", "matched") else None
-    filt_b = forward_filter(data, bb) if model in ("bb", "matched") else None
-    if model == "matched":
-        # guard the hyperparameter-matching wiring end to end
-        gap = np.abs(filt_u.log_forecast - filt_b.log_forecast).max()
-        if gap > 1e-8:
-            raise WishartSVError(f"matched UE/BB forecast densities disagree by {gap}")
-    return filt_u, filt_b, warning
-
-
 def cmd_filter(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    filt_u, filt_b, warning = _filter_pair(cfg, data)
+    filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     summaries = {}
-    for tag, filt in (("ue", filt_u), ("bb", filt_b)):
-        if filt is None:
-            continue
+    for tag, filt in filts.items():
         q = data.q
         d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
         rows = [
@@ -309,13 +296,11 @@ def cmd_grid_search(cfg: dict, outdir: Path) -> dict:
 
 def cmd_smooth(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    filt_u, filt_b, warning = _filter_pair(cfg, data)
+    filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     n_draws = cfg.get("draws", 100)
     quantiles = cfg.get("quantiles", [0.025, 0.5, 0.975])
     out = {}
-    for tag, filt in (("ue", filt_u), ("bb", filt_b)):
-        if filt is None:
-            continue
+    for tag, filt in filts.items():
         ens = sample_ensemble(filt, n_draws=n_draws, seed=cfg["seed"])
         curves = correlation_summary(ens, quantiles).transpose(1, 2, 0).tolist()  # [pair][t][level]
         rows = [
@@ -335,18 +320,17 @@ def cmd_smooth(cfg: dict, outdir: Path) -> dict:
 
 def cmd_compare_plr(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    filt_u, filt_b, warning = _filter_pair({**cfg, "model": "matched"}, data)
+    filts, warning = _filters(cfg, data, "matched")
     n_draws = cfg.get("draws", 100)
-    ens_u = sample_ensemble(filt_u, n_draws=n_draws, seed=cfg["seed"])
-    ens_b = sample_ensemble(filt_b, n_draws=n_draws, seed=cfg["seed"] + 1)
+    ens_u = sample_ensemble(filts["ue"], n_draws=n_draws, seed=cfg["seed"])
+    ens_b = sample_ensemble(filts["bb"], n_draws=n_draws, seed=cfg["seed"] + 1)
     value = log_plr(path_loglik(ens_u, data), path_loglik(ens_b, data))
     return {"log_plr": value, "draws": n_draws, "warning": warning}
 
 
 def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    d0, warning = _d0_from_cfg(cfg, data.q)
-    ue, bb = _hyper_from_cfg(cfg, data.q, d0)
+    hypers, warning = _models(cfg, data.q)
     mix = MixtureConfig(
         a0=cfg.get("a0", 1.0),
         b0=cfg.get("b0", 1.0),
@@ -358,7 +342,7 @@ def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
     kept = mix.iterations - mix.burn_in
     if not 2 <= n_batches <= kept:
         raise InvalidParameter(f"batches must lie in [2, {kept}], the kept draws; got {n_batches}")
-    trace = mixture_gibbs(data, ue, bb, mix)
+    trace = mixture_gibbs(data, hypers["ue"], hypers["bb"], mix)
     _write_csv(outdir / "alpha_trace.csv", ["iteration", "alpha"], list(enumerate(trace.alpha.tolist())))
     below = (trace.alpha < 0.5).astype(float)
     return {
@@ -372,12 +356,10 @@ def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
 
 def cmd_ppc(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
-    filt_u, filt_b, warning = _filter_pair(cfg, data)
+    filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     level = cfg.get("level", 0.95)
     out = {}
-    for tag, filt in (("ue", filt_u), ("bb", filt_b)):
-        if filt is None:
-            continue
+    for tag, filt in filts.items():
         lengths, coverage = ppc_intervals(filt, data, level)
         rows = [
             [t] + length_t + [coverage_t]
@@ -407,13 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wishartsv",
         description="Wishart stochastic-volatility filtering, smoothing, and model comparison",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, exit_on_error=False)
         p.add_argument("--config", help="JSON config file with RunConfig fields")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--model", choices=["ue", "bb", "matched"], help="model selector")
+        p.add_argument("--model", help="ue, bb or matched (checked like the config key)")
         p.add_argument("--draws", type=int, help="ensemble size / chain length")
         p.add_argument("--out", help="output directory")
     return parser
@@ -426,14 +409,25 @@ def run_command(command: str, cfg: dict) -> dict:
     t0 = time.time()
     summary = COMMANDS[command](cfg, outdir)
     summary = {"command": command, "seed": cfg["seed"], **summary}
-    (outdir / "results.json").write_text(json.dumps(summary, indent=2, default=_jsonable) + "\n")
-    _write_meta(outdir, cfg, extra={"command": command}, t0=t0)
+    (outdir / "results.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_meta(outdir, cfg, command, t0)
     return summary
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse the command line; a bad flag value, an unknown flag or an unknown command is a ParseError."""
     try:
+        args, extra = build_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ParseError(str(exc)) from None
+    if extra:
+        raise ParseError(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(argv)
         cfg = _load_config(args)
         run_command(args.command, cfg)
     except WishartSVError as exc:

@@ -57,7 +57,6 @@ class ReturnsSeries:
     """T return vectors of dimension q; row t is r_t."""
 
     returns: np.ndarray
-    timestamps: tuple[str, ...] | None = None
 
     def __post_init__(self):
         r = np.atleast_2d(np.asarray(self.returns, dtype=float))
@@ -65,8 +64,6 @@ class ReturnsSeries:
             raise DimensionMismatch(f"returns must be a T x q array with q >= 1, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise InvalidParameter("returns contain non-finite values")
-        if self.timestamps is not None and len(self.timestamps) != r.shape[0]:
-            raise DimensionMismatch("timestamps length must equal T")
         object.__setattr__(self, "returns", r)
 
     @property

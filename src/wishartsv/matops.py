@@ -57,25 +57,21 @@ def gram(m: np.ndarray) -> np.ndarray:
     return sym(np.swapaxes(m, -1, -2) @ m)
 
 
-def check_symmetric(a: np.ndarray, rtol: float = 1e-8) -> None:
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise NotPositiveDefinite(f"expected square matrices, got shape {a.shape}")
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
-    if np.any(np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > rtol * scale):
-        raise NotPositiveDefinite("matrix is not symmetric")
-
-
 def uchol(a: np.ndarray) -> np.ndarray:
     """Upper-triangular Cholesky factor R with R' R = a, per matrix.
 
-    Raises NotPositiveDefinite on a non-finite entry, and when a pivot
-    falls at or below ``PIVOT_RTOL * max(diag(a))`` of its own matrix.
+    Raises NotPositiveDefinite on a non-finite entry, on a non-square or
+    asymmetric input (|a - a'| above 1e-8 * max(max|a|, 1)), and when a
+    pivot falls at or below ``PIVOT_RTOL * max(diag(a))`` of its own matrix.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():  # NaN passes the symmetry and pivot tests
         raise NotPositiveDefinite("matrix has a non-finite entry")
-    check_symmetric(a)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise NotPositiveDefinite(f"expected square matrices, got shape {a.shape}")
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > 1e-8 * scale):
+        raise NotPositiveDefinite("matrix is not symmetric")
     try:
         lower = np.linalg.cholesky(sym(a))
     except np.linalg.LinAlgError as exc:

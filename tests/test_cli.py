@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -36,7 +37,6 @@ class TestLoadReturnsCsv:
     def test_roundtrip(self, returns_csv):
         s = load_returns_csv(returns_csv, 2)
         assert s.T == 30 and s.q == 2
-        assert s.timestamps[0] == "2024-01-01"
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -183,6 +183,36 @@ class TestCommands:
         assert summary["models"]["ue"]["terminal_coverage"] == pytest.approx(
             summary["models"]["bb"]["terminal_coverage"], rel=1e-12
         )
+
+    @pytest.mark.parametrize("command, prefix", [("filter", "filtered"), ("smooth", "correlations"), ("ppc", "ppc")])
+    @pytest.mark.parametrize("model", ["ue", "bb"])
+    def test_single_model_matches_matched_run(self, returns_csv, tmp_path, command, prefix, model):
+        # one model's run writes only its own table, the same bytes as in the matched run
+        matched = self.base_cfg(returns_csv, tmp_path, draws=6, out=str(tmp_path / "matched"))
+        run_command(command, matched)
+        single = self.base_cfg(returns_csv, tmp_path, draws=6, model=model, out=str(tmp_path / model))
+        summary = run_command(command, single)
+        name = f"{prefix}_{model}.csv"
+        assert sorted(p.name for p in (tmp_path / model).glob("*.csv")) == [name]
+        assert (tmp_path / model / name).read_bytes() == (tmp_path / "matched" / name).read_bytes()
+        results = json.loads((tmp_path / model / "results.json").read_text())
+        assert list(summary["models"]) == list(results["models"]) == [model]
+
+    @pytest.mark.parametrize("ridge", [None, 0.01])
+    def test_d0_from_presample(self, returns_csv, tmp_path, ridge):
+        # D_0 = (1/T0) sum r r' + ridge tr/q I is the filter's t = 0 table row
+        pre = np.random.default_rng(2).standard_normal((7, 2))
+        pre_csv = tmp_path / "pre.csv"
+        write_returns(pre_csv, [[f"2023-12-{d + 1:02d}", *row] for d, row in enumerate(pre.tolist())])
+        extra = {} if ridge is None else {"ridge": ridge}
+        run_command("filter", self.base_cfg(returns_csv, tmp_path, presample_csv=str(pre_csv), **extra))
+        expected = pre.T @ pre / len(pre)
+        expected += (ridge or 0.0) * np.trace(expected) / 2 * np.eye(2)
+        with (tmp_path / "out" / "filtered_ue.csv").open() as fh:
+            row0 = list(csv.DictReader(fh))[0]
+        d0 = np.array([[float(row0[f"d_{i}{j}"]) for j in (1, 2)] for i in (1, 2)])
+        assert row0["t"] == "0"
+        np.testing.assert_allclose(d0, expected, rtol=1e-12)
 
     def test_simulate_command(self, tmp_path):
         cfg = {
@@ -358,6 +388,29 @@ class TestMain:
                                         "data_csv": str(data), "draws": 5}))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv, error, message",
+        [
+            (["filter", "--seed", "abc"], "ParseError", "--seed: invalid int value"),
+            (["filter", "--draws", "x"], "ParseError", "--draws: invalid int value"),
+            (["filter", "--seed"], "ParseError", "--seed: expected one argument"),
+            (["filter", "--bogus", "1"], "ParseError", "unrecognized arguments: --bogus 1"),
+            (["bogus"], "ParseError", "invalid choice: 'bogus'"),
+            # --model is checked like the config key
+            (["filter", "--model", "xyz"], "InvalidParameter",
+             "config field 'model' must be one of 'ue', 'bb', 'matched', got 'xyz'"),
+        ],
+        ids=["seed-string", "draws-string", "seed-no-value", "unknown-flag", "unknown-command", "model-unknown"],
+    )
+    def test_bad_flag_is_reported(self, tmp_path, capsys, argv, error, message):
+        rc = main(argv + ["--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == error and message in record["message"]
+        assert not (tmp_path / "x").exists()
 
     def test_parse_error_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

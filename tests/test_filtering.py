@@ -88,10 +88,6 @@ class TestReturnsSeries:
         with pytest.raises(InvalidParameter):
             ReturnsSeries(np.array([[1.0, np.nan]]))
 
-    def test_timestamp_length(self):
-        with pytest.raises(DimensionMismatch):
-            ReturnsSeries(np.zeros((3, 1)), timestamps=("a", "b"))
-
     def test_needs_a_column(self):
         # q = 0 would reach grid_search and marginal_loglik as a numpy
         # reduction error; T = 0 is a valid empty series
