@@ -149,9 +149,6 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("out", "out")
-    _check_types(cfg)
     return cfg
 
 
@@ -403,8 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(command: str, cfg: dict) -> dict:
-    """Dispatch a command; returns the summary dict written to results.json."""
-    outdir = Path(cfg.get("out", "out"))
+    """Check the config and dispatch a command; returns the summary dict written to results.json."""
+    cfg = dict(cfg)
+    cfg.setdefault("seed", 0)
+    cfg.setdefault("out", "out")
+    _check_types(cfg)
+    outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     summary = COMMANDS[command](cfg, outdir)

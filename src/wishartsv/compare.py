@@ -132,12 +132,13 @@ def mixture_gibbs(
 ) -> MixtureTrace:
     """Missing-data-augmented Gibbs sampler for the two-model mixture.
 
-    Per iteration: (1) each z_t from the log-scale two-way comparison of
+    Per sweep, in draw order: (1) the UE, then the BB precision path, each
+    by a forward filter and backward sample on its imputed series; (2)
+    all z_t from one ``rng.random(T)``, by the log-scale comparison of
     alpha N(r_t^U | 0, (Phi_t^U)^{-1}) against (1 - alpha) times the BB
-    term, (2) the unused return at each t imputed from its own model,
-    (3) alpha ~ Beta(a0 + sum z, b0 + T - sum z), (4) both precision
-    paths refreshed by a full forward filter + backward sample on the
-    imputed series.
+    term; (3) one (T, q) normal block imputing, at each t, the return of
+    the model not chosen from its own path; (4) alpha ~ Beta(a0 + sum z,
+    b0 + T - sum z).  Nothing in a sweep loops over t outside the passes.
 
     ``degenerate`` is a calibration harness: the BB likelihood term is
     forced equal to the UE term, making z_t | - ~ Bernoulli(alpha) and
@@ -148,16 +149,13 @@ def mixture_gibbs(
     if T < 1:
         raise InvalidParameter("need T >= 1")
     alpha = rng.beta(cfg.a0, cfg.b0)
-    z = (rng.random(T) < 0.5).astype(int)
-    r_u = data.returns.copy()
-    r_b = data.returns.copy()
+    r_u = r_b = data.returns
 
     kept = cfg.iterations - cfg.burn_in
     alpha_trace = np.empty(kept)
     z_trace = np.empty((kept, T), dtype=np.int8)
 
     for it in range(cfg.iterations):
-        # refresh both precision paths on the current imputed series
         f_u = backward_sample(forward_filter(ReturnsSeries(r_u), ue), rng)[1:]
         f_b = backward_sample(forward_filter(ReturnsSeries(r_b), bb), rng)[1:]
         if degenerate:
@@ -165,21 +163,16 @@ def mixture_gibbs(
             f_b = f_u
             term_u = term_b = _gauss_terms(f_u, data.returns)
         else:
-            # row t - 1 of r_u and r_b is read here before step t rewrites it
             term_u, term_b = _gauss_terms(f_u, r_u), _gauss_terms(f_b, r_b)
         prob = bernoulli_logweight_prob(np.log(alpha) + term_u, np.log1p(-alpha) + term_b)
 
-        for t in range(1, T + 1):
-            z[t - 1] = int(rng.random() < prob[t - 1])
-            if z[t - 1] == 1:
-                r_u[t - 1] = data.returns[t - 1]
-                r_b[t - 1] = sample_mvnormal_prec(f_b[t - 1], rng)
-            else:
-                r_b[t - 1] = data.returns[t - 1]
-                r_u[t - 1] = sample_mvnormal_prec(f_u[t - 1], rng)
-        # the samplers checked every factor; check the draws once per sweep
-        _require_finite(r_u, "imputed UE returns")
-        _require_finite(r_b, "imputed BB returns")
+        # z_t = 1 keeps the observed r_t for UE and imputes the BB row
+        z = rng.random(T) < prob
+        imputed = sample_mvnormal_prec(np.where(z[:, None, None], f_b, f_u), rng)
+        r_u = np.where(z[:, None], data.returns, imputed)
+        r_b = np.where(z[:, None], imputed, data.returns)
+        # the sampler checked every factor; check the draws once per sweep
+        _require_finite(imputed, "imputed returns")
 
         alpha = rng.beta(*alpha_posterior_shapes(cfg.a0, cfg.b0, z))
 

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import _givens_chain, _givens_update, rchol, tri_solve, uchol
+from .matops import _givens_chain, _givens_update, rchol, tri_solve, tri_solve_stack, uchol
 from .randsamp import make_rng, sample_bartlett_factor, sample_wishart_bartlett
 from .volproc import BBHyper, UEHyper
 
@@ -157,14 +157,9 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     flat = _givens_chain(rows, returns[:, ::-1].tolist(), math.sqrt(discount))
     g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
     g_prev = g[:-1]
-    w = [None] * q
     with np.errstate(all="ignore"):  # overflow is reported below
-        for i in reversed(range(q)):
-            acc = returns[:, i]
-            for j in range(i + 1, q):
-                acc = acc - g_prev[:, i, j] * w[j]
-            w[i] = acc / g_prev[:, i, i]
-        s = sum(wi * wi for wi in w)
+        w = tri_solve_stack(g_prev, returns)
+        s = sum(w[:, i] * w[:, i] for i in range(q))
     bad = ~np.isfinite(g[1:]).all(axis=(1, 2)) | ~np.isfinite(s)
     if bad.any():
         raise InvalidParameter(

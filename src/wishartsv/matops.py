@@ -21,18 +21,22 @@ NaN factor, which the calling pass reports with its t.
 ``tri_solve`` is the one triangular solve of a single factor.  It
 makes the LAPACK ``trtrs`` call ``scipy.linalg.solve_triangular`` makes,
 without that wrapper's per-call validation overhead, so results are the
-same bits.  The filter's scale pass makes no per-step solve: it solves
-against all T factors at once after its loop.
+same bits.  ``tri_solve_stack`` back-substitutes against a whole stack
+of factors at once; the passes and the mixture sweep use it instead of a
+per-step solve.
 
 The Givens loop of the rank-1 update runs on Python floats in
 ``_givens_update``: once per step in ``simulate``, and along a whole
 recursion in ``_givens_chain`` (the filter's scale pass and the
-single-path UE backward pass).  ``chol_update`` makes the same
-rotations on a stack of matrices at once.
+single-path UE backward pass), with rho from ``math.hypot`` (a tenth of
+``np.hypot``'s cost on Python floats; inf on overflow).  ``chol_update``
+makes the same rotations on a stack at once, with ``np.hypot``, which
+rounds rho differently.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
@@ -114,6 +118,24 @@ def tri_solve(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
     return x
 
 
+def tri_solve_stack(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """x with R x = b (R' x = b with ``trans``) for every upper-triangular R of a stack.
+
+    r (..., q, q) and b (..., q) broadcast; returns (..., q).  Each row of
+    the substitution is a numpy operation on the whole stack, so a slice
+    gives the same bits as solving it alone.  A zero pivot or a
+    non-finite entry gives a non-finite x.
+    """
+    q = r.shape[-1]
+    x = [None] * q
+    for i in range(q) if trans else reversed(range(q)):
+        acc = b[..., i]
+        for j in range(i) if trans else range(i + 1, q):
+            acc = acc - (r[..., j, i] if trans else r[..., i, j]) * x[j]
+        x[i] = acc / r[..., i, i]
+    return np.stack(x, axis=-1)
+
+
 def right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """m G^{-1} for upper-triangular G, by one ``tri_solve``; m and G are float arrays.
 
@@ -131,9 +153,8 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     long horizons).  A stack r (..., q, q) with x (..., q) applies the
     same rotations to every matrix at once, so a slice of a stack and
     the matrix alone give the same bits; the result keeps r's memory
-    order.  The rotations are those of ``_givens_update``: both take rho
-    from ``np.hypot`` (``math.hypot`` rounds differently) and round every
-    product and sum alike.  A zero pivot gives NaN entries, not an error.
+    order.  The rotations are ``_givens_update``'s with rho from ``np.hypot``
+    instead of ``math.hypot``.  A zero pivot gives NaN entries, not an error.
     """
     r = np.array(r, dtype=float)
     x = np.array(x, dtype=float)
@@ -161,7 +182,7 @@ def _givens_update(rows: list, x: list, scale: float) -> None:
     for i in range(q):
         row = rows[i]
         rii = scale * row[i]
-        rho = float(np.hypot(rii, x[i]))
+        rho = math.hypot(rii, x[i])
         if rho <= 0.0:
             raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
         c = rii / rho

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter
-from .matops import gram, sym, tri_solve, uchol
+from .matops import gram, sym, tri_solve_stack, uchol
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -101,13 +101,11 @@ def sample_matrix_beta(
     return sym(np.swapaxes(t_inv, -1, -2) @ a1 @ t_inv)
 
 
-def sample_mvnormal_prec(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Zero-mean normal draw with covariance (F' F)^{-1}, ``factor`` = F upper (float array).
+def sample_mvnormal_prec(factors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean normal draws with covariance (F' F)^{-1}, one per upper factor F of a stack.
 
-    With z ~ N(0, I), x = F^{-1} z has covariance (F' F)^{-1}, one
-    ``tri_solve``.  Like every kernel it checks nothing but the zero
-    pivot (LinAlgError): a mixture sweep runs it once per time step on
-    factors the backward pass has checked, and checks the draws once.
+    factors is (..., q, q) and the result (..., q): x = F^{-1} z with all
+    z ~ N(0, I) drawn in one call and solved in one ``tri_solve_stack``.
+    It checks nothing; a mixture sweep checks the draws.
     """
-    z = rng.standard_normal(factor.shape[0])
-    return tri_solve(factor, z)
+    return tri_solve_stack(factors, rng.standard_normal(factors.shape[:-1]))

@@ -24,19 +24,17 @@ Noise first: a sampler draws a path's noise before any arithmetic, in
 the order a step-by-step loop would consume it (the terminal Bartlett
 factor, then the increments for t = T-1 down to 0), and the steps
 ``ue_backward_step`` and ``bb_backward_step`` are deterministic given
-that noise.  Both steps take a leading draws axis, (N, q, q) factors
-sharing G_t, so ``sample_ensemble`` runs all N paths, each with its own
-(seed, index) substream of noise, through one backward pass.
+that noise.  Both take a leading draws axis, so ``sample_ensemble`` runs
+all N paths, each with its own (seed, index) substream, through one
+pass.  The steps compute; the pass checks G before and F after it.
 
-The steps compute and the pass checks: G once before its loop and F
-once after it, so a path leaves the pass as finite factors with a
-positive diagonal or as a package error naming the first bad t.
-
-One UE path does not step at all: its rows x_t = z_t G_t^{-1} do not
-depend on F, so after solving for all of them the pass runs
-Phi_t = lambda Phi_{t+1} + x_t' x_t as the filter runs its scale
-recursion, one chain of Givens rotations on Python floats
-(``matops._givens_chain``), with the same bits as the step-by-step loop.
+Only a stack of UE paths steps.  The BB pass is in closed form
+(``_bb_chain``): F_t = sqrt(b) F_{t+1} + diag(delta_t) G_t^{-1}, with a
+recursion in t only on the diagonal, bit-identical to a loop of
+``bb_backward_step``.  One UE path solves every row x_t = z_t G_t^{-1}
+at once and runs Phi_t = lambda Phi_{t+1} + x_t' x_t as one chain of
+Givens rotations on Python floats (``_ue_chain``), within 1e-12 of the
+step loop.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
 from .filtering import FilterOutput
-from .matops import _givens_chain, chol_update, right_solve, tri_solve
+from .matops import _givens_chain, chol_update, right_solve, tri_solve_stack
 from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from .volproc import UEHyper
 
@@ -68,14 +66,43 @@ def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.nd
     U~*_{t+1} = sqrt(b) F_{t+1} G_t is upper-triangular with positive
     diagonal, so it is the Cholesky factor of b G_t' Phi_{t+1} G_t; its
     squared diagonal gains theta (..., q), theta_i ~ chi2_{(1-beta) k_t};
-    off-diagonal entries are kept; F_t = U* G_t^{-1}.  Checks nothing:
-    the backward pass checks G before its loop and F after it.
+    off-diagonal entries are kept; F_t = U* G_t^{-1}.  This is the
+    one-step case of ``_bb_chain``, which computes it in closed form.
+    Checks nothing: the backward pass checks G before and F after.
     """
-    u = math.sqrt(b) * f_next @ g_t
-    q = g_t.shape[0]
-    diag = u.reshape(u.shape[:-2] + (q * q,))[..., :: q + 1]  # a view of u's diagonal
-    diag[...] = np.sqrt(diag ** 2 + theta)
-    return right_solve(u, g_t)
+    return _bb_chain(g_t[None], f_next, theta[None], b)[0]
+
+
+def _bb_chain(g: np.ndarray, f_T: np.ndarray, theta: np.ndarray, b: float) -> np.ndarray:
+    """F_0..F_T of the BB backward recursion from G_0..G_{T-1}, F_T and theta (T, ..., q).
+
+    The step changes only the diagonal of U~ = sqrt(b) F_{t+1} G_t, so
+    F_t = sqrt(b) F_{t+1} + diag(delta_t) G_t^{-1} with
+    u~_i = sqrt(b) g_{t,ii} f_{t+1,ii}, u*_i = hypot(u~_i, sqrt(theta_{t,i})),
+    delta_{t,i} = theta_{t,i} / (u*_i + u~_i) and f_{t,ii} = u*_i / g_{t,ii}.
+    The diagonal is the only nonlinear recursion in t, run on (..., q)
+    arrays; G_t^{-1} for every t comes from one stacked solve, shared by
+    every draw, and the rest is one multiply-add per t on the whole stack.
+    """
+    T, q = g.shape[0], g.shape[-1]
+    lead = np.broadcast_shapes(theta.shape[1:-1], f_T.shape[:-2])  # the draws axes
+    sqrt_b = np.sqrt(np.asarray(b, dtype=float))  # 0-d: multiplies faster than a numpy scalar
+    g_diag = np.diagonal(g, axis1=-2, axis2=-1).reshape((T,) + (1,) * len(lead) + (q,))
+    c, sqrt_theta = sqrt_b * g_diag, np.sqrt(theta)
+    f_diag = [np.broadcast_to(np.diagonal(f_T, axis1=-2, axis2=-1), lead + (q,))]
+    for c_t, s_t, g_t in zip(c[::-1], sqrt_theta[::-1], g_diag[::-1]):
+        f_diag.append(np.hypot(c_t * f_diag[-1], s_t) / g_t)
+    f_diag = np.concatenate(f_diag[::-1]).reshape((T + 1,) + lead + (q,))
+    u_tilde = c * f_diag[1:]
+    delta = theta / (np.hypot(u_tilde, sqrt_theta) + u_tilde)
+    # row i of G_t^{-1} solves G_t' x = e_i, for every t at once
+    g_inv = tri_solve_stack(g.reshape((T,) + (1,) * len(lead) + (1, q, q)), np.eye(q), trans=True)
+    f = [np.broadcast_to(f_T, lead + (q, q))]
+    for v_t in (delta[..., None] * g_inv)[::-1]:
+        f.append(sqrt_b * f[-1] + v_t)
+    f = np.concatenate(f[::-1]).reshape((T + 1,) + lead + (q, q))
+    f.reshape((T + 1,) + lead + (q * q,))[..., :: q + 1] = f_diag
+    return f
 
 
 def _noise(filt: FilterOutput, rng: np.random.Generator):
@@ -97,25 +124,25 @@ def _noise(filt: FilterOutput, rng: np.random.Generator):
 def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """F_0..F_T from the terminal Bartlett factor(s) and per-step noise, time axis first.
 
-    F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]).
-    One UE path, a single (q, q) W_T, runs as ``_ue_chain``; every other
-    pass makes one step call per t.  ``_check_factors`` checks G before
-    the loop, so no solve meets a zero pivot, and F after it.
+    F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]):
+    BB as ``_bb_chain``, one UE path (a (q, q) W_T) as ``_ue_chain``, and
+    a stack of UE paths one ``ue_backward_step`` per t.  G is checked
+    before the pass, so no solve meets a zero pivot, and F after it.
     """
     g = filt.g
     _check_factors(g, "filter factor G")
     T = g.shape[0] - 1
     with np.errstate(all="ignore"):  # a non-finite F_t is reported below
         f_T = right_solve(w_T, g[T])
-        ue = isinstance(filt.hyper, UEHyper)
-        if ue and w_T.ndim == 2:
+        if not isinstance(filt.hyper, UEHyper):
+            f = _bb_chain(g[:T], f_T, noise, filt.discount)
+        elif w_T.ndim == 2:
             f = _ue_chain(g, f_T, noise, filt.discount)
         else:
             f = np.empty((T + 1,) + w_T.shape)
             f[T] = f_T
-            step = ue_backward_step if ue else bb_backward_step
             for t in range(T - 1, -1, -1):
-                f[t] = step(f[t + 1], g[t], filt.discount, noise[t])
+                f[t] = ue_backward_step(f[t + 1], g[t], filt.discount, noise[t])
     _check_factors(f, "sampled factor F", backward=True)
     return f
 
@@ -140,14 +167,10 @@ def _ue_chain(g: np.ndarray, f_T: np.ndarray, z: np.ndarray, lam: float) -> np.n
     """One UE path, as the rank-1 recursion Phi_t = lam Phi_{t+1} + x_t' x_t.
 
     The rows x_t = z_t G_t^{-1} do not depend on F, so all T are solved
-    first; then ``_givens_chain`` runs the rotations of ``ue_backward_step``
-    from F_T down to F_0 on Python floats.  Each result is the same bits
-    as the step's.
+    first; then ``_givens_chain`` rotates them in from F_T down to F_0.
     """
     T, q = g.shape[0] - 1, g.shape[1]
-    x = np.empty((T, q))
-    for t in range(T):
-        x[t] = tri_solve(g[t], z[t], trans=True)
+    x = tri_solve_stack(g[:T], z, trans=True)
     flat = _givens_chain(f_T.tolist(), x[::-1].tolist(), math.sqrt(lam))
     return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
 
@@ -157,8 +180,8 @@ def backward_sample(filt: FilterOutput, rng: np.random.Generator) -> np.ndarray:
 
     The terminal draw from the filtered posterior Wishart(k_T, D_T^{-1})
     is taken in Bartlett-factor form, F_T = W G_T^{-1}.  UE then runs
-    Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(1, D_t^{-1}), one
-    ``ue_backward_step`` per t; BB makes one ``bb_backward_step`` per t.
+    Phi_t = lambda Phi_{t+1} + Z_t, Z_t ~ Wishart(1, D_t^{-1}); BB its
+    backward step, in closed form.
     """
     return _backward_pass(filt, *_noise(filt, rng))
 

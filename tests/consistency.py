@@ -5,6 +5,8 @@ steps on stacked draws and compares the two joints they must share
 (criteria 7 and 8).  ``kummer_partner`` evaluates the other side of
 Kummer's relation U(-1/2, 0, z) = z U(1/2, 2, z) by quadrature, apart
 from the package's Bessel closed form (criterion 6).
+``bb_backward_step_product`` is the BB backward step as a product and a
+solve, the form the package's closed form is checked against.
 """
 
 import math
@@ -26,6 +28,15 @@ def kummer_partner(z: float) -> float:
     val, _ = quad(lambda s: math.exp(-z * s * s) * math.sqrt(1.0 + s * s), 0.0, np.inf,
                   epsabs=0.0, epsrel=1e-12, limit=200)
     return 2.0 * z * val / math.sqrt(math.pi)
+
+
+def bb_backward_step_product(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.ndarray) -> np.ndarray:
+    """The BB backward step as first stated: U = sqrt(b) F_{t+1} G_t, its diagonal
+    raised to sqrt(u_ii^2 + theta_i), then F_t = U G_t^{-1} by a LAPACK solve."""
+    u = math.sqrt(b) * f_next @ g_t
+    idx = np.arange(g_t.shape[0])
+    u[..., idx, idx] = np.sqrt(u[..., idx, idx] ** 2 + theta)
+    return right_solve(u, g_t)
 
 
 def joint_consistency_report(

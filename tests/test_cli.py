@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +233,20 @@ class TestCommands:
 
 
 class TestMain:
+    def test_run_command_checks_config(self, returns_csv, tmp_path):
+        # in-process callers get the command line's config check, before any output
+        cfg = {"q": 2, "n": 5.0, "lambda": 0.8, "data_csv": str(returns_csv),
+               "model": "xyz", "out": str(tmp_path / "run")}
+        with pytest.raises(InvalidParameter, match="'model'"):
+            run_command("filter", cfg)
+        assert not (tmp_path / "run").exists()
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal adds about 4 MB to a bare interpreter's peak RSS
+        code = "import sys, wishartsv.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_cli_end_to_end(self, returns_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import LinAlgError, solve_triangular
@@ -10,6 +10,7 @@ from wishartsv.matops import (
     chol_update,
     right_solve,
     tri_solve,
+    tri_solve_stack,
     uchol,
 )
 
@@ -85,6 +86,41 @@ class TestTriSolve:
         r = np.asfortranarray(r) if fortran else r
         with pytest.raises(LinAlgError, match="diagonal 1"):
             tri_solve(r, np.ones(3))
+
+
+class TestTriSolveStack:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(0, 8), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(q=1, T=0, trans=False, seed=0)
+    @example(q=3, T=0, trans=True, seed=0)
+    @example(q=1, T=4, trans=False, seed=1)
+    @example(q=1, T=4, trans=True, seed=1)
+    def test_matches_tri_solve(self, q, T, trans, seed):
+        # back-substitution over the stack against one LAPACK solve per t;
+        # the two sum each row in a different order, so they agree to
+        # 1e-13 of each solution's largest entry, not bit for bit
+        rng = np.random.default_rng(seed)
+        r = np.triu(rng.uniform(-1.0, 1.0, (T, q, q)))
+        idx = np.arange(q)
+        r[:, idx, idx] = rng.uniform(0.5, 2.0, (T, q))
+        b = rng.standard_normal((T, q))
+        x = tri_solve_stack(r, b, trans=trans)
+        assert x.shape == (T, q)
+        for t in range(T):
+            expect = tri_solve(r[t], b[t], trans=trans)
+            np.testing.assert_allclose(x[t], expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
+            # a slice of the stack gives the bits of the factor alone
+            np.testing.assert_array_equal(tri_solve_stack(r[t], b[t], trans=trans), x[t])
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_broadcast_inverse(self, trans):
+        # an identity right-hand side against a (T, 1, q, q) stack gives
+        # every G_t^{-1} (rows with trans, columns without)
+        r = np.array([[[2.0, 1.0, 0.5], [0.0, 4.0, -1.0], [0.0, 0.0, 0.5]]] * 2)
+        x = tri_solve_stack(r[:, None], np.eye(3), trans=trans)
+        inv = np.linalg.inv(r)
+        np.testing.assert_allclose(x, inv if trans else np.swapaxes(inv, -1, -2), rtol=1e-15, atol=0)
+        assert np.all(np.tril(x if trans else np.swapaxes(x, -1, -2), -1) == 0)
 
 
 class TestRightSolve:

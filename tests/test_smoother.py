@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
-from consistency import joint_consistency_report
+from consistency import bb_backward_step_product, joint_consistency_report
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import ReturnsSeries, constrained_lambda, forward_filter, simulate
 from wishartsv.matops import right_solve, uchol
@@ -142,46 +142,76 @@ def assert_same_bits(a, b):
     assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def assert_close_per_matrix(a, b, rtol):
+    """max |a - b| <= rtol max |b| in every matrix of the stacks."""
+    assert a.shape == b.shape
+    assert (np.abs(a - b).max(axis=(-2, -1)) <= rtol * np.abs(b).max(axis=(-2, -1))).all()
+
+
+# hyperparameters and data for a UE filter and a BB filter, matched or not
+FILTER_CASES = dict(
+    q=st.integers(1, 5),
+    T=st.integers(0, 8),
+    discount=st.floats(0.05, 0.99),
+    matched=st.booleans(),
+    df_excess=st.floats(0.5, 10.0),
+    beta_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def random_filters(q, T, discount, matched, df_excess, beta_frac, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((q, q))
+    d0 = a @ a.T + 0.1 * np.eye(q)
+    data = ReturnsSeries(rng.standard_normal((T, q)))
+    ue = UEHyper(q=q, k=1, n=q - 1 + df_excess, lam=discount, d0=d0)
+    if matched:
+        bb = match_ue_to_bb(ue)
+    else:
+        # beta > (q - 1) / q keeps beta k_t > q - 1 at the fixed point k / (1 - beta)
+        lo = 0.3 if q == 1 else (q - 1) / q + 0.01
+        beta = lo + (0.98 - lo) * beta_frac
+        bb = BBHyper(q=q, k=1, beta=beta, b=discount, k0=(q - 1 + df_excess) / beta, d0=d0)
+    return forward_filter(data, ue), forward_filter(data, bb)
+
+
+def bb_noise(fb, seed):
+    """The terminal Bartlett factor and theta, in time order, as ``backward_sample(fb, make_rng(seed))`` draws them."""
+    noise = make_rng(seed)
+    T, q = fb.g.shape[0] - 1, fb.g.shape[1]
+    w_T = sample_bartlett_factor(q, fb.k_seq[T], noise)
+    return w_T, sample_chi2((1.0 - fb.hyper.beta) * fb.k_seq[:T][::-1, None], noise, size=(T, q))[::-1]
+
+
 class TestSinglePathEquivalence:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        q=st.integers(1, 5),
-        T=st.integers(0, 8),
-        discount=st.floats(0.05, 0.99),
-        matched=st.booleans(),
-        df_excess=st.floats(0.5, 10.0),
-        beta_frac=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**FILTER_CASES)
     def test_samplers_match_public_steps(self, q, T, discount, matched, df_excess, beta_frac, seed):
-        # each sampler must be, bit for bit, a loop of its public step on
-        # the noise it documents: the terminal Bartlett factor, then the
-        # increments for t = T - 1 down to 0
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((q, q))
-        d0 = a @ a.T + 0.1 * np.eye(q)
-        data = ReturnsSeries(rng.standard_normal((T, q)))
-        ue = UEHyper(q=q, k=1, n=q - 1 + df_excess, lam=discount, d0=d0)
-        if matched:
-            bb = match_ue_to_bb(ue)
-        else:
-            # beta > (q - 1) / q keeps beta k_t > q - 1 at the fixed point k / (1 - beta)
-            lo = 0.3 if q == 1 else (q - 1) / q + 0.01
-            beta = lo + (0.98 - lo) * beta_frac
-            bb = BBHyper(q=q, k=1, beta=beta, b=discount, k0=(q - 1 + df_excess) / beta, d0=d0)
-        fu, fb = forward_filter(data, ue), forward_filter(data, bb)
+        # each sampler must be a loop of its public step on the noise it
+        # documents: the terminal Bartlett factor, then the increments for
+        # t = T - 1 down to 0.  BB bit for bit; one UE path solves its rows
+        # by back-substitution and rotates with math.hypot, while the step
+        # makes a LAPACK solve and chol_update's np.hypot, so 1e-12 per matrix
+        fu, fb = random_filters(q, T, discount, matched, df_excess, beta_frac, seed)
 
         noise = make_rng(seed)
-        w_T = sample_bartlett_factor(q, ue.n + 1, noise)
+        w_T = sample_bartlett_factor(q, fu.hyper.n + 1, noise)
         z = sample_wishart_factor(q, 1, noise, size=T)[::-1, 0]
         expect = stepwise_path(fu, w_T, z, ue_backward_step)
-        assert_same_bits(backward_sample(fu, make_rng(seed)), expect)
+        assert_close_per_matrix(backward_sample(fu, make_rng(seed)), expect, 1e-12)
 
-        noise = make_rng(seed)
-        w_T = sample_bartlett_factor(q, fb.k_seq[T], noise)
-        theta = sample_chi2((1.0 - bb.beta) * fb.k_seq[:T][::-1, None], noise, size=(T, q))[::-1]
-        expect = stepwise_path(fb, w_T, theta, bb_backward_step)
+        expect = stepwise_path(fb, *bb_noise(fb, seed), bb_backward_step)
         assert_same_bits(backward_sample(fb, make_rng(seed)), expect)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**FILTER_CASES)
+    def test_bb_closed_form_matches_product_step(self, q, T, discount, matched, df_excess, beta_frac, seed):
+        # the closed form against the step as a product and a LAPACK solve,
+        # U* G_t^{-1}, on the same noise
+        fb = random_filters(q, T, discount, matched, df_excess, beta_frac, seed)[1]
+        expect = stepwise_path(fb, *bb_noise(fb, seed), bb_backward_step_product)
+        assert_close_per_matrix(backward_sample(fb, make_rng(seed)), expect, 1e-12)
 
 
 class TestBackwardErrors:
@@ -310,6 +340,17 @@ class TestIllConditioned:
             assert_factors(ens)
             curves = correlation_summary(ens, [0.025, 0.5, 0.975])
             assert np.all(np.isfinite(curves)) and np.all(np.abs(curves) <= 1.0)
+
+    def test_bb_closed_form_matches_product_step(self):
+        # criterion 13's series: G_t spans many orders of magnitude, so the
+        # closed form's G_t^{-1} meets the worst conditioning the data give
+        c = ILL_CONDITIONED["criterion13"]
+        ue = UEHyper(q=3, k=1, n=c["n"], lam=c["lam"], d0=np.eye(3))
+        data, _ = simulate(ue, c["T"], seed=c["seed"])
+        fb = forward_filter(data, match_ue_to_bb(ue))
+        for seed in range(3):
+            expect = stepwise_path(fb, *bb_noise(fb, seed), bb_backward_step_product)
+            assert_close_per_matrix(backward_sample(fb, make_rng(seed)), expect, 1e-12)
 
 
 class TestJointConsistency:
