@@ -27,8 +27,8 @@ one-cell case) all reduce them through ``_forecast_logdensity``, and a
 grid costs one pass per lambda.
 
 ``simulate`` draws returns from a model's own joint law by running the
-same recursion forward, one exact one-step prior draw of Phi_t at a time,
-with the scale pass's Givens update.
+same recursion forward through the scale pass's Givens chain, one exact
+one-step prior draw of Phi_t at a time.
 
 The forecast-density normalizer is Gamma((n+1)/2) / Gamma((n+1-q)/2);
 the q = 1, n = 1 case is then exactly standard Cauchy and the density
@@ -39,13 +39,14 @@ oracles in the tests).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import _givens_chain, _givens_update, rchol, tri_solve, tri_solve_stack, uchol
+from .matops import _givens_chain, rchol, tri_solve, tri_solve_stack, uchol
 from .randsamp import make_rng, sample_bartlett_factor, sample_wishart_bartlett
 from .volproc import BBHyper, UEHyper
 
@@ -139,10 +140,9 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     the simulated data law drives cond(D_t) far past what dense
     refactorization tolerates.
 
-    The loop over t, ``matops._givens_chain``, keeps J G_t' J as rows of
-    Python floats and applies Givens rotations to them; at q <= 5 a
-    numpy call per step costs more than the arithmetic.  Each factor
-    goes into one flat buffer, reshaped once.  Then s_t =
+    The loop over t, ``matops._givens_chain``, rotates J G_t' J as one
+    flat list of Python floats (at q <= 5 a numpy call per step costs
+    more than the arithmetic) into one buffer, reshaped once.  Then s_t =
     |G_{t-1}^{-1} r_t|^2 comes from one back-substitution over all t.
     Raises InvalidParameter unless d0 is q x q, NotPositiveDefinite
     unless it is symmetric positive definite, and InvalidParameter at
@@ -153,8 +153,8 @@ def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
     d0 = np.asarray(d0, dtype=float)
     if d0.shape != (q, q):
         raise InvalidParameter(f"d0 must be {q}x{q}, got {d0.shape}")
-    rows = uchol(d0[::-1, ::-1]).tolist()  # J G_0' J
-    flat = _givens_chain(rows, returns[:, ::-1].tolist(), math.sqrt(discount))
+    flat = array("d", uchol(d0[::-1, ::-1]).ravel().tolist())  # J G_0' J
+    flat = _givens_chain(flat, returns[:, ::-1].tolist(), math.sqrt(discount))
     g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
     g_prev = g[:-1]
     with np.errstate(all="ignore"):  # overflow is reported below
@@ -238,18 +238,17 @@ def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
     if T < 0:
         raise InvalidParameter(f"T must be >= 0, got {T}")
     disc, k_seq, df_prior = _df_path(hyper, T)
-    rng = make_rng(seed)
-    q = hyper.q
-    rows = uchol(hyper.d0).tolist()  # R_0 with R_0' R_0 = D_0
+    rng, q = make_rng(seed), hyper.q
+    flat = array("d", uchol(hyper.d0).ravel().tolist())  # R_0 with R_0' R_0 = D_0, row-major
     phis = np.empty((T + 1, q, q))
     # Phi_0 from Wishart(k_0, D_0^{-1}), with the filter's factor G_0 (G_0 G_0' = D_0)
     phis[0] = sample_wishart_bartlett(k_seq[0], tri_solve(rchol(hyper.d0), np.eye(q)), rng)
-    returns = np.empty((T, q))
-    sqrt_disc = math.sqrt(disc)
-    with np.errstate(all="ignore"):  # a non-finite r_t or Phi_t is reported below
+    returns, sqrt_disc = np.empty((T, q)), math.sqrt(disc)
+
+    def draws():  # r_1, r_2, ..., each given the factor of D_{t-1} the chain last appended
         for t, df in enumerate(df_prior.tolist(), start=1):
-            # F-ordered, as uchol returns it: d_chol.T @ w rounds by memory order
-            d_chol = np.array(rows, order="F")
+            # F-ordered, as uchol returns a factor: d_chol.T @ w rounds by memory order
+            d_chol = np.array(flat[-q * q :]).reshape(q, q).copy(order="F")
             # All stochastic work happens in D_{t-1}-whitened coordinates,
             # where every quantity is O(1): with A the Bartlett factor of
             # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / disc is a
@@ -259,12 +258,15 @@ def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
             a = sample_bartlett_factor(q, df, rng)
             if not a.diagonal().all():  # a chi-square draw underflowed: A^{-1} z is infinite
                 returns[t - 1] = np.inf
-                break
+                return
             w = tri_solve(a, rng.standard_normal(q)) * sqrt_disc
             returns[t - 1] = d_chol.T @ w
             m = tri_solve(d_chol, a.T).T / sqrt_disc  # A R^{-T}
             phis[t] = m.T @ m
-            _givens_update(rows, returns[t - 1].tolist(), sqrt_disc)
+            yield returns[t - 1].tolist()
+
+    with np.errstate(all="ignore"):  # a non-finite r_t or Phi_t is reported below
+        _givens_chain(flat, draws(), sqrt_disc)
     bad = ~np.isfinite(returns).all(axis=1) | ~np.isfinite(phis[1:]).all(axis=(1, 2))
     if bad.any():
         raise InvalidParameter(f"simulated r_t or Phi_t overflows double precision at t={int(np.argmax(bad)) + 1}")

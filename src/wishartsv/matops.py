@@ -13,7 +13,7 @@ Kernels compute; passes check.  No kernel tests for non-finite values:
 each pass (the scale pass, a backward pass, ``simulate``, a mixture
 sweep) checks its input once and its output once, and raises a package
 error naming the time step.  ``uchol`` rejects a non-finite matrix.  A
-zero pivot makes ``tri_solve`` raise LinAlgError and ``_givens_update``
+zero pivot makes ``tri_solve`` raise LinAlgError and ``_givens_chain``
 NotPositiveDefinite (a Python float division by zero would raise
 ZeroDivisionError), while ``chol_update`` divides 0 by 0 and returns a
 NaN factor, which the calling pass reports with its t.
@@ -25,13 +25,13 @@ same bits.  ``tri_solve_stack`` back-substitutes against a whole stack
 of factors at once; the passes and the mixture sweep use it instead of a
 per-step solve.
 
-The Givens loop of the rank-1 update runs on Python floats in
-``_givens_update``: once per step in ``simulate``, and along a whole
-recursion in ``_givens_chain`` (the filter's scale pass and the
-single-path UE backward pass), with rho from ``math.hypot`` (a tenth of
-``np.hypot``'s cost on Python floats; inf on overflow).  ``chol_update``
-makes the same rotations on a stack at once, with ``np.hypot``, which
-rounds rho differently.
+The one Givens loop on Python floats is ``_givens_chain``: a whole
+recursion of rank-1 updates on a factor held as one flat row-major list,
+with rho from ``math.hypot`` (a tenth of ``np.hypot``'s cost on Python
+floats; inf on overflow) and no function call per step.  The filter's
+scale pass, the single-path UE backward pass and ``simulate`` all run
+through it.  ``chol_update`` makes the same rotations on a stack at
+once, with ``np.hypot``, which rounds rho differently.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     long horizons).  A stack r (..., q, q) with x (..., q) applies the
     same rotations to every matrix at once, so a slice of a stack and
     the matrix alone give the same bits; the result keeps r's memory
-    order.  The rotations are ``_givens_update``'s with rho from ``np.hypot``
+    order.  The rotations are ``_givens_chain``'s with rho from ``np.hypot``
     instead of ``math.hypot``.  A zero pivot gives NaN entries, not an error.
     """
     r = np.array(r, dtype=float)
@@ -171,42 +171,32 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _givens_update(rows: list, x: list, scale: float) -> None:
-    """``chol_update`` of scale * R, with R held as a list of rows of Python floats.
-
-    Rotates x into the upper-triangular ``rows`` in place, so they become
-    the factor of scale^2 R' R + x x'; x is overwritten.  Row i is scaled
-    just before its rotation, which rounds as scaling R first would.
-    """
-    q = len(rows)
-    for i in range(q):
-        row = rows[i]
-        rii = scale * row[i]
-        rho = math.hypot(rii, x[i])
-        if rho <= 0.0:
-            raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
-        c = rii / rho
-        s = x[i] / rho
-        row[i] = rho
-        for j in range(i + 1, q):
-            rj, xj = scale * row[j], x[j]
-            row[j] = c * rj + s * xj
-            x[j] = c * xj - s * rj
-
-
-def _givens_chain(rows: list, xs, scale: float) -> array:
+def _givens_chain(flat: array, xs, scale: float) -> array:
     """All factors of R_{i+1}' R_{i+1} = scale^2 R_i' R_i + x_i x_i', on Python floats.
 
-    ``rows`` holds R_0 as a list of rows and each x in ``xs`` is a list
-    of q floats; one ``_givens_update`` per x advances ``rows`` in
-    place.  Returns R_0, R_1, ..., R_len(xs), row-major, in one flat
-    buffer, so a caller reshapes them once.
+    ``flat`` holds R_0 row-major, gets each R_{i+1} appended and is returned.
+    Each x in ``xs``, a list of q floats, is rotated into the factor (one
+    flat list) and overwritten: ``chol_update``'s rotations, rho from
+    ``math.hypot``, row i scaled just before its rotation, which rounds as
+    scaling R first would.  ``xs`` may be a generator that reads the latest
+    factor, ``flat[-q * q:]``, before it yields the next x (``simulate``).
+    Raises NotPositiveDefinite on a zero pivot.
     """
-    flat = array("d")
-    for row in rows:
-        flat.extend(row)
+    q = math.isqrt(len(flat))
+    r, hypot = flat[-q * q :].tolist(), math.hypot
+    rows = [(i, i * (q + 1), range(i + 1, q)) for i in range(q)]  # i, where R[i, i] is, j > i
     for x in xs:
-        _givens_update(rows, x, scale)
-        for row in rows:
-            flat.extend(row)
+        for i, k, cols in rows:
+            rii, xi = scale * r[k], x[i]
+            rho = hypot(rii, xi)
+            if rho <= 0.0:
+                raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
+            c, s = rii / rho, xi / rho
+            r[k] = rho
+            for j in cols:
+                k += 1  # where R[i, j] is
+                rj, xj = scale * r[k], x[j]
+                r[k] = c * rj + s * xj
+                x[j] = c * xj - s * rj
+        flat.extend(r)
     return flat

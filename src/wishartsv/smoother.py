@@ -24,22 +24,20 @@ Noise first: a sampler draws a path's noise before any arithmetic, in
 the order a step-by-step loop would consume it (the terminal Bartlett
 factor, then the increments for t = T-1 down to 0), and the steps
 ``ue_backward_step`` and ``bb_backward_step`` are deterministic given
-that noise.  Both take a leading draws axis, so ``sample_ensemble`` runs
-all N paths, each with its own (seed, index) substream, through one
-pass.  The steps compute; the pass checks G before and F after it.
-
-Only a stack of UE paths steps.  The BB pass is in closed form
-(``_bb_chain``): F_t = sqrt(b) F_{t+1} + diag(delta_t) G_t^{-1}, with a
-recursion in t only on the diagonal, bit-identical to a loop of
-``bb_backward_step``.  One UE path solves every row x_t = z_t G_t^{-1}
-at once and runs Phi_t = lambda Phi_{t+1} + x_t' x_t as one chain of
-Givens rotations on Python floats (``_ue_chain``), within 1e-12 of the
-step loop.
+that noise.  ``sample_ensemble`` runs all N paths, each with its own
+(seed, index) substream, through one pass on stacked factors, which
+checks G before and F after it.  Only a stack of UE paths steps.  The
+BB pass (``_bb_chain``) has no loop over t: its two recursions are
+linear, so each is summed by recursive doubling.  One UE path runs
+Phi_t = lambda Phi_{t+1} + x_t' x_t as one chain of Givens rotations on
+Python floats (``_ue_chain``).  Both match a loop of their step within
+1e-12 per matrix.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -66,41 +64,51 @@ def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.nd
     U~*_{t+1} = sqrt(b) F_{t+1} G_t is upper-triangular with positive
     diagonal, so it is the Cholesky factor of b G_t' Phi_{t+1} G_t; its
     squared diagonal gains theta (..., q), theta_i ~ chi2_{(1-beta) k_t};
-    off-diagonal entries are kept; F_t = U* G_t^{-1}.  This is the
-    one-step case of ``_bb_chain``, which computes it in closed form.
-    Checks nothing: the backward pass checks G before and F after.
+    off-diagonal entries are kept; F_t = U* G_t^{-1}.  The one-step case
+    of ``_bb_chain`` (T calls round otherwise than one chain of T steps,
+    within 1e-12); checks nothing: the backward pass checks G and F.
     """
     return _bb_chain(g_t[None], f_next, theta[None], b)[0]
+
+
+def _discounted_sums(x: np.ndarray, a: float) -> np.ndarray:
+    """y_t = x_t + a y_{t+1} along axis 0, last row x's, by recursive doubling (Kogge & Stone 1973)."""
+    y, d = np.array(x, dtype=float), 1
+    while d < len(y):
+        y[:-d] += a**d * y[d:]  # now y_t sums the 2d terms a^j x_{t+j}
+        d *= 2
+    return y
 
 
 def _bb_chain(g: np.ndarray, f_T: np.ndarray, theta: np.ndarray, b: float) -> np.ndarray:
     """F_0..F_T of the BB backward recursion from G_0..G_{T-1}, F_T and theta (T, ..., q).
 
-    The step changes only the diagonal of U~ = sqrt(b) F_{t+1} G_t, so
-    F_t = sqrt(b) F_{t+1} + diag(delta_t) G_t^{-1} with
-    u~_i = sqrt(b) g_{t,ii} f_{t+1,ii}, u*_i = hypot(u~_i, sqrt(theta_{t,i})),
-    delta_{t,i} = theta_{t,i} / (u*_i + u~_i) and f_{t,ii} = u*_i / g_{t,ii}.
-    The diagonal is the only nonlinear recursion in t, run on (..., q)
-    arrays; G_t^{-1} for every t comes from one stacked solve, shared by
-    every draw, and the rest is one multiply-add per t on the whole stack.
+    The step raises the diagonal of U~ = sqrt(b) F_{t+1} G_t from
+    u~_i = sqrt(b) g_{t,ii} f_{t+1,ii} to u*_i = f_{t,ii} g_{t,ii}, so
+    f_{t,ii}^2 = b f_{t+1,ii}^2 + theta_{t,i} / g_{t,ii}^2 and F_t =
+    sqrt(b) F_{t+1} + diag(delta_t) G_t^{-1}, delta_{t,i} = theta_{t,i} /
+    (u*_i + u~_i): two linear recursions, each summed over all t by
+    ``_discounted_sums``.  Each lane (draw and i) of the squared diagonal
+    is scaled by an exact power of two, the midpoint of the exponents of
+    its 1/g_{t,ii} and f_{T,ii}, so nothing over- or underflows while G
+    spans hundreds of orders of magnitude.  All work is per lane, so a
+    stack of draws gives each draw's bits.
     """
     T, q = g.shape[0], g.shape[-1]
     lead = np.broadcast_shapes(theta.shape[1:-1], f_T.shape[:-2])  # the draws axes
-    sqrt_b = np.sqrt(np.asarray(b, dtype=float))  # 0-d: multiplies faster than a numpy scalar
-    g_diag = np.diagonal(g, axis1=-2, axis2=-1).reshape((T,) + (1,) * len(lead) + (q,))
-    c, sqrt_theta = sqrt_b * g_diag, np.sqrt(theta)
-    f_diag = [np.broadcast_to(np.diagonal(f_T, axis1=-2, axis2=-1), lead + (q,))]
-    for c_t, s_t, g_t in zip(c[::-1], sqrt_theta[::-1], g_diag[::-1]):
-        f_diag.append(np.hypot(c_t * f_diag[-1], s_t) / g_t)
-    f_diag = np.concatenate(f_diag[::-1]).reshape((T + 1,) + lead + (q,))
-    u_tilde = c * f_diag[1:]
-    delta = theta / (np.hypot(u_tilde, sqrt_theta) + u_tilde)
+    g = g.reshape((T,) + (1,) * len(lead) + (q, q))  # broadcast over the draws axes
+    g_diag, sqrt_b = np.diagonal(g, axis1=-2, axis2=-1), math.sqrt(b)
+    f_T_diag = np.broadcast_to(np.diagonal(f_T, axis1=-2, axis2=-1), lead + (q,))
+    e_g = np.broadcast_to(-np.frexp(g_diag)[1], (T,) + lead + (q,))  # 1/g's exponents, within 2
+    e = np.concatenate([e_g, np.frexp(f_T_diag)[1][None]])
+    m = (e.min(axis=0) + e.max(axis=0)) // 2
+    x = np.concatenate([theta / np.ldexp(g_diag, m) ** 2, np.ldexp(f_T_diag, -m)[None] ** 2])
+    f_diag = np.concatenate([np.ldexp(np.sqrt(_discounted_sums(x, b)[:T]), m), f_T_diag[None]])
+    delta = theta / (f_diag[:T] * g_diag + sqrt_b * g_diag * f_diag[1:])  # theta / (u* + u~)
     # row i of G_t^{-1} solves G_t' x = e_i, for every t at once
-    g_inv = tri_solve_stack(g.reshape((T,) + (1,) * len(lead) + (1, q, q)), np.eye(q), trans=True)
-    f = [np.broadcast_to(f_T, lead + (q, q))]
-    for v_t in (delta[..., None] * g_inv)[::-1]:
-        f.append(sqrt_b * f[-1] + v_t)
-    f = np.concatenate(f[::-1]).reshape((T + 1,) + lead + (q, q))
+    g_inv = tri_solve_stack(g[..., None, :, :], np.eye(q), trans=True)
+    x = np.concatenate([delta[..., None] * g_inv, np.broadcast_to(f_T, (1,) + lead + (q, q))])
+    f = _discounted_sums(x, sqrt_b)
     f.reshape((T + 1,) + lead + (q * q,))[..., :: q + 1] = f_diag
     return f
 
@@ -171,7 +179,7 @@ def _ue_chain(g: np.ndarray, f_T: np.ndarray, z: np.ndarray, lam: float) -> np.n
     """
     T, q = g.shape[0] - 1, g.shape[1]
     x = tri_solve_stack(g[:T], z, trans=True)
-    flat = _givens_chain(f_T.tolist(), x[::-1].tolist(), math.sqrt(lam))
+    flat = _givens_chain(array("d", f_T.ravel().tolist()), x[::-1].tolist(), math.sqrt(lam))
     return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
 
 

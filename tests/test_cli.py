@@ -113,6 +113,15 @@ class TestSimulate:
         with pytest.raises(InvalidParameter):
             simulate(None, 3, seed=0)
 
+    def test_matched_models_give_the_same_returns(self):
+        # under matching the returns have one law, and simulate draws them
+        # through the same steps, so no statistic of the data can tell
+        # which model generated them
+        ue = UEHyper(q=3, k=1, n=8.0, lam=0.9, d0=np.eye(3))
+        s_ue, _ = simulate(ue, 200, seed=5)
+        s_bb, _ = simulate(match_ue_to_bb(ue), 200, seed=5)
+        assert s_ue.returns.tobytes() == s_bb.returns.tobytes()
+
     def test_overflow_is_reported(self):
         # unmatched BB: k_t -> 1/(1 - beta) = 5, so beta k_t -> 4 = q - 1 and
         # the Bartlett draws blow up; at t=39 a chi-square draw underflows to 0

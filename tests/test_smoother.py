@@ -14,6 +14,9 @@ from wishartsv.matops import right_solve, uchol
 from wishartsv.randsamp import make_rng, sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from wishartsv.smoother import (
     _backward_pass,
+    _bb_chain,
+    _discounted_sums,
+    _noise,
     backward_sample,
     bb_backward_step,
     correlation_summary,
@@ -190,9 +193,11 @@ class TestSinglePathEquivalence:
     def test_samplers_match_public_steps(self, q, T, discount, matched, df_excess, beta_frac, seed):
         # each sampler must be a loop of its public step on the noise it
         # documents: the terminal Bartlett factor, then the increments for
-        # t = T - 1 down to 0.  BB bit for bit; one UE path solves its rows
-        # by back-substitution and rotates with math.hypot, while the step
-        # makes a LAPACK solve and chol_update's np.hypot, so 1e-12 per matrix
+        # t = T - 1 down to 0, within 1e-12 per matrix.  One UE path solves
+        # its rows by back-substitution and rotates with math.hypot, while
+        # the step makes a LAPACK solve and chol_update's np.hypot; the BB
+        # pass sums its recursions by recursive doubling, which rounds
+        # otherwise than a loop of its one-step case
         fu, fb = random_filters(q, T, discount, matched, df_excess, beta_frac, seed)
 
         noise = make_rng(seed)
@@ -202,7 +207,7 @@ class TestSinglePathEquivalence:
         assert_close_per_matrix(backward_sample(fu, make_rng(seed)), expect, 1e-12)
 
         expect = stepwise_path(fb, *bb_noise(fb, seed), bb_backward_step)
-        assert_same_bits(backward_sample(fb, make_rng(seed)), expect)
+        assert_close_per_matrix(backward_sample(fb, make_rng(seed)), expect, 1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(**FILTER_CASES)
@@ -212,6 +217,23 @@ class TestSinglePathEquivalence:
         fb = random_filters(q, T, discount, matched, df_excess, beta_frac, seed)[1]
         expect = stepwise_path(fb, *bb_noise(fb, seed), bb_backward_step_product)
         assert_close_per_matrix(backward_sample(fb, make_rng(seed)), expect, 1e-12)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("length", [1, 2, 3, 100, 1001])
+    @pytest.mark.parametrize("a", [0.01, 0.5, 0.999])
+    def test_discounted_sums_match_a_loop(self, length, a):
+        x = np.random.default_rng(length).standard_normal((length, 2, 3))
+        expect = x.copy()
+        for t in range(length - 2, -1, -1):
+            expect[t] = x[t] + a * expect[t + 1]
+        assert np.linalg.norm(_discounted_sums(x, a) - expect) <= 1e-14 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_bb_chain_of_no_step_is_f_T(self, lead):
+        f_T = np.triu(np.random.default_rng(0).standard_normal(lead + (2, 2))) + 2.0 * np.eye(2)
+        f = _bb_chain(np.empty((0, 2, 2)), f_T, np.empty((0,) + lead + (2,)), 0.8)
+        assert_same_bits(f, f_T[None])
 
 
 class TestBackwardErrors:
@@ -351,6 +373,22 @@ class TestIllConditioned:
         for seed in range(3):
             expect = stepwise_path(fb, *bb_noise(fb, seed), bb_backward_step_product)
             assert_close_per_matrix(backward_sample(fb, make_rng(seed)), expect, 1e-12)
+
+    def test_bb_pass_over_a_wide_range(self):
+        # a UE-law series whose G diagonal spans up to 1e203 over t, so
+        # 1/g^2 spans 1e406: the squared diagonal recursion must be scaled
+        # per lane, and scaling by f_T alone overflows
+        ue = UEHyper(q=5, k=1, n=6.0, lam=0.9, d0=np.eye(5))
+        data, _ = simulate(ue, 2000, seed=3)
+        fb = forward_filter(data, match_ue_to_bb(ue))
+        path = backward_sample(fb, make_rng(3))
+        ens = sample_ensemble(fb, 4, seed=3)
+        assert_factors(path)
+        assert_factors(ens)
+        w_T, theta = zip(*(_noise(fb, substream(3, i)) for i in range(4)))
+        assert_close_per_matrix(path, stepwise_path(fb, *bb_noise(fb, 3), bb_backward_step_product), 1e-12)
+        expect = stepwise_path(fb, np.stack(w_T), np.stack(theta, axis=1), bb_backward_step_product)
+        assert_close_per_matrix(ens, np.swapaxes(expect, 0, 1), 1e-12)
 
 
 class TestJointConsistency:
