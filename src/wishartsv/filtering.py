@@ -26,9 +26,9 @@ G_{t-1}.  Neither depends on n: the filter, ``forecast_logdensity``
 one-cell case) all reduce them through ``_forecast_logdensity``, and a
 grid costs one pass per lambda.
 
-``simulate`` draws returns from a model's own joint law by running the
-same recursion forward through the scale pass's Givens chain, one exact
-one-step prior draw of Phi_t at a time.
+``simulate`` draws returns through the scale pass's Givens chain, each
+r_t from its one-step forecast law, and then their precision path from
+the model's smoothed law given them: the pair has the exact joint law.
 
 The forecast-density normalizer is Gamma((n+1)/2) / Gamma((n+1-q)/2);
 the q = 1, n = 1 case is then exactly standard Cauchy and the density
@@ -46,8 +46,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import _givens_chain, rchol, tri_solve, tri_solve_stack, uchol
-from .randsamp import make_rng, sample_bartlett_factor, sample_wishart_bartlett
+from .matops import _givens_chain, gram, tri_solve_stack, uchol
+from .randsamp import make_rng, sample_bartlett_factor, substream
+from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper
 
 LOG_PI = np.log(np.pi)
@@ -223,14 +224,19 @@ def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutpu
 
 
 def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
-    """Generate returns and a matching precision sequence from the model ``hyper`` states.
+    """Generate returns and their precision path Phi_0..Phi_T from the model ``hyper`` states.
 
-    Each Phi_t is drawn from its exact one-step prior given the past
-    returns (Wishart with the prior-at-t degrees of freedom and scale
-    (discount * D_{t-1})^{-1}), then r_t | Phi_t ~ N(0, Phi_t^{-1}).
-    The returns therefore follow the model's exact joint law (the
-    product of the one-step forecast densities), and the recursion stays
-    numerically bounded over long horizons because D_t tracks the data.
+    Each r_t is drawn from its one-step forecast law given the past
+    returns (their joint law is the product of those densities), in
+    D_{t-1}-whitened coordinates where every quantity is O(1): with A_t
+    the Bartlett factor of Wishart(prior df, I) and z_t ~ N(0, I),
+    r_t = R_{t-1}' w_t with w_t = sqrt(disc) A_t^{-1} z_t and R_{t-1} the
+    factor of D_{t-1} the Givens chain carries, so no inverse factor of
+    the (possibly extremely ill-conditioned) D is formed.  The path is one
+    ``backward_sample`` of the model's filter on the returns, from
+    substream (seed, 1), so matched UE and BB give the same returns and
+    differently distributed paths.
+
     Stepping the state equation directly instead is only viable for
     short horizons: the precision's log-determinant drifts, so condition
     numbers overflow double precision within a few hundred steps.
@@ -239,38 +245,31 @@ def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
         raise InvalidParameter(f"T must be >= 0, got {T}")
     disc, k_seq, df_prior = _df_path(hyper, T)
     rng, q = make_rng(seed), hyper.q
+    # a Bartlett draw the returns do not use, kept so that each seed keeps its returns
+    sample_bartlett_factor(q, k_seq[0], rng)
+    a, z = np.empty((T, q, q)), np.empty((T, q))
+    for t, df in enumerate(df_prior.tolist()):
+        a[t] = sample_bartlett_factor(q, df, rng)
+        z[t] = rng.standard_normal(q)
+    with np.errstate(all="ignore"):  # a chi-square draw that underflows to 0 gives an infinite w_t
+        w = (tri_solve_stack(a, z) * math.sqrt(disc)).tolist()
     flat = array("d", uchol(hyper.d0).ravel().tolist())  # R_0 with R_0' R_0 = D_0, row-major
-    phis = np.empty((T + 1, q, q))
-    # Phi_0 from Wishart(k_0, D_0^{-1}), with the filter's factor G_0 (G_0 G_0' = D_0)
-    phis[0] = sample_wishart_bartlett(k_seq[0], tri_solve(rchol(hyper.d0), np.eye(q)), rng)
-    returns, sqrt_disc = np.empty((T, q)), math.sqrt(disc)
+    cols = [[(i * q + j, i) for i in range(j, -1, -1)] for j in range(q)]  # R[i, j], i <= j
+    returns = []
 
-    def draws():  # r_1, r_2, ..., each given the factor of D_{t-1} the chain last appended
-        for t, df in enumerate(df_prior.tolist(), start=1):
-            # F-ordered, as uchol returns a factor: d_chol.T @ w rounds by memory order
-            d_chol = np.array(flat[-q * q :]).reshape(q, q).copy(order="F")
-            # All stochastic work happens in D_{t-1}-whitened coordinates,
-            # where every quantity is O(1): with A the Bartlett factor of
-            # Wishart(df, I), Phi_t = (A R^{-T})'(A R^{-T}) / disc is a
-            # Wishart(df, (disc D_{t-1})^{-1}) draw and the standardized
-            # residual is w = sqrt(disc) A^{-1} z.  No inverse factor of the
-            # (possibly extremely ill-conditioned) D is formed.
-            a = sample_bartlett_factor(q, df, rng)
-            if not a.diagonal().all():  # a chi-square draw underflowed: A^{-1} z is infinite
-                returns[t - 1] = np.inf
-                return
-            w = tri_solve(a, rng.standard_normal(q)) * sqrt_disc
-            returns[t - 1] = d_chol.T @ w
-            m = tri_solve(d_chol, a.T).T / sqrt_disc  # A R^{-T}
-            phis[t] = m.T @ m
-            yield returns[t - 1].tolist()
+    def draws():  # r_t = R_{t-1}' w_t, R_{t-1} the factor the chain appended last
+        for w_t in w:
+            r = flat[-q * q :]
+            returns.append([sum(r[k] * w_t[i] for k, i in col) for col in cols])
+            yield returns[-1][:]  # a copy: the chain overwrites it
 
-    with np.errstate(all="ignore"):  # a non-finite r_t or Phi_t is reported below
-        _givens_chain(flat, draws(), sqrt_disc)
-    bad = ~np.isfinite(returns).all(axis=1) | ~np.isfinite(phis[1:]).all(axis=(1, 2))
+    _givens_chain(flat, draws(), math.sqrt(disc))
+    returns = np.array(returns).reshape(T, q)
+    bad = ~np.isfinite(returns).all(axis=1)
     if bad.any():
-        raise InvalidParameter(f"simulated r_t or Phi_t overflows double precision at t={int(np.argmax(bad)) + 1}")
-    return ReturnsSeries(returns), phis
+        raise InvalidParameter(f"simulated r_t overflows double precision at t={int(np.argmax(bad)) + 1}")
+    series = ReturnsSeries(returns)
+    return series, gram(backward_sample(forward_filter(series, hyper), substream(seed, 1)))
 
 
 def marginal_loglik(data: ReturnsSeries, n: float, lam: float, d0: np.ndarray) -> float:

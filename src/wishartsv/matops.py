@@ -5,25 +5,23 @@ matrix ``a`` factors as ``a = R' R`` with ``R`` upper-triangular and
 positive diagonal (``R = uchol(a)``).  Lower-triangular factors never
 appear in the public surface.
 
-``sym``, ``uchol``, ``gram``, ``right_solve`` and ``chol_update`` accept
-a stack of matrices of shape (..., q, q), so one call serves one path or
-every draw of an ensemble.
+``sym``, ``uchol``, ``gram``, ``tri_solve_stack`` and ``chol_update``
+accept a stack of matrices of shape (..., q, q), so one call serves one
+path or every draw of an ensemble.
 
 Kernels compute; passes check.  No kernel tests for non-finite values:
 each pass (the scale pass, a backward pass, ``simulate``, a mixture
 sweep) checks its input once and its output once, and raises a package
 error naming the time step.  ``uchol`` rejects a non-finite matrix.  A
-zero pivot makes ``tri_solve`` raise LinAlgError and ``_givens_chain``
-NotPositiveDefinite (a Python float division by zero would raise
-ZeroDivisionError), while ``chol_update`` divides 0 by 0 and returns a
-NaN factor, which the calling pass reports with its t.
+zero pivot makes ``_givens_chain`` raise NotPositiveDefinite (a Python
+float division by zero would raise ZeroDivisionError), while
+``tri_solve_stack`` and ``chol_update`` divide by 0 and return a
+non-finite result, which the calling pass reports with its t.
 
-``tri_solve`` is the one triangular solve of a single factor.  It
-makes the LAPACK ``trtrs`` call ``scipy.linalg.solve_triangular`` makes,
-without that wrapper's per-call validation overhead, so results are the
-same bits.  ``tri_solve_stack`` back-substitutes against a whole stack
-of factors at once; the passes and the mixture sweep use it instead of a
-per-step solve.
+``tri_solve_stack`` is the one triangular solve: it back-substitutes
+against one factor or a whole stack at once, so no pass solves per time
+step.  A right solve m G^{-1} solves G' x = b with ``trans`` for each
+row b of m.
 
 The one Givens loop on Python floats is ``_givens_chain``: a whole
 recursion of rank-1 updates on a factor held as one flat row-major list,
@@ -40,8 +38,6 @@ import math
 from array import array
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import InvalidParameter, NotPositiveDefinite
 
@@ -88,34 +84,10 @@ def uchol(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def rchol(a: np.ndarray) -> np.ndarray:
-    """Upper-triangular G with G G' = a: J uchol(J a J)' J, J the reversal."""
-    return uchol(np.asarray(a, dtype=float)[::-1, ::-1]).T[::-1, ::-1]
-
-
 def _require_finite(a: np.ndarray, what: str) -> None:
     """InvalidParameter unless every entry of ``a`` is finite."""
     if not np.isfinite(a).all():
         raise InvalidParameter(f"{what} is not finite")
-
-
-def tri_solve(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """x with R x = b (R' x = b with ``trans``), R upper-triangular (q, q) float array.
-
-    b is (q,) or (q, m).  As in ``scipy.linalg.solve_triangular``, a
-    C-ordered R goes to LAPACK as the F-ordered R' with the triangle and
-    the transpose flipped.  Raises LinAlgError on a zero pivot; a
-    non-finite R or b gives a non-finite x, which the calling pass checks.
-    """
-    if r.flags.f_contiguous:
-        x, info = dtrtrs(r, b, lower=0, trans=int(trans))
-    else:
-        x, info = dtrtrs(r.T, b, lower=1, trans=int(not trans))
-    if info > 0:
-        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return x
 
 
 def tri_solve_stack(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
@@ -134,14 +106,6 @@ def tri_solve_stack(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.nda
             acc = acc - (r[..., j, i] if trans else r[..., i, j]) * x[j]
         x[i] = acc / r[..., i, i]
     return np.stack(x, axis=-1)
-
-
-def right_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """m G^{-1} for upper-triangular G, by one ``tri_solve``; m and G are float arrays.
-
-    Every row of every matrix in a stack m (..., rows, q) is a right-hand side.
-    """
-    return tri_solve(g, m.reshape(-1, m.shape[-1]).T, trans=True).T.reshape(m.shape)
 
 
 def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -26,26 +26,31 @@ factor, then the increments for t = T-1 down to 0), and the steps
 ``ue_backward_step`` and ``bb_backward_step`` are deterministic given
 that noise.  ``sample_ensemble`` runs all N paths, each with its own
 (seed, index) substream, through one pass on stacked factors, which
-checks G before and F after it.  Only a stack of UE paths steps.  The
-BB pass (``_bb_chain``) has no loop over t: its two recursions are
-linear, so each is summed by recursive doubling.  One UE path runs
-Phi_t = lambda Phi_{t+1} + x_t' x_t as one chain of Givens rotations on
-Python floats (``_ue_chain``).  Both match a loop of their step within
-1e-12 per matrix.
+checks G before and F after it.  Every solve against G is one
+``tri_solve_stack`` over all t and draws: F_T = W_T G_T^{-1}, the UE
+rows x_t = z_t G_t^{-1} and the BB inverses G_t^{-1}.  The BB pass
+(``_bb_chain``) has no loop over t: its two recursions are linear, so
+each is summed by recursive doubling.  UE runs Phi_t = lambda
+Phi_{t+1} + x_t' x_t, for one path as one chain of Givens rotations on
+Python floats (``_ue_chain``) and for a stack as one ``chol_update`` per
+t.  Each matches a loop of its step within 1e-12 per matrix.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
-from .filtering import FilterOutput
-from .matops import _givens_chain, chol_update, right_solve, tri_solve_stack
+from .matops import _givens_chain, chol_update, tri_solve_stack
 from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from .volproc import UEHyper
+
+if TYPE_CHECKING:  # filtering imports this module for simulate
+    from .filtering import FilterOutput
 
 
 def ue_backward_step(f_next: np.ndarray, g_t: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
@@ -55,7 +60,7 @@ def ue_backward_step(f_next: np.ndarray, g_t: np.ndarray, lam: float, z: np.ndar
     Z_t = x' x with x = z G_t^{-1} is added to lam Phi_{t+1} by one
     rank-1 factor update.
     """
-    return chol_update(np.sqrt(lam) * f_next, right_solve(z, g_t))
+    return chol_update(np.sqrt(lam) * f_next, tri_solve_stack(g_t, z, trans=True))
 
 
 def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.ndarray) -> np.ndarray:
@@ -133,24 +138,28 @@ def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np
     """F_0..F_T from the terminal Bartlett factor(s) and per-step noise, time axis first.
 
     F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]):
-    BB as ``_bb_chain``, one UE path (a (q, q) W_T) as ``_ue_chain``, and
-    a stack of UE paths one ``ue_backward_step`` per t.  G is checked
-    before the pass, so no solve meets a zero pivot, and F after it.
+    BB as ``_bb_chain``; UE from the rows x_t = z_t G_t^{-1}, solved for
+    all t at once, as ``_ue_chain`` for one path (a (q, q) W_T) and as
+    one ``chol_update`` per t for a stack.  G is checked before the pass,
+    so no solve meets a zero pivot, and F after it.
     """
     g = filt.g
     _check_factors(g, "filter factor G")
-    T = g.shape[0] - 1
+    T, lam = g.shape[0] - 1, filt.discount
     with np.errstate(all="ignore"):  # a non-finite F_t is reported below
-        f_T = right_solve(w_T, g[T])
+        f_T = tri_solve_stack(g[T], w_T, trans=True)  # every row of W_T
         if not isinstance(filt.hyper, UEHyper):
-            f = _bb_chain(g[:T], f_T, noise, filt.discount)
-        elif w_T.ndim == 2:
-            f = _ue_chain(g, f_T, noise, filt.discount)
+            f = _bb_chain(g[:T], f_T, noise, lam)
         else:
-            f = np.empty((T + 1,) + w_T.shape)
-            f[T] = f_T
-            for t in range(T - 1, -1, -1):
-                f[t] = ue_backward_step(f[t + 1], g[t], filt.discount, noise[t])
+            # x_t = z_t G_t^{-1} for every t, G_t broadcast over a stack's draws axis
+            x = tri_solve_stack(g[:T].reshape((T,) + (1,) * (noise.ndim - 2) + g.shape[1:]), noise, trans=True)
+            if w_T.ndim == 2:
+                f = _ue_chain(f_T, x, lam)
+            else:
+                f = np.empty((T + 1,) + w_T.shape)
+                f[T] = f_T
+                for t in range(T - 1, -1, -1):
+                    f[t] = chol_update(math.sqrt(lam) * f[t + 1], x[t])
     _check_factors(f, "sampled factor F", backward=True)
     return f
 
@@ -171,14 +180,12 @@ def _check_factors(a: np.ndarray, what: str, backward: bool = False) -> None:
     raise NotPositiveDefinite(f"{what} has a diagonal entry <= 0 at t={t}")
 
 
-def _ue_chain(g: np.ndarray, f_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
-    """One UE path, as the rank-1 recursion Phi_t = lam Phi_{t+1} + x_t' x_t.
+def _ue_chain(f_T: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+    """One UE path from F_T and the rows x_0..x_{T-1}, as Phi_t = lam Phi_{t+1} + x_t' x_t.
 
-    The rows x_t = z_t G_t^{-1} do not depend on F, so all T are solved
-    first; then ``_givens_chain`` rotates them in from F_T down to F_0.
+    ``_givens_chain`` rotates the rows in from F_T down to F_0.
     """
-    T, q = g.shape[0] - 1, g.shape[1]
-    x = tri_solve_stack(g[:T], z, trans=True)
+    T, q = x.shape
     flat = _givens_chain(array("d", f_T.ravel().tolist()), x[::-1].tolist(), math.sqrt(lam))
     return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
-from .matops import _require_finite, gram, right_solve, sym, uchol
+from .errors import InvalidParameter, NotPositiveDefinite
+from .matops import _require_finite, gram, sym, tri_solve_stack, uchol
 from .randsamp import sample_beta, sample_matrix_beta
 from .specfun import sqrt_beta_moment, tricomi_u_neg_half
 
@@ -132,14 +132,17 @@ def _factor_pair(phi_prev: np.ndarray, p_prev: np.ndarray | None):
     With the caller's filter-context P the Bartlett convention gives
     U = uchol(Phi) P^{-1}; standalone (p_prev None) uses P = uchol(Phi),
     U = I.  A stack of Phi (N, q, q) gives a stack of U (one shared P)
-    or of P.
+    or of P.  P must be finite (else InvalidParameter) and upper-triangular
+    with a positive diagonal (else NotPositiveDefinite).
     """
     m = uchol(phi_prev)
     if p_prev is None:
         return np.broadcast_to(np.eye(m.shape[-1]), m.shape), m
     p_prev = np.asarray(p_prev, dtype=float)
     _require_finite(p_prev, "p_prev")
-    return right_solve(m, p_prev), p_prev
+    if np.tril(p_prev, -1).any() or not (p_prev.diagonal() > 0).all():
+        raise NotPositiveDefinite("p_prev must be upper-triangular with a positive diagonal")
+    return tri_solve_stack(p_prev, m, trans=True), p_prev  # U = M P^{-1}, row by row
 
 
 def ue_evolve(phi_prev: np.ndarray, ue: UEHyper, rng: np.random.Generator) -> np.ndarray:

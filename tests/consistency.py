@@ -6,18 +6,25 @@ steps on stacked draws and compares the two joints they must share
 Kummer's relation U(-1/2, 0, z) = z U(1/2, 2, z) by quadrature, apart
 from the package's Bessel closed form (criterion 6).
 ``bb_backward_step_product`` is the BB backward step as a product and a
-solve, the form the package's closed form is checked against.
+LAPACK solve, the form the package's closed form is checked against.
+``rchol`` gives the filter's factor G of a dense D, G G' = D.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 
-from wishartsv.matops import gram, rchol, right_solve, tri_solve
+from wishartsv.matops import gram, tri_solve_stack, uchol
 from wishartsv.randsamp import sample_chi2, sample_wishart_bartlett, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, ue_backward_step
 from wishartsv.volproc import bb_evolve, ue_evolve
+
+
+def rchol(a: np.ndarray) -> np.ndarray:
+    """Upper-triangular G with G G' = a: J uchol(J a J)' J, J the reversal."""
+    return uchol(np.asarray(a, dtype=float)[::-1, ::-1]).T[::-1, ::-1]
 
 
 def kummer_partner(z: float) -> float:
@@ -36,7 +43,7 @@ def bb_backward_step_product(f_next: np.ndarray, g_t: np.ndarray, b: float, thet
     u = math.sqrt(b) * f_next @ g_t
     idx = np.arange(g_t.shape[0])
     u[..., idx, idx] = np.sqrt(u[..., idx, idx] ** 2 + theta)
-    return right_solve(u, g_t)
+    return solve_triangular(g_t, u.reshape(-1, u.shape[-1]).T, trans="T").T.reshape(u.shape)  # U G^{-1}, row by row
 
 
 def joint_consistency_report(
@@ -68,7 +75,7 @@ def joint_consistency_report(
         disc, beta, df_prior = hyper.b, hyper.beta, hyper.beta * k_t
     q = d_t.shape[0]
     g_t = rchol(d_t)  # G_t G_t' = D_t, as the filter builds it
-    p_t = tri_solve(g_t, np.eye(q))  # P_t = G_t^{-1}, P_t' P_t = D_t^{-1}
+    p_t = solve_triangular(g_t, np.eye(q))  # P_t = G_t^{-1}, P_t' P_t = D_t^{-1}
 
     # forward join: Phi_t | D_t, then one evolution step
     at = sample_wishart_bartlett(k_t, p_t, rng, size=n_draws)
@@ -76,7 +83,7 @@ def joint_consistency_report(
 
     # backward join: Phi_{t+1} from the one-step prior (under matching the
     # UE and BB priors coincide), then one backward step
-    f_next = right_solve(sample_wishart_factor(q, df_prior, rng, size=n_draws), g_t) / np.sqrt(disc)
+    f_next = tri_solve_stack(g_t, sample_wishart_factor(q, df_prior, rng, size=n_draws), trans=True) / np.sqrt(disc)
     if backward_model == "ue":
         f_t = ue_backward_step(f_next, g_t, disc, sample_wishart_factor(q, 1, rng, size=n_draws)[:, 0])
     else:

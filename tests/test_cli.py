@@ -14,7 +14,10 @@ from wishartsv.cli import (
     run_command,
 )
 from wishartsv.errors import DimensionMismatch, InvalidParameter, ParseError
-from wishartsv.filtering import ReturnsSeries, simulate
+from wishartsv.filtering import ReturnsSeries, forward_filter, simulate
+from wishartsv.matops import gram
+from wishartsv.randsamp import substream
+from wishartsv.smoother import backward_sample
 from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 
 
@@ -121,6 +124,38 @@ class TestSimulate:
         s_ue, _ = simulate(ue, 200, seed=5)
         s_bb, _ = simulate(match_ue_to_bb(ue), 200, seed=5)
         assert s_ue.returns.tobytes() == s_bb.returns.tobytes()
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            UEHyper(q=2, k=1, n=5.0, lam=0.8, d0=np.eye(2)),
+            match_ue_to_bb(UEHyper(q=2, k=1, n=5.0, lam=0.8, d0=np.eye(2))),
+            BBHyper(q=2, k=1, beta=0.8, b=0.85, k0=12.0, d0=np.eye(2)),
+        ],
+        ids=["ue", "bb", "bb-unmatched"],
+    )
+    def test_true_path_is_a_smoothed_draw(self, hyper):
+        # p(r) p(Phi | r) is the model's joint law: the path is one draw
+        # of the model's own backward sampler given the simulated returns
+        series, phis = simulate(hyper, 30, seed=7)
+        f = backward_sample(forward_filter(series, hyper), substream(7, 1))
+        np.testing.assert_array_equal(phis, gram(f))
+
+    def test_matched_models_give_different_true_paths(self, tmp_path):
+        # one law of the returns, two smoothed laws of the path: the
+        # command writes the same returns.csv and different true paths
+        cfg = {"q": 3, "n": 8.0, "lambda": 0.9, "T": 200, "seed": 5}
+        out = {}
+        for model in ("ue", "bb"):
+            run_command("simulate", {**cfg, "model": model, "out": str(tmp_path / model)})
+            out[model] = [(tmp_path / model / name).read_bytes() for name in ("returns.csv", "true_path.csv")]
+        assert out["ue"][0] == out["bb"][0]
+        assert out["ue"][1] != out["bb"][1]
+        ue, bb = (np.loadtxt(tmp_path / m / "true_path.csv", delimiter=",", skiprows=1)[:, 1:] for m in ("ue", "bb"))
+        # the matched filters agree, so Phi_T, drawn from the filtered
+        # posterior with the same noise, is the same; every earlier Phi_t differs
+        np.testing.assert_array_equal(ue[-1], bb[-1])
+        assert (ue[:-1] != bb[:-1]).any(axis=1).all()
 
     def test_overflow_is_reported(self):
         # unmatched BB: k_t -> 1/(1 - beta) = 5, so beta k_t -> 4 = q - 1 and

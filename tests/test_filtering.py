@@ -10,6 +10,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 from scipy.stats import cauchy
 
+from consistency import rchol
 from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     ReturnsSeries,
@@ -21,7 +22,7 @@ from wishartsv.filtering import (
     marginal_loglik,
     simulate,
 )
-from wishartsv.matops import chol_update, rchol
+from wishartsv.matops import chol_update
 from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 
 

@@ -5,8 +5,9 @@ Recorded with the per-draw sequential samplers, where draw i of
 ``backward_sample(filt, substream(seed, i))``.  A refactor that keeps
 the RNG draw order and the arithmetic keeps these bytes.  The UE
 ensemble is held to the single-path sampler within a per-matrix
-relative 1e-12 instead: a triangular solve with many right-hand sides
-may round differently from a solve with one.
+relative 1e-12 instead: a stack of UE paths rotates with
+``chol_update``, whose rho comes from ``np.hypot``, and one path with
+the Givens chain on Python floats, whose rho comes from ``math.hypot``.
 
 Re-recorded once when the passes stopped making per-step LAPACK calls
 (the BB backward pass in closed form, back-substitution over stacks,
@@ -20,6 +21,19 @@ pass began summing its two linear recursions by recursive doubling
 instead of a loop over t: they moved by at most 8.1e-16 relative per
 matrix, the BB ensembles still equal their single paths bit for bit,
 and every other value kept its bytes.
+
+Re-recorded once more when ``tri_solve_stack`` became the package's one
+triangular solve and ``simulate`` began taking its precision path from
+the model's backward sampler.  The three single-path values moved by at
+most 2.4e-16 relative per matrix (F_T = W_T G_T^{-1} is a
+back-substitution now, not a LAPACK solve), and the BB ensembles still
+equal their single paths bit for bit.  The ``simulate`` returns at q = 3
+and 5 moved by at most 2.8e-15 relative per row (one stacked solve for
+the whitened residuals, and r_t = R_{t-1}' w_t summed on Python floats);
+those at q = 1 kept their bytes.  Every ``simulate`` precision path
+changed, because it now follows the model's smoothed law given the
+returns instead of one-step prior draws.  The mixture traces, the grid
+surface and the log forecasts kept their bytes.
 """
 
 import hashlib
@@ -36,9 +50,9 @@ from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 SEED, N_DRAWS = 11, 8
 
 GOLDEN_SINGLE = {
-    "ue": "d54bc4a2fb7fec0e830b4a904cbe644ed05e0fcdfd8a0bddd0e6fa5123ff7888",
-    "bb": "8e65968cad8a001bfc3ddbbe6f0a7a1970b83d122252317f06ea73c934ba5978",
-    "bb-unmatched": "0591ad939fee4a863a0065be6216499875d6309c4d86560ce49194a17562af8e",
+    "ue": "b1832e239bcb3982fd391e3c1a71515228b41592db419cc890e57834a478bf06",
+    "bb": "b584424c87a3236e025db9095848600332e57e6dd5a697b99a90a658e8b41be0",
+    "bb-unmatched": "0260116fb69cbd3332c592771e1a992d34e0232f20b4f2cf9b6b5548e88c4026",
 }
 GOLDEN_MIXTURE = {  # degenerate: (alpha trace, z trace)
     True: (
@@ -53,27 +67,27 @@ GOLDEN_MIXTURE = {  # degenerate: (alpha trace, z trace)
 GOLDEN_SIMULATE = {  # (model, q): (returns, precision path)
     ("ue", 1): (
         "eaafc54b7c7bd25768b68ce1ae2e648fffa8c67a926cccb98c2e31e23b94179f",
-        "9dcbe319232f6e088ce9bad35963fc5a0449fe511ce6b9dd366808524970e7ae",
+        "3e2e05d840c66365d28e300714c8b2cde5bb9936d5525d1d95d7f73ddea741d6",
     ),
     ("bb", 1): (
         "a46dc84c4e0563801d10061470fe1f1cdc09b9ba0e38f24423c752cc616f2ddd",
-        "69b3daf5631f917e05eba2289158bbb5d7b220d2751f99dd6cadf4ecd2b1b267",
+        "775d325560a47dbb5b64b9314352765aa65929c6e48004c2efde938c66a14aa1",
     ),
     ("ue", 3): (
-        "49320026dfee0a3b3a9ee1107bb9f2794d14178f2b808a61521ec29b6c6d75a1",
-        "b53f50f019fd17a5839088a6f33ee2a41e87f9e6bf76ddc5f6eb7179635acbb9",
+        "fba8b03d36f62d3791049ba794302468384171ab848aad185de0652175b1130a",
+        "4a1e762fe0285824e5503c65c1fc234ec1221efd82e6604eeefd9c016fd7cbce",
     ),
     ("bb", 3): (
-        "813f82494d5e7ec74b716546c87b6f6d44f2d9632569b693baad92e7d37ff7ff",
-        "feaa83925d394ea40bc1f40bbef2b19be94bcef1d9ee64da19b0e7894823623a",
+        "ea6f8339291852870cc5931c9be1caf9ab25d9efd1b6204375706a9489050732",
+        "440e7af5152f25675db3982c55ee799079577fcbe33d4abed84d5cf360e254e0",
     ),
     ("ue", 5): (
-        "41c1092cee00a9d3dc5c9686dc8e30c953e7cfb309f724130cfe0590d126696d",
-        "b940b2f137d8cce5fd621b29bdd218f461b0f57b798370ab744a94399ebd6a0c",
+        "d0b0899e767d1d6ad01040b24c8a5f55045b4f30c03a8c49764ebc64e199f796",
+        "2c2443cc3be7b1843f575b4b20535b1d4a05ad3c43574db7a53b4c362187eb49",
     ),
     ("bb", 5): (
-        "055e31f2e929d9e060e6248825b99a464416b1675631919bd6a83c024e584479",
-        "196c6c68121b8398e00e0f37452edeaea0cf7e40121f424c9d1959722b5b77cd",
+        "e92ab532da82faeea53b1adbbdb7dd308c73d1fb8e59850dbd62f6dc1c3387bb",
+        "9e830d9c52d904d7da7513eb223ebad999f74c9f652d26ac6435c0c3fdb6a0f0",
     ),
 }
 GOLDEN_GRID = "d2085a798657ff145640ec18f6e986ee55d0fb94d51c4af1d85b8ba13230f247"

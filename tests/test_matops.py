@@ -3,30 +3,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg import solve_triangular
 
 from wishartsv.errors import NotPositiveDefinite
-from wishartsv.matops import (
-    chol_update,
-    right_solve,
-    tri_solve,
-    tri_solve_stack,
-    uchol,
-)
+from wishartsv.matops import chol_update, tri_solve_stack, uchol
 
 ENTRIES = st.floats(-1e3, 1e3)
 
 
 @st.composite
 def stacks(draw):
-    """(upper factors with positive diagonal (N, q, q), vectors (N, q), matrices (N, q, q))."""
+    """(upper factors with positive diagonal (N, q, q), vectors (N, q))."""
     q, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
     r = np.triu(draw(hnp.arrays(float, (n, q, q), elements=ENTRIES)))
     idx = np.arange(q)
     r[:, idx, idx] = np.abs(r[:, idx, idx]) + 1e-3
     x = draw(hnp.arrays(float, (n, q), elements=ENTRIES))
-    m = draw(hnp.arrays(float, (n, q, q), elements=ENTRIES))
-    return r, x, m
+    return r, x
 
 
 class TestUchol:
@@ -67,27 +60,6 @@ class TestUchol:
         np.testing.assert_allclose(r.T @ r, a, rtol=1e-10)
 
 
-class TestTriSolve:
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(stacks(), st.booleans(), st.booleans(), st.sampled_from(["vector", "matrix", "transposed"]))
-    def test_matches_solve_triangular(self, case, trans, fortran, rhs):
-        # the same LAPACK call as scipy's wrapper, so the same bits, for
-        # either memory order of R; "transposed" is the F-ordered (q, m)
-        # right-hand side that right_solve and simulate pass
-        r, x, m = case
-        g = np.asfortranarray(r[0]) if fortran else r[0]
-        b = {"vector": x[0], "matrix": m[0], "transposed": m.reshape(-1, m.shape[-1]).T}[rhs]
-        expect = solve_triangular(g, b, trans=int(trans), lower=False)
-        np.testing.assert_array_equal(tri_solve(g, b, trans=trans), expect)
-
-    @pytest.mark.parametrize("fortran", [False, True])
-    def test_zero_pivot_raises(self, fortran):
-        r = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 3.0]])
-        r = np.asfortranarray(r) if fortran else r
-        with pytest.raises(LinAlgError, match="diagonal 1"):
-            tri_solve(r, np.ones(3))
-
-
 class TestTriSolveStack:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.integers(1, 5), st.integers(0, 8), st.booleans(), st.integers(0, 2**32 - 1))
@@ -96,9 +68,9 @@ class TestTriSolveStack:
     @example(q=1, T=4, trans=False, seed=1)
     @example(q=1, T=4, trans=True, seed=1)
     def test_matches_tri_solve(self, q, T, trans, seed):
-        # back-substitution over the stack against one LAPACK solve per t;
-        # the two sum each row in a different order, so they agree to
-        # 1e-13 of each solution's largest entry, not bit for bit
+        # back-substitution over the stack against scipy's LAPACK solve
+        # per t; the two sum each row in a different order, so they agree
+        # to 1e-13 of each solution's largest entry, not bit for bit
         rng = np.random.default_rng(seed)
         r = np.triu(rng.uniform(-1.0, 1.0, (T, q, q)))
         idx = np.arange(q)
@@ -107,7 +79,7 @@ class TestTriSolveStack:
         x = tri_solve_stack(r, b, trans=trans)
         assert x.shape == (T, q)
         for t in range(T):
-            expect = tri_solve(r[t], b[t], trans=trans)
+            expect = solve_triangular(r[t], b[t], trans=int(trans), lower=False)
             np.testing.assert_allclose(x[t], expect, rtol=1e-13, atol=1e-13 * np.abs(expect).max())
             # a slice of the stack gives the bits of the factor alone
             np.testing.assert_array_equal(tri_solve_stack(r[t], b[t], trans=trans), x[t])
@@ -122,28 +94,16 @@ class TestTriSolveStack:
         np.testing.assert_allclose(x, inv if trans else np.swapaxes(inv, -1, -2), rtol=1e-15, atol=0)
         assert np.all(np.tril(x if trans else np.swapaxes(x, -1, -2), -1) == 0)
 
-
-class TestRightSolve:
-    def test_2x2(self):
+    def test_right_solve(self):
+        # m G^{-1} as the passes form it: with trans, every row of every
+        # matrix of a stack m against one factor G; a slice of the stack
+        # gives the bits of the matrix alone
         g = np.array([[2.0, 1.0], [0.0, 4.0]])
-        m = np.array([[2.0, 3.0], [4.0, 6.0]])
-        np.testing.assert_allclose(right_solve(m, g) @ g, m, rtol=1e-15)
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(stacks())
-    def test_stack_matches_slices(self, case):
-        # every row of every slice is a right-hand side of one solve with
-        # G = r[0]; a single-row right-hand side (q = 1 here) may take a
-        # different BLAS path, so only there the result may differ by an ulp
-        r, _, m = case
-        g = r[0]
-        stacked = right_solve(m, g)
-        for i in range(m.shape[0]):
-            one = right_solve(m[i], g)
-            if m.shape[-1] > 1:
-                np.testing.assert_array_equal(stacked[i], one)
-            else:
-                np.testing.assert_allclose(stacked[i], one, rtol=4.5e-16, atol=0)
+        m = np.array([[[2.0, 3.0], [4.0, 6.0]], [[-1.0, 0.5], [0.0, 7.0]]])
+        x = tri_solve_stack(g, m, trans=True)
+        np.testing.assert_allclose(x @ g, m, rtol=1e-15)
+        for i in range(len(m)):
+            np.testing.assert_array_equal(tri_solve_stack(g, m[i], trans=True), x[i])
 
 
 class TestCholUpdate:
@@ -188,7 +148,7 @@ class TestCholUpdate:
     @given(stacks())
     def test_stack_matches_slices(self, case):
         # each matrix of a stack is rotated as it would be alone
-        r, x, _ = case
+        r, x = case
         stacked = chol_update(r, x)
         for i in range(r.shape[0]):
             np.testing.assert_array_equal(stacked[i], chol_update(r[i], x[i]))

@@ -10,7 +10,7 @@ from scipy.stats import kstest
 from consistency import bb_backward_step_product, joint_consistency_report
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import ReturnsSeries, constrained_lambda, forward_filter, simulate
-from wishartsv.matops import right_solve, uchol
+from wishartsv.matops import tri_solve_stack, uchol
 from wishartsv.randsamp import make_rng, sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from wishartsv.smoother import (
     _backward_pass,
@@ -134,7 +134,7 @@ class TestBackwardSamplers:
 
 def stepwise_path(filt, w_T, noise, step):
     """F_T = W_T G_T^{-1}, then one public backward step per t from T - 1 down to 0."""
-    f = [right_solve(w_T, filt.g[-1])]
+    f = [tri_solve_stack(filt.g[-1], w_T, trans=True)]
     for t in range(filt.g.shape[0] - 2, -1, -1):
         f.append(step(f[-1], filt.g[t], filt.discount, noise[t]))
     return np.array(f[::-1])

@@ -176,6 +176,24 @@ class TestExpectedSteps:
         np.testing.assert_array_less(np.abs(mean - expected), 4 * se + 1e-12)
 
 
+    @pytest.mark.parametrize(
+        "p_prev",
+        [[[1.0, 0.0], [0.5, 1.0]], [[1.0, 0.3], [0.0, 0.0]], [[1.0, 0.3], [0.0, -2.0]]],
+        ids=["lower-triangular", "zero-pivot", "negative-diagonal"],
+    )
+    def test_bb_p_prev_must_be_an_upper_factor(self, p_prev):
+        # a lower entry would be read by P' E[U~'U~] P but not by the
+        # solve for U, and a zero pivot would make U non-finite
+        bb = match_ue_to_bb(UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2)))
+        with pytest.raises(NotPositiveDefinite, match="p_prev"):
+            expected_bb_step(np.eye(2), bb, p_prev=np.array(p_prev))
+
+    def test_bb_p_prev_must_be_finite(self):
+        bb = match_ue_to_bb(UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2)))
+        with pytest.raises(InvalidParameter, match="p_prev"):
+            expected_bb_step(np.eye(2), bb, p_prev=np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
 class TestExpectationDifference:
     def test_scalar_zero(self):
         ue = UEHyper(q=1, k=1, n=5, lam=0.8, d0=np.eye(1))
