@@ -17,6 +17,7 @@ from .errors import (
     WishartSVError,
 )
 from .filtering import (
+    FactorPath,
     FilterOutput,
     ReturnsSeries,
     constrained_lambda,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .errors import DimensionMismatch, EmptyEnsemble, InvalidParameter
-from .filtering import FilterOutput, ReturnsSeries, forward_filter
+from .filtering import FactorPath, FilterOutput, ReturnsSeries, _factor_path, forward_filter
 from .matops import _require_finite
 from .randsamp import make_rng, sample_mvnormal_prec
 from .smoother import backward_sample
@@ -132,13 +132,17 @@ def mixture_gibbs(
 ) -> MixtureTrace:
     """Missing-data-augmented Gibbs sampler for the two-model mixture.
 
-    Per sweep, in draw order: (1) the UE, then the BB precision path, each
-    by a forward filter and backward sample on its imputed series; (2)
-    all z_t from one ``rng.random(T)``, by the log-scale comparison of
-    alpha N(r_t^U | 0, (Phi_t^U)^{-1}) against (1 - alpha) times the BB
-    term; (3) one (T, q) normal block imputing, at each t, the return of
-    the model not chosen from its own path; (4) alpha ~ Beta(a0 + sum z,
-    b0 + T - sum z).  Nothing in a sweep loops over t outside the passes.
+    Once per chain, each model filters the observed series, which checks
+    it, forecast terms included; every sweep reuses that filter's df path,
+    discount and D_0 factor, and the first sweep its factors.  Per sweep,
+    in draw order: (1) the UE, then the BB precision path, each by a
+    backward sample of its ``FactorPath`` on its imputed series (the Givens
+    chain alone, no forecast term); (2) all z_t from one ``rng.random(T)``,
+    by the log-scale comparison of alpha N(r_t^U | 0, (Phi_t^U)^{-1})
+    against (1 - alpha) times the BB term; (3) one (T, q) normal block
+    imputing, at each t, the return of the model not chosen from its own
+    path; (4) alpha ~ Beta(a0 + sum z, b0 + T - sum z).  Nothing in a sweep
+    loops over t outside the passes.
 
     ``degenerate`` is a calibration harness: the BB likelihood term is
     forced equal to the UE term, making z_t | - ~ Bernoulli(alpha) and
@@ -148,6 +152,7 @@ def mixture_gibbs(
     T, q = data.T, data.q
     if T < 1:
         raise InvalidParameter("need T >= 1")
+    filts = paths = (forward_filter(data, ue), forward_filter(data, bb))
     alpha = rng.beta(cfg.a0, cfg.b0)
     r_u = r_b = data.returns
 
@@ -156,8 +161,11 @@ def mixture_gibbs(
     z_trace = np.empty((kept, T), dtype=np.int8)
 
     for it in range(cfg.iterations):
-        f_u = backward_sample(forward_filter(ReturnsSeries(r_u), ue), rng)[1:]
-        f_b = backward_sample(forward_filter(ReturnsSeries(r_b), bb), rng)[1:]
+        if it:  # D_0 is not factored again: J G_0' J is G_0 reversed and transposed
+            paths = [FactorPath(f.hyper, _factor_path(r, f.g[0, ::-1, ::-1].T, f.discount),
+                                f.k_seq, f.df_prior, f.discount) for f, r in zip(filts, (r_u, r_b))]
+        f_u = backward_sample(paths[0], rng)[1:]
+        f_b = backward_sample(paths[1], rng)[1:]
         if degenerate:
             # identical likelihood terms: both evaluated at the observed r_t
             f_b = f_u

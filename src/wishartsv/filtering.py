@@ -11,22 +11,22 @@ keeps ``hyper`` in its ``FilterOutput``; ``simulate(hyper, T, seed)``
 draws from either.  Both read the discount, k_0..k_T and the prior df
 from one function, ``_df_path``, the one copy of the BB df recursion.
 
-One pass, ``_scale_pass``, runs the recursion D_t = disc D_{t-1} +
-r_t r_t' and stores each D_t only as an upper-triangular factor G_t
-with G_t G_t' = D_t (square-root filtering, Bierman 1977).  Then
-G_t^{-1} = uchol(D_t^{-1}) is the scale factor of the filtered
-Wishart posterior of Phi_t, so the backward samplers need nothing but
-triangular products and solves against G_t.  Its loop over t is one
-Givens rank-1 update per step (Gill, Golub, Murray & Saunders 1974) on
-Python floats, with no numpy call or solve inside it.  After the loop
-the pass yields the forecast terms s_t = r_t' D_{t-1}^{-1} r_t, from one
-back-substitution over all t, and log|D_{t-1}|, from the diagonal of
-G_{t-1}.  Neither depends on n: the filter, ``forecast_logdensity``
-(a pass of one step) and ``grid_search`` (and so ``marginal_loglik``, its
-one-cell case) all reduce them through ``_forecast_logdensity``, and a
-grid costs one pass per lambda.
+``_factor_path`` runs the recursion D_t = disc D_{t-1} + r_t r_t' and
+stores each D_t only as an upper-triangular factor G_t with G_t G_t' =
+D_t (square-root filtering, Bierman 1977).  Then G_t^{-1} =
+uchol(D_t^{-1}) is the scale factor of the filtered Wishart posterior of
+Phi_t, so the backward samplers, which read only a ``FactorPath``, need
+nothing but triangular products and solves against G_t.  Its loop over t
+is one Givens rank-1 update per step (Gill, Golub, Murray & Saunders
+1974) on Python floats, with no numpy call or solve inside it.
+``_forecast_terms`` then yields s_t = r_t' D_{t-1}^{-1} r_t, from one
+back-substitution over all t, and log|D_{t-1}|.  Neither depends on n:
+the filter, ``forecast_logdensity`` (a path of one step) and
+``grid_search`` (and so ``marginal_loglik``, its one-cell case) all
+reduce them through ``_forecast_logdensity``; a grid factors D_0 once.
+A mixture sweep runs ``_factor_path`` alone.
 
-``simulate`` draws returns through the scale pass's Givens chain, each
+``simulate`` draws returns through the factor path's Givens chain, each
 r_t from its one-step forecast law, and then their precision path from
 the model's smoothed law given them: the pair has the exact joint law.
 
@@ -78,12 +78,11 @@ class ReturnsSeries:
 
 
 @dataclass(frozen=True)
-class FilterOutput:
-    """Filtered sufficient statistics and forecast-density bookkeeping.
+class FactorPath:
+    """What the backward samplers read of a filter: the model and its factors.
 
     ``hyper`` is the hyperparameter set the filter ran with; its type,
-    ``UEHyper`` or ``BBHyper``, is the model, and the backward samplers
-    read everything they need from here.  ``g`` stacks the
+    ``UEHyper`` or ``BBHyper``, is the model.  ``g`` stacks the
     upper-triangular factors G_0..G_T with positive diagonal and
     G_t G_t' = D_t; ``k_seq`` carries k_0..k_T for BB (constant n + k for
     UE); ``df_prior[t-1]`` is the prior-at-t degrees of freedom of the
@@ -94,9 +93,15 @@ class FilterOutput:
     g: np.ndarray  # (T+1, q, q)
     k_seq: np.ndarray  # (T+1,)
     df_prior: np.ndarray  # (T,)
+    discount: float  # lambda (UE) / b (BB)
+
+
+@dataclass(frozen=True)
+class FilterOutput(FactorPath):
+    """A ``FactorPath`` with its one-step forecast log densities and their sum."""
+
     log_forecast: np.ndarray  # (T,)
     loglik: float
-    discount: float  # lambda (UE) / b (BB)
 
 
 def forecast_logdensity(r: np.ndarray, d_prev: np.ndarray, n: float, lam: float) -> float:
@@ -105,9 +110,9 @@ def forecast_logdensity(r: np.ndarray, d_prev: np.ndarray, n: float, lam: float)
     Multivariate-t: Gamma((n+1)/2)/Gamma((n+1-q)/2) * |lam D|^{-1/2} *
     pi^{-q/2} * (1 + r' D^{-1} r / lam)^{-(n+1)/2}; requires n > q - 1
     and a finite lam > 0 (lam = 1 included).  The terms come from a
-    one-step ``_scale_pass``, so a return whose statistics overflow
-    double precision raises InvalidParameter, as ``marginal_loglik``
-    does, rather than returning -inf.
+    one-step factor path, so a return whose statistics overflow double
+    precision raises InvalidParameter, as ``marginal_loglik`` does,
+    rather than returning -inf.
     """
     r = np.asarray(r, dtype=float)
     q = r.shape[0]
@@ -115,7 +120,7 @@ def forecast_logdensity(r: np.ndarray, d_prev: np.ndarray, n: float, lam: float)
         raise InvalidParameter(f"forecast density needs n > q-1, got n={n}, q={q}")
     if not 0.0 < lam < math.inf:
         raise InvalidParameter(f"forecast density needs a finite lambda > 0, got lambda={lam}")
-    _, s, logdet = _scale_pass(r[None], d_prev, 1.0)
+    s, logdet = _forecast_terms(_factor_path(r[None], _reversed_factor(d_prev, q), 1.0), r[None])
     return float(_forecast_logdensity(s[0], logdet[0], n, lam, q))
 
 
@@ -130,44 +135,49 @@ def _forecast_logdensity(s, logdet, n, lam: float, q: int):
     )
 
 
-def _scale_pass(returns: np.ndarray, d0: np.ndarray, discount: float):
-    """The scale recursion: returns (g, s, logdet).
-
-    ``g`` stacks G_0..G_T, ``s[t-1]`` = r_t' D_{t-1}^{-1} r_t and
-    ``logdet[t-1]`` = log|D_{t-1}|.  With J the reversal permutation,
-    J G_t' J is the upper Cholesky factor of J D_t J, so the recursion
-    D_t = discount D_{t-1} + r_t r_t' is a rank-1 update of that
-    factor; no matrix is refactored or inverted, which matters because
-    the simulated data law drives cond(D_t) far past what dense
-    refactorization tolerates.
-
-    The loop over t, ``matops._givens_chain``, rotates J G_t' J as one
-    flat list of Python floats (at q <= 5 a numpy call per step costs
-    more than the arithmetic) into one buffer, reshaped once.  Then s_t =
-    |G_{t-1}^{-1} r_t|^2 comes from one back-substitution over all t.
-    Raises InvalidParameter unless d0 is q x q, NotPositiveDefinite
-    unless it is symmetric positive definite, and InvalidParameter at
-    the first t where G_t or s_t is not finite, i.e. where the returns
-    overflow double precision.
-    """
-    T, q = returns.shape
+def _reversed_factor(d0, q: int) -> np.ndarray:
+    """J G_0' J = uchol(J D_0 J), J the reversal permutation; InvalidParameter unless D_0 is q x q."""
     d0 = np.asarray(d0, dtype=float)
     if d0.shape != (q, q):
         raise InvalidParameter(f"d0 must be {q}x{q}, got {d0.shape}")
-    flat = array("d", uchol(d0[::-1, ::-1]).ravel().tolist())  # J G_0' J
-    flat = _givens_chain(flat, returns[:, ::-1].tolist(), math.sqrt(discount))
+    return uchol(d0[::-1, ::-1])
+
+
+def _factor_path(returns: np.ndarray, jg0: np.ndarray, discount: float) -> np.ndarray:
+    """G_0..G_T of the scale recursion D_t = discount D_{t-1} + r_t r_t', from J G_0' J.
+
+    Each step is a rank-1 update of J G_t' J = uchol(J D_t J); no matrix is
+    refactored or inverted, which matters because the simulated data law
+    drives cond(D_t) far past what dense refactorization tolerates.  The
+    loop, ``matops._givens_chain``, rotates one flat list of Python floats
+    (at q <= 5 a numpy call per step costs more than the arithmetic).
+    Raises InvalidParameter at the first t where G_t is not finite, or
+    an earlier s_t (``_forecast_terms``) is: the first overflow is named.
+    """
+    T, q = returns.shape
+    flat = _givens_chain(array("d", jg0.ravel().tolist()), returns[:, ::-1].tolist(), math.sqrt(discount))
     g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
+    bad = ~np.isfinite(g[1:]).all(axis=(1, 2))
+    if bad.any():
+        t = int(np.argmax(bad)) + 1
+        _forecast_terms(g[: t + 1], returns[:t])  # s_1..s_t need only the finite G_0..G_{t-1}
+        raise InvalidParameter(f"scale recursion overflows at t={t}: D_t is not finite")
+    return g
+
+
+def _forecast_terms(g: np.ndarray, returns: np.ndarray):
+    """(s, logdet) with s[t-1] = r_t' D_{t-1}^{-1} r_t = |G_{t-1}^{-1} r_t|^2 and logdet[t-1] = log|D_{t-1}|.
+
+    Raises InvalidParameter at the first t where s_t is not finite: the returns overflow doubles.
+    """
     g_prev = g[:-1]
     with np.errstate(all="ignore"):  # overflow is reported below
         w = tri_solve_stack(g_prev, returns)
-        s = sum(w[:, i] * w[:, i] for i in range(q))
-    bad = ~np.isfinite(g[1:]).all(axis=(1, 2)) | ~np.isfinite(s)
+        s = sum(w[:, i] * w[:, i] for i in range(returns.shape[1]))
+    bad = ~np.isfinite(s)
     if bad.any():
-        raise InvalidParameter(
-            f"scale recursion overflows at t={int(np.argmax(bad)) + 1}: s_t or D_t is not finite"
-        )
-    logdet = 2.0 * np.log(np.diagonal(g_prev, axis1=1, axis2=2)).sum(axis=1)
-    return g, s, logdet
+        raise InvalidParameter(f"scale recursion overflows at t={int(np.argmax(bad)) + 1}: s_t is not finite")
+    return s, 2.0 * np.log(np.diagonal(g_prev, axis1=1, axis2=2)).sum(axis=1)
 
 
 def _df_path(hyper, T: int):
@@ -210,16 +220,16 @@ def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutpu
     discount, k_seq, df_prior = _df_path(hyper, data.T)
     if data.q != hyper.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {hyper.q}")
-    g, s, logdet = _scale_pass(data.returns, hyper.d0, discount)
-    log_forecast = _forecast_logdensity(s, logdet, df_prior, discount, data.q)
+    g = _factor_path(data.returns, _reversed_factor(hyper.d0, data.q), discount)
+    log_forecast = _forecast_logdensity(*_forecast_terms(g, data.returns), df_prior, discount, data.q)
     return FilterOutput(
         hyper=hyper,
         g=g,
         k_seq=k_seq,
         df_prior=df_prior,
+        discount=discount,
         log_forecast=log_forecast,
         loglik=float(log_forecast.sum()),
-        discount=discount,
     )
 
 
@@ -302,8 +312,9 @@ def grid_search(
             raise InvalidParameter(f"grid point lambda={lam} outside (0, 1)")
     n_col = np.asarray(n_grid, dtype=float)[:, None]
     surface = np.empty((len(n_grid), len(lambda_grid)))
+    jg0 = _reversed_factor(d0, q)
     for j, lam in enumerate(lambda_grid):
-        _, s, logdet = _scale_pass(data.returns, d0, lam)
+        s, logdet = _forecast_terms(_factor_path(data.returns, jg0, lam), data.returns)
         surface[:, j] = _forecast_logdensity(s, logdet, n_col, lam, q).sum(axis=1)
     best = np.unravel_index(np.argmax(surface), surface.shape)
     return float(n_grid[best[0]]), float(lambda_grid[best[1]]), surface

@@ -10,13 +10,14 @@ accept a stack of matrices of shape (..., q, q), so one call serves one
 path or every draw of an ensemble.
 
 Kernels compute; passes check.  No kernel tests for non-finite values:
-each pass (the scale pass, a backward pass, ``simulate``, a mixture
-sweep) checks its input once and its output once, and raises a package
-error naming the time step.  ``uchol`` rejects a non-finite matrix.  A
-zero pivot makes ``_givens_chain`` raise NotPositiveDefinite (a Python
-float division by zero would raise ZeroDivisionError), while
-``tri_solve_stack`` and ``chol_update`` divide by 0 and return a
-non-finite result, which the calling pass reports with its t.
+each pass (the factor path, the forecast terms, a backward pass,
+``simulate``, a mixture sweep) checks its input once and its output
+once, and raises a package error naming the time step.  ``uchol``
+rejects a non-finite matrix.  A zero pivot makes ``_givens_chain``
+raise NotPositiveDefinite (a Python float division by zero would raise
+ZeroDivisionError), while ``tri_solve_stack`` and ``chol_update``
+divide by 0 and return a non-finite result, which the calling pass
+reports with its t.
 
 ``tri_solve_stack`` is the one triangular solve: it back-substitutes
 against one factor or a whole stack at once, so no pass solves per time
@@ -27,7 +28,7 @@ The one Givens loop on Python floats is ``_givens_chain``: a whole
 recursion of rank-1 updates on a factor held as one flat row-major list,
 with rho from ``math.hypot`` (a tenth of ``np.hypot``'s cost on Python
 floats; inf on overflow) and no function call per step.  The filter's
-scale pass, the single-path UE backward pass and ``simulate`` all run
+factor path, the single-path UE backward pass and ``simulate`` all run
 through it.  ``chol_update`` makes the same rotations on a stack at
 once, with ``np.hypot``, which rounds rho differently.
 """

@@ -1,11 +1,12 @@
 """Backward sampling of full precision paths Phi_{0:T} | D_T.
 
 Matched UE and BB share one forward filter and differ only here, in the
-backward law.  The model is the type of the filter output's ``hyper``:
-``backward_sample(filt, rng)`` draws one path and
-``sample_ensemble(filt, n_draws, seed)`` N of them, and neither takes
-the hyperparameters again, so the law sampled is always the one the
-filter ran.
+backward law.  The samplers read only a ``filtering.FactorPath`` (a
+``FilterOutput`` is one, and a mixture sweep builds one): ``hyper``,
+whose type is the model, ``g``, ``k_seq`` and ``discount``.
+``backward_sample(filt, rng)`` draws one path and ``sample_ensemble(filt,
+n_draws, seed)`` N of them; neither takes the hyperparameters again, so
+the law sampled is always the one the filter ran.
 
 A path is its array of upper-triangular factors F_0..F_T, (T + 1, q, q),
 with F_t' F_t = Phi_t and positive diagonal, and an ensemble of N paths
@@ -50,7 +51,7 @@ from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor
 from .volproc import UEHyper
 
 if TYPE_CHECKING:  # filtering imports this module for simulate
-    from .filtering import FilterOutput
+    from .filtering import FactorPath
 
 
 def ue_backward_step(f_next: np.ndarray, g_t: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
@@ -118,7 +119,7 @@ def _bb_chain(g: np.ndarray, f_T: np.ndarray, theta: np.ndarray, b: float) -> np
     return f
 
 
-def _noise(filt: FilterOutput, rng: np.random.Generator):
+def _noise(filt: FactorPath, rng: np.random.Generator):
     """One path's noise: the terminal Bartlett factor of Wishart(k_T, I), then per-step noise.
 
     UE draws T rows z of Wishart(1, I) factors, BB a T x q array of
@@ -134,7 +135,7 @@ def _noise(filt: FilterOutput, rng: np.random.Generator):
     return w_T, sample_chi2(df, rng, size=(T, q))[::-1]
 
 
-def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _backward_pass(filt: FactorPath, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """F_0..F_T from the terminal Bartlett factor(s) and per-step noise, time axis first.
 
     F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]):
@@ -190,7 +191,7 @@ def _ue_chain(f_T: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
     return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
 
 
-def backward_sample(filt: FilterOutput, rng: np.random.Generator) -> np.ndarray:
+def backward_sample(filt: FactorPath, rng: np.random.Generator) -> np.ndarray:
     """Draw Phi_{0:T} | D_T for the model ``filt.hyper`` states, as its factors F_0..F_T.
 
     The terminal draw from the filtered posterior Wishart(k_T, D_T^{-1})
@@ -201,7 +202,7 @@ def backward_sample(filt: FilterOutput, rng: np.random.Generator) -> np.ndarray:
     return _backward_pass(filt, *_noise(filt, rng))
 
 
-def sample_ensemble(filt: FilterOutput, n_draws: int, seed: int) -> np.ndarray:
+def sample_ensemble(filt: FactorPath, n_draws: int, seed: int) -> np.ndarray:
     """Independent backward draws with per-draw (seed, index) substreams.
 
     Draw i consumes substream (seed, i) exactly as ``backward_sample``
@@ -220,7 +221,7 @@ def correlation_summary(factors: np.ndarray, quantiles) -> np.ndarray:
 
     Over an ensemble of N >= 2 paths, ``factors`` (N, T + 1, q, q):
     Sigma_t = Phi_t^{-1} = V V' with V = F_t^{-1}, so rho_ij is the cosine
-    between rows i and j of V: one triangular inverse per draw and time.
+    between rows i and j of V, all from one ``tri_solve_stack``.
     Each row is scaled by a power of two before its norm, so the norm
     neither overflows nor underflows: 2^k F gives the same bits as F.
     Returns (len(quantiles), q (q - 1) / 2, T + 1), pairs in row-major
@@ -232,9 +233,7 @@ def correlation_summary(factors: np.ndarray, quantiles) -> np.ndarray:
     if quantiles.size == 0 or not np.all((quantiles > 0) & (quantiles < 1)):
         raise InvalidParameter(f"quantiles must be nonempty levels in (0, 1), got {quantiles.tolist()}")
     iu, ju = np.triu_indices(factors.shape[-1], k=1)
-    # F is upper-triangular with a nonzero diagonal, so the pivoted LU
-    # inside solve never swaps rows: this is back-substitution
-    v = np.linalg.solve(factors, np.eye(factors.shape[-1]))
+    v = tri_solve_stack(factors[..., None, :, :], np.eye(factors.shape[-1]), trans=True)  # row i solves F' x = e_i
     v = np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1])
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     rho = np.empty((factors.shape[0], iu.size, factors.shape[1]))

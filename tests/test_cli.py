@@ -361,7 +361,7 @@ class TestMain:
             # an empty grid is an error, not a request for the default grid
             ("grid-search", '{"q": 2, "n_grid": [], "data_csv": DATA}', "InvalidParameter", "nonempty"),
             ("grid-search", '{"q": 2, "lambda_grid": [], "data_csv": DATA}', "InvalidParameter", "nonempty"),
-            # grid-search builds no hyperparameters, so the scale pass checks d0
+            # grid-search builds no hyperparameters, so grid_search checks d0
             ("grid-search", '{"q": 2, "d0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "data_csv": DATA}',
              "InvalidParameter", "d0 must be 2x2"),
             ("grid-search", '{"q": 2, "d0": [[1, 0.5], [0, 1]], "data_csv": DATA}',
@@ -405,7 +405,7 @@ class TestMain:
         assert record["error"] == error and message in record["message"]
         assert not list((tmp_path / "x").glob("*"))
 
-    @pytest.mark.parametrize("command", ["filter", "grid-search"])
+    @pytest.mark.parametrize("command", ["filter", "grid-search", "compare-mixture"])
     def test_overflowing_returns_are_reported(self, tmp_path, capsys, command):
         # s_1 = |r_1|^2 = 2e400 overflows, although the log likelihood is finite
         data = tmp_path / "big.csv"

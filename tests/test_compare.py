@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest, multivariate_normal
 
+from wishartsv import filtering
 from wishartsv.compare import (
     LOG_2PI,
     MixtureConfig,
@@ -176,6 +177,30 @@ class TestMixtureGibbs:
         data, ue, bb = toy(T=50, q=2, seed=11)
         tr = mixture_gibbs(data, ue, bb, MixtureConfig(a0=0.1, b0=0.2, iterations=20, burn_in=0, seed=12))
         assert np.all((tr.alpha > 0) & (tr.alpha < 1))
+
+    def test_chain_set_up_is_not_redone_per_sweep(self, monkeypatch):
+        # D_0's factor and the df path are fixed for a chain: their counts
+        # do not grow with the number of sweeps
+        calls = {"uchol": 0, "_df_path": 0}
+
+        def counted(name):
+            inner = getattr(filtering, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(filtering, name, wrapper)
+
+        counted("uchol")
+        counted("_df_path")
+        data, ue, bb = toy(T=20, q=2, seed=11)
+        counts = []
+        for iterations in (3, 30):
+            calls.update(uchol=0, _df_path=0)
+            mixture_gibbs(data, ue, bb, MixtureConfig(iterations=iterations, burn_in=0, seed=12))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] and counts[0]["uchol"] > 0 and counts[0]["_df_path"] > 0
 
     def test_degenerate_recovers_prior(self):
         # with identical likelihood terms alpha's stationary law is Beta(a0, b0)

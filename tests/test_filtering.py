@@ -14,7 +14,9 @@ from consistency import rchol
 from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     ReturnsSeries,
-    _scale_pass,
+    _factor_path,
+    _forecast_terms,
+    _reversed_factor,
     constrained_lambda,
     forecast_logdensity,
     forward_filter,
@@ -29,6 +31,12 @@ from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 def toy_series(T=40, q=2, seed=0):
     rng = np.random.default_rng(seed)
     return ReturnsSeries(rng.standard_normal((T, q)))
+
+
+def scale_terms(returns, d0, discount):
+    """(g, s, logdet): the factor path from D_0 and its forecast terms."""
+    g = _factor_path(returns, _reversed_factor(d0, returns.shape[1]), discount)
+    return (g, *_forecast_terms(g, returns))
 
 
 def mvt_const(n, q):
@@ -240,8 +248,8 @@ class TestForwardFilters:
         # returns x c and D_0 x c^2 give D_t x c^2: s_t = r_t' D_{t-1}^{-1} r_t
         # is unchanged and each forecast log density drops by q log c
         returns = np.full((T, 1), r)
-        s = _scale_pass(returns, np.array([[d0]]), lam)[1]
-        s_c = _scale_pass(c * returns, np.array([[c * c * d0]]), lam)[1]
+        s = scale_terms(returns, np.array([[d0]]), lam)[1]
+        s_c = scale_terms(c * returns, np.array([[c * c * d0]]), lam)[1]
         np.testing.assert_allclose(s_c, s, rtol=1e-12, atol=0)
         ue = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[d0]]))
         ue_c = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[c * c * d0]]))
@@ -266,7 +274,7 @@ class TestForwardFilters:
         a = rng.standard_normal((q, q))
         d0 = a @ a.T + 0.1 * np.eye(q)
         returns = rng.standard_normal((T, q))
-        g, s, logdet = _scale_pass(returns, d0, discount)
+        g, s, logdet = scale_terms(returns, d0, discount)
         g_rev = rchol(d0).T[::-1, ::-1][None]
         ref = [g_rev[0].T[::-1, ::-1]]
         for r in returns:
@@ -283,7 +291,9 @@ class TestForwardFilters:
         # (about -2.77e3 and -3.23e3 here); it must not become -inf
         ue = UEHyper(q=2, k=1, n=5, lam=0.9, d0=np.eye(2))
         big = np.array([[1e200, 1e200], [1e200, -1e200]])
-        for returns, t in ((big, 1), (np.vstack([np.ones(2), big]), 2)):
+        # in the third series G_t overflows too, but only from t=3: the first overflow is named
+        late_g = np.vstack([big[:1], np.full((3, 2), 1.7e308)])
+        for returns, t in ((big, 1), (np.vstack([np.ones(2), big]), 2), (late_g, 1)):
             data = ReturnsSeries(returns)
             for run in (
                 lambda: forward_filter(data, ue),

@@ -9,7 +9,16 @@ from scipy.stats import kstest
 
 from consistency import bb_backward_step_product, joint_consistency_report
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
-from wishartsv.filtering import ReturnsSeries, constrained_lambda, forward_filter, simulate
+from wishartsv.filtering import (
+    FactorPath,
+    ReturnsSeries,
+    _df_path,
+    _factor_path,
+    _reversed_factor,
+    constrained_lambda,
+    forward_filter,
+    simulate,
+)
 from wishartsv.matops import tri_solve_stack, uchol
 from wishartsv.randsamp import make_rng, sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from wishartsv.smoother import (
@@ -217,6 +226,22 @@ class TestSinglePathEquivalence:
         fb = random_filters(q, T, discount, matched, df_excess, beta_frac, seed)[1]
         expect = stepwise_path(fb, *bb_noise(fb, seed), bb_backward_step_product)
         assert_close_per_matrix(backward_sample(fb, make_rng(seed)), expect, 1e-12)
+
+
+class TestFactorPathInput:
+    @pytest.mark.parametrize("model", ["ue", "bb", "bb-unmatched"])
+    def test_samplers_read_only_the_factor_path(self, model):
+        # a path built from the factor recursion alone, with no forecast
+        # term, gives the filter output's draws bit for bit
+        data, ue, bb, _, _ = filters(T=30, q=3, seed=4)
+        unmatched = BBHyper(q=3, k=1, beta=0.8, b=0.85, k0=20.0, d0=np.diag([1.0, 2.0, 0.5]))
+        hyper = {"ue": ue, "bb": bb, "bb-unmatched": unmatched}[model]
+        filt = forward_filter(data, hyper)
+        discount, k_seq, df_prior = _df_path(hyper, data.T)
+        g = _factor_path(data.returns, _reversed_factor(hyper.d0, 3), discount)
+        path = FactorPath(hyper, g, k_seq, df_prior, discount)
+        np.testing.assert_array_equal(backward_sample(path, make_rng(5)), backward_sample(filt, make_rng(5)))
+        np.testing.assert_array_equal(sample_ensemble(path, 4, 6), sample_ensemble(filt, 4, 6))
 
 
 class TestClosedForm:
