@@ -21,7 +21,6 @@ from .filtering import (
     FilterOutput,
     ReturnsSeries,
     constrained_lambda,
-    forecast_logdensity,
     forward_filter,
     grid_search,
     marginal_loglik,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -44,37 +45,41 @@ from .smoother import correlation_summary, sample_ensemble
 from .volproc import UEHyper, match_ue_to_bb
 
 
+def _read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; ParseError if it cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read {what}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from None
+
+
 def load_returns_csv(path, q: int) -> ReturnsSeries:
     """Strictly parse a returns CSV: header, timestamp column (required, not read), q numeric columns."""
-    path = Path(path)
     rows = []
+    reader = csv.reader(io.StringIO(_read_text(path, "returns")))
     try:
-        fh = path.open(newline="")
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read returns: {exc.strerror}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if len(header) != q + 1:
-            raise DimensionMismatch(
-                f"{path}: expected 1 timestamp + {q} return columns, found {len(header)} columns"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != q + 1:
-                raise ParseError(f"{path}:{line_no}: expected {q + 1} fields, got {len(row)}")
-            vals = []
-            for col, cell in enumerate(row[1:], start=2):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}:{line_no}: column {col}: not a number: {cell!r}") from None
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}:{line_no}: column {col}: non-finite value {cell!r}")
-                vals.append(v)
-            rows.append(vals)
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if len(header) != q + 1:
+        raise DimensionMismatch(
+            f"{path}: expected 1 timestamp + {q} return columns, found {len(header)} columns"
+        )
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != q + 1:
+            raise ParseError(f"{path}:{line_no}: expected {q + 1} fields, got {len(row)}")
+        vals = []
+        for col, cell in enumerate(row[1:], start=2):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}:{line_no}: column {col}: not a number: {cell!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(f"{path}:{line_no}: column {col}: non-finite value {cell!r}")
+            vals.append(v)
+        rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return ReturnsSeries(np.array(rows))
@@ -137,10 +142,9 @@ def _flat_header(prefix: str, q: int):
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
+        text = _read_text(args.config, "config")
         try:
-            cfg = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ParseError(f"{args.config}: cannot read config: {exc.strerror}") from None
+            cfg = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.config}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}") from None
         if not isinstance(cfg, dict):
@@ -254,7 +258,8 @@ def cmd_filter(cfg: dict, outdir: Path) -> dict:
     summaries = {}
     for tag, filt in filts.items():
         q = data.q
-        d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
+        with np.errstate(over="ignore"):  # D_t may overflow where G_t does not: the table reads inf there
+            d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
         rows = [
             [t, k, *d_t, log_f]
             for t, (k, d_t, log_f) in enumerate(
@@ -406,7 +411,10 @@ def run_command(command: str, cfg: dict) -> dict:
     cfg.setdefault("out", "out")
     _check_types(cfg)
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameter(f"{outdir}: cannot create output directory: {exc.strerror}") from None
     t0 = time.time()
     summary = COMMANDS[command](cfg, outdir)
     summary = {"command": command, "seed": cfg["seed"], **summary}

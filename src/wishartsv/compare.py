@@ -15,8 +15,8 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .errors import DimensionMismatch, EmptyEnsemble, InvalidParameter
-from .filtering import FactorPath, FilterOutput, ReturnsSeries, _factor_path, forward_filter
-from .matops import _require_finite
+from .filtering import FilterOutput, ReturnsSeries, _factor_path_on, forward_filter
+from .matops import _fault_at, _row_exponents
 from .randsamp import make_rng, sample_mvnormal_prec
 from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper
@@ -45,6 +45,8 @@ def path_loglik(factors: np.ndarray, data: ReturnsSeries):
     f = factors[..., 1:, :, :].reshape(-1, data.q, data.q)
     r = np.broadcast_to(data.returns, lead + data.returns.shape).reshape(-1, data.q)
     terms = _gauss_terms(f, r).reshape(lead + (data.T,))
+    # on returns far off Phi_t's scale |F_t r_t|^2 overflows (or F_t cannot resolve r_t): no ratio is left
+    _fault_at((~np.isfinite(np.moveaxis(terms, -1, 0)), InvalidParameter, "path log likelihood is not finite"))
     return terms.sum(axis=-1) - 0.5 * data.T * data.q * LOG_2PI
 
 
@@ -161,9 +163,8 @@ def mixture_gibbs(
     z_trace = np.empty((kept, T), dtype=np.int8)
 
     for it in range(cfg.iterations):
-        if it:  # D_0 is not factored again: J G_0' J is G_0 reversed and transposed
-            paths = [FactorPath(f.hyper, _factor_path(r, f.g[0, ::-1, ::-1].T, f.discount),
-                                f.k_seq, f.df_prior, f.discount) for f, r in zip(filts, (r_u, r_b))]
+        if it:
+            paths = [_factor_path_on(f, r) for f, r in zip(filts, (r_u, r_b))]
         f_u = backward_sample(paths[0], rng)[1:]
         f_b = backward_sample(paths[1], rng)[1:]
         if degenerate:
@@ -172,6 +173,7 @@ def mixture_gibbs(
             term_u = term_b = _gauss_terms(f_u, data.returns)
         else:
             term_u, term_b = _gauss_terms(f_u, r_u), _gauss_terms(f_b, r_b)
+        _fault_at((~np.isfinite(term_u + term_b), InvalidParameter, "mixture likelihood term is not finite"))
         prob = bernoulli_logweight_prob(np.log(alpha) + term_u, np.log1p(-alpha) + term_b)
 
         # z_t = 1 keeps the observed r_t for UE and imputes the BB row
@@ -180,7 +182,7 @@ def mixture_gibbs(
         r_u = np.where(z[:, None], data.returns, imputed)
         r_b = np.where(z[:, None], imputed, data.returns)
         # the sampler checked every factor; check the draws once per sweep
-        _require_finite(imputed, "imputed returns")
+        _fault_at((~np.isfinite(imputed), InvalidParameter, "imputed r_t is not finite"))
 
         alpha = rng.beta(*alpha_posterior_shapes(cfg.a0, cfg.b0, z))
 
@@ -208,11 +210,13 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
     if filt.g.shape[0] != T + 1 or filt.g.shape[1] != q:
         raise DimensionMismatch("filter output does not match data")
     nu = filt.df_prior + 1.0 - q
-    if np.any(nu <= 0):
-        t = int(np.argmax(nu <= 0))
-        raise InvalidParameter(f"predictive df {nu[t]} <= 0 at t={t}")
-    d_diag = np.sum(filt.g[:-1] ** 2, axis=2)  # diag(D_{t-1}) = row sums of G G'
-    half = student_t.ppf(0.5 + level / 2.0, df=nu)[:, None] * np.sqrt(filt.discount * d_diag / nu[:, None])
+    _fault_at((nu <= 0, InvalidParameter, "predictive df <= 0"))
+    # diag(D_{t-1}) = row sums of G G', each row scaled by 2^-e so that no square overflows;
+    # the scale comes back exactly as sqrt(2^{2e} x) = 2^e sqrt(x)
+    e = _row_exponents(filt.g[:-1])
+    d_diag = np.sum(np.ldexp(filt.g[:-1], -e[..., None]) ** 2, axis=2)
+    scale = np.ldexp(np.sqrt(filt.discount * d_diag / nu[:, None]), e)
+    half = student_t.ppf(0.5 + level / 2.0, df=nu)[:, None] * scale
     lengths = 2.0 * half
     hits = np.abs(data.returns) <= half
     coverage = np.cumsum(hits.sum(axis=1)) / (q * np.arange(1, T + 1))

@@ -20,11 +20,12 @@ nothing but triangular products and solves against G_t.  Its loop over t
 is one Givens rank-1 update per step (Gill, Golub, Murray & Saunders
 1974) on Python floats, with no numpy call or solve inside it.
 ``_forecast_terms`` then yields s_t = r_t' D_{t-1}^{-1} r_t, from one
-back-substitution over all t, and log|D_{t-1}|.  Neither depends on n:
-the filter, ``forecast_logdensity`` (a path of one step) and
-``grid_search`` (and so ``marginal_loglik``, its one-cell case) all
-reduce them through ``_forecast_logdensity``; a grid factors D_0 once.
-A mixture sweep runs ``_factor_path`` alone.
+back-substitution over all t, and log|D_{t-1}|; s_t may overflow while
+its log, and so the density, stays finite.  Neither depends on n: the
+filter and ``grid_search`` (so ``marginal_loglik``, its one-cell case,
+which serves a single step too) reduce them through
+``_forecast_logdensity``; a grid factors D_0 once.  A mixture sweep runs
+``_factor_path`` alone, through ``_factor_path_on``.
 
 ``simulate`` draws returns through the factor path's Givens chain, each
 r_t from its one-step forecast law, and then their precision path from
@@ -46,12 +47,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import _givens_chain, gram, tri_solve_stack, uchol
+from .matops import _fault_at, _givens_chain, _row_exponents, gram, tri_solve_stack, uchol
 from .randsamp import make_rng, sample_bartlett_factor, substream
 from .smoother import backward_sample
-from .volproc import BBHyper, UEHyper
+from .volproc import BBHyper, UEHyper, _prior_scale
 
 LOG_PI = np.log(np.pi)
+LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -104,43 +106,28 @@ class FilterOutput(FactorPath):
     loglik: float
 
 
-def forecast_logdensity(r: np.ndarray, d_prev: np.ndarray, n: float, lam: float) -> float:
-    """Log one-step forecast density of r_t | D_{t-1} (k = 1 likelihood).
+def _forecast_logdensity(s, log_s, logdet, n, lam: float, q: int):
+    """Log one-step forecast density of r_t | D_{t-1} (k = 1 likelihood); elementwise over arrays.
 
     Multivariate-t: Gamma((n+1)/2)/Gamma((n+1-q)/2) * |lam D|^{-1/2} *
-    pi^{-q/2} * (1 + r' D^{-1} r / lam)^{-(n+1)/2}; requires n > q - 1
-    and a finite lam > 0 (lam = 1 included).  The terms come from a
-    one-step factor path, so a return whose statistics overflow double
-    precision raises InvalidParameter, as ``marginal_loglik`` does,
-    rather than returning -inf.
+    pi^{-q/2} * (1 + s / lam)^{-(n+1)/2}, from s = r' D^{-1} r, log s and
+    log|D|.  Where s / lam overflows, log1p(s / lam) = log s - log lam
+    to double precision.
     """
-    r = np.asarray(r, dtype=float)
-    q = r.shape[0]
-    if not n > q - 1:
-        raise InvalidParameter(f"forecast density needs n > q-1, got n={n}, q={q}")
-    if not 0.0 < lam < math.inf:
-        raise InvalidParameter(f"forecast density needs a finite lambda > 0, got lambda={lam}")
-    s, logdet = _forecast_terms(_factor_path(r[None], _reversed_factor(d_prev, q), 1.0), r[None])
-    return float(_forecast_logdensity(s[0], logdet[0], n, lam, q))
-
-
-def _forecast_logdensity(s, logdet, n, lam: float, q: int):
-    """forecast_logdensity from s = r' D^{-1} r and log|D|; elementwise over arrays."""
+    with np.errstate(over="ignore"):
+        x = s / lam
     return (
         gammaln((n + 1.0) / 2.0)
         - gammaln((n + 1.0 - q) / 2.0)
         - 0.5 * (q * np.log(lam) + logdet)
         - 0.5 * q * LOG_PI
-        - 0.5 * (n + 1.0) * np.log1p(s / lam)
+        - 0.5 * (n + 1.0) * np.where(np.isinf(x), log_s - np.log(lam), np.log1p(x))
     )
 
 
 def _reversed_factor(d0, q: int) -> np.ndarray:
-    """J G_0' J = uchol(J D_0 J), J the reversal permutation; InvalidParameter unless D_0 is q x q."""
-    d0 = np.asarray(d0, dtype=float)
-    if d0.shape != (q, q):
-        raise InvalidParameter(f"d0 must be {q}x{q}, got {d0.shape}")
-    return uchol(d0[::-1, ::-1])
+    """J G_0' J = uchol(J D_0 J), J the reversal permutation; D_0 is checked as UEHyper checks it."""
+    return uchol(_prior_scale(d0, q)[::-1, ::-1])
 
 
 def _factor_path(returns: np.ndarray, jg0: np.ndarray, discount: float) -> np.ndarray:
@@ -157,27 +144,38 @@ def _factor_path(returns: np.ndarray, jg0: np.ndarray, discount: float) -> np.nd
     T, q = returns.shape
     flat = _givens_chain(array("d", jg0.ravel().tolist()), returns[:, ::-1].tolist(), math.sqrt(discount))
     g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
-    bad = ~np.isfinite(g[1:]).all(axis=(1, 2))
-    if bad.any():
-        t = int(np.argmax(bad)) + 1
-        _forecast_terms(g[: t + 1], returns[:t])  # s_1..s_t need only the finite G_0..G_{t-1}
-        raise InvalidParameter(f"scale recursion overflows at t={t}: D_t is not finite")
+    bad = ~np.isfinite(g[1:])
+    if bad.any():  # s_t needs only G_{t-1}: at the first bad G_t, s_1..s_t are checked with it
+        _forecast_terms(g, returns, (bad, InvalidParameter, "scale recursion overflows: D_t is not finite"))
     return g
 
 
-def _forecast_terms(g: np.ndarray, returns: np.ndarray):
-    """(s, logdet) with s[t-1] = r_t' D_{t-1}^{-1} r_t = |G_{t-1}^{-1} r_t|^2 and logdet[t-1] = log|D_{t-1}|.
+def _factor_path_on(path: FactorPath, returns: np.ndarray) -> FactorPath:
+    """``path``'s model on other returns of its length: only ``_factor_path`` runs, from J G_0' J."""
+    g = _factor_path(returns, path.g[0, ::-1, ::-1].T, path.discount)
+    return FactorPath(path.hyper, g, path.k_seq, path.df_prior, path.discount)
 
-    Raises InvalidParameter at the first t where s_t is not finite: the returns overflow doubles.
+
+def _forecast_terms(g: np.ndarray, returns: np.ndarray, *faults):
+    """(s, log s, logdet): s[t-1] = r_t' D_{t-1}^{-1} r_t = |G_{t-1}^{-1} r_t|^2 and logdet[t-1] = log|D_{t-1}|.
+
+    Each r_t is scaled by a power of two before the back-substitution and
+    each w_t = G_{t-1}^{-1} r_t before its norm, so neither overflows: s
+    keeps the bits of the unscaled sum and is inf only where it overflows
+    doubles, and log s is finite there.  Raises InvalidParameter at the
+    first t where the solve itself overflows (a G_{t-1} with a tiny pivot)
+    or one of ``faults``, checked after s at each t, holds.
     """
     g_prev = g[:-1]
-    with np.errstate(all="ignore"):  # overflow is reported below
-        w = tri_solve_stack(g_prev, returns)
-        s = sum(w[:, i] * w[:, i] for i in range(returns.shape[1]))
-    bad = ~np.isfinite(s)
-    if bad.any():
-        raise InvalidParameter(f"scale recursion overflows at t={int(np.argmax(bad)) + 1}: s_t is not finite")
-    return s, 2.0 * np.log(np.diagonal(g_prev, axis1=1, axis2=2)).sum(axis=1)
+    e = _row_exponents(returns)
+    with np.errstate(all="ignore"):  # a non-finite w_t is reported below; s overflows to inf
+        w = tri_solve_stack(g_prev, np.ldexp(returns, -e[:, None]))
+        f = _row_exponents(w)
+        w = np.ldexp(w, -f[:, None])
+        ss, e2 = sum(w[:, i] * w[:, i] for i in range(returns.shape[1])), 2 * (e + f)
+        s, log_s = np.ldexp(ss, e2), np.log(ss) + e2 * LOG_2
+    _fault_at((~np.isfinite(ss), InvalidParameter, "scale recursion overflows: s_t is not finite"), *faults)
+    return s, log_s, 2.0 * np.log(np.diagonal(g_prev, axis1=1, axis2=2)).sum(axis=1)
 
 
 def _df_path(hyper, T: int):
@@ -203,10 +201,7 @@ def _df_path(hyper, T: int):
         k_seq.append(prev if abs(nxt - prev) <= tol * abs(prev) else nxt)
     k_seq = np.array(k_seq)
     df_prior = hyper.beta * k_seq[:T]
-    bad = df_prior <= hyper.q - 1
-    if bad.any():
-        t = int(np.argmax(bad)) + 1
-        raise InvalidParameter(f"prior df {df_prior[t - 1]} <= q - 1 at t={t}")
+    _fault_at((df_prior <= hyper.q - 1, InvalidParameter, "prior df beta k_{t-1} <= q - 1"))
     return hyper.b, k_seq, df_prior
 
 
@@ -222,15 +217,7 @@ def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutpu
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {hyper.q}")
     g = _factor_path(data.returns, _reversed_factor(hyper.d0, data.q), discount)
     log_forecast = _forecast_logdensity(*_forecast_terms(g, data.returns), df_prior, discount, data.q)
-    return FilterOutput(
-        hyper=hyper,
-        g=g,
-        k_seq=k_seq,
-        df_prior=df_prior,
-        discount=discount,
-        log_forecast=log_forecast,
-        loglik=float(log_forecast.sum()),
-    )
+    return FilterOutput(hyper, g, k_seq, df_prior, discount, log_forecast, float(log_forecast.sum()))
 
 
 def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
@@ -275,9 +262,7 @@ def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
 
     _givens_chain(flat, draws(), math.sqrt(disc))
     returns = np.array(returns).reshape(T, q)
-    bad = ~np.isfinite(returns).all(axis=1)
-    if bad.any():
-        raise InvalidParameter(f"simulated r_t overflows double precision at t={int(np.argmax(bad)) + 1}")
+    _fault_at((~np.isfinite(returns), InvalidParameter, "simulated r_t overflows double precision"))
     series = ReturnsSeries(returns)
     return series, gram(backward_sample(forward_filter(series, hyper), substream(seed, 1)))
 
@@ -314,8 +299,8 @@ def grid_search(
     surface = np.empty((len(n_grid), len(lambda_grid)))
     jg0 = _reversed_factor(d0, q)
     for j, lam in enumerate(lambda_grid):
-        s, logdet = _forecast_terms(_factor_path(data.returns, jg0, lam), data.returns)
-        surface[:, j] = _forecast_logdensity(s, logdet, n_col, lam, q).sum(axis=1)
+        terms = _forecast_terms(_factor_path(data.returns, jg0, lam), data.returns)
+        surface[:, j] = _forecast_logdensity(*terms, n_col, lam, q).sum(axis=1)
     best = np.unravel_index(np.argmax(surface), surface.shape)
     return float(n_grid[best[0]]), float(lambda_grid[best[1]]), surface
 

@@ -12,12 +12,12 @@ path or every draw of an ensemble.
 Kernels compute; passes check.  No kernel tests for non-finite values:
 each pass (the factor path, the forecast terms, a backward pass,
 ``simulate``, a mixture sweep) checks its input once and its output
-once, and raises a package error naming the time step.  ``uchol``
-rejects a non-finite matrix.  A zero pivot makes ``_givens_chain``
-raise NotPositiveDefinite (a Python float division by zero would raise
-ZeroDivisionError), while ``tri_solve_stack`` and ``chol_update``
-divide by 0 and return a non-finite result, which the calling pass
-reports with its t.
+once, and ``_fault_at`` raises the package error naming the time
+step.  ``uchol`` rejects a non-finite matrix.  A zero pivot makes
+``_givens_chain`` raise NotPositiveDefinite (a Python float division by
+zero would raise ZeroDivisionError), while ``tri_solve_stack`` and
+``chol_update`` divide by 0 and return a non-finite result, which the
+calling pass reports with its t.
 
 ``tri_solve_stack`` is the one triangular solve: it back-substitutes
 against one factor or a whole stack at once, so no pass solves per time
@@ -40,7 +40,7 @@ from array import array
 
 import numpy as np
 
-from .errors import InvalidParameter, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 # Relative pivot tolerance for positive-definiteness checks.  Rank-1
 # observation matrices y_t = r r' are singular by design and are never
@@ -85,10 +85,29 @@ def uchol(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    """InvalidParameter unless every entry of ``a`` is finite."""
-    if not np.isfinite(a).all():
-        raise InvalidParameter(f"{what} is not finite")
+def _fault_at(*faults, t0: int = 1, last: bool = False) -> None:
+    """Raise at the first t a pass meets where a fault holds (the last t if ``last``).
+
+    Each fault is (bad, error, what): ``bad`` a boolean array, time axis
+    first (row i is t = t0 + i), its other axes reduced with any.  Raises
+    ``error(f"{what} at t={t}")``; at one t the earlier fault is named.
+    """
+    if not any(bad.any() for bad, _, _ in faults):
+        return
+    rows = [bad.reshape(len(bad), -1).any(axis=1) for bad, _, _ in faults]
+    hits = np.flatnonzero(np.logical_or.reduce(rows))
+    i = int(hits[-1] if last else hits[0])
+    _, error, what = next(fault for fault, row in zip(faults, rows) if row[i])
+    raise error(f"{what} at t={t0 + i}")
+
+
+def _row_exponents(x: np.ndarray) -> np.ndarray:
+    """e with max_i |x[..., i]| 2^-e in [1/2, 1) for each row (0 for a zero or non-finite row).
+
+    Scaled by 2^-e a row keeps its bits, and its largest square neither overflows
+    nor vanishes.  A column loop: a reduction along each short row costs more.
+    """
+    return np.frexp(np.maximum.reduce([np.abs(x[..., i]) for i in range(x.shape[-1])]))[1]
 
 
 def tri_solve_stack(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:

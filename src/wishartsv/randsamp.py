@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter
-from .matops import gram, sym, tri_solve_stack, uchol
+from .matops import gram, tri_solve_stack, uchol
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -26,10 +26,10 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def sample_chi2(df, rng: np.random.Generator, size=None):
-    """Chi-square draw(s) with real-valued df > 0 (gamma shape df/2, scale 2); df may be an array."""
+    """Chi-square draw(s) with real-valued df > 0; df may be an array (the bits of gamma(df/2, scale 2))."""
     if np.any(df <= 0):
         raise InvalidParameter(f"chi-square df must be > 0, got {df}")
-    return rng.gamma(shape=df / 2.0, scale=2.0, size=size)
+    return rng.chisquare(df, size=size)
 
 
 def sample_beta(a, b, rng: np.random.Generator, size=None):
@@ -47,12 +47,11 @@ def sample_bartlett_factor(q: int, df: float, rng: np.random.Generator, size: in
     """
     if df <= q - 1:
         raise InvalidParameter(f"full-rank Bartlett factor needs df > q-1, got df={df}, q={q}")
-    shape = (q, q) if size is None else (size, q, q)
-    u = np.triu(rng.standard_normal(shape), k=1)
-    dfs = df - np.arange(q)
-    diag = np.sqrt(rng.gamma(shape=dfs / 2.0, scale=2.0, size=None if size is None else (size, q)))
+    u = rng.standard_normal((q, q) if size is None else (size, q, q))
+    for i in range(1, q):  # the strict lower triangle, row by row (np.triu costs more than the draw)
+        u[..., i, :i] = 0.0
     idx = np.arange(q)
-    u[..., idx, idx] = diag
+    u[..., idx, idx] = np.sqrt(rng.chisquare(df - idx, size=None if size is None else (size, q)))
     return u
 
 
@@ -89,16 +88,15 @@ def sample_matrix_beta(
 ):
     """MatrixBeta_q(n1/2, n2/2) draw(s) via two Wisharts with identity scale.
 
-    B = (T^{-1})' A1 T^{-1} with T = uchol(A1 + A2); the law does not
-    depend on the common Wishart scale, so it is fixed to I.  Each df
-    must be > q - 1 or a positive integer, as ``sample_wishart_factor``
-    checks.
+    B = (W1 T^{-1})' (W1 T^{-1}) = (T^{-1})' A1 T^{-1} with A_i = W_i' W_i and
+    T = uchol(A1 + A2), each row of W1 T^{-1} by back-substitution.  The law does
+    not depend on the common Wishart scale, so it is fixed to I.  Each df must
+    be > q - 1 or a positive integer, as ``sample_wishart_factor`` checks.
     """
-    eye = np.eye(q)
-    a1 = sample_wishart_bartlett(n1, eye, rng, size=size)
-    a2 = sample_wishart_bartlett(n2, eye, rng, size=size)
-    t_inv = np.linalg.inv(uchol(a1 + a2))
-    return sym(np.swapaxes(t_inv, -1, -2) @ a1 @ t_inv)
+    w1 = sample_wishart_factor(q, n1, rng, size=size)
+    w2 = sample_wishart_factor(q, n2, rng, size=size)
+    t = uchol(gram(w1) + gram(w2))
+    return gram(tri_solve_stack(t[..., None, :, :], w1, trans=True))
 
 
 def sample_mvnormal_prec(factors: np.ndarray, rng: np.random.Generator) -> np.ndarray:

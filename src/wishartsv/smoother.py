@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
-from .matops import _givens_chain, chol_update, tri_solve_stack
+from .matops import _fault_at, _givens_chain, _row_exponents, chol_update, tri_solve_stack
 from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from .volproc import UEHyper
 
@@ -142,10 +142,14 @@ def _backward_pass(filt: FactorPath, w_T: np.ndarray, noise: np.ndarray) -> np.n
     BB as ``_bb_chain``; UE from the rows x_t = z_t G_t^{-1}, solved for
     all t at once, as ``_ue_chain`` for one path (a (q, q) W_T) and as
     one ``chol_update`` per t for a stack.  G is checked before the pass,
-    so no solve meets a zero pivot, and F after it.
+    so no solve meets a zero pivot, and F after it, at the last bad t: the
+    first the backward recursion meets.
     """
     g = filt.g
-    _check_factors(g, "filter factor G")
+    # at one t a non-finite entry is named before a diagonal entry <= 0
+    _fault_at((~np.isfinite(g), InvalidParameter, "filter factor G is not finite"),
+              (np.diagonal(g, axis1=1, axis2=2) <= 0, NotPositiveDefinite,
+               "filter factor G has a diagonal entry <= 0"), t0=0)
     T, lam = g.shape[0] - 1, filt.discount
     with np.errstate(all="ignore"):  # a non-finite F_t is reported below
         f_T = tri_solve_stack(g[T], w_T, trans=True)  # every row of W_T
@@ -161,24 +165,10 @@ def _backward_pass(filt: FactorPath, w_T: np.ndarray, noise: np.ndarray) -> np.n
                 f[T] = f_T
                 for t in range(T - 1, -1, -1):
                     f[t] = chol_update(math.sqrt(lam) * f[t + 1], x[t])
-    _check_factors(f, "sampled factor F", backward=True)
+    _fault_at((~np.isfinite(f), InvalidParameter, "sampled factor F is not finite"),
+              (np.diagonal(f, axis1=-2, axis2=-1) <= 0, NotPositiveDefinite,
+               "sampled factor F has a diagonal entry <= 0"), t0=0, last=True)
     return f
-
-
-def _check_factors(a: np.ndarray, what: str, backward: bool = False) -> None:
-    """Raise at the first bad a[t], time axis first, that a pass meets (the last if ``backward``).
-
-    InvalidParameter if a[t] is not finite, NotPositiveDefinite if a diagonal entry is <= 0.
-    """
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    if np.isfinite(a).all() and diag.min() > 0:  # the common case, in two reductions
-        return
-    finite = np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
-    bad = np.flatnonzero(~(finite & (diag > 0).reshape(a.shape[0], -1).all(axis=1)))
-    t = int(bad[-1] if backward else bad[0])
-    if not finite[t]:
-        raise InvalidParameter(f"{what} is not finite at t={t}")
-    raise NotPositiveDefinite(f"{what} has a diagonal entry <= 0 at t={t}")
 
 
 def _ue_chain(f_T: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
@@ -234,7 +224,7 @@ def correlation_summary(factors: np.ndarray, quantiles) -> np.ndarray:
         raise InvalidParameter(f"quantiles must be nonempty levels in (0, 1), got {quantiles.tolist()}")
     iu, ju = np.triu_indices(factors.shape[-1], k=1)
     v = tri_solve_stack(factors[..., None, :, :], np.eye(factors.shape[-1]), trans=True)  # row i solves F' x = e_i
-    v = np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1])
+    v = np.ldexp(v, -_row_exponents(v)[..., None])
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     rho = np.empty((factors.shape[0], iu.size, factors.shape[1]))
     for p, (i, j) in enumerate(zip(iu, ju)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
-from .matops import _require_finite, gram, sym, tri_solve_stack, uchol
+from .matops import gram, sym, tri_solve_stack, uchol
 from .randsamp import sample_beta, sample_matrix_beta
 from .specfun import sqrt_beta_moment, tricomi_u_neg_half
 
@@ -24,6 +24,15 @@ from .specfun import sqrt_beta_moment, tricomi_u_neg_half
 def _check_discount(name: str, value: float) -> None:
     if not (0.0 < value < 1.0):
         raise InvalidParameter(f"{name} must be in (0, 1), got {value}")
+
+
+def _prior_scale(d0, q: int) -> np.ndarray:
+    """d0 as a float array; InvalidParameter unless it is q x q, NotPositiveDefinite unless SPD."""
+    d0 = np.asarray(d0, dtype=float)
+    if d0.shape != (q, q):
+        raise InvalidParameter(f"d0 must be {q}x{q}, got {d0.shape}")
+    uchol(d0)
+    return d0
 
 
 @dataclass(frozen=True)
@@ -47,11 +56,7 @@ class UEHyper:
             raise InvalidParameter(f"n must be > q-1, got n={self.n}, q={self.q}")
         if self.k != 1:
             raise InvalidParameter(f"k must be 1, got {self.k}")
-        d0 = np.asarray(self.d0, dtype=float)
-        if d0.shape != (self.q, self.q):
-            raise InvalidParameter(f"d0 must be {self.q}x{self.q}, got {d0.shape}")
-        uchol(d0)  # raises NotPositiveDefinite if invalid
-        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d0", _prior_scale(self.d0, self.q))
 
 
 @dataclass(frozen=True)
@@ -84,23 +89,12 @@ class BBHyper:
             raise InvalidParameter(
                 f"need beta*k0 > q-1, got beta*k0={self.beta * self.k0}, q={self.q}"
             )
-        d0 = np.asarray(self.d0, dtype=float)
-        if d0.shape != (self.q, self.q):
-            raise InvalidParameter(f"d0 must be {self.q}x{self.q}, got {d0.shape}")
-        uchol(d0)
-        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d0", _prior_scale(self.d0, self.q))
 
 
 def match_ue_to_bb(ue: UEHyper) -> BBHyper:
     """The hyperparameter bijection: k0 = n+k, beta = n/(n+k), b = lambda."""
-    return BBHyper(
-        q=ue.q,
-        k=ue.k,
-        beta=ue.n / (ue.n + ue.k),
-        b=ue.lam,
-        k0=ue.n + ue.k,
-        d0=ue.d0,
-    )
+    return BBHyper(q=ue.q, k=ue.k, beta=ue.n / (ue.n + ue.k), b=ue.lam, k0=ue.n + ue.k, d0=ue.d0)
 
 
 def match_bb_to_ue(bb: BBHyper) -> UEHyper:
@@ -139,7 +133,8 @@ def _factor_pair(phi_prev: np.ndarray, p_prev: np.ndarray | None):
     if p_prev is None:
         return np.broadcast_to(np.eye(m.shape[-1]), m.shape), m
     p_prev = np.asarray(p_prev, dtype=float)
-    _require_finite(p_prev, "p_prev")
+    if not np.isfinite(p_prev).all():
+        raise InvalidParameter("p_prev is not finite")
     if np.tril(p_prev, -1).any() or not (p_prev.diagonal() > 0).all():
         raise NotPositiveDefinite("p_prev must be upper-triangular with a positive diagonal")
     return tri_solve_stack(p_prev, m, trans=True), p_prev  # U = M P^{-1}, row by row

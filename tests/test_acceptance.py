@@ -22,7 +22,6 @@ from wishartsv.compare import (
 from wishartsv.filtering import (
     ReturnsSeries,
     constrained_lambda,
-    forecast_logdensity,
     forward_filter,
     grid_search,
     marginal_loglik,
@@ -210,7 +209,8 @@ def test_criterion_08_nonequivalence_detection():
 def test_criterion_09_forecast_normalization():
     with criterion(9, "forecast density normalization", 60.0):
         for r in (-3.0, -1.0, 0.0, 0.5, 2.0):
-            lhs = np.exp(forecast_logdensity(np.array([r]), np.eye(1), 1.0, 1.0))
+            # lambda = 1, D = 1 as lambda = 0.5, D = 2: the density reads only lambda D
+            lhs = np.exp(marginal_loglik(ReturnsSeries(np.array([[r]])), 1.0, 0.5, 2.0 * np.eye(1)))
             assert abs(lhs - cauchy.pdf(r)) < 1e-6
         # q = 2 mixture oracle: E_Phi[N(r | 0, Phi^{-1})] over the prior
         d = np.array([[1.5, 0.4], [0.4, 1.0]])
@@ -223,7 +223,7 @@ def test_criterion_09_forecast_normalization():
             qf = np.einsum("i,nij,j->n", r, phis, r)
             dens = np.exp(0.5 * ld - 0.5 * qf - np.log(2 * np.pi))
             se = dens.std(ddof=1) / np.sqrt(dens.size)
-            closed = np.exp(forecast_logdensity(r, d, n, lam))
+            closed = np.exp(marginal_loglik(ReturnsSeries(r[None]), n, lam, d))
             assert abs(dens.mean() - closed) < 4 * se
 
 

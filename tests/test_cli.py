@@ -407,18 +407,28 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["filter", "grid-search", "compare-mixture"])
     def test_overflowing_returns_are_reported(self, tmp_path, capsys, command):
-        # s_1 = |r_1|^2 = 2e400 overflows, although the log likelihood is finite
+        # s_1 = |r_1|^2 = 2e400 overflows, although the log likelihood is
+        # finite (-5992.81470722051, from a 900-digit mpmath run); a sampled
+        # Phi_1 cannot resolve r_1's direction, so the mixture's first
+        # likelihood term is reported instead
         data = tmp_path / "big.csv"
         write_returns(data, [["2024-01-01", 1e200, 1e200], ["2024-01-02", 1e200, -1e200]])
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.9, "data_csv": str(data)}))
+        cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.9, "data_csv": str(data),
+                                        "n_grid": [5.0], "lambda_grid": [0.9], "draws": 20, "batches": 2}))
         rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-        assert rc == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        record = json.loads(err)
-        assert record["error"] == "InvalidParameter" and "t=1" in record["message"]
-        assert not list((tmp_path / "x").glob("*"))
+        if command == "compare-mixture":
+            assert rc == 1 and err.count("\n") == 1
+            record = json.loads(err)
+            assert record["error"] == "InvalidParameter" and record["message"].endswith("at t=1")
+            assert not list((tmp_path / "x").glob("*"))
+            return
+        assert rc == 0 and err == ""
+        results = json.loads((tmp_path / "x" / "results.json").read_text())
+        logliks = [m["loglik"] for m in results["models"].values()] if command == "filter" else [results["loglik_star"]]
+        for loglik in logliks:
+            assert loglik == pytest.approx(-5992.81470722051, rel=1e-12)
 
     @pytest.mark.parametrize("command", ["smooth", "compare-plr", "compare-mixture"])
     def test_nonfinite_draws_are_reported(self, tmp_path, capsys, command):
@@ -483,6 +493,36 @@ class TestMain:
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ParseError"
+
+    @pytest.mark.parametrize("where", ["config", "data_csv", "presample_csv"])
+    def test_non_utf8_input_is_reported(self, returns_csv, tmp_path, capsys, where):
+        latin1 = tmp_path / "latin1"
+        latin1.write_bytes("date,r1,r2\n2024-01-01,1,\u00e9\n".encode("latin-1"))
+        cfg = {"q": 2, "n": 5.0, "lambda": 0.8, "data_csv": str(returns_csv)}
+        if where != "config":
+            cfg[where] = str(latin1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        config = latin1 if where == "config" else cfg_path
+        rc = main(["filter", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ParseError" and record["message"].startswith(f"{latin1}: not UTF-8 text")
+
+    def test_out_naming_a_file_is_reported(self, returns_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.8, "data_csv": str(returns_csv)}))
+        rc = main(["filter", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "InvalidParameter" and "cannot create output directory" in record["message"]
+        assert out.read_text() == "not a directory\n"
 
     def test_parser_has_all_subcommands(self):
         parser = build_parser()

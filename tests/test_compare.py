@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,14 @@ class TestPathLoglik:
             assert np.array_equal(single[i], ref) and np.ndim(single[i]) == 0
         stacked = path_loglik(f, data)
         assert stacked.shape == (n,) and np.array_equal(stacked, single)
+
+
+    def test_overflowing_term_names_t(self):
+        # |F_t r_t|^2 = 2e400 at t=2 overflows doubles
+        factors = np.broadcast_to(np.eye(2), (3, 3, 2, 2))
+        data = ReturnsSeries(np.array([[1.0, 1.0], [1e200, 1e200]]))
+        with pytest.raises(InvalidParameter, match="at t=2$"):
+            path_loglik(factors, data)
 
 
 class TestLogSumExp:
@@ -245,6 +255,26 @@ class TestPpcIntervals:
         for filt in (forward_filter(data, ue), forward_filter(data, match_ue_to_bb(ue))):
             lengths, coverage = ppc_intervals(filt, data)
             assert lengths.shape == (0, 2) and coverage.shape == (0,)
+
+    def test_bad_predictive_df_names_t(self):
+        # df_prior[2] is the prior df at t=3
+        data, ue, _ = toy(T=5, q=2)
+        filt = forward_filter(data, ue)
+        df_prior = filt.df_prior.copy()
+        df_prior[2] = 0.5
+        with pytest.raises(InvalidParameter, match="at t=3$"):
+            ppc_intervals(dataclasses.replace(filt, df_prior=df_prior), data)
+
+    def test_huge_scale(self):
+        # returns x 2^511 and D_0 x 2^1022 scale every length by 2^511;
+        # the squares of G's rows would overflow
+        data, ue, _ = toy(T=20, q=2, seed=16)
+        c = 2.0**511
+        big = ReturnsSeries(c * data.returns)
+        l1, c1 = ppc_intervals(forward_filter(data, ue), data)
+        lc, cc = ppc_intervals(forward_filter(big, dataclasses.replace(ue, d0=c * c * ue.d0)), big)
+        np.testing.assert_allclose(lc / c, l1, rtol=1e-13)
+        np.testing.assert_array_equal(cc, c1)
 
     def test_level_validation(self):
         data, ue, _ = toy(T=5, q=1)

@@ -18,7 +18,6 @@ from wishartsv.filtering import (
     _forecast_terms,
     _reversed_factor,
     constrained_lambda,
-    forecast_logdensity,
     forward_filter,
     grid_search,
     marginal_loglik,
@@ -36,7 +35,13 @@ def toy_series(T=40, q=2, seed=0):
 def scale_terms(returns, d0, discount):
     """(g, s, logdet): the factor path from D_0 and its forecast terms."""
     g = _factor_path(returns, _reversed_factor(d0, returns.shape[1]), discount)
-    return (g, *_forecast_terms(g, returns))
+    s, _, logdet = _forecast_terms(g, returns)
+    return g, s, logdet
+
+
+def one_step(r, d, n, lam):
+    """The one-step forecast log density of r given D = d: ``marginal_loglik`` of a one-row series."""
+    return marginal_loglik(ReturnsSeries(np.asarray(r, dtype=float)[None]), n, lam, d)
 
 
 def mvt_const(n, q):
@@ -106,15 +111,17 @@ class TestReturnsSeries:
 
 
 class TestForecastDensity:
+    # the density reads lambda and D only through lambda D, so lambda = 1
+    # (outside the grid's (0, 1)) is run as lambda = 0.5 with D doubled
     def test_standard_cauchy(self):
-        # q = 1, n = 1, lam = 1, D = 1
+        # q = 1, n = 1, lam D = 1
         for r in (0.0, 0.5, -2.0, 7.0):
-            lhs = forecast_logdensity(np.array([r]), np.eye(1), 1.0, 1.0)
+            lhs = one_step([r], 2.0 * np.eye(1), 1.0, 0.5)
             assert lhs == pytest.approx(cauchy.logpdf(r), rel=1e-12)
 
     def test_scalar_integrates_to_one(self):
         val, _ = quad(
-            lambda r: math.exp(forecast_logdensity(np.array([r]), np.array([[2.0]]), 4.0, 0.8)),
+            lambda r: math.exp(one_step([r], np.array([[2.0]]), 4.0, 0.8)),
             -np.inf,
             np.inf,
         )
@@ -123,9 +130,7 @@ class TestForecastDensity:
     def test_q2_integrates_to_one(self):
         d = np.array([[1.5, 0.4], [0.4, 1.0]])
         inner = lambda r1: quad(
-            lambda r2: math.exp(
-                forecast_logdensity(np.array([r1, r2]), d, 5.0, 0.7)
-            ),
+            lambda r2: math.exp(one_step([r1, r2], d, 5.0, 0.7)),
             -np.inf,
             np.inf,
         )[0]
@@ -145,34 +150,36 @@ class TestForecastDensity:
             s = r @ np.linalg.solve(d, r)
             expect = mvt_const(n, q) - 0.5 * (q * math.log(lam) + np.linalg.slogdet(d)[1])
             expect -= 0.5 * (n + 1.0) * math.log1p(s / lam)
-            assert forecast_logdensity(r, d, n, lam) == pytest.approx(expect, rel=1e-13, abs=0)
+            got = one_step(r, 2.0 * d, n, 0.5) if lam == 1.0 else one_step(r, d, n, lam)
+            assert got == pytest.approx(expect, rel=1e-13, abs=0)
 
     def test_2x2_hand_case(self):
         # D^{-1} = (1/16) [[5, -2], [-2, 4]], so r = (1, 1) gives s = 5/16; |D| = 16
         d = np.array([[4.0, 2.0], [2.0, 5.0]])
         expect = mvt_const(3.0, 2) - 0.5 * math.log(16.0) - 2.0 * math.log1p(5.0 / 16.0)
-        assert forecast_logdensity(np.ones(2), d, 3.0, 1.0) == pytest.approx(expect, rel=1e-14)
+        assert one_step(np.ones(2), 2.0 * d, 3.0, 0.5) == pytest.approx(expect, rel=1e-14)
 
     def test_df_bound(self):
         for n in (2.0, float("nan")):
-            with pytest.raises(InvalidParameter, match="n > q-1"):
-                forecast_logdensity(np.zeros(3), np.eye(3), n, 0.8)
+            with pytest.raises(InvalidParameter, match="invalid for q=3"):
+                one_step(np.zeros(3), np.eye(3), n, 0.8)
 
     @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan"), float("inf")])
     def test_invalid_lambda(self, lam):
         with pytest.raises(InvalidParameter, match="lambda"):
-            forecast_logdensity(np.ones(2), np.eye(2), 5.0, lam)
+            one_step(np.ones(2), np.eye(2), 5.0, lam)
 
     def test_bad_scale(self):
         with pytest.raises(InvalidParameter, match="d0 must be 2x2"):
-            forecast_logdensity(np.ones(2), np.eye(3), 5.0, 0.8)
+            one_step(np.ones(2), np.eye(3), 5.0, 0.8)
         with pytest.raises(NotPositiveDefinite):
-            forecast_logdensity(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 5.0, 0.8)
+            one_step(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 5.0, 0.8)
 
     def test_overflow_is_reported(self):
-        # s = |r|^2 = 2e400 overflows although the log density is finite
-        with pytest.raises(InvalidParameter, match="t=1:"):
-            forecast_logdensity(np.array([1e200, 1e200]), np.eye(2), 5.0, 0.9)
+        # s = |r|^2 = 2e400 overflows doubles, but log s does not: the log
+        # density is finite, with log1p(s / lam) = log s - log lam
+        expect = mvt_const(5.0, 2) - math.log(0.9) - 3.0 * (math.log(2.0) + 400.0 * math.log(10.0) - math.log(0.9))
+        assert one_step([1e200, 1e200], np.eye(2), 5.0, 0.9) == pytest.approx(expect, rel=1e-14)
 
 
 class TestForwardFilters:
@@ -287,21 +294,37 @@ class TestForwardFilters:
         np.testing.assert_array_equal(logdet, [2.0 * np.log(gt.diagonal()).sum() for gt in g[:-1]])
 
     def test_overflow_is_reported(self):
-        # s_t overflows double precision although each log density is finite
-        # (about -2.77e3 and -3.23e3 here); it must not become -inf
+        # s_t overflows double precision although each log density is finite;
+        # the references are 900-digit mpmath runs of the dense recursion
         ue = UEHyper(q=2, k=1, n=5, lam=0.9, d0=np.eye(2))
         big = np.array([[1e200, 1e200], [1e200, -1e200]])
-        # in the third series G_t overflows too, but only from t=3: the first overflow is named
-        late_g = np.vstack([big[:1], np.full((3, 2), 1.7e308)])
-        for returns, t in ((big, 1), (np.vstack([np.ones(2), big]), 2), (late_g, 1)):
+        for returns, expect in ((big, -5992.81470722051), (np.vstack([np.ones(2), big]), -5994.22008735693)):
             data = ReturnsSeries(returns)
             for run in (
-                lambda: forward_filter(data, ue),
-                lambda: forward_filter(data, match_ue_to_bb(ue)),
+                lambda: forward_filter(data, ue).loglik,
+                lambda: forward_filter(data, match_ue_to_bb(ue)).loglik,
                 lambda: marginal_loglik(data, 5.0, 0.9, np.eye(2)),
-                lambda: grid_search(data, np.eye(2), [5.0], [0.9]),
+                lambda: grid_search(data, np.eye(2), [5.0], [0.9])[2][0, 0],
             ):
-                with pytest.raises(InvalidParameter, match=f"t={t}:"):
+                assert run() == pytest.approx(expect, rel=1e-12)
+        # G_t overflows from t=3, and the first overflow is named
+        late_g = ReturnsSeries(np.vstack([big[:1], np.full((3, 2), 1.7e308)]))
+        # a finite G_{t-1} whose solve overflows: D_0 = 1e-300 I and a zero
+        # second column shrink G's second pivot by sqrt(0.01) a step, to 1e-315
+        pegged = np.zeros((166, 2))
+        pegged[:, 0], pegged[-1, 1] = 1.0, 1.0
+        for returns, d0, lam, what, t in (
+            (late_g, np.eye(2), 0.9, "D_t", 3),
+            (ReturnsSeries(pegged), 1e-300 * np.eye(2), 0.01, "s_t", 166),
+        ):
+            hyper = UEHyper(q=2, k=1, n=5, lam=lam, d0=d0)
+            for run in (
+                lambda: forward_filter(returns, hyper),
+                lambda: forward_filter(returns, match_ue_to_bb(hyper)),
+                lambda: marginal_loglik(returns, 5.0, lam, d0),
+                lambda: grid_search(returns, d0, [5.0], [lam]),
+            ):
+                with pytest.raises(InvalidParameter, match=f"{what} is not finite at t={t}$"):
                     run()
 
 
@@ -391,9 +414,9 @@ class TestNonfiniteD0:
             lambda d0: grid_search(ReturnsSeries(np.empty((0, 2))), d0, [5.0], [0.9]),
             lambda d0: grid_search(toy_series(T=3), d0, [5.0], [0.9]),
             lambda d0: marginal_loglik(toy_series(T=3), 5.0, 0.9, d0),
-            lambda d0: forecast_logdensity(np.ones(2), d0, 5.0, 0.9),
+            lambda d0: one_step(np.ones(2), d0, 5.0, 0.9),
         ],
-        ids=["UEHyper", "BBHyper", "grid_search-T0", "grid_search", "marginal_loglik", "forecast_logdensity"],
+        ids=["UEHyper", "BBHyper", "grid_search-T0", "grid_search", "marginal_loglik", "one_step"],
     )
     def test_rejected(self, call, value):
         d0 = np.eye(2)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 
-from wishartsv.errors import NotPositiveDefinite
-from wishartsv.matops import chol_update, tri_solve_stack, uchol
+import wishartsv
+from wishartsv.errors import InvalidParameter, NotPositiveDefinite
+from wishartsv.matops import _fault_at, chol_update, tri_solve_stack, uchol
 
 ENTRIES = st.floats(-1e3, 1e3)
 
@@ -166,3 +170,36 @@ class TestCholUpdate:
         expect = 2 * np.sum(np.log(np.diag(r))) + np.log1p(w @ w)
         updated = chol_update(r, x)
         assert 2 * np.sum(np.log(updated.diagonal())) == pytest.approx(expect, rel=1e-12)
+
+
+class TestFaultAt:
+    def test_no_fault_returns(self):
+        assert _fault_at((np.zeros((4, 2, 2), dtype=bool), InvalidParameter, "x")) is None
+
+    @pytest.mark.parametrize("last, t0, t", [(False, 1, 2), (True, 1, 4), (False, 0, 1), (True, 0, 3)])
+    def test_names_the_first_or_last_t(self, last, t0, t):
+        bad = np.zeros((5, 3), dtype=bool)
+        bad[1, 2] = bad[3, 0] = True  # other axes are reduced
+        with pytest.raises(InvalidParameter, match=f"^x is bad at t={t}$"):
+            _fault_at((bad, InvalidParameter, "x is bad"), t0=t0, last=last)
+
+    def test_earlier_fault_wins_at_one_t(self):
+        nonfinite, nonpositive = np.zeros(4, dtype=bool), np.zeros(4, dtype=bool)
+        nonfinite[2] = nonpositive[2] = nonpositive[1] = True
+        faults = ((nonfinite, InvalidParameter, "a"), (nonpositive, NotPositiveDefinite, "b"))
+        with pytest.raises(NotPositiveDefinite, match="^b at t=2$"):
+            _fault_at(*faults)
+        with pytest.raises(InvalidParameter, match="^a at t=3$"):
+            _fault_at(*faults, last=True)
+
+
+def test_no_explicit_inverse_in_the_package():
+    # every solve is a back-substitution (tri_solve_stack): no module forms an inverse
+    calls = []
+    for path in sorted(Path(wishartsv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("inv", "pinv"):
+                calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and any(a.name in ("inv", "pinv") for a in node.names):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

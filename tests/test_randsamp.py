@@ -8,6 +8,7 @@ from wishartsv.errors import InvalidParameter
 from wishartsv.matops import uchol
 from wishartsv.randsamp import (
     make_rng,
+    sample_bartlett_factor,
     sample_beta,
     sample_chi2,
     sample_matrix_beta,
@@ -91,6 +92,20 @@ class TestWishart:
     def test_invalid_df(self):
         with pytest.raises(InvalidParameter):
             sample_wishart_bartlett(1.5, np.eye(3), make_rng(0))
+
+
+class TestBartlettFactor:
+    @pytest.mark.parametrize("size", [None, 4])
+    def test_same_bits_as_triu_and_gamma(self, size):
+        # the strict lower triangle is +0.0 and the squared diagonal is
+        # gamma((df - i) / 2, scale 2), drawn in the same order
+        q, df = 3, 4.5
+        u = sample_bartlett_factor(q, df, make_rng(15), size=size)
+        rng = make_rng(15)
+        ref = np.triu(rng.standard_normal((q, q) if size is None else (size, q, q)), k=1)
+        idx = np.arange(q)
+        ref[..., idx, idx] = np.sqrt(rng.gamma((df - idx) / 2.0, 2.0, size=None if size is None else (size, q)))
+        assert u.tobytes() == ref.tobytes()
 
 
 class TestMatrixBeta:
