@@ -5,9 +5,9 @@ matrix ``a`` factors as ``a = R' R`` with ``R`` upper-triangular and
 positive diagonal (``R = uchol(a)``).  Lower-triangular factors never
 appear in the public surface.
 
-``sym``, ``uchol``, ``gram``, ``tri_solve_stack`` and ``chol_update``
-accept a stack of matrices of shape (..., q, q), so one call serves one
-path or every draw of an ensemble.
+``sym``, ``uchol``, ``gram`` and ``tri_solve_stack`` accept a stack of
+matrices of shape (..., q, q), so one call serves one path or every draw
+of an ensemble; ``uchol_components`` takes a stack component-major.
 
 Kernels compute; passes check.  No kernel tests for non-finite values:
 each pass (the factor path, the forecast terms, a backward pass,
@@ -15,9 +15,9 @@ each pass (the factor path, the forecast terms, a backward pass,
 once, and ``_fault_at`` raises the package error naming the time
 step.  ``uchol`` rejects a non-finite matrix.  A zero pivot makes
 ``_givens_chain`` raise NotPositiveDefinite (a Python float division by
-zero would raise ZeroDivisionError), while ``tri_solve_stack`` and
-``chol_update`` divide by 0 and return a non-finite result, which the
-calling pass reports with its t.
+zero would raise ZeroDivisionError), while ``tri_solve_stack`` divides
+by 0 and ``uchol_components`` gives NaN, and the calling pass reports the
+non-finite result with its t.
 
 ``tri_solve_stack`` is the one triangular solve: it back-substitutes
 against one factor or a whole stack at once, so no pass solves per time
@@ -29,8 +29,7 @@ recursion of rank-1 updates on a factor held as one flat row-major list,
 with rho from ``math.hypot`` (a tenth of ``np.hypot``'s cost on Python
 floats; inf on overflow) and no function call per step.  The filter's
 factor path, the single-path UE backward pass and ``simulate`` all run
-through it.  ``chol_update`` makes the same rotations on a stack at
-once, with ``np.hypot``, which rounds rho differently.
+through it; a stack of UE paths is refactored densely instead.
 """
 
 from __future__ import annotations
@@ -128,30 +127,20 @@ def tri_solve_stack(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.nda
     return np.stack(x, axis=-1)
 
 
-def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of R' R + x x' by Givens-style rank-1 update.
+def uchol_components(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factors R (R' R = A) of a stack held component-major, a[i, j] (i <= j read).
 
-    Works directly on the factor, so it stays accurate for matrices far
-    too ill-conditioned to refactor densely (the discounted scale
-    recursion D_t = lam D_{t-1} + r_t r_t' produces exactly those over
-    long horizons).  A stack r (..., q, q) with x (..., q) applies the
-    same rotations to every matrix at once, so a slice of a stack and
-    the matrix alone give the same bits; the result keeps r's memory
-    order.  The rotations are ``_givens_chain``'s with rho from ``np.hypot``
-    instead of ``math.hypot``.  A zero pivot gives NaN entries, not an error.
+    Returns r in the same layout.  Each step is one numpy operation on the whole
+    stack, so a slice gives the bits of its matrix factored alone.  A pivot that
+    is not positive gives NaN in its own matrix only, with no warning or error.
     """
-    r = np.array(r, dtype=float)
-    x = np.array(x, dtype=float)
-    q = r.shape[-1]
+    q, r = a.shape[0], np.zeros(a.shape)
     for i in range(q):
-        rho = np.hypot(r[..., i, i], x[..., i])
-        c = (r[..., i, i] / rho)[..., None]
-        s = (x[..., i] / rho)[..., None]
-        r[..., i, i] = rho
-        if i + 1 < q:
-            row = r[..., i, i + 1 :].copy()
-            r[..., i, i + 1 :] = c * row + s * x[..., i + 1 :]
-            x[..., i + 1 :] = c * x[..., i + 1 :] - s * row
+        for j in range(i, q):
+            acc = a[i, j]
+            for k in range(i):
+                acc = acc - r[k, i] * r[k, j]
+            r[i, j] = np.sqrt(np.where(acc > 0, acc, np.nan)) if j == i else acc / r[i, i]
     return r
 
 
@@ -160,7 +149,7 @@ def _givens_chain(flat: array, xs, scale: float) -> array:
 
     ``flat`` holds R_0 row-major, gets each R_{i+1} appended and is returned.
     Each x in ``xs``, a list of q floats, is rotated into the factor (one
-    flat list) and overwritten: ``chol_update``'s rotations, rho from
+    flat list) and overwritten: Givens rotations, rho from
     ``math.hypot``, row i scaled just before its rotation, which rounds as
     scaling R first would.  ``xs`` may be a generator that reads the latest
     factor, ``flat[-q * q:]``, before it yields the next x (``simulate``).

@@ -28,13 +28,13 @@ factor, then the increments for t = T-1 down to 0), and the steps
 that noise.  ``sample_ensemble`` runs all N paths, each with its own
 (seed, index) substream, through one pass on stacked factors, which
 checks G before and F after it.  Every solve against G is one
-``tri_solve_stack`` over all t and draws: F_T = W_T G_T^{-1}, the UE
-rows x_t = z_t G_t^{-1} and the BB inverses G_t^{-1}.  The BB pass
-(``_bb_chain``) has no loop over t: its two recursions are linear, so
-each is summed by recursive doubling.  UE runs Phi_t = lambda
-Phi_{t+1} + x_t' x_t, for one path as one chain of Givens rotations on
-Python floats (``_ue_chain``) and for a stack as one ``chol_update`` per
-t.  Each matches a loop of its step within 1e-12 per matrix.
+``tri_solve_stack`` over all t and draws.  The BB pass (``_bb_chain``)
+has no loop over t: its two recursions are linear, so each is summed by
+recursive doubling.  One UE path is one chain of Givens rotations on
+Python floats (``_ue_chain``); a stack runs in coordinates whitened by
+G_t (``_ue_whitened``): two small GEMMs per t for all draws, then one
+stacked Cholesky.  Each matches a loop of its step within 1e-12 per
+matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
-from .matops import _fault_at, _givens_chain, _row_exponents, chol_update, tri_solve_stack
+from .matops import _fault_at, _givens_chain, _row_exponents, tri_solve_stack, uchol_components
 from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
 from .volproc import UEHyper
 
@@ -57,11 +57,10 @@ if TYPE_CHECKING:  # filtering imports this module for simulate
 def ue_backward_step(f_next: np.ndarray, g_t: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
     """One UE backward draw of F_t (Phi_t = F_t' F_t) given F_{t+1}, G_t and noise z.
 
-    z is a row, shape (..., q), with z' z ~ Wishart(1, I); the increment
-    Z_t = x' x with x = z G_t^{-1} is added to lam Phi_{t+1} by one
-    rank-1 factor update.
+    z (..., q) is a row with z' z ~ Wishart(1, I).  The one-step case of ``_ue_whitened``,
+    on the G stack [G_t, I] from F_{t+1}: chol(lam (F_{t+1} G_t)' (F_{t+1} G_t) + z' z) G_t^{-1}.
     """
-    return chol_update(np.sqrt(lam) * f_next, tri_solve_stack(g_t, z, trans=True))
+    return _ue_whitened(np.stack([g_t, np.eye(g_t.shape[-1])]), f_next, z[None], lam)[0]
 
 
 def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.ndarray) -> np.ndarray:
@@ -138,12 +137,10 @@ def _noise(filt: FactorPath, rng: np.random.Generator):
 def _backward_pass(filt: FactorPath, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """F_0..F_T from the terminal Bartlett factor(s) and per-step noise, time axis first.
 
-    F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]):
-    BB as ``_bb_chain``; UE from the rows x_t = z_t G_t^{-1}, solved for
-    all t at once, as ``_ue_chain`` for one path (a (q, q) W_T) and as
-    one ``chol_update`` per t for a stack.  G is checked before the pass,
-    so no solve meets a zero pivot, and F after it, at the last bad t: the
-    first the backward recursion meets.
+    F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]): BB as
+    ``_bb_chain``, UE as ``_ue_chain`` for one path (a (q, q) W_T) and ``_ue_whitened``
+    for a stack.  G is checked before the pass, so no solve meets a zero pivot, and F
+    after it, at the last bad t: the first the backward recursion meets.
     """
     g = filt.g
     # at one t a non-finite entry is named before a diagonal entry <= 0
@@ -152,33 +149,47 @@ def _backward_pass(filt: FactorPath, w_T: np.ndarray, noise: np.ndarray) -> np.n
                "filter factor G has a diagonal entry <= 0"), t0=0)
     T, lam = g.shape[0] - 1, filt.discount
     with np.errstate(all="ignore"):  # a non-finite F_t is reported below
-        f_T = tri_solve_stack(g[T], w_T, trans=True)  # every row of W_T
-        if not isinstance(filt.hyper, UEHyper):
-            f = _bb_chain(g[:T], f_T, noise, lam)
+        if isinstance(filt.hyper, UEHyper):
+            f = (_ue_chain if w_T.ndim == 2 else _ue_whitened)(g, w_T, noise, lam)
         else:
-            # x_t = z_t G_t^{-1} for every t, G_t broadcast over a stack's draws axis
-            x = tri_solve_stack(g[:T].reshape((T,) + (1,) * (noise.ndim - 2) + g.shape[1:]), noise, trans=True)
-            if w_T.ndim == 2:
-                f = _ue_chain(f_T, x, lam)
-            else:
-                f = np.empty((T + 1,) + w_T.shape)
-                f[T] = f_T
-                for t in range(T - 1, -1, -1):
-                    f[t] = chol_update(math.sqrt(lam) * f[t + 1], x[t])
+            f = _bb_chain(g[:T], tri_solve_stack(g[T], w_T, trans=True), noise, lam)
     _fault_at((~np.isfinite(f), InvalidParameter, "sampled factor F is not finite"),
               (np.diagonal(f, axis1=-2, axis2=-1) <= 0, NotPositiveDefinite,
                "sampled factor F has a diagonal entry <= 0"), t0=0, last=True)
     return f
 
 
-def _ue_chain(f_T: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
-    """One UE path from F_T and the rows x_0..x_{T-1}, as Phi_t = lam Phi_{t+1} + x_t' x_t.
-
-    ``_givens_chain`` rotates the rows in from F_T down to F_0.
-    """
-    T, q = x.shape
+def _ue_chain(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
+    """One UE path from G_0..G_T, W_T and rows z (T, q): ``_givens_chain`` over x_t = z_t G_t^{-1}."""
+    T, q = z.shape
+    f_T, x = tri_solve_stack(g[T], w_T, trans=True), tri_solve_stack(g[:T], z, trans=True)
     flat = _givens_chain(array("d", f_T.ravel().tolist()), x[::-1].tolist(), math.sqrt(lam))
     return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
+
+
+def _ue_whitened(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
+    """UE paths from G_0..G_T, W_T (..., q, q) and rows z (T, ..., q), whitened by G_t.
+
+    Psi_t = G_t' Phi_t G_t = lam A_t' Psi_{t+1} A_t + z_t' z_t from Psi_T = W_T' W_T,
+    A_t = G_{t+1}^{-1} G_t.  Psi_t is Wishart(k_t, I)-like and ||sqrt(lam) A_t|| <= 1
+    (D_{t+1} = lam D_t + r r'), so every term is of order 1 however ill-conditioned D_t
+    is.  The draws' Psi_{t+1} is one (q, N, q) block: a step is two 2-D GEMMs and an add.
+    Then F_t = chol(Psi_t) G_t^{-1}, and F_T = W_T G_T^{-1} exactly.
+    """
+    T, q, lead, n = g.shape[0] - 1, g.shape[-1], w_T.shape[:-2], math.prod(w_T.shape[:-2])
+    w, z = w_T.reshape(n, q, q), z.reshape(T, n, q)
+    a = math.sqrt(lam) * np.swapaxes(tri_solve_stack(g[1:, None], np.swapaxes(g[:-1], -1, -2)), -1, -2)  # G_{t+1} A_t = G_t
+    psi = np.empty((T + 1, q, n * q))  # psi[t, i, d * q + j] is entry (i, j) of draw d's Psi_t
+    np.multiply(np.swapaxes(z, 1, 2)[..., None], z[:, None], out=psi[:T].reshape(T, q, n, q))  # z_t' z_t
+    psi[T] = np.swapaxes(np.swapaxes(w, 1, 2) @ w, 0, 1).reshape(q, n * q)
+    for t in range(T - 1, -1, -1):
+        psi[t] += a[t].T @ (psi[t + 1].reshape(q * n, q) @ a[t]).reshape(q, n * q)
+    c = uchol_components(psi.reshape(T + 1, q, n, q).transpose(1, 3, 0, 2))
+    del psi
+    # F_t = C_t G_t^{-1}, row i of G_t^{-1} solving G_t' x = e_i; draws first, as sample_ensemble returns them
+    f = c.transpose(3, 2, 0, 1) @ tri_solve_stack(g[:, None], np.eye(q), trans=True)
+    f[:, T] = tri_solve_stack(g[T], w, trans=True)  # every row of W_T
+    return np.swapaxes(f, 0, 1).reshape((T + 1,) + lead + (q, q))
 
 
 def backward_sample(filt: FactorPath, rng: np.random.Generator) -> np.ndarray:
@@ -196,8 +207,7 @@ def sample_ensemble(filt: FactorPath, n_draws: int, seed: int) -> np.ndarray:
     """Independent backward draws with per-draw (seed, index) substreams.
 
     Draw i consumes substream (seed, i) exactly as ``backward_sample``
-    would; all draws then run through one backward pass on (N, q, q)
-    stacks.
+    would; all draws then run through one backward pass on stacks.
     """
     if n_draws < 1:
         raise InvalidParameter(f"n_draws must be >= 1, got {n_draws}")

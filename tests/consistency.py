@@ -7,7 +7,9 @@ Kummer's relation U(-1/2, 0, z) = z U(1/2, 2, z) by quadrature, apart
 from the package's Bessel closed form (criterion 6).
 ``bb_backward_step_product`` is the BB backward step as a product and a
 LAPACK solve, the form the package's closed form is checked against.
-``rchol`` gives the filter's factor G of a dense D, G G' = D.
+``rchol`` gives the filter's factor G of a dense D, G G' = D, and
+``chol_update`` a rank-1 update of a stack of factors by Givens
+rotations, the reference the filter's factor path is checked against.
 """
 
 import math
@@ -25,6 +27,32 @@ from wishartsv.volproc import bb_evolve, ue_evolve
 def rchol(a: np.ndarray) -> np.ndarray:
     """Upper-triangular G with G G' = a: J uchol(J a J)' J, J the reversal."""
     return uchol(np.asarray(a, dtype=float)[::-1, ::-1]).T[::-1, ::-1]
+
+
+def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of R' R + x x' by Givens-style rank-1 update.
+
+    Works directly on the factor, so it stays accurate for matrices far
+    too ill-conditioned to refactor densely.  A stack r (..., q, q) with
+    x (..., q) applies the same rotations to every matrix at once, so a
+    slice of a stack and the matrix alone give the same bits; the result
+    keeps r's memory order.  The package's Givens loop makes the same
+    rotations with rho from ``math.hypot``; here rho comes from
+    ``np.hypot``.  A zero pivot gives NaN entries, not an error.
+    """
+    r = np.array(r, dtype=float)
+    x = np.array(x, dtype=float)
+    q = r.shape[-1]
+    for i in range(q):
+        rho = np.hypot(r[..., i, i], x[..., i])
+        c = (r[..., i, i] / rho)[..., None]
+        s = (x[..., i] / rho)[..., None]
+        r[..., i, i] = rho
+        if i + 1 < q:
+            row = r[..., i, i + 1 :].copy()
+            r[..., i, i + 1 :] = c * row + s * x[..., i + 1 :]
+            x[..., i + 1 :] = c * x[..., i + 1 :] - s * row
+    return r
 
 
 def kummer_partner(z: float) -> float:

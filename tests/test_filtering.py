@@ -10,7 +10,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 from scipy.stats import cauchy
 
-from consistency import rchol
+from consistency import chol_update, rchol
 from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     ReturnsSeries,
@@ -23,7 +23,6 @@ from wishartsv.filtering import (
     marginal_loglik,
     simulate,
 )
-from wishartsv.matops import chol_update
 from wishartsv.volproc import BBHyper, UEHyper, match_ue_to_bb
 
 

@@ -5,9 +5,10 @@ Recorded with the per-draw sequential samplers, where draw i of
 ``backward_sample(filt, substream(seed, i))``.  A refactor that keeps
 the RNG draw order and the arithmetic keeps these bytes.  The UE
 ensemble is held to the single-path sampler within a per-matrix
-relative 1e-12 instead: a stack of UE paths rotates with
-``chol_update``, whose rho comes from ``np.hypot``, and one path with
-the Givens chain on Python floats, whose rho comes from ``math.hypot``.
+relative 1e-12 instead: a stack of UE paths runs its recursion densely
+in coordinates whitened by the filter's factor and refactors each
+Psi_t = G_t' Phi_t G_t, while one path rotates its rows into the factor
+with the Givens chain on Python floats.
 
 Re-recorded once when the passes stopped making per-step LAPACK calls
 (the BB backward pass in closed form, back-substitution over stacks,

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 
+from consistency import chol_update
 import wishartsv
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
-from wishartsv.matops import _fault_at, chol_update, tri_solve_stack, uchol
+from wishartsv.matops import _fault_at, tri_solve_stack, uchol, uchol_components
 
 ENTRIES = st.floats(-1e3, 1e3)
 
@@ -170,6 +172,53 @@ class TestCholUpdate:
         expect = 2 * np.sum(np.log(np.diag(r))) + np.log1p(w @ w)
         updated = chol_update(r, x)
         assert 2 * np.sum(np.log(updated.diagonal())) == pytest.approx(expect, rel=1e-12)
+
+
+def components(a):
+    """A stack (..., q, q) component-major, (q, q, ...)."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
+def stacked(r):
+    """A component-major stack (q, q, ...) as (..., q, q)."""
+    return np.moveaxis(r, (0, 1), (-2, -1))
+
+
+def spd_stack(rng, n, q):
+    m = rng.standard_normal((n, q, q))
+    return np.swapaxes(m, -1, -2) @ m + 0.1 * np.eye(q)
+
+
+class TestUcholComponents:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_matches_lapack(self, q):
+        a = spd_stack(np.random.default_rng(q), 200, q)
+        r = stacked(uchol_components(components(a)))
+        ref = np.swapaxes(np.linalg.cholesky(a), -1, -2)
+        assert (np.linalg.norm(r - ref, axis=(-2, -1)) <= 1e-13 * np.linalg.norm(ref, axis=(-2, -1))).all()
+        assert (np.tril(r, -1) == 0).all()
+
+    def test_slice_is_the_matrix_alone(self):
+        a = spd_stack(np.random.default_rng(7), 6, 4)
+        r = uchol_components(components(a))
+        for i in range(len(a)):
+            np.testing.assert_array_equal(r[..., i], uchol_components(a[i]))
+
+    def test_reads_the_upper_triangle(self):
+        a = spd_stack(np.random.default_rng(8), 5, 3)
+        junk = np.tril(np.full((3, 3), np.nan), -1)
+        np.testing.assert_array_equal(uchol_components(components(a + junk)), uchol_components(components(a)))
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1.0, 2.0]), np.ones((3, 3))])
+    def test_not_positive_definite_is_nan_in_its_slice(self, bad):
+        a = spd_stack(np.random.default_rng(9), 4, 3)
+        a[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = stacked(uchol_components(components(a)))
+        assert np.isnan(r[2]).any()
+        keep = [0, 1, 3]
+        np.testing.assert_array_equal(r[keep], stacked(uchol_components(components(a[keep]))))
 
 
 class TestFaultAt:

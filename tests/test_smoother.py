@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -202,11 +203,10 @@ class TestSinglePathEquivalence:
     def test_samplers_match_public_steps(self, q, T, discount, matched, df_excess, beta_frac, seed):
         # each sampler must be a loop of its public step on the noise it
         # documents: the terminal Bartlett factor, then the increments for
-        # t = T - 1 down to 0, within 1e-12 per matrix.  One UE path solves
-        # its rows by back-substitution and rotates with math.hypot, while
-        # the step makes a LAPACK solve and chol_update's np.hypot; the BB
-        # pass sums its recursions by recursive doubling, which rounds
-        # otherwise than a loop of its one-step case
+        # t = T - 1 down to 0, within 1e-12 per matrix.  One UE path rotates
+        # its rows in with math.hypot, while the step refactors densely in
+        # whitened coordinates; the BB pass sums its recursions by recursive
+        # doubling, which rounds otherwise than a loop of its one-step case
         fu, fb = random_filters(q, T, discount, matched, df_excess, beta_frac, seed)
 
         noise = make_rng(seed)
@@ -226,6 +226,17 @@ class TestSinglePathEquivalence:
         fb = random_filters(q, T, discount, matched, df_excess, beta_frac, seed)[1]
         expect = stepwise_path(fb, *bb_noise(fb, seed), bb_backward_step_product)
         assert_close_per_matrix(backward_sample(fb, make_rng(seed)), expect, 1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**FILTER_CASES)
+    def test_ensembles_match_single_paths(self, q, T, discount, matched, df_excess, beta_frac, seed):
+        # each draw of a stacked pass is its single path within 1e-12 per
+        # matrix, at every T from 0 and every q: the UE stack runs whitened
+        # and refactored, its single path as a Givens chain
+        for filt in random_filters(q, T, discount, matched, df_excess, beta_frac, seed):
+            ens = sample_ensemble(filt, 3, seed % 1000)
+            for i in range(3):
+                assert_close_per_matrix(ens[i], backward_sample(filt, substream(seed % 1000, i)), 1e-12)
 
 
 class TestFactorPathInput:
@@ -414,6 +425,35 @@ class TestIllConditioned:
         assert_close_per_matrix(path, stepwise_path(fb, *bb_noise(fb, 3), bb_backward_step_product), 1e-12)
         expect = stepwise_path(fb, np.stack(w_T), np.stack(theta, axis=1), bb_backward_step_product)
         assert_close_per_matrix(ens, np.swapaxes(expect, 0, 1), 1e-12)
+
+    @pytest.mark.parametrize("case", ["wide-range", "criterion13"])
+    def test_ue_ensemble_over_a_wide_range(self, case):
+        # the stacked UE pass works in coordinates whitened by G_t: on a
+        # series whose G diagonal spans 1e203 over t, and on criterion 13's
+        # series, each draw of the ensemble is its single path
+        q, n, lam, T, seed, n_draws = {
+            "wide-range": (5, 6.0, 0.9, 2000, 3, 4),
+            "criterion13": (3, 6.0, 0.85, 1000, 42, 10),
+        }[case]
+        ue = UEHyper(q=q, k=1, n=n, lam=lam, d0=np.eye(q))
+        data, _ = simulate(ue, T, seed=seed)
+        fu = forward_filter(data, ue)
+        ens = sample_ensemble(fu, n_draws, seed=3)
+        assert_factors(ens)
+        for i in range(n_draws):
+            assert_close_per_matrix(ens[i], backward_sample(fu, substream(3, i)), 1e-12)
+
+    def test_no_warning_escapes_the_stacked_ue_pass(self):
+        # a pivot that is not positive is NaN in its own slice, reported by
+        # the pass as an error naming t, with no RuntimeWarning on the way
+        data, ue, bb, fu, fb = filters(T=4, q=2)
+        w_T = np.stack([np.eye(2), np.diag([0.0, 1.0])])
+        z = np.ones((4, 2, 2))
+        z[3, 1, 0] = 0.0  # Psi_3 of draw 1 is diag(0, c): its first pivot is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="F .* t=4$"):
+                _backward_pass(fu, w_T, z)
 
 
 class TestJointConsistency:
