@@ -135,8 +135,8 @@ def mixture_gibbs(
     """Missing-data-augmented Gibbs sampler for the two-model mixture.
 
     Once per chain, each model filters the observed series, which checks
-    it, forecast terms included; every sweep reuses that filter's df path,
-    discount and D_0 factor, and the first sweep its factors.  Per sweep,
+    it; every sweep reuses that filter's df path, discount and D_0 factor,
+    and the first sweep its factors.  Per sweep,
     in draw order: (1) the UE, then the BB precision path, each by a
     backward sample of its ``FactorPath`` on its imputed series (the Givens
     chain alone, no forecast term); (2) all z_t from one ``rng.random(T)``,

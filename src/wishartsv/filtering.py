@@ -19,11 +19,11 @@ Phi_t, so the backward samplers, which read only a ``FactorPath``, need
 nothing but triangular products and solves against G_t.  Its loop over t
 is one Givens rank-1 update per step (Gill, Golub, Murray & Saunders
 1974) on Python floats, with no numpy call or solve inside it.
-``_forecast_terms`` then yields s_t = r_t' D_{t-1}^{-1} r_t, from one
-back-substitution over all t, and log|D_{t-1}|; s_t may overflow while
-its log, and so the density, stays finite.  Neither depends on n: the
-filter and ``grid_search`` (so ``marginal_loglik``, its one-cell case,
-which serves a single step too) reduce them through
+``_forecast_terms`` then reads log(1 + s_t / disc), with s_t = r_t'
+D_{t-1}^{-1} r_t, and log|D_{t-1}| off G's diagonal alone: by the matrix
+determinant lemma the first is log|D_t| - log|disc D_{t-1}|.  Neither
+depends on n: the filter and ``grid_search`` (so ``marginal_loglik``,
+its one-cell case, which serves a single step too) reduce them through
 ``_forecast_logdensity``; a grid factors D_0 once.  A mixture sweep runs
 ``_factor_path`` alone, through ``_factor_path_on``.
 
@@ -47,13 +47,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import _fault_at, _givens_chain, _row_exponents, gram, tri_solve_stack, uchol
+from .matops import _fault_at, _givens_chain, gram, tri_solve_stack, uchol
 from .randsamp import make_rng, sample_bartlett_factor, substream
 from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper, _prior_scale
 
 LOG_PI = np.log(np.pi)
-LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -106,22 +105,19 @@ class FilterOutput(FactorPath):
     loglik: float
 
 
-def _forecast_logdensity(s, log_s, logdet, n, lam: float, q: int):
+def _forecast_logdensity(b, logdet, n, lam: float, q: int):
     """Log one-step forecast density of r_t | D_{t-1} (k = 1 likelihood); elementwise over arrays.
 
     Multivariate-t: Gamma((n+1)/2)/Gamma((n+1-q)/2) * |lam D|^{-1/2} *
-    pi^{-q/2} * (1 + s / lam)^{-(n+1)/2}, from s = r' D^{-1} r, log s and
-    log|D|.  Where s / lam overflows, log1p(s / lam) = log s - log lam
-    to double precision.
+    pi^{-q/2} * (1 + s / lam)^{-(n+1)/2}, from b = log(1 + s / lam) and
+    log|D| (``_forecast_terms``).
     """
-    with np.errstate(over="ignore"):
-        x = s / lam
     return (
         gammaln((n + 1.0) / 2.0)
         - gammaln((n + 1.0 - q) / 2.0)
         - 0.5 * (q * np.log(lam) + logdet)
         - 0.5 * q * LOG_PI
-        - 0.5 * (n + 1.0) * np.where(np.isinf(x), log_s - np.log(lam), np.log1p(x))
+        - 0.5 * (n + 1.0) * b
     )
 
 
@@ -138,15 +134,12 @@ def _factor_path(returns: np.ndarray, jg0: np.ndarray, discount: float) -> np.nd
     drives cond(D_t) far past what dense refactorization tolerates.  The
     loop, ``matops._givens_chain``, rotates one flat list of Python floats
     (at q <= 5 a numpy call per step costs more than the arithmetic).
-    Raises InvalidParameter at the first t where G_t is not finite, or
-    an earlier s_t (``_forecast_terms``) is: the first overflow is named.
+    Raises InvalidParameter at the first t where G_t is not finite.
     """
     T, q = returns.shape
     flat = _givens_chain(array("d", jg0.ravel().tolist()), returns[:, ::-1].tolist(), math.sqrt(discount))
     g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
-    bad = ~np.isfinite(g[1:])
-    if bad.any():  # s_t needs only G_{t-1}: at the first bad G_t, s_1..s_t are checked with it
-        _forecast_terms(g, returns, (bad, InvalidParameter, "scale recursion overflows: D_t is not finite"))
+    _fault_at((~np.isfinite(g[1:]), InvalidParameter, "scale recursion overflows: D_t is not finite"))
     return g
 
 
@@ -156,26 +149,18 @@ def _factor_path_on(path: FactorPath, returns: np.ndarray) -> FactorPath:
     return FactorPath(path.hyper, g, path.k_seq, path.df_prior, path.discount)
 
 
-def _forecast_terms(g: np.ndarray, returns: np.ndarray, *faults):
-    """(s, log s, logdet): s[t-1] = r_t' D_{t-1}^{-1} r_t = |G_{t-1}^{-1} r_t|^2 and logdet[t-1] = log|D_{t-1}|.
+def _forecast_terms(g: np.ndarray, discount: float):
+    """(b, logdet): b[t-1] = log(1 + s_t / discount) and logdet[t-1] = log|D_{t-1}|, from G's diagonal.
 
-    Each r_t is scaled by a power of two before the back-substitution and
-    each w_t = G_{t-1}^{-1} r_t before its norm, so neither overflows: s
-    keeps the bits of the unscaled sum and is inf only where it overflows
-    doubles, and log s is finite there.  Raises InvalidParameter at the
-    first t where the solve itself overflows (a G_{t-1} with a tiny pivot)
-    or one of ``faults``, checked after s at each t, holds.
+    Here s_t = r_t' D_{t-1}^{-1} r_t.  By the matrix determinant lemma
+    |discount D_{t-1} + r_t r_t'| = discount^q |D_{t-1}| (1 + s_t / discount),
+    so b[t-1] = log|D_t| - log|discount D_{t-1}|: no solve, and b stays
+    finite where s_t overflows.  Each log g_ii is differenced on its own;
+    a ratio g_ii(t) / g_ii(t-1) overflows at a subnormal pivot.
     """
-    g_prev = g[:-1]
-    e = _row_exponents(returns)
-    with np.errstate(all="ignore"):  # a non-finite w_t is reported below; s overflows to inf
-        w = tri_solve_stack(g_prev, np.ldexp(returns, -e[:, None]))
-        f = _row_exponents(w)
-        w = np.ldexp(w, -f[:, None])
-        ss, e2 = sum(w[:, i] * w[:, i] for i in range(returns.shape[1])), 2 * (e + f)
-        s, log_s = np.ldexp(ss, e2), np.log(ss) + e2 * LOG_2
-    _fault_at((~np.isfinite(ss), InvalidParameter, "scale recursion overflows: s_t is not finite"), *faults)
-    return s, log_s, 2.0 * np.log(np.diagonal(g_prev, axis1=1, axis2=2)).sum(axis=1)
+    log_diag = np.log(np.diagonal(g, axis1=1, axis2=2))
+    b = 2.0 * (log_diag[1:] - log_diag[:-1]).sum(axis=1) - g.shape[-1] * math.log(discount)
+    return b, 2.0 * log_diag[:-1].sum(axis=1)
 
 
 def _df_path(hyper, T: int):
@@ -216,7 +201,7 @@ def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutpu
     if data.q != hyper.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {hyper.q}")
     g = _factor_path(data.returns, _reversed_factor(hyper.d0, data.q), discount)
-    log_forecast = _forecast_logdensity(*_forecast_terms(g, data.returns), df_prior, discount, data.q)
+    log_forecast = _forecast_logdensity(*_forecast_terms(g, discount), df_prior, discount, data.q)
     return FilterOutput(hyper, g, k_seq, df_prior, discount, log_forecast, float(log_forecast.sum()))
 
 
@@ -299,7 +284,7 @@ def grid_search(
     surface = np.empty((len(n_grid), len(lambda_grid)))
     jg0 = _reversed_factor(d0, q)
     for j, lam in enumerate(lambda_grid):
-        terms = _forecast_terms(_factor_path(data.returns, jg0, lam), data.returns)
+        terms = _forecast_terms(_factor_path(data.returns, jg0, lam), lam)
         surface[:, j] = _forecast_logdensity(*terms, n_col, lam, q).sum(axis=1)
     best = np.unravel_index(np.argmax(surface), surface.shape)
     return float(n_grid[best[0]]), float(lambda_grid[best[1]]), surface

@@ -10,10 +10,9 @@ matrices of shape (..., q, q), so one call serves one path or every draw
 of an ensemble; ``uchol_components`` takes a stack component-major.
 
 Kernels compute; passes check.  No kernel tests for non-finite values:
-each pass (the factor path, the forecast terms, a backward pass,
-``simulate``, a mixture sweep) checks its input once and its output
-once, and ``_fault_at`` raises the package error naming the time
-step.  ``uchol`` rejects a non-finite matrix.  A zero pivot makes
+each pass (the factor path, a backward pass, ``simulate``, a mixture
+sweep) checks its input once and its output once, and ``_fault_at``
+raises the package error naming the time step.  ``uchol`` rejects a non-finite matrix.  A zero pivot makes
 ``_givens_chain`` raise NotPositiveDefinite (a Python float division by
 zero would raise ZeroDivisionError), while ``tri_solve_stack`` divides
 by 0 and ``uchol_components`` gives NaN, and the calling pass reports the

@@ -71,18 +71,6 @@ def sample_wishart_factor(q: int, df: float, rng: np.random.Generator, size: int
     )
 
 
-def sample_wishart_bartlett(
-    df: float, scale_chol: np.ndarray, rng: np.random.Generator, size: int | None = None
-):
-    """Wishart_q(df, A) draw(s) (W P)' W P with ``scale_chol = P``, P' P = A.
-
-    W comes from ``sample_wishart_factor``.  With ``size`` set, returns
-    (size, q, q).
-    """
-    p = np.asarray(scale_chol, dtype=float)
-    return gram(sample_wishart_factor(p.shape[0], df, rng, size=size) @ p)
-
-
 def sample_matrix_beta(
     q: int, n1: float, n2: float, rng: np.random.Generator, size: int | None = None
 ):

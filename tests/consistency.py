@@ -10,6 +10,8 @@ LAPACK solve, the form the package's closed form is checked against.
 ``rchol`` gives the filter's factor G of a dense D, G G' = D, and
 ``chol_update`` a rank-1 update of a stack of factors by Givens
 rotations, the reference the filter's factor path is checked against.
+``wishart_draws`` draws Wishart_q(df, P' P) matrices from the package's
+Bartlett factors.
 """
 
 import math
@@ -19,9 +21,15 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 
 from wishartsv.matops import gram, tri_solve_stack, uchol
-from wishartsv.randsamp import sample_chi2, sample_wishart_bartlett, sample_wishart_factor
+from wishartsv.randsamp import sample_chi2, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, ue_backward_step
 from wishartsv.volproc import bb_evolve, ue_evolve
+
+
+def wishart_draws(df: float, p: np.ndarray, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Wishart_q(df, P' P) draw(s) (W P)' W P, W from ``sample_wishart_factor``; (size, q, q) with ``size``."""
+    p = np.asarray(p, dtype=float)
+    return gram(sample_wishart_factor(p.shape[0], df, rng, size=size) @ p)
 
 
 def rchol(a: np.ndarray) -> np.ndarray:
@@ -106,7 +114,7 @@ def joint_consistency_report(
     p_t = solve_triangular(g_t, np.eye(q))  # P_t = G_t^{-1}, P_t' P_t = D_t^{-1}
 
     # forward join: Phi_t | D_t, then one evolution step
-    at = sample_wishart_bartlett(k_t, p_t, rng, size=n_draws)
+    at = wishart_draws(k_t, p_t, rng, size=n_draws)
     anext = ue_evolve(at, hyper, rng) if model == "ue" else bb_evolve(at, k_t, hyper, rng, p_prev=p_t)
 
     # backward join: Phi_{t+1} from the one-step prior (under matching the

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import cauchy, chi2 as chi2_dist, kstest
 from scipy.stats import beta as beta_dist
 
-from consistency import joint_consistency_report, kummer_partner
+from consistency import joint_consistency_report, kummer_partner, wishart_draws
 from wishartsv.compare import (
     MixtureConfig,
     log_plr,
@@ -32,7 +32,6 @@ from wishartsv.randsamp import (
     make_rng,
     sample_chi2,
     sample_matrix_beta,
-    sample_wishart_bartlett,
 )
 from wishartsv.smoother import bb_backward_step
 from wishartsv.specfun import tricomi_u_neg_half
@@ -217,7 +216,7 @@ def test_criterion_09_forecast_normalization():
         n, lam = 5.0, 0.8
         rng = make_rng(909)
         p = uchol(np.linalg.inv(lam * d))  # P' P = (lam D)^{-1}
-        phis = sample_wishart_bartlett(n, p, rng, size=200_000)
+        phis = wishart_draws(n, p, rng, size=200_000)
         ld = np.linalg.slogdet(phis)[1]
         for r in (np.array([0.3, -0.5]), np.array([1.5, 1.0])):
             qf = np.einsum("i,nij,j->n", r, phis, r)

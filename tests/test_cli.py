@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,8 +289,11 @@ class TestMain:
 
     def test_import_leaves_scipy_signal_out(self):
         # scipy.signal adds about 4 MB to a bare interpreter's peak RSS
+        # the child sees the checkout's src, as pytest's pythonpath does here
         code = "import sys, wishartsv.cli; print('scipy.signal' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
 
     def test_cli_end_to_end(self, returns_csv, tmp_path):

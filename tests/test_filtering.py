@@ -1,3 +1,4 @@
+import functools
 import math
 from decimal import Decimal, localcontext
 
@@ -32,10 +33,9 @@ def toy_series(T=40, q=2, seed=0):
 
 
 def scale_terms(returns, d0, discount):
-    """(g, s, logdet): the factor path from D_0 and its forecast terms."""
+    """(g, b, logdet): the factor path from D_0 and its forecast terms."""
     g = _factor_path(returns, _reversed_factor(d0, returns.shape[1]), discount)
-    s, _, logdet = _forecast_terms(g, returns)
-    return g, s, logdet
+    return (g, *_forecast_terms(g, discount))
 
 
 def one_step(r, d, n, lam):
@@ -60,8 +60,10 @@ def dense_loglik(returns, n, lam, d0):
 
 
 def decimal_loglik(returns, n, lam, digits=60):
-    """dense_loglik in ``digits``-digit decimal arithmetic (d0 = I).
+    """dense_loglik in ``digits``-digit decimal arithmetic (d0 = I), with its two sums.
 
+    Returns (loglik, sum_t log|D_{t-1}|, sum_t log(1 + s_t / lam)); the
+    sums do not depend on n, so one pass serves every n at this lam.
     Each step solves D_{t-1} x = r_t by Gaussian elimination, which also
     gives |D_{t-1}| as the product of the pivots.  Inputs are converted
     exactly from binary, so the only rounding is at ``digits`` digits,
@@ -72,7 +74,7 @@ def decimal_loglik(returns, n, lam, digits=60):
         ctx.prec = digits
         lam_d = Decimal(lam)
         d = [[Decimal(int(i == j)) for j in range(q)] for i in range(q)]
-        total = Decimal(0)
+        logdet, log1p = Decimal(0), Decimal(0)
         for row in returns:
             r = [Decimal(float(x)) for x in row]
             a = [d[i][:] + [r[i]] for i in range(q)]
@@ -87,9 +89,19 @@ def decimal_loglik(returns, n, lam, digits=60):
             for i in reversed(range(q)):
                 x[i] = (a[i][q] - sum(a[i][j] * x[j] for j in range(i + 1, q))) / a[i][i]
             s = sum(r[i] * x[i] for i in range(q))
-            total -= (q * lam_d.ln() + det.ln()) / 2 + Decimal(n + 1.0) / 2 * (1 + s / lam_d).ln()
+            logdet += det.ln()
+            log1p += (1 + s / lam_d).ln()
             d = [[lam_d * d[i][j] + r[i] * r[j] for j in range(q)] for i in range(q)]
-    return float(total) + T * mvt_const(n, q)
+        total = -(T * q * lam_d.ln() + logdet) / 2 - Decimal(n + 1.0) / 2 * log1p
+    return float(total) + T * mvt_const(n, q), float(logdet), float(log1p)
+
+
+@functools.cache
+def criterion13_reference(lam):
+    """Criterion 13's series (the UE law at q = 3, n = 6, lambda = 0.85, T = 1000, seed 42)
+    and ``decimal_loglik``'s two sums on it at ``lam``: one 60-digit pass per lam."""
+    data, _ = simulate(UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3)), 1000, seed=42)
+    return data, decimal_loglik(data.returns, 6.0, lam)
 
 
 class TestReturnsSeries:
@@ -251,12 +263,14 @@ class TestForwardFilters:
         lam=st.floats(0.05, 0.99),
     )
     def test_scale_equivariance(self, c, T, r, d0, n, lam):
-        # returns x c and D_0 x c^2 give D_t x c^2: s_t = r_t' D_{t-1}^{-1} r_t
-        # is unchanged and each forecast log density drops by q log c
+        # returns x c and D_0 x c^2 give D_t x c^2: b_t = log(1 + s_t / lam)
+        # is unchanged and each forecast log density drops by q log c.  b_t
+        # is a difference of logs of size up to |log c| = 345, so it holds
+        # to an absolute, not a relative, bound
         returns = np.full((T, 1), r)
-        s = scale_terms(returns, np.array([[d0]]), lam)[1]
-        s_c = scale_terms(c * returns, np.array([[c * c * d0]]), lam)[1]
-        np.testing.assert_allclose(s_c, s, rtol=1e-12, atol=0)
+        b = scale_terms(returns, np.array([[d0]]), lam)[1]
+        b_c = scale_terms(c * returns, np.array([[c * c * d0]]), lam)[1]
+        np.testing.assert_allclose(b_c, b, rtol=0, atol=1e-12)
         ue = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[d0]]))
         ue_c = UEHyper(q=1, k=1, n=n, lam=lam, d0=np.array([[c * c * d0]]))
         ll = forward_filter(ReturnsSeries(returns), ue).loglik
@@ -280,7 +294,7 @@ class TestForwardFilters:
         a = rng.standard_normal((q, q))
         d0 = a @ a.T + 0.1 * np.eye(q)
         returns = rng.standard_normal((T, q))
-        g, s, logdet = scale_terms(returns, d0, discount)
+        g, b, logdet = scale_terms(returns, d0, discount)
         g_rev = rchol(d0).T[::-1, ::-1][None]
         ref = [g_rev[0].T[::-1, ::-1]]
         for r in returns:
@@ -289,42 +303,43 @@ class TestForwardFilters:
         ref = np.array(ref)
         assert (np.abs(g - ref).max(axis=(1, 2)) <= 1e-14 * np.abs(ref).max(axis=(1, 2))).all()
         w = [solve_triangular(ref[t], returns[t]) for t in range(T)]
-        np.testing.assert_allclose(s, [wt @ wt for wt in w], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(b, [math.log1p(wt @ wt / discount) for wt in w], rtol=0, atol=1e-13)
         np.testing.assert_array_equal(logdet, [2.0 * np.log(gt.diagonal()).sum() for gt in g[:-1]])
 
     def test_overflow_is_reported(self):
-        # s_t overflows double precision although each log density is finite;
-        # the references are 900-digit mpmath runs of the dense recursion
+        # s_t overflows double precision although each log density is finite.
+        # The 1e200 references are 900-digit mpmath runs of the dense
+        # recursion.  In the pegged case, D_0 = 1e-300 I and a zero second
+        # column shrink G's second pivot by sqrt(0.01) a step, to 1e-315, and
+        # the last return then meets it; its reference is the closed form of
+        # the diagonal recursion in 60-digit mpmath
         ue = UEHyper(q=2, k=1, n=5, lam=0.9, d0=np.eye(2))
         big = np.array([[1e200, 1e200], [1e200, -1e200]])
-        for returns, expect in ((big, -5992.81470722051), (np.vstack([np.ones(2), big]), -5994.22008735693)):
-            data = ReturnsSeries(returns)
+        pegged = np.zeros((166, 2))
+        pegged[:, 0], pegged[-1, 1] = 1.0, 1.0
+        for returns, d0, lam, expect in (
+            (big, np.eye(2), 0.9, -5992.81470722051),
+            (np.vstack([np.ones(2), big]), np.eye(2), 0.9, -5994.22008735693),
+            (pegged, 1e-300 * np.eye(2), 0.01, 81184.71355973482),
+        ):
+            data, hyper = ReturnsSeries(returns), UEHyper(q=2, k=1, n=5, lam=lam, d0=d0)
             for run in (
-                lambda: forward_filter(data, ue).loglik,
-                lambda: forward_filter(data, match_ue_to_bb(ue)).loglik,
-                lambda: marginal_loglik(data, 5.0, 0.9, np.eye(2)),
-                lambda: grid_search(data, np.eye(2), [5.0], [0.9])[2][0, 0],
+                lambda: forward_filter(data, hyper).loglik,
+                lambda: forward_filter(data, match_ue_to_bb(hyper)).loglik,
+                lambda: marginal_loglik(data, 5.0, lam, d0),
+                lambda: grid_search(data, d0, [5.0], [lam])[2][0, 0],
             ):
                 assert run() == pytest.approx(expect, rel=1e-12)
         # G_t overflows from t=3, and the first overflow is named
         late_g = ReturnsSeries(np.vstack([big[:1], np.full((3, 2), 1.7e308)]))
-        # a finite G_{t-1} whose solve overflows: D_0 = 1e-300 I and a zero
-        # second column shrink G's second pivot by sqrt(0.01) a step, to 1e-315
-        pegged = np.zeros((166, 2))
-        pegged[:, 0], pegged[-1, 1] = 1.0, 1.0
-        for returns, d0, lam, what, t in (
-            (late_g, np.eye(2), 0.9, "D_t", 3),
-            (ReturnsSeries(pegged), 1e-300 * np.eye(2), 0.01, "s_t", 166),
+        for run in (
+            lambda: forward_filter(late_g, ue),
+            lambda: forward_filter(late_g, match_ue_to_bb(ue)),
+            lambda: marginal_loglik(late_g, 5.0, 0.9, np.eye(2)),
+            lambda: grid_search(late_g, np.eye(2), [5.0], [0.9]),
         ):
-            hyper = UEHyper(q=2, k=1, n=5, lam=lam, d0=d0)
-            for run in (
-                lambda: forward_filter(returns, hyper),
-                lambda: forward_filter(returns, match_ue_to_bb(hyper)),
-                lambda: marginal_loglik(returns, 5.0, lam, d0),
-                lambda: grid_search(returns, d0, [5.0], [lam]),
-            ):
-                with pytest.raises(InvalidParameter, match=f"{what} is not finite at t={t}$"):
-                    run()
+            with pytest.raises(InvalidParameter, match="D_t is not finite at t=3$"):
+                run()
 
 
 class TestMarginalLoglik:
@@ -349,12 +364,27 @@ class TestMarginalLoglik:
     def test_ill_conditioned_against_decimal_reference(self):
         # criterion 13's series, drawn from the UE law: cond(D_t) passes
         # 1e16, so no double-precision recursion is exact here, but an
-        # error in one step's s_t must not carry into every later step
+        # error in one step's forecast terms must not carry into every later
+        # step.  The error is 8.7e-4 relative, almost all of it in
+        # sum_t log|D_{t-1}|, from drift in G's small diagonal entries
+        data, (ref, _, _) = criterion13_reference(0.85)
         ue = UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3))
-        data, _ = simulate(ue, 1000, seed=42)
-        ref = decimal_loglik(data.returns, 6.0, 0.85)
         assert marginal_loglik(data, 6.0, 0.85, np.eye(3)) == pytest.approx(ref, rel=1e-3)
         assert forward_filter(data, ue).loglik == pytest.approx(ref, rel=1e-3)
+
+    @pytest.mark.parametrize("lam", [0.80, 0.85, 0.90])
+    def test_ill_conditioned_error_is_flat_in_n(self, lam):
+        # on criterion 13's series the surface error is mostly G's drift in
+        # sum_t log|D_{t-1}|, which does not depend on n; the forecast terms
+        # log(1 + s_t / lam) are read off the same G, so over n = 3..20 the
+        # error moves by 1.5, 0.27 and 1.3 nats at these lambdas (a solve for
+        # s_t against the drifted G moved it by 21.5, 40.4 and 43.5 nats)
+        data, (_, logdet, log1p) = criterion13_reference(lam)
+        n_grid = np.arange(3.0, 21.0)
+        T, q = data.returns.shape
+        ref = T * mvt_const(n_grid, q) - 0.5 * (T * q * math.log(lam) + logdet) - 0.5 * (n_grid + 1.0) * log1p
+        err = grid_search(data, np.eye(3), n_grid, [lam])[2][:, 0] - ref
+        assert err.max() - err.min() <= 5.0
 
 
 class TestGridSearch:

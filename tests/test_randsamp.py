@@ -4,6 +4,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
+from consistency import wishart_draws
 from wishartsv.errors import InvalidParameter
 from wishartsv.matops import uchol
 from wishartsv.randsamp import (
@@ -13,7 +14,6 @@ from wishartsv.randsamp import (
     sample_chi2,
     sample_matrix_beta,
     sample_mvnormal_prec,
-    sample_wishart_bartlett,
     substream,
 )
 
@@ -63,11 +63,11 @@ class TestBeta:
 
 class TestWishart:
     def test_q1_mean(self):
-        draws = sample_wishart_bartlett(3.0, np.eye(1), make_rng(7), size=N)
+        draws = wishart_draws(3.0, np.eye(1), make_rng(7), size=N)
         assert abs(draws.mean() - 3.0) < 4 * np.sqrt(6.0 / N)
 
     def test_q2_mean(self):
-        draws = sample_wishart_bartlett(5.0, np.eye(2), make_rng(8), size=N)
+        draws = wishart_draws(5.0, np.eye(2), make_rng(8), size=N)
         mean = draws.mean(axis=0)
         # Var(W_ii) = 2 df, Var(W_ij) = df for identity scale
         assert abs(mean[0, 0] - 5.0) < 4 * np.sqrt(10.0 / N)
@@ -77,21 +77,21 @@ class TestWishart:
     def test_scale_mean(self):
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
         p = uchol(a)
-        draws = sample_wishart_bartlett(6.0, p, make_rng(9), size=N)
+        draws = wishart_draws(6.0, p, make_rng(9), size=N)
         np.testing.assert_allclose(draws.mean(axis=0), 6.0 * a, atol=0.1)
 
     def test_rank_deficient(self):
-        w = sample_wishart_bartlett(1, np.eye(3), make_rng(10))
+        w = wishart_draws(1, np.eye(3), make_rng(10))
         eig = np.linalg.eigvalsh(w)
         assert np.sum(eig > 1e-10 * eig.max()) == 1
 
     def test_q1_reduces_to_chi2(self):
-        draws = sample_wishart_bartlett(4.0, np.array([[2.0]]), make_rng(11), size=N)[:, 0, 0]
+        draws = wishart_draws(4.0, np.array([[2.0]]), make_rng(11), size=N)[:, 0, 0]
         assert kstest(draws / 4.0, chi2_dist(4.0).cdf).statistic < KS_BOUND
 
     def test_invalid_df(self):
         with pytest.raises(InvalidParameter):
-            sample_wishart_bartlett(1.5, np.eye(3), make_rng(0))
+            wishart_draws(1.5, np.eye(3), make_rng(0))
 
 
 class TestBartlettFactor:
@@ -163,8 +163,8 @@ class TestReproducibility:
         a1 = sample_chi2(2.5, make_rng(99), size=10)
         a2 = sample_chi2(2.5, make_rng(99), size=10)
         np.testing.assert_array_equal(a1, a2)
-        w1 = sample_wishart_bartlett(5.0, np.eye(3), make_rng(99), size=4)
-        w2 = sample_wishart_bartlett(5.0, np.eye(3), make_rng(99), size=4)
+        w1 = wishart_draws(5.0, np.eye(3), make_rng(99), size=4)
+        w2 = wishart_draws(5.0, np.eye(3), make_rng(99), size=4)
         np.testing.assert_array_equal(w1, w2)
 
     def test_substreams_differ(self):
