@@ -91,8 +91,8 @@ def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):
     Returns (d0, warning); the warning is set when a singular raw average
     had to be regularized with 1e-8 times the mean diagonal.
     """
-    if ridge < 0:
-        raise InvalidParameter(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= ridge < math.inf:
+        raise InvalidParameter(f"ridge must be finite and >= 0, got {ridge}")
     r = presample.returns
     avg = sym(r.T @ r / r.shape[0])
     q = presample.q

@@ -9,6 +9,7 @@ interval checks, and batch-means standard errors for chain output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ class MixtureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.a0 <= 0 or self.b0 <= 0:
-            raise InvalidParameter(f"prior shapes must be > 0, got ({self.a0}, {self.b0})")
+        if not (0 < self.a0 < math.inf and 0 < self.b0 < math.inf):
+            raise InvalidParameter(f"prior shapes must be finite and > 0, got ({self.a0}, {self.b0})")
         burn = self.burn_in if self.burn_in is not None else self.iterations // 10
         if not (0 <= burn < self.iterations):
             raise InvalidParameter(f"need iterations > burn_in >= 0, got ({self.iterations}, {burn})")

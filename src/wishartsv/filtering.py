@@ -9,7 +9,7 @@ A hyperparameter set, ``UEHyper`` or ``BBHyper``, is the only statement
 of the model.  ``forward_filter(data, hyper)`` runs either model and
 keeps ``hyper`` in its ``FilterOutput``; ``simulate(hyper, T, seed)``
 draws from either.  Both read the discount, k_0..k_T and the prior df
-from one function, ``_df_path``, the one copy of the BB df recursion.
+from one function, ``_df_path``, which sums the BB df recursion in closed form.
 
 ``_factor_path`` runs the recursion D_t = disc D_{t-1} + r_t r_t' and
 stores each D_t only as an upper-triangular factor G_t with G_t G_t' =
@@ -166,26 +166,25 @@ def _forecast_terms(g: np.ndarray, discount: float):
 def _df_path(hyper, T: int):
     """(discount, k_0..k_T, prior df at t = 1..T) of a hyperparameter set over T steps.
 
-    UE keeps k_t = n + k and prior df n.  BB runs k_t = beta k_{t-1} + k
-    with prior df beta k_{t-1}, which must stay above q - 1: raises
-    InvalidParameter at the first t where it does not.
+    UE keeps k_t = n + k and prior df n.  BB's k_t = beta k_{t-1} + k is
+    k_t = k_inf + beta^t (k_0 - k_inf), with k_inf = k / (1 - beta) its
+    fixed point; each k_t is summed from the end it is nearer, k_inf while
+    beta^t <= 1/2 and k_0 (with 1 - beta^t from expm1) before, so neither
+    sum cancels.  When k_0 is the fixed point to 4 machine epsilons, as
+    under matching (k_0 = n + k), k_inf = k_0 and k_t = k_0 exactly.  The
+    prior df beta k_{t-1} must stay above q - 1: raises InvalidParameter
+    at the first t where it does not.
     """
     if isinstance(hyper, UEHyper):
         return hyper.lam, np.full(T + 1, hyper.n + hyper.k), np.full(T, float(hyper.n))
     if not isinstance(hyper, BBHyper):
         raise InvalidParameter(f"expected a UEHyper or BBHyper, got {type(hyper).__name__}")
-    beta, k = float(hyper.beta), float(hyper.k)
-    k_seq = [float(hyper.k0)]
-    tol = 4.0 * math.ulp(1.0)  # 4 machine epsilons
-    for _ in range(T):
-        prev = k_seq[-1]
-        nxt = beta * prev + k
-        # snap the recursion at its fixed point k/(1 - beta): at matched
-        # hyperparameters k_t is exactly n + k, and a 1-ulp drift per
-        # step would otherwise accumulate
-        k_seq.append(prev if abs(nxt - prev) <= tol * abs(prev) else nxt)
-    k_seq = np.array(k_seq)
-    df_prior = hyper.beta * k_seq[:T]
+    beta, k, k0 = float(hyper.beta), float(hyper.k), float(hyper.k0)
+    k_inf = k0 if abs(beta * k0 + k - k0) <= 4.0 * math.ulp(1.0) * k0 else k / (1.0 - beta)
+    t = np.arange(T + 1.0)
+    p = beta**t
+    k_seq = np.where(p <= 0.5, k_inf + p * (k0 - k_inf), k0 - np.expm1(t * math.log(beta)) * (k_inf - k0))
+    df_prior = beta * k_seq[:T]
     _fault_at((df_prior <= hyper.q - 1, InvalidParameter, "prior df beta k_{t-1} <= q - 1"))
     return hyper.b, k_seq, df_prior
 
@@ -275,7 +274,7 @@ def grid_search(
         raise InvalidParameter("grids must be nonempty")
     q = data.q
     for n in n_grid:
-        if not n > q - 1:
+        if not q - 1 < n < math.inf:
             raise InvalidParameter(f"grid point n={n} invalid for q={q}")
     for lam in lambda_grid:
         if not (0.0 < lam < 1.0):
@@ -291,7 +290,9 @@ def grid_search(
 
 
 def constrained_lambda(n: float, k: float, q: int) -> float:
-    """Discount implied by lambda^{-1} = 1 + k / (n - q - 1); needs n > q + 1."""
-    if not n > q + 1:
-        raise InvalidParameter(f"need n > q + 1, got n={n}, q={q}")
+    """Discount implied by lambda^{-1} = 1 + k / (n - q - 1); needs a finite n > q + 1 and k > 0."""
+    if not q + 1 < n < math.inf:
+        raise InvalidParameter(f"need a finite n > q + 1, got n={n}, q={q}")
+    if not 0 < k < math.inf:
+        raise InvalidParameter(f"need a finite k > 0, got {k}")
     return (n - q - 1.0) / (n - q - 1.0 + k)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
 from .matops import _fault_at, _givens_chain, _row_exponents, tri_solve_stack, uchol_components
-from .randsamp import sample_bartlett_factor, sample_chi2, sample_wishart_factor, substream
+from .randsamp import sample_bartlett_factor, sample_chi2, substream
 from .volproc import UEHyper
 
 if TYPE_CHECKING:  # filtering imports this module for simulate
@@ -121,15 +121,14 @@ def _bb_chain(g: np.ndarray, f_T: np.ndarray, theta: np.ndarray, b: float) -> np
 def _noise(filt: FactorPath, rng: np.random.Generator):
     """One path's noise: the terminal Bartlett factor of Wishart(k_T, I), then per-step noise.
 
-    UE draws T rows z of Wishart(1, I) factors, BB a T x q array of
-    chi-square increments with df (1 - beta) k_t; both are drawn for
-    t = T-1 down to 0 and returned in time order.
+    UE draws T rows z ~ N(0, I), so z' z ~ Wishart(1, I) at every q; BB a
+    T x q array of chi-square increments with df (1 - beta) k_t.  Both are
+    drawn for t = T-1 down to 0 and returned in time order.
     """
     T, q = filt.g.shape[0] - 1, filt.g.shape[1]
     w_T = sample_bartlett_factor(q, filt.k_seq[T], rng)
     if isinstance(filt.hyper, UEHyper):
-        # the one row of a Wishart(1, I) factor: N(0, I) at q >= 2, sqrt(chi2_1) at q = 1
-        return w_T, sample_wishart_factor(q, 1, rng, size=T)[::-1, 0]
+        return w_T, rng.standard_normal((T, q))[::-1]
     df = (1.0 - filt.hyper.beta) * filt.k_seq[:T][::-1, None]
     return w_T, sample_chi2(df, rng, size=(T, q))[::-1]
 

@@ -11,6 +11,7 @@ difference computable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class UEHyper:
         if self.q < 1:
             raise InvalidParameter(f"q must be >= 1, got {self.q}")
         _check_discount("lambda", self.lam)
-        if not self.n > self.q - 1:
-            raise InvalidParameter(f"n must be > q-1, got n={self.n}, q={self.q}")
+        if not self.q - 1 < self.n < math.inf:
+            raise InvalidParameter(f"n must be finite and > q-1, got n={self.n}, q={self.q}")
         if self.k != 1:
             raise InvalidParameter(f"k must be 1, got {self.k}")
         object.__setattr__(self, "d0", _prior_scale(self.d0, self.q))
@@ -80,8 +81,8 @@ class BBHyper:
         _check_discount("b", self.b)
         if self.k != 1:
             raise InvalidParameter(f"k must be 1, got {self.k}")
-        if not self.k0 > 0:
-            raise InvalidParameter(f"k0 must be > 0, got {self.k0}")
+        if not 0 < self.k0 < math.inf:
+            raise InvalidParameter(f"k0 must be finite and > 0, got {self.k0}")
         # Every Beta shape (beta*k_{t-1} - i + 1)/2 in the evolution must stay
         # positive along the filtration; k_t >= min(k0, k/(1-beta)) makes
         # beta*k0 > q - 1 the binding condition at construction time.
@@ -182,24 +183,16 @@ def expected_ue_step(phi_prev: np.ndarray, ue: UEHyper) -> np.ndarray:
 
 
 def _expected_utu(u: np.ndarray, n: float, k: float) -> np.ndarray:
-    """Entrywise E[U~' U~] for the BB diagonal-shrink step, matched params (n, k)."""
+    """E[U~' U~] for the BB diagonal-shrink step, matched params (n, k).
+
+    With V the strict upper part of u and d its diagonal, U~ = V + diag(sqrt(eta) d), so
+    E[U~' U~] = V'V + V' diag(s) + diag(s) V + diag(E[eta] d^2), s_i = E[sqrt(eta_i)] d_i,
+    E[eta_i] = (n - i + 1) / (n - i + 1 + k) (1-based i).
+    """
     q = u.shape[0]
-    out = np.empty((q, q))
-    for i in range(1, q + 1):
-        for j in range(1, q + 1):
-            lo, hi = min(i, j), max(i, j)
-            acc = sum(u[l - 1, i - 1] * u[l - 1, j - 1] for l in range(1, lo))
-            if i == j:
-                acc += (n - i + 1.0) * u[i - 1, i - 1] ** 2 / (n - i + 1.0 + k)
-            else:
-                acc += sqrt_beta_moment(lo, n, k) * u[lo - 1, lo - 1] * u[lo - 1, hi - 1]
-            out[i - 1, j - 1] = acc
-    return out
-
-
-def _matched_nk(bb: BBHyper) -> tuple[float, float]:
-    ue = match_bb_to_ue(bb)
-    return ue.n, ue.k
+    v, d, i = np.triu(u, 1), np.diagonal(u), np.arange(q)
+    s = np.array([sqrt_beta_moment(m, n, k) for m in range(1, q + 1)]) * d
+    return v.T @ v + v.T * s + s[:, None] * v + np.diag((n - i) / (n - i + k) * d**2)
 
 
 def expected_bb_step(
@@ -207,12 +200,12 @@ def expected_bb_step(
 ) -> np.ndarray:
     """E(Phi_t | Phi_{t-1}) under BB with matched hyperparameters.
 
-    Equals P' E[U~'U~] P / lambda with the entrywise closed form built
-    from sqrt_beta_moment.
+    Equals P' E[U~'U~] P / lambda, E[U~'U~] in the matrix closed form of
+    ``_expected_utu``.
     """
-    n, k = _matched_nk(bb)
+    ue = match_bb_to_ue(bb)
     u, p = _factor_pair(phi_prev, p_prev)
-    return sym(p.T @ _expected_utu(u, n, k) @ p) / bb.b
+    return sym(p.T @ _expected_utu(u, ue.n, ue.k) @ p) / bb.b
 
 
 def expectation_difference(
@@ -233,36 +226,23 @@ def expectation_difference(
 def example1_moments(upsilon: np.ndarray, lam: float) -> tuple[MomentTable, MomentTable]:
     """Backward-conditional entry moments in the k = 1, P_t = I setting.
 
-    ``upsilon`` is uchol(Phi_{t+1}).  Returns (ue_table, bb_table) with
-    the UE conditional Phi_t = lam * Phi_{t+1} + Z_t and the BB
-    conditional built from the chi-square diagonal increment; the BB
-    off-diagonal mean involves h(i,j) = sqrt(2 lam) v_ij U(-1/2, 0, lam v_ii^2 / 2).
+    ``upsilon`` is uchol(Phi_{t+1}); v is its upper triangle, d = diag(v)
+    and W the strict upper part.  UE, Phi_t = lam Phi_{t+1} + Z_t, has mean
+    lam v'v + I and variance 1 + I.  BB adds a chi-square increment to the
+    squared diagonal of sqrt(lam) v: its mean replaces lam d_i W_ij above
+    the diagonal (and its mirror) with h_ij = sqrt(2 lam) W_ij U(-1/2, 0,
+    lam d_i^2 / 2), and its variance is lam^2 (d_i W_ij)^2 + lam W_ij^2 -
+    h_ij^2 off the diagonal, 2 on it.  Returns (ue_table, bb_table).
     """
     _check_discount("lambda", lam)
-    v = np.asarray(upsilon, dtype=float)
-    q = v.shape[0]
-    e_ue = np.empty((q, q))
-    v_ue = np.empty((q, q))
-    e_bb = np.empty((q, q))
-    v_bb = np.empty((q, q))
-    for i in range(1, q + 1):
-        for j in range(1, q + 1):
-            lo, hi = min(i, j), max(i, j)
-            delta = 1.0 if i == j else 0.0
-            s_full = sum(v[l - 1, i - 1] * v[l - 1, j - 1] for l in range(1, lo + 1))
-            s_head = s_full - v[lo - 1, i - 1] * v[lo - 1, j - 1]
-            e_ue[i - 1, j - 1] = lam * s_full + delta
-            v_ue[i - 1, j - 1] = 1.0 + delta
-            if i == j:
-                e_bb[i - 1, j - 1] = lam * s_head + lam * v[i - 1, i - 1] ** 2 + 1.0
-                v_bb[i - 1, j - 1] = 2.0
-            else:
-                vii = v[lo - 1, lo - 1]
-                vij = v[lo - 1, hi - 1]
-                h = np.sqrt(2.0 * lam) * vij * tricomi_u_neg_half(lam * vii**2 / 2.0)
-                e_bb[i - 1, j - 1] = lam * s_head + h
-                v_bb[i - 1, j - 1] = lam**2 * vij**2 * vii**2 + lam * vij**2 - h**2
-    return MomentTable(e_ue, v_ue), MomentTable(e_bb, v_bb)
+    v = np.triu(np.asarray(upsilon, dtype=float))
+    d, w, eye = np.diagonal(v), np.triu(v, 1), np.eye(v.shape[0])
+    tricomi = np.array([tricomi_u_neg_half(lam * x**2 / 2.0) for x in d.tolist()])
+    h = math.sqrt(2.0 * lam) * w * tricomi[:, None]
+    var_bb = lam**2 * w**2 * d[:, None] ** 2 + lam * w**2 - h**2
+    mean_bb = lam * (w.T @ w + np.diag(d**2)) + eye + h + h.T
+    return (MomentTable(lam * (v.T @ v) + eye, 1.0 + eye),
+            MomentTable(mean_bb, var_bb + var_bb.T + 2.0 * eye))
 
 
 def diagonal_conditional_moments(

@@ -11,10 +11,16 @@ LAPACK solve, the form the package's closed form is checked against.
 ``chol_update`` a rank-1 update of a stack of factors by Givens
 rotations, the reference the filter's factor path is checked against.
 ``wishart_draws`` draws Wishart_q(df, P' P) matrices from the package's
-Bartlett factors.
+Bartlett factors.  ``expected_utu_entrywise`` and
+``example1_moments_entrywise`` state the closed-form moments entry by
+entry over 1-based indices, as the paper writes them; the package's
+matrix forms are checked against them.  ``exact_steps`` and
+``exact_path_loglik`` are the exact-arithmetic oracle: the filter, both
+backward recursions and a path's log likelihood in 60-digit ``decimal``.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -23,6 +29,7 @@ from scipy.linalg import solve_triangular
 from wishartsv.matops import gram, tri_solve_stack, uchol
 from wishartsv.randsamp import sample_chi2, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, ue_backward_step
+from wishartsv.specfun import sqrt_beta_moment, tricomi_u_neg_half
 from wishartsv.volproc import bb_evolve, ue_evolve
 
 
@@ -61,6 +68,47 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
             r[..., i, i + 1 :] = c * row + s * x[..., i + 1 :]
             x[..., i + 1 :] = c * x[..., i + 1 :] - s * row
     return r
+
+
+def expected_utu_entrywise(u: np.ndarray, n: float, k: float) -> np.ndarray:
+    """E[U~' U~] of the BB diagonal-shrink step, one entry at a time (1-based i, j)."""
+    q = u.shape[0]
+    out = np.empty((q, q))
+    for i in range(1, q + 1):
+        for j in range(1, q + 1):
+            lo, hi = min(i, j), max(i, j)
+            acc = sum(u[l - 1, i - 1] * u[l - 1, j - 1] for l in range(1, lo))
+            if i == j:
+                acc += (n - i + 1.0) * u[i - 1, i - 1] ** 2 / (n - i + 1.0 + k)
+            else:
+                acc += sqrt_beta_moment(lo, n, k) * u[lo - 1, lo - 1] * u[lo - 1, hi - 1]
+            out[i - 1, j - 1] = acc
+    return out
+
+
+def example1_moments_entrywise(upsilon: np.ndarray, lam: float):
+    """Example 1's (UE mean, UE variance, BB mean, BB variance), one entry at a time (1-based i, j)."""
+    v = np.asarray(upsilon, dtype=float)
+    q = v.shape[0]
+    e_ue, v_ue, e_bb, v_bb = (np.empty((q, q)) for _ in range(4))
+    for i in range(1, q + 1):
+        for j in range(1, q + 1):
+            lo, hi = min(i, j), max(i, j)
+            delta = 1.0 if i == j else 0.0
+            s_full = sum(v[l - 1, i - 1] * v[l - 1, j - 1] for l in range(1, lo + 1))
+            s_head = s_full - v[lo - 1, i - 1] * v[lo - 1, j - 1]
+            e_ue[i - 1, j - 1] = lam * s_full + delta
+            v_ue[i - 1, j - 1] = 1.0 + delta
+            if i == j:
+                e_bb[i - 1, j - 1] = lam * s_head + lam * v[i - 1, i - 1] ** 2 + 1.0
+                v_bb[i - 1, j - 1] = 2.0
+            else:
+                vii = v[lo - 1, lo - 1]
+                vij = v[lo - 1, hi - 1]
+                h = np.sqrt(2.0 * lam) * vij * tricomi_u_neg_half(lam * vii**2 / 2.0)
+                e_bb[i - 1, j - 1] = lam * s_head + h
+                v_bb[i - 1, j - 1] = lam**2 * vij**2 * vii**2 + lam * vij**2 - h**2
+    return e_ue, v_ue, e_bb, v_bb
 
 
 def kummer_partner(z: float) -> float:
@@ -142,3 +190,101 @@ def joint_consistency_report(
         "z_cross": zstat(at * anext, bt * bnext),
         "n_draws": n_draws,
     }
+
+
+# ---------------------------------------------------------------- exact-arithmetic oracle
+
+DIGITS = 60
+
+
+def _dec(x) -> list:
+    """A float matrix as rows of Decimals, each converted exactly from binary."""
+    return [[Decimal(v) for v in row] for row in np.asarray(x, dtype=float).tolist()]
+
+
+def _chol(a: list) -> list:
+    """Lower-triangular L with L L' = a."""
+    q = len(a)
+    low = [[Decimal(0)] * q for _ in range(q)]
+    for j in range(q):
+        low[j][j] = (a[j][j] - sum(low[j][k] ** 2 for k in range(j))).sqrt()
+        for i in range(j + 1, q):
+            low[i][j] = (a[i][j] - sum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
+    return low
+
+
+def _solve_upper(g: list, b: list) -> list:
+    """x with g x = b by back-substitution, g upper-triangular and b a matrix."""
+    x = [None] * len(g)
+    for i in reversed(range(len(g))):
+        x[i] = [(b[i][j] - sum(g[i][k] * x[k][j] for k in range(i + 1, len(g)))) / g[i][i]
+                for j in range(len(b[0]))]
+    return x
+
+
+def _pi() -> Decimal:
+    """pi to the context's precision (the recipe in the ``decimal`` documentation)."""
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    return +s
+
+
+def exact_steps(returns: np.ndarray, d0: np.ndarray, discount: float, digits: int = DIGITS):
+    """The filter's whitened step quantities, computed exactly to ``digits`` digits.
+
+    D_t = discount D_{t-1} + r_t r_t' is formed densely and G_t = J chol(J D_t J) J,
+    J the reversal, so G_t G_t' = D_t as the package stores it.  Returns (g, a, y,
+    log_g): g[t] = G_t for t = 0..T, a[t] = A_t = G_{t+1}^{-1} G_t and y[t] = y_{t+1}
+    = G_{t+1}^{-1} r_{t+1} for t = 0..T-1, and log_g[t] = log|G_t|, all as Decimals.
+    """
+    def rev(m):
+        return [row[::-1] for row in m[::-1]]
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        disc, d, q = Decimal(discount), _dec(d0), returns.shape[1]
+        g = [rev(_chol(rev(d)))]
+        for r in _dec(returns):
+            d = [[disc * d[i][j] + r[i] * r[j] for j in range(q)] for i in range(q)]
+            g.append(rev(_chol(rev(d))))
+        a = [_solve_upper(g[t + 1], g[t]) for t in range(len(g) - 1)]
+        y = [[x for (x,) in _solve_upper(g[t + 1], [[v] for v in r])] for t, r in enumerate(_dec(returns))]
+        log_g = [sum(m[i][i].ln() for i in range(q)) for m in g]
+    return g, a, y, log_g
+
+
+def exact_path_loglik(steps, ue: bool, discount: float, w_T: np.ndarray, noise: np.ndarray,
+                      digits: int = DIGITS) -> Decimal:
+    """One path's log likelihood sum_t log N_q(r_t | 0, Phi_t^{-1}), exactly to ``digits`` digits.
+
+    ``steps`` is ``exact_steps``' output and (w_T, noise) the path's own noise, as
+    ``smoother._noise`` draws it.  The path is C_t = F_t G_t (C_t' C_t = G_t' Phi_t G_t)
+    from C_T = W_T: UE runs C_t = chol(discount (C_{t+1} A_t)'(C_{t+1} A_t) + z_t' z_t),
+    BB C_t = sqrt(discount) C_{t+1} A_t with each squared diagonal entry raised by
+    theta_{t,i}.  The likelihood is sum_{t=1..T} [sum_i log c_{t,ii} - log|G_t| -
+    |C_t y_t|^2 / 2] - (T q / 2) log 2 pi.
+    """
+    g, a, y, log_g = steps
+    T, q = len(a), len(g[0])
+    with localcontext() as ctx:
+        ctx.prec = digits
+        disc, c, total = Decimal(discount), _dec(w_T), Decimal(0)
+        for t in range(T, 0, -1):
+            cy = [sum(c[i][k] * y[t - 1][k] for k in range(i, q)) for i in range(q)]
+            total += sum(c[i][i].ln() for i in range(q)) - log_g[t] - sum(v * v for v in cy) / 2
+            ca = [[sum(c[i][k] * a[t - 1][k][j] for k in range(i, j + 1)) for j in range(q)] for i in range(q)]
+            z = _dec([noise[t - 1]])[0]
+            if ue:
+                psi = [[disc * sum(ca[k][i] * ca[k][j] for k in range(q)) + z[i] * z[j] for j in range(q)]
+                       for i in range(q)]
+                c = [list(col) for col in zip(*_chol(psi))]  # upper, C' C = psi
+            else:
+                c = [[disc.sqrt() * v for v in row] for row in ca]
+                for i in range(q):
+                    c[i][i] = (c[i][i] ** 2 + z[i]).sqrt()
+        return total - T * q * (2 * _pi()).ln() / 2

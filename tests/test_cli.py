@@ -97,6 +97,12 @@ class TestD0FromPresample:
         with pytest.raises(InvalidParameter):
             d0_from_presample(ReturnsSeries(np.ones((2, 1))), ridge=-1.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_nonfinite_ridge(self, ridge):
+        # a NaN ridge was dropped without a word, an infinite one reported as a singular average
+        with pytest.raises(InvalidParameter, match="ridge must be finite"):
+            d0_from_presample(ReturnsSeries(np.eye(2)), ridge=ridge)
+
 
 class TestSimulate:
     def test_shapes_and_determinism(self):

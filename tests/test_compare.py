@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest, multivariate_normal
 
+from consistency import exact_path_loglik, exact_steps
 from wishartsv import filtering
 from wishartsv.compare import (
     LOG_2PI,
@@ -24,7 +25,8 @@ from wishartsv.compare import (
 )
 from wishartsv.errors import EmptyEnsemble, InvalidParameter
 from wishartsv.filtering import ReturnsSeries, forward_filter, simulate
-from wishartsv.smoother import sample_ensemble
+from wishartsv.randsamp import make_rng
+from wishartsv.smoother import _noise, backward_sample, sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
 
 
@@ -49,6 +51,24 @@ class TestPathLoglik:
             for t in range(1, 7)
         )
         assert path_loglik(path, data) == pytest.approx(expect, rel=1e-10)
+
+    def test_against_exact_oracle(self):
+        """One UE and one BB draw on a well-conditioned series, against 60-digit arithmetic.
+
+        The oracle reads the draw's own noise, so only rounding separates the two.
+        On criterion 13's series (``simulate`` of the UE law at q = 3, n = 6,
+        lambda = 0.85, D_0 = I, T = 1000, seed 42), with 10 draws per model at
+        compare-plr's seeds (``_noise(filt, substream(7, i))`` for UE and
+        ``substream(8, i)`` for matched BB, i = 0..9), the oracle's log_plr (a
+        mean-normalized log-sum-exp per side, in 60 digits) is
+        34.72690538149374; the double-precision pipeline gives 201.28 there.
+        """
+        data, ue, bb = toy(T=200, q=3, seed=13, n=6.0, lam=0.85)
+        steps = exact_steps(data.returns, ue.d0, ue.lam)
+        for hyper, seed in ((ue, 5), (bb, 6)):
+            filt = forward_filter(data, hyper)
+            exact = float(exact_path_loglik(steps, hyper is ue, filt.discount, *_noise(filt, make_rng(seed))))
+            assert path_loglik(backward_sample(filt, make_rng(seed)), data) == pytest.approx(exact, rel=1e-10)
 
     def test_skips_phi0(self):
         data, _, _ = toy(T=3, q=1, seed=3)
@@ -169,6 +189,12 @@ class TestMixturePieces:
         assert cfg.burn_in == 20
         with pytest.raises(InvalidParameter):
             MixtureConfig(iterations=10, burn_in=10)
+
+    @pytest.mark.parametrize("shapes", [dict(a0=np.inf), dict(b0=np.nan)], ids=["a0-inf", "b0-nan"])
+    def test_config_nonfinite_prior(self, shapes):
+        # either would give an alpha trace of NaN
+        with pytest.raises(InvalidParameter, match="finite"):
+            MixtureConfig(iterations=10, **shapes)
 
 
 class TestMixtureGibbs:

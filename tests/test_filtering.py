@@ -1,6 +1,7 @@
 import functools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from consistency import chol_update, rchol
 from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     ReturnsSeries,
+    _df_path,
     _factor_path,
     _forecast_terms,
     _reversed_factor,
@@ -253,6 +255,18 @@ class TestForwardFilters:
         # t=3 lies past a horizon of 2
         assert forward_filter(toy_series(2, 3), bb).k_seq.tolist() == [10.0, 6.0, 4.0]
 
+    @pytest.mark.parametrize("beta, k0, T", [(0.8, 20.0, 500), (0.9, 18.0, 1000), (0.95, 3.0, 2000), (0.999, 2.0, 5000)])
+    def test_bb_df_path_is_exact(self, beta, k0, T):
+        # k_t = beta k_{t-1} + 1 in exact rational arithmetic on the same doubles;
+        # a loop over t drifts by up to 1.5e-14, one closed form from k_inf alone
+        # cancels at k_0 << k_inf (the last case)
+        exact = [Fraction(k0)]
+        for _ in range(T):
+            exact.append(Fraction(beta) * exact[-1] + 1)
+        exact = np.array([float(x) for x in exact])
+        k_seq = _df_path(BBHyper(q=2, k=1, beta=beta, b=0.9, k0=k0, d0=np.eye(2)), T)[1]
+        assert np.max(np.abs(k_seq - exact) / exact) <= 5e-16
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         c=st.sampled_from([1e-150, 1.0, 1e150]),
@@ -417,6 +431,19 @@ class TestGridSearch:
         with pytest.raises(InvalidParameter, match="n=nan"):
             grid_search(toy_series(3, 1), np.eye(1), [float("nan"), 3.0], [0.9])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: grid_search(toy_series(3, 1), np.eye(1), [3.0, np.inf], [0.9]),
+            lambda: marginal_loglik(toy_series(3, 1), np.inf, 0.9, np.eye(1)),
+        ],
+        ids=["grid_search", "marginal_loglik"],
+    )
+    def test_infinite_n(self, call):
+        # gammaln(inf) - gammaln(inf) would make the surface NaN
+        with pytest.raises(InvalidParameter, match="n=inf"):
+            call()
+
     def test_d0_shape(self):
         with pytest.raises(InvalidParameter, match=r"d0 must be 3x3, got \(2, 2\)"):
             grid_search(toy_series(5, 3), np.eye(2), [5.0], [0.8])
@@ -467,3 +494,9 @@ class TestConstrainedLambda:
         for n in (4.0, float("nan")):
             with pytest.raises(InvalidParameter):
                 constrained_lambda(n, 1.0, 3)
+
+    @pytest.mark.parametrize("n, k", [(np.inf, 1.0), (5.0, np.nan), (5.0, np.inf), (5.0, 0.0)])
+    def test_nonfinite(self, n, k):
+        # each returned NaN or 0 instead of a discount in (0, 1)
+        with pytest.raises(InvalidParameter, match="finite"):
+            constrained_lambda(n, k, 2)

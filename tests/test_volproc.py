@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from consistency import example1_moments_entrywise, expected_utu_entrywise
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.matops import uchol
 from wishartsv.randsamp import make_rng, sample_chi2, sample_matrix_beta
 from wishartsv.volproc import (
     BBHyper,
     UEHyper,
+    _expected_utu,
     bb_evolve,
     diagonal_conditional_moments,
     example1_moments,
@@ -81,6 +83,19 @@ class TestMatching:
             BBHyper(q=3, k=0.5, beta=0.8, b=0.8, k0=5.0, d0=np.eye(3))
         with pytest.raises(NotPositiveDefinite):
             UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: UEHyper(q=2, k=1, n=np.inf, lam=0.8, d0=np.eye(2)),
+            lambda: BBHyper(q=2, k=1, beta=0.5, b=0.8, k0=np.inf, d0=np.eye(2)),
+        ],
+        ids=["UEHyper-n", "BBHyper-k0"],
+    )
+    def test_infinite_df_rejected(self, make):
+        # an infinite df passes a lower bound, and the filter then reads NaN
+        with pytest.raises(InvalidParameter, match="finite"):
+            make()
 
 
 class TestEvolve:
@@ -257,6 +272,32 @@ class TestExample1:
     def test_invalid_lambda(self):
         with pytest.raises(InvalidParameter):
             example1_moments(np.eye(2), 1.5)
+
+
+class TestMatrixForms:
+    """The matrix forms of the closed-form moments against their entrywise statements."""
+
+    @staticmethod
+    def assert_tables_close(got, ref):
+        for a, b in zip(got, ref):
+            assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_match_entrywise(self, q):
+        rng = make_rng(q)
+        for _ in range(40):
+            u = np.triu(rng.standard_normal((q, q)))
+            u[np.diag_indices(q)] = np.abs(u.diagonal()) + 0.5
+            n, lam = q - 1 + rng.uniform(0.5, 10.0), rng.uniform(0.1, 0.95)
+            self.assert_tables_close([_expected_utu(u, n, 1.0)], [expected_utu_entrywise(u, n, 1.0)])
+            tu, tb = example1_moments(u, lam)
+            self.assert_tables_close([tu.mean, tu.var, tb.mean, tb.var], example1_moments_entrywise(u, lam))
+
+    def test_match_entrywise_at_tiny_factor(self):
+        # criterion 5's lam v^2 -> 0 limit; the lower entry is not read
+        ups = np.zeros((2, 2)) + 1e-300
+        tu, tb = example1_moments(ups, 0.5)
+        self.assert_tables_close([tu.mean, tu.var, tb.mean, tb.var], example1_moments_entrywise(ups, 0.5))
 
 
 class TestDiagonalConditionalMoments:
