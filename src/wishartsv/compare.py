@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit, logsumexp
 from scipy.stats import t as student_t
 
 from .errors import DimensionMismatch, EmptyEnsemble, InvalidParameter
 from .filtering import FilterOutput, ReturnsSeries, _factor_path_on, forward_filter
-from .matops import _fault_at, _row_exponents
+from .matops import _fault_at, _row_norms
 from .randsamp import make_rng, sample_mvnormal_prec
 from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper
@@ -51,22 +52,17 @@ def path_loglik(factors: np.ndarray, data: ReturnsSeries):
     return terms.sum(axis=-1) - 0.5 * data.T * data.q * LOG_2PI
 
 
-def log_sum_exp(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise EmptyEnsemble("log_sum_exp of an empty array")
-    m = float(x.max())
-    return m + float(np.log(np.sum(np.exp(x - m))))
-
-
 def log_plr(lu, lb) -> float:
     """Log posterior likelihood ratio of ensemble u to b, from their ``path_loglik`` arrays.
 
     Each side is a mean-normalized log-sum-exp, so unequal ensemble
-    sizes still target the ratio of posterior expectations.
+    sizes still target the ratio of posterior expectations.  Raises
+    EmptyEnsemble when a side is empty.
     """
     lu, lb = np.asarray(lu, dtype=float), np.asarray(lb, dtype=float)
-    return (log_sum_exp(lu) - np.log(lu.size)) - (log_sum_exp(lb) - np.log(lb.size))
+    if lu.size == 0 or lb.size == 0:
+        raise EmptyEnsemble("log_plr of an empty ensemble")
+    return (logsumexp(lu) - np.log(lu.size)) - (logsumexp(lb) - np.log(lb.size))
 
 
 def batch_means_se(samples, n_batches: int) -> float:
@@ -119,13 +115,6 @@ def alpha_posterior_shapes(a0: float, b0: float, z: np.ndarray) -> tuple[float, 
     return a0 + s, b0 + z.size - s
 
 
-def bernoulli_logweight_prob(logw1, logw0):
-    """P(z = 1) from two unnormalized log weights, overflow-safe; elementwise over arrays."""
-    m = np.maximum(logw1, logw0)
-    w1 = np.exp(logw1 - m)
-    return w1 / (w1 + np.exp(logw0 - m))
-
-
 def mixture_gibbs(
     data: ReturnsSeries,
     ue: UEHyper,
@@ -175,7 +164,7 @@ def mixture_gibbs(
         else:
             term_u, term_b = _gauss_terms(f_u, r_u), _gauss_terms(f_b, r_b)
         _fault_at((~np.isfinite(term_u + term_b), InvalidParameter, "mixture likelihood term is not finite"))
-        prob = bernoulli_logweight_prob(np.log(alpha) + term_u, np.log1p(-alpha) + term_b)
+        prob = expit((np.log(alpha) + term_u) - (np.log1p(-alpha) + term_b))
 
         # z_t = 1 keeps the observed r_t for UE and imputes the BB row
         z = rng.random(T) < prob
@@ -200,7 +189,9 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
     The coordinate margins of the multivariate-t forecast are univariate
     t with df = n + 1 - q and scale^2 = (discount * D_{t-1})_ii / df,
     where n is the prior-at-t degrees of freedom; intervals are central
-    and symmetric about zero.  Coverage pools coordinates and runs
+    and symmetric about zero.  The scale is sqrt(discount / df) times the
+    norm of row i of G_{t-1}, folded by hypot, so it is finite wherever G
+    is.  Coverage pools coordinates and runs
     cumulatively over time.
 
     Returns (lengths, coverage): lengths is (T, q), coverage is (T,).
@@ -212,11 +203,8 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
         raise DimensionMismatch("filter output does not match data")
     nu = filt.df_prior + 1.0 - q
     _fault_at((nu <= 0, InvalidParameter, "predictive df <= 0"))
-    # diag(D_{t-1}) = row sums of G G', each row scaled by 2^-e so that no square overflows;
-    # the scale comes back exactly as sqrt(2^{2e} x) = 2^e sqrt(x)
-    e = _row_exponents(filt.g[:-1])
-    d_diag = np.sum(np.ldexp(filt.g[:-1], -e[..., None]) ** 2, axis=2)
-    scale = np.ldexp(np.sqrt(filt.discount * d_diag / nu[:, None]), e)
+    # sqrt(diag(D_{t-1})) is the norm of each row of G_{t-1}
+    scale = np.sqrt(filt.discount / nu)[:, None] * _row_norms(filt.g[:-1])
     half = student_t.ppf(0.5 + level / 2.0, df=nu)[:, None] * scale
     lengths = 2.0 * half
     hits = np.abs(data.returns) <= half

@@ -33,6 +33,7 @@ through it; a stack of UE paths is refactored densely instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 
@@ -99,13 +100,9 @@ def _fault_at(*faults, t0: int = 1, last: bool = False) -> None:
     raise error(f"{what} at t={t0 + i}")
 
 
-def _row_exponents(x: np.ndarray) -> np.ndarray:
-    """e with max_i |x[..., i]| 2^-e in [1/2, 1) for each row (0 for a zero or non-finite row).
-
-    Scaled by 2^-e a row keeps its bits, and its largest square neither overflows
-    nor vanishes.  A column loop: a reduction along each short row costs more.
-    """
-    return np.frexp(np.maximum.reduce([np.abs(x[..., i]) for i in range(x.shape[-1])]))[1]
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x[..., i, :]| for each row, an ``np.hypot`` fold over the columns: no square over- or underflows."""
+    return functools.reduce(np.hypot, [x[..., j] for j in range(x.shape[-1])], 0.0)
 
 
 def tri_solve_stack(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:

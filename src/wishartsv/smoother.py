@@ -30,11 +30,13 @@ that noise.  ``sample_ensemble`` runs all N paths, each with its own
 checks G before and F after it.  Every solve against G is one
 ``tri_solve_stack`` over all t and draws.  The BB pass (``_bb_chain``)
 has no loop over t: its two recursions are linear, so each is summed by
-recursive doubling.  One UE path is one chain of Givens rotations on
-Python floats (``_ue_chain``); a stack runs in coordinates whitened by
-G_t (``_ue_whitened``): two small GEMMs per t for all draws, then one
-stacked Cholesky.  Each matches a loop of its step within 1e-12 per
-matrix.
+recursive doubling, and its squared diagonal is carried in coordinates
+whitened by G_t, where every term is of order 1.  One UE path is one
+chain of Givens rotations on Python floats (``_ue_chain``); a stack runs
+in coordinates whitened by G_t (``_ue_whitened``): two small GEMMs per t
+for all draws, then one stacked Cholesky.  All three passes take (G_0..G_T,
+W_T, noise, discount), and each matches a loop of its step within 1e-12
+per matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
-from .matops import _fault_at, _givens_chain, _row_exponents, tri_solve_stack, uchol_components
+from .matops import _fault_at, _givens_chain, _row_norms, tri_solve_stack, uchol_components
 from .randsamp import sample_bartlett_factor, sample_chi2, substream
 from .volproc import UEHyper
 
@@ -69,52 +71,55 @@ def bb_backward_step(f_next: np.ndarray, g_t: np.ndarray, b: float, theta: np.nd
     U~*_{t+1} = sqrt(b) F_{t+1} G_t is upper-triangular with positive
     diagonal, so it is the Cholesky factor of b G_t' Phi_{t+1} G_t; its
     squared diagonal gains theta (..., q), theta_i ~ chi2_{(1-beta) k_t};
-    off-diagonal entries are kept; F_t = U* G_t^{-1}.  The one-step case
-    of ``_bb_chain`` (T calls round otherwise than one chain of T steps,
-    within 1e-12); checks nothing: the backward pass checks G and F.
+    off-diagonal entries are kept; F_t = U* G_t^{-1}.  The one-step case of
+    ``_bb_chain``, on the G stack [G_t, I] from F_{t+1} (T calls round
+    otherwise than one chain of T steps, within 1e-12); checks nothing: the
+    backward pass checks G and F.
     """
-    return _bb_chain(g_t[None], f_next, theta[None], b)[0]
+    return _bb_chain(np.stack([g_t, np.eye(g_t.shape[-1])]), f_next, theta[None], b)[0]
 
 
-def _discounted_sums(x: np.ndarray, a: float) -> np.ndarray:
-    """y_t = x_t + a y_{t+1} along axis 0, last row x's, by recursive doubling (Kogge & Stone 1973)."""
-    y, d = np.array(x, dtype=float), 1
+def _discounted_sums(x: np.ndarray, a) -> np.ndarray:
+    """y_t = x_t + a_t y_{t+1} along axis 0, last row x's, by recursive doubling (Kogge & Stone 1973).
+
+    ``a`` is one coefficient, or the T per-step ones (T, ...) broadcasting
+    against x's rows.  Per step, the running products a_t ... a_{t+d-1} are
+    carried; with every a_t <= 1 none of them overflows.
+    """
+    per_step = np.ndim(a) > 0
+    y, d, p = np.array(x, dtype=float), 1, a
     while d < len(y):
-        y[:-d] += a**d * y[d:]  # now y_t sums the 2d terms a^j x_{t+j}
+        y[:-d] += p * y[d:]  # now y_t sums the 2d terms (a_t ... a_{t+j-1}) x_{t+j}
+        p = p[:-d] * p[d:] if per_step else a ** (2 * d)
         d *= 2
     return y
 
 
-def _bb_chain(g: np.ndarray, f_T: np.ndarray, theta: np.ndarray, b: float) -> np.ndarray:
-    """F_0..F_T of the BB backward recursion from G_0..G_{T-1}, F_T and theta (T, ..., q).
+def _bb_chain(g: np.ndarray, w_T: np.ndarray, theta: np.ndarray, b: float) -> np.ndarray:
+    """BB paths F_0..F_T from G_0..G_T, W_T (..., q, q) and theta (T, ..., q).
 
-    The step raises the diagonal of U~ = sqrt(b) F_{t+1} G_t from
-    u~_i = sqrt(b) g_{t,ii} f_{t+1,ii} to u*_i = f_{t,ii} g_{t,ii}, so
-    f_{t,ii}^2 = b f_{t+1,ii}^2 + theta_{t,i} / g_{t,ii}^2 and F_t =
-    sqrt(b) F_{t+1} + diag(delta_t) G_t^{-1}, delta_{t,i} = theta_{t,i} /
-    (u*_i + u~_i): two linear recursions, each summed over all t by
-    ``_discounted_sums``.  Each lane (draw and i) of the squared diagonal
-    is scaled by an exact power of two, the midpoint of the exponents of
-    its 1/g_{t,ii} and f_{T,ii}, so nothing over- or underflows while G
-    spans hundreds of orders of magnitude.  All work is per lane, so a
-    stack of draws gives each draw's bits.
+    F_T = W_T G_T^{-1}.  The step raises the diagonal of U~ = sqrt(b) F_{t+1} G_t
+    from u~_i = a_{t,i} c_{t+1,ii} to u*_i = c_{t,ii}, with c_{t,ii} = f_{t,ii} g_{t,ii}
+    and a_{t,i} = sqrt(b) g_{t,ii} / g_{t+1,ii}: c_{t,ii}^2 = theta_{t,i} + a_{t,i}^2
+    c_{t+1,ii}^2 from c_T = diag(W_T), and F_t = sqrt(b) F_{t+1} + diag(delta_t) G_t^{-1},
+    delta_t = theta_t / (u* + u~).  Both recursions are linear, each summed over all t
+    by ``_discounted_sums``.  On a filter's path a <= 1, since a Givens rotation never
+    shrinks a pivot below sqrt(b) times its old value, so every c^2 is of order 1 however
+    far G ranges.  All work is per lane, so a stack of draws gives each draw's bits.
     """
-    T, q = g.shape[0], g.shape[-1]
-    lead = np.broadcast_shapes(theta.shape[1:-1], f_T.shape[:-2])  # the draws axes
-    g = g.reshape((T,) + (1,) * len(lead) + (q, q))  # broadcast over the draws axes
+    T, q = g.shape[0] - 1, g.shape[-1]
+    lead = np.broadcast_shapes(theta.shape[1:-1], w_T.shape[:-2])  # the draws axes
+    f_T = np.broadcast_to(tri_solve_stack(g[T], w_T, trans=True), lead + (q, q))
+    g = g.reshape((T + 1,) + (1,) * len(lead) + (q, q))  # broadcast over the draws axes
     g_diag, sqrt_b = np.diagonal(g, axis1=-2, axis2=-1), math.sqrt(b)
-    f_T_diag = np.broadcast_to(np.diagonal(f_T, axis1=-2, axis2=-1), lead + (q,))
-    e_g = np.broadcast_to(-np.frexp(g_diag)[1], (T,) + lead + (q,))  # 1/g's exponents, within 2
-    e = np.concatenate([e_g, np.frexp(f_T_diag)[1][None]])
-    m = (e.min(axis=0) + e.max(axis=0)) // 2
-    x = np.concatenate([theta / np.ldexp(g_diag, m) ** 2, np.ldexp(f_T_diag, -m)[None] ** 2])
-    f_diag = np.concatenate([np.ldexp(np.sqrt(_discounted_sums(x, b)[:T]), m), f_T_diag[None]])
-    delta = theta / (f_diag[:T] * g_diag + sqrt_b * g_diag * f_diag[1:])  # theta / (u* + u~)
+    a = sqrt_b * g_diag[:T] / g_diag[1:]
+    w_diag = np.broadcast_to(np.diagonal(w_T, axis1=-2, axis2=-1), lead + (q,))
+    c = np.sqrt(_discounted_sums(np.concatenate([theta, w_diag[None] ** 2]), a * a))
+    delta = theta / (c[:T] + a * c[1:])
     # row i of G_t^{-1} solves G_t' x = e_i, for every t at once
-    g_inv = tri_solve_stack(g[..., None, :, :], np.eye(q), trans=True)
-    x = np.concatenate([delta[..., None] * g_inv, np.broadcast_to(f_T, (1,) + lead + (q, q))])
-    f = _discounted_sums(x, sqrt_b)
-    f.reshape((T + 1,) + lead + (q * q,))[..., :: q + 1] = f_diag
+    g_inv = tri_solve_stack(g[:T, ..., None, :, :], np.eye(q), trans=True)
+    f = _discounted_sums(np.concatenate([delta[..., None] * g_inv, f_T[None]]), sqrt_b)
+    f[:T].reshape((T,) + lead + (q * q,))[..., :: q + 1] = c[:T] / g_diag[:T]
     return f
 
 
@@ -138,20 +143,20 @@ def _backward_pass(filt: FactorPath, w_T: np.ndarray, noise: np.ndarray) -> np.n
 
     F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]): BB as
     ``_bb_chain``, UE as ``_ue_chain`` for one path (a (q, q) W_T) and ``_ue_whitened``
-    for a stack.  G is checked before the pass, so no solve meets a zero pivot, and F
-    after it, at the last bad t: the first the backward recursion meets.
+    for a stack, each called as (G_0..G_T, W_T, noise, discount).  G is checked before
+    the pass, so no solve meets a zero pivot, and F after it, at the last bad t: the
+    first the backward recursion meets.
     """
     g = filt.g
     # at one t a non-finite entry is named before a diagonal entry <= 0
     _fault_at((~np.isfinite(g), InvalidParameter, "filter factor G is not finite"),
               (np.diagonal(g, axis1=1, axis2=2) <= 0, NotPositiveDefinite,
                "filter factor G has a diagonal entry <= 0"), t0=0)
-    T, lam = g.shape[0] - 1, filt.discount
     with np.errstate(all="ignore"):  # a non-finite F_t is reported below
+        chain = _bb_chain
         if isinstance(filt.hyper, UEHyper):
-            f = (_ue_chain if w_T.ndim == 2 else _ue_whitened)(g, w_T, noise, lam)
-        else:
-            f = _bb_chain(g[:T], tri_solve_stack(g[T], w_T, trans=True), noise, lam)
+            chain = _ue_chain if w_T.ndim == 2 else _ue_whitened
+        f = chain(g, w_T, noise, filt.discount)
     _fault_at((~np.isfinite(f), InvalidParameter, "sampled factor F is not finite"),
               (np.diagonal(f, axis1=-2, axis2=-1) <= 0, NotPositiveDefinite,
                "sampled factor F has a diagonal entry <= 0"), t0=0, last=True)
@@ -221,8 +226,8 @@ def correlation_summary(factors: np.ndarray, quantiles) -> np.ndarray:
     Over an ensemble of N >= 2 paths, ``factors`` (N, T + 1, q, q):
     Sigma_t = Phi_t^{-1} = V V' with V = F_t^{-1}, so rho_ij is the cosine
     between rows i and j of V, all from one ``tri_solve_stack``.
-    Each row is scaled by a power of two before its norm, so the norm
-    neither overflows nor underflows: 2^k F gives the same bits as F.
+    Each row is divided by its ``_row_norms`` norm, folded by hypot, so no
+    square overflows or underflows: 2^k F gives the same bits as F.
     Returns (len(quantiles), q (q - 1) / 2, T + 1), pairs in row-major
     order (0, 1), (0, 2), ..., (q - 2, q - 1).
     """
@@ -233,8 +238,7 @@ def correlation_summary(factors: np.ndarray, quantiles) -> np.ndarray:
         raise InvalidParameter(f"quantiles must be nonempty levels in (0, 1), got {quantiles.tolist()}")
     iu, ju = np.triu_indices(factors.shape[-1], k=1)
     v = tri_solve_stack(factors[..., None, :, :], np.eye(factors.shape[-1]), trans=True)  # row i solves F' x = e_i
-    v = np.ldexp(v, -_row_exponents(v)[..., None])
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v /= _row_norms(v)[..., None]
     rho = np.empty((factors.shape[0], iu.size, factors.shape[1]))
     for p, (i, j) in enumerate(zip(iu, ju)):
         rho[:, p] = np.einsum("ntk,ntk->nt", v[..., i, :], v[..., j, :])

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameter, NotPositiveDefinite
 from .matops import gram, sym, tri_solve_stack, uchol
 from .randsamp import sample_beta, sample_matrix_beta
-from .specfun import sqrt_beta_moment, tricomi_u_neg_half
+from .specfun import _SPREAD_SERIES_Z, _spread_series, sqrt_beta_moment, tricomi_u_neg_half
 
 
 def _check_discount(name: str, value: float) -> None:
@@ -232,14 +232,20 @@ def example1_moments(upsilon: np.ndarray, lam: float) -> tuple[MomentTable, Mome
     squared diagonal of sqrt(lam) v: its mean replaces lam d_i W_ij above
     the diagonal (and its mirror) with h_ij = sqrt(2 lam) W_ij U(-1/2, 0,
     lam d_i^2 / 2), and its variance is lam^2 (d_i W_ij)^2 + lam W_ij^2 -
-    h_ij^2 off the diagonal, 2 on it.  Returns (ue_table, bb_table).
+    h_ij^2 = lam W_ij^2 V(z_i) off the diagonal, 2 on it, with z_i = lam
+    d_i^2 / 2 and V(z) = 2z + 1 - 2 U(-1/2, 0, z)^2.  That difference
+    cancels as z grows, so from z = 30 on V comes from its asymptotic
+    series (``specfun._spread_series``).  Returns (ue_table, bb_table).
     """
     _check_discount("lambda", lam)
     v = np.triu(np.asarray(upsilon, dtype=float))
     d, w, eye = np.diagonal(v), np.triu(v, 1), np.eye(v.shape[0])
-    tricomi = np.array([tricomi_u_neg_half(lam * x**2 / 2.0) for x in d.tolist()])
+    z = lam * d**2 / 2.0
+    tricomi = np.array([tricomi_u_neg_half(x) for x in z.tolist()])
     h = math.sqrt(2.0 * lam) * w * tricomi[:, None]
     var_bb = lam**2 * w**2 * d[:, None] ** 2 + lam * w**2 - h**2
+    far = z >= _SPREAD_SERIES_Z
+    var_bb[far] = lam * w[far] ** 2 * np.array([_spread_series(x) for x in z[far].tolist()])[:, None]
     mean_bb = lam * (w.T @ w + np.diag(d**2)) + eye + h + h.T
     return (MomentTable(lam * (v.T @ v) + eye, 1.0 + eye),
             MomentTable(mean_bb, var_bb + var_bb.T + 2.0 * eye))

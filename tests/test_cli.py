@@ -470,6 +470,19 @@ class TestMain:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["smooth", "compare-plr", "compare-mixture"])
+    def test_scale_beyond_the_double_range_runs_clean(self, tmp_path, capsys, command):
+        # r_t = 10^{e_t} z_t with e_t from -200 to 200: G's diagonal spans
+        # 7.6e-152 to 9.3e199 over t, and the BB pass must still succeed
+        data = tmp_path / "wide.csv"
+        rows = 10.0 ** np.linspace(-200.0, 200.0, 400)[:, None] * np.random.default_rng(0).standard_normal((400, 2))
+        write_returns(data, [[t, *row] for t, row in enumerate(rows.tolist())])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q": 2, "n": 6, "lambda": 0.9, "d0": [[1e-300, 0], [0, 1e-300]],
+                                        "data_csv": str(data), "draws": 6, "burn_in": 2, "batches": 2}))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "argv, error, message",
         [

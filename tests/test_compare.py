@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,16 +11,14 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest, multivariate_normal
 
 from consistency import exact_path_loglik, exact_steps
-from wishartsv import filtering
+from wishartsv import compare, filtering
 from wishartsv.compare import (
     LOG_2PI,
     MixtureConfig,
     _gauss_terms,
     alpha_posterior_shapes,
     batch_means_se,
-    bernoulli_logweight_prob,
     log_plr,
-    log_sum_exp,
     mixture_gibbs,
     path_loglik,
     ppc_intervals,
@@ -114,21 +114,20 @@ class TestPathLoglik:
             path_loglik(factors, data)
 
 
-class TestLogSumExp:
+class TestLogPlr:
     def test_small_values(self):
-        assert log_sum_exp(np.log([1.0, 2.0, 3.0])) == pytest.approx(np.log(6.0))
+        assert log_plr(np.log([1.0, 2.0, 3.0]), [0.0]) == pytest.approx(np.log(2.0))
 
     def test_extreme_values(self):
         x = np.array([-1e4, -1e4 + np.log(2.0)])
-        assert log_sum_exp(x) == pytest.approx(-1e4 + np.log(3.0))
-        assert np.isfinite(log_sum_exp(np.array([1e4, 1e4])))
+        assert log_plr(x, [0.0]) == pytest.approx(-1e4 + np.log(1.5))
+        assert log_plr([1e4, 1e4], [-1e4]) == pytest.approx(2e4)
 
     def test_empty(self):
-        with pytest.raises(EmptyEnsemble):
-            log_sum_exp(np.array([]))
+        for lu, lb in (([], [0.0]), ([0.0], [])):
+            with pytest.raises(EmptyEnsemble):
+                log_plr(lu, lb)
 
-
-class TestLogPlr:
     def test_antisymmetry_and_zero(self):
         data, ue, bb = toy(T=10, q=2, seed=4)
         fu = forward_filter(data, ue)
@@ -173,17 +172,6 @@ class TestMixturePieces:
     def test_alpha_shapes(self):
         assert alpha_posterior_shapes(1.0, 2.0, np.array([1, 0, 1, 1])) == (4.0, 3.0)
 
-    def test_bernoulli_prob(self):
-        assert bernoulli_logweight_prob(0.0, 0.0) == pytest.approx(0.5)
-        assert bernoulli_logweight_prob(np.log(3.0), 0.0) == pytest.approx(0.75)
-        assert bernoulli_logweight_prob(-2000.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert bernoulli_logweight_prob(0.0, -2000.0) == pytest.approx(1.0)
-        # over arrays, each entry is the scalar call's value, bit for bit
-        rng = np.random.default_rng(3)
-        logw1, logw0 = rng.normal(0.0, 50.0, (2, 1000))
-        expect = [bernoulli_logweight_prob(a, b) for a, b in zip(logw1.tolist(), logw0.tolist())]
-        np.testing.assert_array_equal(bernoulli_logweight_prob(logw1, logw0), expect)
-
     def test_config_burn_in_default(self):
         cfg = MixtureConfig(iterations=200)
         assert cfg.burn_in == 20
@@ -198,6 +186,17 @@ class TestMixturePieces:
 
 
 class TestMixtureGibbs:
+    def test_extreme_log_weight_gaps(self, monkeypatch):
+        # log weight gaps of +-2000 give P(z = 1) of exactly 1 and 0, with no overflow warning
+        data, ue, bb = toy(T=6, q=2, seed=11)
+        gaps = np.array([2000.0, -2000.0, 2000.0, 2000.0, -2000.0, -2000.0])
+        terms = itertools.cycle([np.zeros(6), -gaps])  # the UE term, then the BB term, per sweep
+        monkeypatch.setattr(compare, "_gauss_terms", lambda f, r: next(terms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = mixture_gibbs(data, ue, bb, MixtureConfig(iterations=20, burn_in=0, seed=12))
+        np.testing.assert_array_equal(tr.z, np.broadcast_to(gaps > 0, tr.z.shape))
+
     def test_trace_shapes_and_determinism(self):
         data, ue, bb = toy(T=6, q=2, seed=11)
         cfg = MixtureConfig(iterations=30, burn_in=5, seed=12)

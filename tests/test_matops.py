@@ -252,3 +252,16 @@ def test_no_explicit_inverse_in_the_package():
             if isinstance(node, ast.ImportFrom) and any(a.name in ("inv", "pinv") for a in node.names):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_no_exponent_bookkeeping_in_the_package():
+    # quantities stay in range by the math or by hypot and scipy's log-sum-exp,
+    # not by splitting floats into mantissa and exponent
+    calls = []
+    for path in sorted(Path(wishartsv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+            names += [node.id] if isinstance(node, ast.Name) else []
+            names += [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            calls += [f"{path.name}:{node.lineno}" for name in names if name in ("frexp", "ldexp")]
+    assert calls == []

@@ -259,17 +259,26 @@ class TestClosedForm:
     @pytest.mark.parametrize("length", [1, 2, 3, 100, 1001])
     @pytest.mark.parametrize("a", [0.01, 0.5, 0.999])
     def test_discounted_sums_match_a_loop(self, length, a):
-        x = np.random.default_rng(length).standard_normal((length, 2, 3))
-        expect = x.copy()
-        for t in range(length - 2, -1, -1):
-            expect[t] = x[t] + a * expect[t + 1]
-        assert np.linalg.norm(_discounted_sums(x, a) - expect) <= 1e-14 * np.linalg.norm(expect)
+        # one coefficient, then per-step ones broadcasting over the rows; at
+        # a = 0.01 and length 1001 their running products underflow to 0
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal((length, 2, 3))
+        per_step = a * rng.uniform(0.5, 1.0, (length - 1, 1, 3))
+        for coef, arg in ((np.full((length - 1, 1, 1), a), a), (per_step, per_step)):
+            expect = x.copy()
+            for t in range(length - 2, -1, -1):
+                expect[t] = x[t] + coef[t] * expect[t + 1]
+            assert np.linalg.norm(_discounted_sums(x, arg) - expect) <= 1e-14 * np.linalg.norm(expect)
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_bb_chain_of_no_step_is_f_T(self, lead):
-        f_T = np.triu(np.random.default_rng(0).standard_normal(lead + (2, 2))) + 2.0 * np.eye(2)
-        f = _bb_chain(np.empty((0, 2, 2)), f_T, np.empty((0,) + lead + (2,)), 0.8)
-        assert_same_bits(f, f_T[None])
+        # G_T alone: the chain returns F_T = W_T G_T^{-1}, the back-substitution's bits
+        rng = np.random.default_rng(0)
+        w_T = np.triu(rng.standard_normal(lead + (2, 2))) + 2.0 * np.eye(2)
+        g_T = np.triu(rng.standard_normal((2, 2))) + 2.0 * np.eye(2)
+        f = _bb_chain(g_T[None], w_T, np.empty((0,) + lead + (2,)), 0.8)
+        assert_same_bits(f, tri_solve_stack(g_T, w_T, trans=True)[None])
+        np.testing.assert_allclose(f[0], w_T @ np.linalg.inv(g_T), rtol=1e-14, atol=1e-15)
 
 
 class TestBackwardErrors:
@@ -412,8 +421,8 @@ class TestIllConditioned:
 
     def test_bb_pass_over_a_wide_range(self):
         # a UE-law series whose G diagonal spans up to 1e203 over t, so
-        # 1/g^2 spans 1e406: the squared diagonal recursion must be scaled
-        # per lane, and scaling by f_T alone overflows
+        # 1/g^2 spans 1e406: the squared diagonal recursion must not meet
+        # G's scale, and scaling by f_T alone overflows
         ue = UEHyper(q=5, k=1, n=6.0, lam=0.9, d0=np.eye(5))
         data, _ = simulate(ue, 2000, seed=3)
         fb = forward_filter(data, match_ue_to_bb(ue))
@@ -425,6 +434,21 @@ class TestIllConditioned:
         assert_close_per_matrix(path, stepwise_path(fb, *bb_noise(fb, 3), bb_backward_step_product), 1e-12)
         expect = stepwise_path(fb, np.stack(w_T), np.stack(theta, axis=1), bb_backward_step_product)
         assert_close_per_matrix(ens, np.swapaxes(expect, 0, 1), 1e-12)
+
+    def test_bb_pass_beyond_the_double_range(self):
+        # r_t = 10^{e_t} z_t with e_t from -200 to 200: G's diagonal runs from
+        # 7.6e-152 to 9.3e199, so 1/g^2 over t spans more than any double can
+        # hold; the whitened squared diagonal stays of order 1
+        T = 400
+        z = np.random.default_rng(0).standard_normal((T, 2))
+        data = ReturnsSeries(10.0 ** np.linspace(-200.0, 200.0, T)[:, None] * z)
+        fb = forward_filter(data, match_ue_to_bb(UEHyper(q=2, k=1, n=6.0, lam=0.9, d0=1e-300 * np.eye(2))))
+        path = backward_sample(fb, make_rng(3))
+        ens = sample_ensemble(fb, 4, seed=3)
+        assert_factors(path)
+        assert_factors(ens)
+        for i in range(4):
+            assert_same_bits(ens[i], backward_sample(fb, substream(3, i)))
 
     @pytest.mark.parametrize("case", ["wide-range", "criterion13"])
     def test_ue_ensemble_over_a_wide_range(self, case):

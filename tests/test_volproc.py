@@ -273,6 +273,30 @@ class TestExample1:
         with pytest.raises(InvalidParameter):
             example1_moments(np.eye(2), 1.5)
 
+    @pytest.mark.parametrize(
+        "d1, expect",
+        [
+            (1.0, 0.15532349607218042419),
+            (3.0, 0.041986277085159903412),
+            (10.0, 0.0048415409247123718908),
+            (30.0, 0.00055350991164359543923),
+            (100.0, 0.000049983342123205625757),
+            (1e3, 4.9999833334212956533e-7),
+            (6266.0, 1.2734713720833972178e-8),
+            (1e4, 4.9999998333333421296e-9),
+        ],
+    )
+    def test_bb_offdiagonal_variance_against_mpmath(self, d1, expect):
+        """The BB off-diagonal variance lam W^2 V(z), z = lam d_1^2 / 2, at lam = 0.9 and W = 1.
+
+        The references are lam (2z + 1 - 2 U(-1/2, 0, z)^2) in 60-digit mpmath
+        (``mp.dps = 60``, ``hyperu(-0.5, 0, z)``, with lam and d_1 exact), printed
+        to 20 digits.  The difference cancels as d_1 grows: evaluated in double it
+        is off by 2.6e-9 at d_1 = 100 and negative near d_1 = 6266.
+        """
+        _, tb = example1_moments(np.array([[d1, 1.0], [0.0, 1.0]]), 0.9)
+        assert tb.var[0, 1] == pytest.approx(expect, rel=1e-11, abs=0.0)
+
 
 class TestMatrixForms:
     """The matrix forms of the closed-form moments against their entrywise statements."""
