@@ -67,7 +67,8 @@ def load_returns_csv(path, q: int) -> ReturnsSeries:
         raise DimensionMismatch(
             f"{path}: expected 1 timestamp + {q} return columns, found {len(header)} columns"
         )
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num  # a quoted field may span lines, so count lines, not records
         if len(row) != q + 1:
             raise ParseError(f"{path}:{line_no}: expected {q + 1} fields, got {len(row)}")
         vals = []
@@ -114,11 +115,18 @@ def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):
 # ---------------------------------------------------------------- output
 
 
-def _write_csv(path: Path, header, rows):
+def _write_table(path: Path, header, *columns):
+    """Write a CSV table from whole columns (arrays or lists) of equal length.
+
+    Each field is a Python int, float or comma-free string, written by
+    ``str``: a float in its shortest round-trip form, so the table reads
+    back bit for bit.  Rows end in CRLF, as ``csv.writer``'s do, and are
+    streamed: no list of rows is built.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in zip(*cols, strict=True))
 
 
 def _write_meta(outdir: Path, cfg: dict, command: str, t0: float):
@@ -126,7 +134,7 @@ def _write_meta(outdir: Path, cfg: dict, command: str, t0: float):
         "config": cfg,
         "version": __version__,
         "rng": RNG_ALGORITHM,
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
         "command": command,
     }
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -167,8 +175,8 @@ def _numbers(v) -> bool:
 
 # the JSON type each config field must have, as (description, check)
 _FIELD_TYPES = {
-    **dict.fromkeys(("q", "T", "draws", "burn_in", "batches"),
-                    ("an integer", lambda v: _number(v) and isinstance(v, int))),
+    "q": ("a positive integer", lambda v: _number(v) and isinstance(v, int) and v >= 1),
+    **dict.fromkeys(("T", "draws", "burn_in", "batches"), ("an integer", lambda v: _number(v) and isinstance(v, int))),
     "seed": ("a non-negative integer", lambda v: _number(v) and isinstance(v, int) and v >= 0),
     **dict.fromkeys(("n", "lambda", "ridge", "a0", "b0", "level"), ("a finite number", _number)),
     **dict.fromkeys(("data_csv", "presample_csv", "out"), ("a string", lambda v: isinstance(v, str))),
@@ -239,34 +247,24 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     if model not in ("ue", "bb"):
         raise InvalidParameter(f"simulate draws from one model, ue or bb; got {model!r}")
     series, phis = simulate(hypers[model], _required(cfg, "T"), cfg["seed"])
-    _write_csv(
-        outdir / "returns.csv",
-        ["t"] + [f"r{i + 1}" for i in range(q)],
-        [[t] + r for t, r in enumerate(series.returns.tolist(), start=1)],
-    )
-    _write_csv(
-        outdir / "true_path.csv",
-        ["t"] + _flat_header("phi", q),
-        [[t] + phi for t, phi in enumerate(phis.reshape(-1, q * q).tolist())],
-    )
+    t = np.arange(series.T + 1)
+    _write_table(outdir / "returns.csv", ["t"] + [f"r{i + 1}" for i in range(q)], t[1:], *series.returns.T)
+    _write_table(outdir / "true_path.csv", ["t"] + _flat_header("phi", q), t, *phis.reshape(-1, q * q).T)
     return {"T": series.T, "q": q, "model": model, "warning": warning}
 
 
 def cmd_filter(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
     filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
+    q = data.q
+    header = ["t", "k_t"] + _flat_header("d", q) + ["log_forecast"]
     summaries = {}
     for tag, filt in filts.items():
-        q = data.q
         with np.errstate(over="ignore"):  # D_t may overflow where G_t does not: the table reads inf there
             d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
-        rows = [
-            [t, k, *d_t, log_f]
-            for t, (k, d_t, log_f) in enumerate(
-                zip(filt.k_seq.tolist(), d.reshape(-1, q * q).tolist(), [""] + filt.log_forecast.tolist())
-            )
-        ]
-        _write_csv(outdir / f"filtered_{tag}.csv", ["t", "k_t"] + _flat_header("d", q) + ["log_forecast"], rows)
+        # t = 0 has no forecast, so its log_forecast field is empty
+        _write_table(outdir / f"filtered_{tag}.csv", header, np.arange(data.T + 1), filt.k_seq,
+                     *d.reshape(-1, q * q).T, [""] + filt.log_forecast.tolist())
         summaries[tag] = {"loglik": filt.loglik}
     return {"warning": warning, "models": summaries}
 
@@ -282,12 +280,9 @@ def cmd_grid_search(cfg: dict, outdir: Path) -> dict:
     n_grid = cfg.get("n_grid", DEFAULT_N_GRID)
     lambda_grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
     n_star, lambda_star, surface = grid_search(data, d0, n_grid, lambda_grid)
-    rows = [
-        [n, lam, value]
-        for n, surface_row in zip(n_grid, surface.tolist())
-        for lam, value in zip(lambda_grid, surface_row)
-    ]
-    _write_csv(outdir / "surface.csv", ["n", "lambda", "loglik"], rows)
+    # the grid values as the config gave them, so integer n stay integers
+    n_col = [n for n in n_grid for _ in lambda_grid]
+    _write_table(outdir / "surface.csv", ["n", "lambda", "loglik"], n_col, lambda_grid * len(n_grid), surface.ravel())
     return {
         "n_star": n_star,
         "lambda_star": lambda_star,
@@ -301,21 +296,16 @@ def cmd_smooth(cfg: dict, outdir: Path) -> dict:
     filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     n_draws = cfg.get("draws", 100)
     quantiles = cfg.get("quantiles", [0.025, 0.5, 0.975])
+    header = ["t", "i", "j"] + [f"q{qt}" for qt in quantiles]
+    iu, ju = np.triu_indices(data.q, k=1)  # no pair at q = 1, and so no table
+    steps = data.T + 1
+    pairs = np.tile(np.arange(steps), iu.size), np.repeat(iu + 1, steps), np.repeat(ju + 1, steps)
     out = {}
     for tag, filt in filts.items():
         ens = sample_ensemble(filt, n_draws=n_draws, seed=cfg["seed"])
-        curves = correlation_summary(ens, quantiles).transpose(1, 2, 0).tolist()  # [pair][t][level]
-        rows = [
-            [t, i + 1, j + 1] + levels
-            for i, j, pair in zip(*np.triu_indices(data.q, k=1), curves)
-            for t, levels in enumerate(pair)
-        ]
-        if rows:
-            _write_csv(
-                outdir / f"correlations_{tag}.csv",
-                ["t", "i", "j"] + [f"q{qt}" for qt in quantiles],
-                rows,
-            )
+        curves = correlation_summary(ens, quantiles)  # [level][pair][t]
+        if iu.size:
+            _write_table(outdir / f"correlations_{tag}.csv", header, *pairs, *curves.reshape(len(quantiles), -1))
         out[tag] = {"draws": n_draws}
     return {"warning": warning, "models": out}
 
@@ -345,7 +335,7 @@ def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
     if not 2 <= n_batches <= kept:
         raise InvalidParameter(f"batches must lie in [2, {kept}], the kept draws; got {n_batches}")
     trace = mixture_gibbs(data, hypers["ue"], hypers["bb"], mix)
-    _write_csv(outdir / "alpha_trace.csv", ["iteration", "alpha"], list(enumerate(trace.alpha.tolist())))
+    _write_table(outdir / "alpha_trace.csv", ["iteration", "alpha"], np.arange(kept), trace.alpha)
     below = (trace.alpha < 0.5).astype(float)
     return {
         "alpha_mean": float(trace.alpha.mean()),
@@ -360,18 +350,11 @@ def cmd_ppc(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
     filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     level = cfg.get("level", 0.95)
+    header = ["t"] + [f"length_{i + 1}" for i in range(data.q)] + ["cumulative_coverage"]
     out = {}
     for tag, filt in filts.items():
         lengths, coverage = ppc_intervals(filt, data, level)
-        rows = [
-            [t] + length_t + [coverage_t]
-            for t, (length_t, coverage_t) in enumerate(zip(lengths.tolist(), coverage.tolist()), start=1)
-        ]
-        _write_csv(
-            outdir / f"ppc_{tag}.csv",
-            ["t"] + [f"length_{i + 1}" for i in range(data.q)] + ["cumulative_coverage"],
-            rows,
-        )
+        _write_table(outdir / f"ppc_{tag}.csv", header, np.arange(1, data.T + 1), *lengths.T, coverage)
         out[tag] = {"terminal_coverage": float(coverage[-1])}
     return {"level": level, "warning": warning, "models": out}
 
@@ -396,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name, exit_on_error=False)
-        p.add_argument("--config", help="JSON config file with RunConfig fields")
+        p.add_argument("--config", help="JSON config file; its fields are the README's config table")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument("--model", help="ue, bb or matched (checked like the config key)")
         p.add_argument("--draws", type=int, help="ensemble size / chain length")
@@ -415,7 +398,7 @@ def run_command(command: str, cfg: dict) -> dict:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidParameter(f"{outdir}: cannot create output directory: {exc.strerror}") from None
-    t0 = time.time()
+    t0 = time.perf_counter()
     summary = COMMANDS[command](cfg, outdir)
     summary = {"command": command, "seed": cfg["seed"], **summary}
     (outdir / "results.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -57,6 +57,16 @@ class TestLoadReturnsCsv:
         with pytest.raises(ParseError, match=r"bad\.csv:2: column 3"):
             load_returns_csv(p, 2)
 
+    def test_line_after_a_multiline_field(self, tmp_path):
+        # the quoted timestamp holds a newline, so the bad cell is on line 4, the third record
+        p = tmp_path / "ml.csv"
+        p.write_text('date,r1,r2\n"2001-01-01\nx",0.1,0.2\n2001-01-02,abc,0.4\n')
+        with pytest.raises(ParseError, match=r"ml\.csv:4: column 2: not a number: 'abc'"):
+            load_returns_csv(p, 2)
+        p.write_text('date,r1,r2\n"2001-01-01\nx",0.1,0.2\n2001-01-02,0.4\n')
+        with pytest.raises(ParseError, match=r"ml\.csv:4: expected 3 fields, got 2"):
+            load_returns_csv(p, 2)
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("date,r1,r2\n2024-01-01,0.1\n")
@@ -385,8 +395,10 @@ class TestMain:
              "InvalidParameter", "kept draws"),
             ("compare-mixture", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 20, "batches": 19, "data_csv": DATA}',
              "InvalidParameter", "kept draws"),
-            # DATES stands for a CSV with only its timestamp column
-            ("grid-search", '{"q": 0, "data_csv": DATES}', "DimensionMismatch", "q >= 1"),
+            # DATES stands for a CSV with only its timestamp column; q is checked with
+            # the config, before any table is read or any D_0 is built
+            ("grid-search", '{"q": 0, "data_csv": DATES}', "InvalidParameter", "'q'"),
+            ("simulate", '{"q": -1, "n": 3.0, "lambda": 0.9, "T": 5}', "InvalidParameter", "'q'"),
             # D_0 is stated once: by d0, or by presample_csv with an optional ridge
             ("filter", '{"q": 2, "n": 5.0, "lambda": 0.8, "d0": [[1, 0], [0, 1]], "presample_csv": DATA, '
              '"data_csv": DATA}', "InvalidParameter", "'presample_csv'"),
@@ -398,7 +410,7 @@ class TestMain:
             "seed-negative", "unknown-key", "d0-nan", "n-infinity", "simulate-negative-T", "n-grid-empty", "lambda-grid-empty",
             "grid-d0-shape", "grid-d0-asymmetric",
             "model-unknown", "quantiles-empty", "batches-zero", "batches-above-kept",
-            "q-zero", "d0-and-presample", "ridge-without-presample",
+            "q-zero", "simulate-negative-q", "d0-and-presample", "ridge-without-presample",
         ],
     )
     def test_bad_config_is_reported(self, returns_csv, tmp_path, capsys, command, config_text, error, message):

@@ -65,6 +65,14 @@ the BB ensembles still equal them bit for bit.  The BB ``simulate``
 precision paths moved by at most 1.4e-15, 1.5e-15 and 6.7e-16 relative
 per matrix at q = 1, 3 and 5; their returns kept their bytes.  Every
 other value kept its bytes.
+
+``GOLDEN_CLI`` holds the sha256 of every file the seven CLI commands
+write on a short simulated series, ``meta.json`` aside (it records a
+wall time and the run's paths).  It pins the table format itself: the
+header, the row order, integers written as integers and floats in
+Python's shortest round-trip form, and ``\\r\\n`` line ends.  It was
+recorded with the ``csv.writer`` tables, before the CLI got its one
+column writer.
 """
 
 import hashlib
@@ -72,6 +80,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from wishartsv.cli import run_command
 from wishartsv.compare import MixtureConfig, mixture_gibbs
 from wishartsv.filtering import ReturnsSeries, forward_filter, grid_search, simulate
 from wishartsv.randsamp import substream
@@ -200,3 +209,72 @@ def test_grid_surface():
 @pytest.mark.parametrize("case", sorted(GOLDEN_LOG_FORECAST))
 def test_log_forecast(case):
     assert sha(setting(case).log_forecast) == GOLDEN_LOG_FORECAST[case]
+
+
+# command [model]: (config beyond CLI_CFG, {file: sha256})
+GOLDEN_CLI = {
+    "simulate ue": ({"T": 30, "model": "ue"}, {
+        "results.json": "9da8d009494d7f6ba3f924041d59918f533129cf400709269f5aea7a6b6c200c",
+        "returns.csv": "736b78144127eefbdcdd15bf0379365732c900620a92092dd99d4a731b30fad8",
+        "true_path.csv": "be784d1a568ab99b75f99ac7bf763ac7d1ae730d3474ce57f73576f36f35e4e9",
+    }),
+    "simulate bb": ({"T": 30, "model": "bb"}, {
+        "results.json": "da8ff2c8aa053ef9c238a1f0f98fbe95c718ada927a0167d6f3a9c4f141afde5",
+        "returns.csv": "736b78144127eefbdcdd15bf0379365732c900620a92092dd99d4a731b30fad8",
+        "true_path.csv": "59c67b1ce7a712a9fad37f6d21c32fb73534c71a49f0bb7884f83484943a51f5",
+    }),
+    "filter": ({"model": "matched"}, {
+        "filtered_bb.csv": "2fb8a68453118375ee08491a163181c512c31a3c7c2848b9cb209cca4ee1bd0f",
+        "filtered_ue.csv": "2fb8a68453118375ee08491a163181c512c31a3c7c2848b9cb209cca4ee1bd0f",
+        "results.json": "a7362fafdb8c6c204b4164b111c65822ed792f6444db1ddb49688a1e33e5ab84",
+    }),
+    "smooth": ({"model": "matched", "draws": 4}, {
+        "correlations_bb.csv": "3becbb12752a1b5d6d3f0cc0ec5a6b2aadbb12df8d2cc4cefe504a96c723216a",
+        "correlations_ue.csv": "78eac05b55037aa87d4425a58f2ceded02731ddcfe5f37336bb19c0c60f50b74",
+        "results.json": "0c9c2e9c7ba09a8c0a0e9d161da212649659b616153de0447ac3d4922740bf59",
+    }),
+    "ppc": ({"model": "matched"}, {
+        "ppc_bb.csv": "436e5ff743829be7a4aa8db935d9fe1bf5567579ddc1eda12bf52543a90cf92c",
+        "ppc_ue.csv": "436e5ff743829be7a4aa8db935d9fe1bf5567579ddc1eda12bf52543a90cf92c",
+        "results.json": "83fc0fd66118f1e63d7447c85c21435eb24666a2ba5a3f6f4bf36184c1552bc7",
+    }),
+    # integer n stay integers in the table, float n stay floats
+    "grid-search": ({"n_grid": [3, 5.5, 8], "lambda_grid": [0.7, 0.85, 0.95]}, {
+        "results.json": "a55f488781515dd7823d58272f992831695393bbf60348d817461773f5449e03",
+        "surface.csv": "bd7f664feb24e576be0ab6763ed2bc2d12ffb53eb837c708b8940ca7316481fe",
+    }),
+    "compare-plr": ({"draws": 4}, {
+        "results.json": "94b14f69b643fbc2b1099bf97bfdae8659f6492a054c0e4af8f72ad4ac7b4140",
+    }),
+    "compare-mixture": ({"draws": 40, "burn_in": 10, "batches": 5}, {
+        "alpha_trace.csv": "4a388f6bbc134dd9daa7d00dc3499798175a48c2afe7b4b496091dd5a2ba380c",
+        "results.json": "396de58d0950a1fa28745b3d61f440ae4bb68448e7abec9b9d026cc1c1798f93",
+    }),
+}
+CLI_CFG = {"q": 3, "n": 6.0, "lambda": 0.85, "seed": 3}
+
+
+def cli_files(outdir):
+    """{name: sha256} of a run's output files, ``meta.json`` aside."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir() if p.name != "meta.json"}
+
+
+@pytest.fixture(scope="module")
+def cli_data(tmp_path_factory):
+    """A q = 3, T = 30 UE series written by ``simulate``."""
+    out = tmp_path_factory.mktemp("cli-data")
+    run_command("simulate", {**CLI_CFG, "T": 30, "model": "ue", "out": str(out)})
+    return out / "returns.csv"
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI)
+def test_cli_output_bytes(case, cli_data, tmp_path):
+    extra, golden = GOLDEN_CLI[case]
+    run_command(case.split()[0], {**CLI_CFG, "data_csv": str(cli_data), **extra, "out": str(tmp_path)})
+    assert cli_files(tmp_path) == golden
+
+
+def test_simulate_of_no_step_writes_a_header_only(tmp_path):
+    run_command("simulate", {**CLI_CFG, "T": 0, "out": str(tmp_path)})
+    assert (tmp_path / "returns.csv").read_bytes() == b"t,r1,r2,r3\r\n"
+    assert (tmp_path / "true_path.csv").read_text().count("\n") == 2

@@ -242,26 +242,29 @@ class TestFaultAt:
             _fault_at(*faults, last=True)
 
 
-def test_no_explicit_inverse_in_the_package():
-    # every solve is a back-substitution (tri_solve_stack): no module forms an inverse
-    calls = []
+def package_uses(*names):
+    """file:line of every attribute, name or from-import in the package spelt as one of ``names``."""
+    found = []
     for path in sorted(Path(wishartsv.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in ("inv", "pinv"):
-                calls.append(f"{path.name}:{node.lineno}")
-            if isinstance(node, ast.ImportFrom) and any(a.name in ("inv", "pinv") for a in node.names):
-                calls.append(f"{path.name}:{node.lineno}")
-    assert calls == []
+            spelt = [node.attr] if isinstance(node, ast.Attribute) else []
+            spelt += [node.id] if isinstance(node, ast.Name) else []
+            spelt += [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}:{node.lineno}" for name in spelt if name in names]
+    return found
+
+
+def test_no_explicit_inverse_in_the_package():
+    # every solve is a back-substitution (tri_solve_stack): no module forms an inverse
+    assert package_uses("inv", "pinv") == []
 
 
 def test_no_exponent_bookkeeping_in_the_package():
     # quantities stay in range by the math or by hypot and scipy's log-sum-exp,
     # not by splitting floats into mantissa and exponent
-    calls = []
-    for path in sorted(Path(wishartsv.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = [node.attr] if isinstance(node, ast.Attribute) else []
-            names += [node.id] if isinstance(node, ast.Name) else []
-            names += [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
-            calls += [f"{path.name}:{node.lineno}" for name in names if name in ("frexp", "ldexp")]
-    assert calls == []
+    assert package_uses("frexp", "ldexp") == []
+
+
+def test_one_table_writer_in_the_package():
+    # every CLI table goes through cli._write_table; csv is only read
+    assert package_uses("writer", "writerow", "writerows") == []
