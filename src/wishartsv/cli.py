@@ -12,13 +12,16 @@ per-time tables as plain CSV so any plotting tool can consume them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -56,34 +59,56 @@ def _read_text(path, what: str) -> str:
 
 
 def load_returns_csv(path, q: int) -> ReturnsSeries:
-    """Strictly parse a returns CSV: header, timestamp column (required, not read), q numeric columns."""
-    rows = []
-    reader = csv.reader(io.StringIO(_read_text(path, "returns")))
+    """Strictly parse a returns CSV: header, timestamp column (required, not read), q numeric columns.
+
+    All lines are read at once and their field counts checked in one pass;
+    then the return columns are converted whole, one ``map(float, ...)``
+    into one array, and checked finite in one call.  Only when one of these
+    finds a fault does the row-by-row reader run, to name the first bad
+    line.  ``float`` is the one number parser.
+    """
+    text = _read_text(path, "returns")
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
-    if len(header) != q + 1:
-        raise DimensionMismatch(
-            f"{path}: expected 1 timestamp + {q} return columns, found {len(header)} columns"
-        )
-    for row in reader:
-        line_no = reader.line_num  # a quoted field may span lines, so count lines, not records
-        if len(row) != q + 1:
-            raise ParseError(f"{path}:{line_no}: expected {q + 1} fields, got {len(row)}")
-        vals = []
-        for col, cell in enumerate(row[1:], start=2):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: column {col}: not a number: {cell!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(f"{path}:{line_no}: column {col}: non-finite value {cell!r}")
-            vals.append(v)
-        rows.append(vals)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return ReturnsSeries(np.array(rows))
+        lines = list(csv.reader(io.StringIO(text)))
+    except csv.Error:
+        lines = []
+    if len(lines) > 1 and set(map(len, lines)) == {q + 1}:
+        _, *cols = zip(*lines[1:])
+        try:
+            vals = np.fromiter(map(float, itertools.chain.from_iterable(cols)), float, q * (len(lines) - 1))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(vals).all():
+                return ReturnsSeries(vals.reshape(q, -1).T.copy())  # C order: matmuls round by memory order
+    _raise_first_fault(path, text, q)
+
+
+def _raise_first_fault(path, text: str, q: int) -> NoReturn:
+    """Raise the error for the first fault of a returns CSV, reading ``text`` row by row."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        if len(header) != q + 1:
+            raise DimensionMismatch(
+                f"{path}: expected 1 timestamp + {q} return columns, found {len(header)} columns"
+            )
+        for row in reader:
+            line_no = reader.line_num  # a quoted field may span lines, so count lines, not records
+            if len(row) != q + 1:
+                raise ParseError(f"{path}:{line_no}: expected {q + 1} fields, got {len(row)}")
+            for col, cell in enumerate(row[1:], start=2):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}:{line_no}: column {col}: not a number: {cell!r}") from None
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}:{line_no}: column {col}: non-finite value {cell!r}")
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    raise ParseError(f"{path}: no data rows")
 
 
 def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):
@@ -115,6 +140,15 @@ def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):
 # ---------------------------------------------------------------- output
 
 
+@contextlib.contextmanager
+def _written(path: Path):
+    """Report an OSError raised while writing the output file ``path`` as InvalidParameter."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidParameter(f"{path}: cannot write output file: {exc.strerror}") from None
+
+
 def _write_table(path: Path, header, *columns):
     """Write a CSV table from whole columns (arrays or lists) of equal length.
 
@@ -124,9 +158,14 @@ def _write_table(path: Path, header, *columns):
     streamed: no list of rows is built.
     """
     cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    with path.open("w", newline="") as fh:
+    with _written(path), path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(str, row)) + "\r\n" for row in zip(*cols, strict=True))
+
+
+def _write_json(path: Path, obj) -> None:
+    with _written(path):
+        path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def _write_meta(outdir: Path, cfg: dict, command: str, t0: float):
@@ -137,7 +176,7 @@ def _write_meta(outdir: Path, cfg: dict, command: str, t0: float):
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "command": command,
     }
-    (outdir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    _write_json(outdir / "meta.json", meta)
 
 
 def _flat_header(prefix: str, q: int):
@@ -401,7 +440,7 @@ def run_command(command: str, cfg: dict) -> dict:
     t0 = time.perf_counter()
     summary = COMMANDS[command](cfg, outdir)
     summary = {"command": command, "seed": cfg["seed"], **summary}
-    (outdir / "results.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(outdir / "results.json", summary)
     _write_meta(outdir, cfg, command, t0)
     return summary
 

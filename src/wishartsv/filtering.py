@@ -40,7 +40,6 @@ oracles in the tests).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +131,13 @@ def _factor_path(returns: np.ndarray, jg0: np.ndarray, discount: float) -> np.nd
     Each step is a rank-1 update of J G_t' J = uchol(J D_t J); no matrix is
     refactored or inverted, which matters because the simulated data law
     drives cond(D_t) far past what dense refactorization tolerates.  The
-    loop, ``matops._givens_chain``, rotates one flat list of Python floats
-    (at q <= 5 a numpy call per step costs more than the arithmetic).
+    loop, ``matops._givens_chain``, is straight-line code generated per q
+    on Python floats (at q <= 5 a numpy call per step costs more than the
+    arithmetic).
     Raises InvalidParameter at the first t where G_t is not finite.
     """
-    T, q = returns.shape
-    flat = _givens_chain(array("d", jg0.ravel().tolist()), returns[:, ::-1].tolist(), math.sqrt(discount))
-    g = np.frombuffer(flat).reshape(T + 1, q, q).transpose(0, 2, 1)[:, ::-1, ::-1].copy()
+    jg = _givens_chain([tuple(jg0.ravel().tolist())], returns[:, ::-1].tolist(), math.sqrt(discount))
+    g = jg.transpose(0, 2, 1)[:, ::-1, ::-1].copy()
     _fault_at((~np.isfinite(g[1:]), InvalidParameter, "scale recursion overflows: D_t is not finite"))
     return g
 
@@ -212,7 +211,7 @@ def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
     D_{t-1}-whitened coordinates where every quantity is O(1): with A_t
     the Bartlett factor of Wishart(prior df, I) and z_t ~ N(0, I),
     r_t = R_{t-1}' w_t with w_t = sqrt(disc) A_t^{-1} z_t and R_{t-1} the
-    factor of D_{t-1} the Givens chain carries, so no inverse factor of
+    factor of D_{t-1} the Givens chain appended last, so no inverse factor of
     the (possibly extremely ill-conditioned) D is formed.  The path is one
     ``backward_sample`` of the model's filter on the returns, from
     substream (seed, 1), so matched UE and BB give the same returns and
@@ -234,17 +233,17 @@ def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
         z[t] = rng.standard_normal(q)
     with np.errstate(all="ignore"):  # a chi-square draw that underflows to 0 gives an infinite w_t
         w = (tri_solve_stack(a, z) * math.sqrt(disc)).tolist()
-    flat = array("d", uchol(hyper.d0).ravel().tolist())  # R_0 with R_0' R_0 = D_0, row-major
+    out = [tuple(uchol(hyper.d0).ravel().tolist())]  # R_0 with R_0' R_0 = D_0, row-major
     cols = [[(i * q + j, i) for i in range(j, -1, -1)] for j in range(q)]  # R[i, j], i <= j
     returns = []
 
     def draws():  # r_t = R_{t-1}' w_t, R_{t-1} the factor the chain appended last
         for w_t in w:
-            r = flat[-q * q :]
+            r = out[-1]
             returns.append([sum(r[k] * w_t[i] for k, i in col) for col in cols])
-            yield returns[-1][:]  # a copy: the chain overwrites it
+            yield returns[-1]
 
-    _givens_chain(flat, draws(), math.sqrt(disc))
+    _givens_chain(out, draws(), math.sqrt(disc))
     returns = np.array(returns).reshape(T, q)
     _fault_at((~np.isfinite(returns), InvalidParameter, "simulated r_t overflows double precision"))
     series = ReturnsSeries(returns)

@@ -24,18 +24,21 @@ step.  A right solve m G^{-1} solves G' x = b with ``trans`` for each
 row b of m.
 
 The one Givens loop on Python floats is ``_givens_chain``: a whole
-recursion of rank-1 updates on a factor held as one flat row-major list,
-with rho from ``math.hypot`` (a tenth of ``np.hypot``'s cost on Python
-floats; inf on overflow) and no function call per step.  The filter's
-factor path, the single-path UE backward pass and ``simulate`` all run
-through it; a stack of UE paths is refactored densely instead.
+recursion of rank-1 updates, with rho from ``math.hypot`` (a tenth of
+``np.hypot``'s cost on Python floats; inf on overflow).  Its loop body is
+generated per q as straight-line source, built from the integer q alone
+and compiled once on first use, with every entry of the factor a local
+variable; each step's factor is appended as one tuple and the list is
+converted to an array once.  The filter's factor path, the single-path
+UE backward pass and ``simulate`` all run through it; a stack of UE
+paths is refactored densely instead.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from array import array
 
 import numpy as np
 
@@ -140,32 +143,58 @@ def uchol_components(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _givens_chain(flat: array, xs, scale: float) -> array:
+@functools.cache
+def _chain_at(q: int):
+    """The Givens loop at dimension q, generated from q alone and compiled on first use.
+
+    Straight-line code with every entry of R and of x a local variable.
+    """
+    r = [[f"r{i}_{j}" for j in range(q)] for i in range(q)]
+    x = [f"x{j}" for j in range(q)]
+    flat = ", ".join(e for row in r for e in row)
+    lines = [
+        "def chain(out, xs, scale, hypot=hypot, error=error):",
+        f"    {flat}, = out[-1]",
+        "    append = out.append",
+        f"    for {', '.join(x)}, in xs:",
+    ]
+    for i in range(q):
+        lines += [
+            f"        rii = scale * {r[i][i]}",
+            f"        rho = hypot(rii, {x[i]})",
+            "        if rho <= 0.0:",
+            f"            raise error('zero pivot in rank-1 update at row {i}')",
+            "        c = rii / rho",
+            f"        s = {x[i]} / rho",
+            f"        {r[i][i]} = rho",
+        ]
+        for j in range(i + 1, q):
+            lines += [
+                f"        rj = scale * {r[i][j]}",
+                f"        {r[i][j]} = c * rj + s * {x[j]}",
+                f"        {x[j]} = c * {x[j]} - s * rj",
+            ]
+    lines.append(f"        append(({flat},))")
+    namespace = {"hypot": math.hypot, "error": NotPositiveDefinite}
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace["chain"]
+
+
+def _givens_chain(out: list, xs, scale: float) -> np.ndarray:
     """All factors of R_{i+1}' R_{i+1} = scale^2 R_i' R_i + x_i x_i', on Python floats.
 
-    ``flat`` holds R_0 row-major, gets each R_{i+1} appended and is returned.
-    Each x in ``xs``, a list of q floats, is rotated into the factor (one
-    flat list) and overwritten: Givens rotations, rho from
-    ``math.hypot``, row i scaled just before its rotation, which rounds as
-    scaling R first would.  ``xs`` may be a generator that reads the latest
-    factor, ``flat[-q * q:]``, before it yields the next x (``simulate``).
-    Raises NotPositiveDefinite on a zero pivot.
+    ``out`` holds R_0 as one row-major tuple of q * q floats; each R_{i+1}
+    is appended as another, and the list is returned as an array of shape
+    (len(out), q, q).  Each x in ``xs``, q floats, is rotated into the
+    factor by Givens rotations, rho from ``math.hypot``, row i scaled
+    just before its rotation, which rounds as scaling R first would.  The
+    strict lower triangle of R_0 is carried unchanged.  The loop is
+    ``_chain_at(q)``: at q <= 5 an index or a numpy call costs more than
+    the arithmetic.  ``xs`` may be a generator that reads
+    the latest factor, ``out[-1]``, before it yields the next x
+    (``simulate``); the x rows are not written to.  Raises
+    NotPositiveDefinite on a zero pivot.
     """
-    q = math.isqrt(len(flat))
-    r, hypot = flat[-q * q :].tolist(), math.hypot
-    rows = [(i, i * (q + 1), range(i + 1, q)) for i in range(q)]  # i, where R[i, i] is, j > i
-    for x in xs:
-        for i, k, cols in rows:
-            rii, xi = scale * r[k], x[i]
-            rho = hypot(rii, xi)
-            if rho <= 0.0:
-                raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
-            c, s = rii / rho, xi / rho
-            r[k] = rho
-            for j in cols:
-                k += 1  # where R[i, j] is
-                rj, xj = scale * r[k], x[j]
-                r[k] = c * rj + s * xj
-                x[j] = c * xj - s * rj
-        flat.extend(r)
-    return flat
+    q = math.isqrt(len(out[-1]))
+    _chain_at(q)(out, xs, scale)
+    return np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q * q).reshape(-1, q, q)

@@ -42,7 +42,6 @@ per matrix.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -165,10 +164,9 @@ def _backward_pass(filt: FactorPath, w_T: np.ndarray, noise: np.ndarray) -> np.n
 
 def _ue_chain(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
     """One UE path from G_0..G_T, W_T and rows z (T, q): ``_givens_chain`` over x_t = z_t G_t^{-1}."""
-    T, q = z.shape
+    T = z.shape[0]
     f_T, x = tri_solve_stack(g[T], w_T, trans=True), tri_solve_stack(g[:T], z, trans=True)
-    flat = _givens_chain(array("d", f_T.ravel().tolist()), x[::-1].tolist(), math.sqrt(lam))
-    return np.frombuffer(flat).reshape(T + 1, q, q)[::-1].copy()
+    return _givens_chain([tuple(f_T.ravel().tolist())], x[::-1].tolist(), math.sqrt(lam))[::-1].copy()
 
 
 def _ue_whitened(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:

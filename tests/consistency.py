@@ -9,7 +9,9 @@ from the package's Bessel closed form (criterion 6).
 LAPACK solve, the form the package's closed form is checked against.
 ``rchol`` gives the filter's factor G of a dense D, G G' = D, and
 ``chol_update`` a rank-1 update of a stack of factors by Givens
-rotations, the reference the filter's factor path is checked against.
+rotations, the reference the filter's factor path is checked against;
+``givens_chain`` is the plain loop over a flat list that the package's
+generated per-q Givens chain must match bit for bit.
 ``wishart_draws`` draws Wishart_q(df, P' P) matrices from the package's
 Bartlett factors.  ``expected_utu_entrywise`` and
 ``example1_moments_entrywise`` state the closed-form moments entry by
@@ -20,12 +22,14 @@ backward recursions and a path's log likelihood in 60-digit ``decimal``.
 """
 
 import math
+from array import array
 from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 
+from wishartsv.errors import NotPositiveDefinite
 from wishartsv.matops import gram, tri_solve_stack, uchol
 from wishartsv.randsamp import sample_chi2, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, ue_backward_step
@@ -68,6 +72,37 @@ def chol_update(r: np.ndarray, x: np.ndarray) -> np.ndarray:
             r[..., i, i + 1 :] = c * row + s * x[..., i + 1 :]
             x[..., i + 1 :] = c * x[..., i + 1 :] - s * row
     return r
+
+
+def givens_chain(flat: array, xs, scale: float) -> array:
+    """All factors of R_{i+1}' R_{i+1} = scale^2 R_i' R_i + x_i x_i', as one loop over a flat list.
+
+    The package's generated Givens chain is checked against this loop bit
+    for bit.  ``flat`` holds R_0 row-major, gets each R_{i+1} appended and
+    is returned.  Each x in ``xs``, a list of q floats, is rotated into
+    the factor and overwritten: Givens rotations, rho from ``math.hypot``,
+    row i scaled just before its rotation.  ``xs`` may be a generator
+    that reads the latest factor, ``flat[-q * q:]``, before it yields the
+    next x.  Raises NotPositiveDefinite on a zero pivot.
+    """
+    q = math.isqrt(len(flat))
+    r, hypot = flat[-q * q :].tolist(), math.hypot
+    rows = [(i, i * (q + 1), range(i + 1, q)) for i in range(q)]  # i, where R[i, i] is, j > i
+    for x in xs:
+        for i, k, cols in rows:
+            rii, xi = scale * r[k], x[i]
+            rho = hypot(rii, xi)
+            if rho <= 0.0:
+                raise NotPositiveDefinite(f"zero pivot in rank-1 update at row {i}")
+            c, s = rii / rho, xi / rho
+            r[k] = rho
+            for j in cols:
+                k += 1  # where R[i, j] is
+                rj, xj = scale * r[k], x[j]
+                r[k] = c * rj + s * xj
+                x[j] = c * xj - s * rj
+        flat.extend(r)
+    return flat
 
 
 def expected_utu_entrywise(u: np.ndarray, n: float, k: float) -> np.ndarray:

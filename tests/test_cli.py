@@ -44,6 +44,9 @@ class TestLoadReturnsCsv:
     def test_roundtrip(self, returns_csv):
         s = load_returns_csv(returns_csv, 2)
         assert s.T == 30 and s.q == 2
+        rows = list(csv.reader(returns_csv.read_text().splitlines()))[1:]
+        np.testing.assert_array_equal(s.returns, [[float(c) for c in row[1:]] for row in rows])
+        assert s.returns.flags.c_contiguous
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -88,6 +91,62 @@ class TestLoadReturnsCsv:
             write_returns(p, [["2024-01-01", 0.1, 0.2], ["2024-01-02", 0.3, cell]])
             with pytest.raises(ParseError, match=rf"bad\.csv:3: column 3: non-finite value '{cell}'"):
                 load_returns_csv(p, 2)
+
+
+    @pytest.mark.parametrize(
+        "body, expect",
+        [
+            ("2001-01-01,0.5, 1.5 \n", [[0.5, 1.5]]),
+            ("2001-01-01,0.5,1_0\n", [[0.5, 10.0]]),
+            ("2001-01-01,0.5,\u0661.\u0665\n", [[0.5, 1.5]]),  # Arabic-Indic digits
+            ('2001-01-01,"0.5",1.5\n', [[0.5, 1.5]]),
+            ("2001-01-01,0.5,1e400\n", "r.csv:2: column 3: non-finite value '1e400'"),
+            ("2001-01-01,0.5,0x10\n", "r.csv:2: column 3: not a number: '0x10'"),
+            ("2001-01-01,0.5,1.5,\n", "r.csv:2: expected 3 fields, got 4"),
+            ("2001-01-01,0.5,1.5\n\n2001-01-02,0.25,2.5\n", "r.csv:3: expected 3 fields, got 0"),
+            ("2001-01-01,0.5,1.5 # note\n", "r.csv:2: column 3: not a number: '1.5 # note'"),
+            ("# note\n2001-01-01,0.5,1.5\n", "r.csv:2: expected 3 fields, got 1"),
+        ],
+        ids=["spaces", "underscore", "arabic-indic", "quoted", "overflow", "hex", "trailing-comma",
+             "blank-line", "comment", "comment-line"],
+    )
+    def test_accept_set(self, tmp_path, body, expect):
+        # Python's float is the one number parser, and every line has q + 1 fields
+        p = tmp_path / "r.csv"
+        p.write_text("date,r1,r2\n" + body, encoding="utf-8")
+        if isinstance(expect, str):
+            with pytest.raises(ParseError) as err:
+                load_returns_csv(p, 2)
+            assert str(err.value) == f"{tmp_path}/{expect}"
+        else:
+            returns = load_returns_csv(p, 2).returns
+            assert returns.flags.c_contiguous
+            np.testing.assert_array_equal(returns, expect)
+
+    def test_first_fault_in_file_order(self, tmp_path):
+        # a bad cell is named before a bad count on a later line, and the other way round
+        p = tmp_path / "r.csv"
+        p.write_text("date,r1,r2\n2001-01-01,0.5,0.25\n2001-01-02,0.5,x\n2001-01-03,0.5\n")
+        with pytest.raises(ParseError, match=r"r\.csv:3: column 3: not a number: 'x'$"):
+            load_returns_csv(p, 2)
+        p.write_text("date,r1,r2\n2001-01-01,0.5\n2001-01-02,0.5,x\n")
+        with pytest.raises(ParseError, match=r"r\.csv:2: expected 3 fields, got 2$"):
+            load_returns_csv(p, 2)
+
+    def test_csv_error_is_a_parse_error(self, tmp_path, capsys):
+        # an unterminated quote runs its field past the csv module's field limit
+        p = tmp_path / "r.csv"
+        p.write_text('date,r1\n"2001-01-01,1.0\n' + "".join(f"2001-01-{i},0.5\n" for i in range(20000)))
+        with pytest.raises(ParseError, match=r"r\.csv:\d+: field larger than field limit"):
+            load_returns_csv(p, 1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q": 1, "n_grid": [5.0], "lambda_grid": [0.9], "d0": [[1.0]],
+                                        "data_csv": str(p)}))
+        assert main(["grid-search", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ParseError" and "field larger than field limit" in record["message"]
 
 
 class TestD0FromPresample:
@@ -559,6 +618,21 @@ class TestMain:
         record = json.loads(err)
         assert record["error"] == "InvalidParameter" and "cannot create output directory" in record["message"]
         assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("taken", ["returns.csv", "true_path.csv", "results.json", "meta.json"])
+    def test_failed_output_write_is_reported(self, tmp_path, capsys, taken):
+        cfg_path = tmp_path / "s.json"
+        cfg_path.write_text(json.dumps({"model": "ue", "q": 2, "T": 5, "n": 5.0, "lambda": 0.9,
+                                        "d0": [[1.0, 0.0], [0.0, 1.0]]}))
+        out = tmp_path / "d"
+        (out / taken).mkdir(parents=True)
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record == {"error": "InvalidParameter",
+                          "message": f"{out / taken}: cannot write output file: Is a directory"}
 
     def test_parser_has_all_subcommands(self):
         parser = build_parser()

@@ -1,5 +1,6 @@
 import ast
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 
-from consistency import chol_update
+from consistency import chol_update, givens_chain
 import wishartsv
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
-from wishartsv.matops import _fault_at, tri_solve_stack, uchol, uchol_components
+from wishartsv.matops import _fault_at, _givens_chain, tri_solve_stack, uchol, uchol_components
 
 ENTRIES = st.floats(-1e3, 1e3)
 
@@ -172,6 +173,59 @@ class TestCholUpdate:
         expect = 2 * np.sum(np.log(np.diag(r))) + np.log1p(w @ w)
         updated = chol_update(r, x)
         assert 2 * np.sum(np.log(updated.diagonal())) == pytest.approx(expect, rel=1e-12)
+
+
+def chain_case(q, seed, T=60):
+    """(R_0 with a positive diagonal and a non-zero strict lower triangle, rows x (T, q), scale)."""
+    rng = np.random.default_rng(seed)
+    r0 = rng.standard_normal((q, q))
+    r0[np.diag_indices(q)] = rng.uniform(0.1, 3.0, q)
+    x = rng.standard_normal((T, q)) * 10.0 ** rng.uniform(-3, 3, (T, 1))
+    return r0, x, float(rng.uniform(0.5, 1.0))
+
+
+class TestGivensChain:
+    # the generated per-q loop against the plain loop in consistency.py, bit for bit
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_reference_loop(self, q, seed):
+        r0, x, scale = chain_case(q, seed)
+        rows = x.tolist()
+        expect = np.frombuffer(givens_chain(array("d", r0.ravel().tolist()), x.tolist(), scale))
+        got = _givens_chain([tuple(r0.ravel().tolist())], rows, scale)
+        assert got.shape == (len(rows) + 1, q, q)
+        assert got.tobytes() == expect.tobytes()
+        assert rows == x.tolist()  # the rows are read, not written
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_generator_reading_the_latest_factor(self, q):
+        # as in simulate: each x is built from the factor the chain appended last
+        r0, w, scale = chain_case(q, 10 + q)
+        cols = [[(i * q + j, i) for i in range(j + 1)] for j in range(q)]
+
+        def draws(latest):
+            for w_t in w.tolist():
+                r = latest()
+                yield [sum(r[k] * w_t[i] for k, i in col) for col in cols]
+
+        flat, out = array("d", r0.ravel().tolist()), [tuple(r0.ravel().tolist())]
+        expect = np.frombuffer(givens_chain(flat, draws(lambda: flat[-q * q :]), scale))
+        assert _givens_chain(out, draws(lambda: out[-1]), scale).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("q, row", [(1, 0), (2, 0), (2, 1), (3, 1), (5, 4), (6, 2)])
+    def test_zero_pivot_raises(self, q, row):
+        r0, x = np.eye(q), np.zeros((3, q))
+        r0[row, row] = 0.0
+        with pytest.raises(NotPositiveDefinite) as expect:
+            givens_chain(array("d", r0.ravel().tolist()), x.tolist(), 0.9)
+        with pytest.raises(NotPositiveDefinite) as got:
+            _givens_chain([tuple(r0.ravel().tolist())], x.tolist(), 0.9)
+        assert str(got.value) == str(expect.value) == f"zero pivot in rank-1 update at row {row}"
+
+    def test_no_step(self):
+        r0, _, scale = chain_case(3, 0)
+        np.testing.assert_array_equal(_givens_chain([tuple(r0.ravel().tolist())], [], scale), r0[None])
 
 
 def components(a):
