@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     WishartSVError,
 )
-from .filtering import ReturnsSeries, forward_filter, grid_search, simulate
+from .filtering import ReturnsSeries, _df_path, _filter_output, forward_filter, grid_search, simulate
 from .matops import sym, uchol
 from .randsamp import RNG_ALGORITHM
 from .smoother import correlation_summary, sample_ensemble
@@ -263,16 +263,18 @@ def _models(cfg: dict, q: int):
 
 
 def _filters(cfg: dict, data: ReturnsSeries, model: str):
-    """({tag: FilterOutput}, D_0 warning) for model "ue", "bb" or "matched" (both)."""
+    """({tag: FilterOutput}, D_0 warning) for model "ue", "bb" or "matched" (both, sharing one factor path)."""
     hypers, warning = _models(cfg, data.q)
-    tags = ("ue", "bb") if model == "matched" else (model,)
-    filts = {tag: forward_filter(data, hypers[tag]) for tag in tags}
-    if len(filts) == 2:
-        # guard the hyperparameter-matching wiring end to end
-        gap = np.abs(filts["ue"].log_forecast - filts["bb"].log_forecast).max()
-        if gap > 1e-8:
-            raise WishartSVError(f"matched UE/BB forecast densities disagree by {gap}")
-    return filts, warning
+    if model != "matched":
+        return {model: forward_filter(data, hypers[model])}, warning
+    ue = forward_filter(data, hypers["ue"])
+    # BB is match_ue_to_bb(UE): D_0 and the discount are UE's own objects, so BB's factor path is UE's g
+    bb = _filter_output(hypers["bb"], ue.g, *_df_path(hypers["bb"], data.T))
+    # on one factor path the densities differ only by the df paths, n (UE) and beta k_{t-1} (BB), which matching equates
+    gap = np.abs(ue.log_forecast - bb.log_forecast).max()
+    if gap > 1e-8:
+        raise WishartSVError(f"matched UE/BB forecast densities disagree by {gap}")
+    return {"ue": ue, "bb": bb}, warning
 
 
 def _load_data(cfg: dict) -> ReturnsSeries:
@@ -354,6 +356,7 @@ def cmd_compare_plr(cfg: dict, outdir: Path) -> dict:
     filts, warning = _filters(cfg, data, "matched")
     n_draws = cfg.get("draws", 100)
     ens_u = sample_ensemble(filts["ue"], n_draws=n_draws, seed=cfg["seed"])
+    # substreams (seed + 1, i) are the UE ones of a run at seed + 1: independent runs need seeds two apart
     ens_b = sample_ensemble(filts["bb"], n_draws=n_draws, seed=cfg["seed"] + 1)
     value = log_plr(path_loglik(ens_u, data), path_loglik(ens_b, data))
     return {"log_plr": value, "draws": n_draws, "warning": warning}

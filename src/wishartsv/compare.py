@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
-from scipy.stats import t as student_t
+from scipy.special import expit, logsumexp, stdtrit
 
 from .errors import DimensionMismatch, EmptyEnsemble, InvalidParameter
 from .filtering import FilterOutput, ReturnsSeries, _factor_path_on, forward_filter
@@ -189,10 +188,10 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
     The coordinate margins of the multivariate-t forecast are univariate
     t with df = n + 1 - q and scale^2 = (discount * D_{t-1})_ii / df,
     where n is the prior-at-t degrees of freedom; intervals are central
-    and symmetric about zero.  The scale is sqrt(discount / df) times the
-    norm of row i of G_{t-1}, folded by hypot, so it is finite wherever G
-    is.  Coverage pools coordinates and runs
-    cumulatively over time.
+    and symmetric about zero, the t quantile from ``stdtrit``.  The scale
+    is sqrt(discount / df) times the norm of row i of G_{t-1}, folded by
+    hypot, so it is finite wherever G is.  Coverage pools coordinates and
+    runs cumulatively over time.
 
     Returns (lengths, coverage): lengths is (T, q), coverage is (T,).
     """
@@ -205,7 +204,7 @@ def ppc_intervals(filt: FilterOutput, data: ReturnsSeries, level: float = 0.95):
     _fault_at((nu <= 0, InvalidParameter, "predictive df <= 0"))
     # sqrt(diag(D_{t-1})) is the norm of each row of G_{t-1}
     scale = np.sqrt(filt.discount / nu)[:, None] * _row_norms(filt.g[:-1])
-    half = student_t.ppf(0.5 + level / 2.0, df=nu)[:, None] * scale
+    half = stdtrit(nu, 0.5 + level / 2.0)[:, None] * scale
     lengths = 2.0 * half
     hits = np.abs(data.returns) <= half
     coverage = np.cumsum(hits.sum(axis=1)) / (q * np.arange(1, T + 1))

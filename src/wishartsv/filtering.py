@@ -175,7 +175,7 @@ def _df_path(hyper, T: int):
     at the first t where it does not.
     """
     if isinstance(hyper, UEHyper):
-        return hyper.lam, np.full(T + 1, hyper.n + hyper.k), np.full(T, float(hyper.n))
+        return hyper.lam, np.full(T + 1, float(hyper.n + hyper.k)), np.full(T, float(hyper.n))
     if not isinstance(hyper, BBHyper):
         raise InvalidParameter(f"expected a UEHyper or BBHyper, got {type(hyper).__name__}")
     beta, k, k0 = float(hyper.beta), float(hyper.k), float(hyper.k0)
@@ -188,19 +188,26 @@ def _df_path(hyper, T: int):
     return hyper.b, k_seq, df_prior
 
 
+def _filter_output(hyper: UEHyper | BBHyper, g: np.ndarray, discount: float, k_seq, df_prior) -> FilterOutput:
+    """The model ``hyper``'s ``FilterOutput`` on the factor path g, given its ``_df_path``."""
+    log_forecast = _forecast_logdensity(*_forecast_terms(g, discount), df_prior, discount, hyper.q)
+    return FilterOutput(hyper, g, k_seq, df_prior, discount, log_forecast, float(log_forecast.sum()))
+
+
 def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutput:
     """The conjugate filter of the model ``hyper`` states, with y_t = r_t r_t'.
 
     D_t = discount D_{t-1} + y_t, the discount being lambda (UE) or b
-    (BB); BB also runs k_t = beta k_{t-1} + k.  Matched UE and BB give
-    the same output but for ``hyper``, the model every later step reads.
+    (BB); BB also runs k_t = beta k_{t-1} + k.  The factor path depends
+    only on the returns, D_0 and the discount; the models part after it,
+    in ``_filter_output``.  So matched UE and BB share one factor path and
+    give the same output but for ``hyper``, the model every later step reads.
     """
-    discount, k_seq, df_prior = _df_path(hyper, data.T)
+    df_path = _df_path(hyper, data.T)
     if data.q != hyper.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {hyper.q}")
-    g = _factor_path(data.returns, _reversed_factor(hyper.d0, data.q), discount)
-    log_forecast = _forecast_logdensity(*_forecast_terms(g, discount), df_prior, discount, data.q)
-    return FilterOutput(hyper, g, k_seq, df_prior, discount, log_forecast, float(log_forecast.sum()))
+    g = _factor_path(data.returns, _reversed_factor(hyper.d0, data.q), df_path[0])
+    return _filter_output(hyper, g, *df_path)
 
 
 def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):

@@ -19,6 +19,8 @@ entry over 1-based indices, as the paper writes them; the package's
 matrix forms are checked against them.  ``exact_steps`` and
 ``exact_path_loglik`` are the exact-arithmetic oracle: the filter, both
 backward recursions and a path's log likelihood in 60-digit ``decimal``.
+``whitened_mean_z`` checks a whole ensemble of either sampler against the
+closed-form means of its paths in coordinates whitened by the filter's factor.
 """
 
 import math
@@ -32,9 +34,9 @@ from scipy.linalg import solve_triangular
 from wishartsv.errors import NotPositiveDefinite
 from wishartsv.matops import gram, tri_solve_stack, uchol
 from wishartsv.randsamp import sample_chi2, sample_wishart_factor
-from wishartsv.smoother import bb_backward_step, ue_backward_step
+from wishartsv.smoother import bb_backward_step, sample_ensemble, ue_backward_step
 from wishartsv.specfun import sqrt_beta_moment, tricomi_u_neg_half
-from wishartsv.volproc import bb_evolve, ue_evolve
+from wishartsv.volproc import UEHyper, bb_evolve, ue_evolve
 
 
 def wishart_draws(df: float, p: np.ndarray, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -144,6 +146,32 @@ def example1_moments_entrywise(upsilon: np.ndarray, lam: float):
                 e_bb[i - 1, j - 1] = lam * s_head + h
                 v_bb[i - 1, j - 1] = lam**2 * vij**2 * vii**2 + lam * vij**2 - h**2
     return e_ue, v_ue, e_bb, v_bb
+
+
+def whitened_mean_z(filt, n_draws: int, seed: int) -> np.ndarray:
+    """z-scores of ``sample_ensemble(filt, n_draws, seed)``'s whitened means against their closed forms.
+
+    With C_t = F_t G_t and A_t = G_{t+1}^{-1} G_t, UE's C_t' C_t has mean M_t,
+    M_T = k_T I and M_t = lambda A_t' M_{t+1} A_t + I (E[W_T' W_T] = k_T I and
+    E[z_t' z_t] = I).  BB's c_{t,ii}^2 has mean m_{t,i}, m_{T,i} = k_T - i (0-based
+    i, the chi-square df of the Bartlett diagonal) and m_{t,i} = (1 - beta) k_t +
+    a_{t,i}^2 m_{t+1,i}, a_{t,i} = sqrt(b) (A_t)_ii.  Returns (mean - closed form) /
+    standard error over t = 0..T and every UE entry i <= j or BB index i.
+    """
+    g, ue = filt.g, isinstance(filt.hyper, UEHyper)
+    T, q, eye = g.shape[0] - 1, g.shape[-1], np.eye(g.shape[-1])
+    a = np.swapaxes(tri_solve_stack(g[1:, None], np.swapaxes(g[:-1], -1, -2)), -1, -2)  # G_{t+1} A_t = G_t
+    c = sample_ensemble(filt, n_draws, seed) @ g
+    x = gram(c) if ue else np.diagonal(c, axis1=-2, axis2=-1) ** 2
+    m = np.empty(x.shape[1:])
+    m[T] = filt.k_seq[T] * eye if ue else filt.k_seq[T] - np.arange(q)
+    for t in range(T - 1, -1, -1):
+        if ue:
+            m[t] = filt.discount * a[t].T @ m[t + 1] @ a[t] + eye
+        else:
+            m[t] = (1.0 - filt.hyper.beta) * filt.k_seq[t] + filt.discount * np.diagonal(a[t]) ** 2 * m[t + 1]
+    z = (x.mean(axis=0) - m) / (x.std(axis=0, ddof=1) / math.sqrt(n_draws))
+    return z[(slice(None), *np.triu_indices(q))] if ue else z
 
 
 def kummer_partner(z: float) -> float:

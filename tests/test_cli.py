@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wishartsv import filtering
 from wishartsv.cli import (
     build_parser,
     d0_from_presample,
@@ -321,6 +322,29 @@ class TestCommands:
         results = json.loads((tmp_path / model / "results.json").read_text())
         assert list(summary["models"]) == list(results["models"]) == [model]
 
+    @pytest.mark.parametrize("n", [10, 6.0])
+    def test_matched_filter_tables_are_identical(self, returns_csv, tmp_path, n):
+        # under matching beta k_{t-1} = n and k_t = n + 1 exactly, and k_t is a float under both models
+        run_command("filter", self.base_cfg(returns_csv, tmp_path, n=n))
+        out = tmp_path / "out"
+        assert (out / "filtered_ue.csv").read_bytes() == (out / "filtered_bb.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, model, calls", [
+        *[(c, "matched", 1) for c in ("filter", "ppc", "smooth", "compare-plr")],
+        *[(c, m, 1) for c in ("filter", "ppc", "smooth") for m in ("ue", "bb")],
+        ("grid-search", "matched", 3),  # one per lambda
+        ("simulate", "bb", 1),
+        ("compare-mixture", "matched", 12),  # two filters, then two per later sweep
+    ])
+    def test_scale_recursion_runs_once_per_filter(self, returns_csv, tmp_path, monkeypatch, command, model, calls):
+        # a matched pair shares UE's factor path
+        extra = {"grid-search": {"n_grid": [4, 6], "lambda_grid": [0.7, 0.8, 0.9]}, "simulate": {"T": 20},
+                 "compare-mixture": {"draws": 6, "burn_in": 2, "batches": 2}}.get(command, {"draws": 4})
+        count, factor_path = [], filtering._factor_path
+        monkeypatch.setattr(filtering, "_factor_path", lambda *args: count.append(1) or factor_path(*args))
+        run_command(command, self.base_cfg(returns_csv, tmp_path, model=model, **extra))
+        assert len(count) == calls
+
     @pytest.mark.parametrize("ridge", [None, 0.01])
     def test_d0_from_presample(self, returns_csv, tmp_path, ridge):
         # D_0 = (1/T0) sum r r' + ridge tr/q I is the filter's t = 0 table row
@@ -362,14 +386,26 @@ class TestMain:
             run_command("filter", cfg)
         assert not (tmp_path / "run").exists()
 
-    def test_import_leaves_scipy_signal_out(self):
-        # scipy.signal adds about 4 MB to a bare interpreter's peak RSS
-        # the child sees the checkout's src, as pytest's pythonpath does here
-        code = "import sys, wishartsv.cli; print('scipy.signal' in sys.modules)"
+    @staticmethod
+    def fresh_import_loads(module: str) -> bool:
+        """Whether ``import wishartsv.cli`` loads ``module`` in a fresh interpreter.
+
+        The test modules import scipy themselves, so only a fresh interpreter can tell.
+        The child sees the checkout's src, as pytest's pythonpath does here.
+        """
+        code = f"import sys, wishartsv.cli; print({module!r} in sys.modules)"
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip() == "True"
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal adds about 4 MB to a bare interpreter's peak RSS
+        assert not self.fresh_import_loads("scipy.signal")
+
+    def test_import_leaves_scipy_stats_out(self):
+        # importing scipy.stats takes longer than a CLI run on a q = 5, T = 500 series
+        assert not self.fresh_import_loads("scipy.stats")
 
     def test_cli_end_to_end(self, returns_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"

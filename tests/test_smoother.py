@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
-from consistency import bb_backward_step_product, joint_consistency_report
+from consistency import bb_backward_step_product, joint_consistency_report, whitened_mean_z
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     FactorPath,
@@ -509,6 +509,24 @@ class TestJointConsistency:
             "ue", ue, np.eye(1), 6.0, 50_000, make_rng(13), backward_model="bb"
         )
         assert max_abs_z(rep) < 4.0
+
+
+class TestWhitenedMeans:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("model", ["ue", "bb"])
+    def test_ensemble_matches_closed_form_means(self, model, q):
+        """Whole paths of both samplers against the closed-form whitened means (T = 50, 2000 draws).
+
+        The family is all ten (model, q) cases: 51 times q (q + 1) / 2 UE entries or q BB
+        diagonals, 2550 z-scores in all.  With 2000 draws each mean is close to normal, and
+        Bonferroni at family-wise level 1e-4 puts the two-sided bound at 5.49 for any dependence
+        among the z-scores.  Passing sqrt(lambda) as lambda, or G_{t+1} for G_t in BB's diagonal,
+        moves the largest |z| past 50.  The 10 cases take about 1.2 s.
+        """
+        ue = UEHyper(q=q, k=1, n=q + 3.0, lam=0.8, d0=np.eye(q))
+        data, _ = simulate(ue, 50, 100 + q)
+        filt = forward_filter(data, ue if model == "ue" else match_ue_to_bb(ue))
+        assert np.abs(whitened_mean_z(filt, 2000, 200 + q)).max() < 5.49
 
 
 class TestEnsembles:
