@@ -149,18 +149,49 @@ def _written(path: Path):
         raise InvalidParameter(f"{path}: cannot write output file: {exc.strerror}") from None
 
 
-def _write_table(path: Path, header, *columns):
-    """Write a CSV table from whole columns (arrays or lists) of equal length.
+def _table_text(header, *columns) -> str:
+    """A CSV table from whole columns (arrays or lists) of equal length, as one string.
 
-    Each field is a Python int, float or comma-free string, written by
-    ``str``: a float in its shortest round-trip form, so the table reads
-    back bit for bit.  Rows end in CRLF, as ``csv.writer``'s do, and are
-    streamed: no list of rows is built.
+    Each field is a Python int, float or comma-free string as ``str``
+    writes it: a float in its shortest round-trip form, so the table reads
+    back bit for bit.  An array column is formatted whole, by one ``repr``
+    of its list, which formats every number in C; a list column goes
+    through ``str`` field by field.  Rows end in CRLF, as
+    ``csv.writer``'s do, and are joined once.
     """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    with _written(path), path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in zip(*cols, strict=True))
+    fields = [_fields(c) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
+    return "\r\n".join([",".join(header), *map(",".join, zip(*fields, strict=True))]) + "\r\n"
+
+
+def _fields(col: np.ndarray) -> list:
+    """The fields of an array column, each number as ``str`` writes it."""
+    return repr(col.tolist())[1:-1].split(", ") if col.size else []
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` with no newline translation."""
+    with _written(path):
+        path.write_text(text, newline="")
+
+
+def _write_table(path: Path, header, *columns) -> None:
+    """Write the table ``_table_text(header, *columns)`` to ``path``."""
+    _write_text(path, _table_text(header, *columns))
+
+
+def _same_table(a, b) -> bool:
+    """Whether two filter outputs agree in all a table reads: one factor path, and discount and df paths bit for bit."""
+    return (a.g is b.g and a.discount == b.discount
+            and a.k_seq.tobytes() == b.k_seq.tobytes() and a.df_prior.tobytes() == b.df_prior.tobytes())
+
+
+def _per_table(filts: dict, make) -> dict:
+    """{tag: make(filt)}, made once for a matched pair whose outputs agree in all their tables read."""
+    out, prev = {}, None
+    for tag, filt in filts.items():
+        out[tag] = out[prev] if prev is not None and _same_table(filts[prev], filt) else make(filt)
+        prev = tag
+    return out
 
 
 def _write_json(path: Path, obj) -> None:
@@ -299,15 +330,17 @@ def cmd_filter(cfg: dict, outdir: Path) -> dict:
     filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     q = data.q
     header = ["t", "k_t"] + _flat_header("d", q) + ["log_forecast"]
-    summaries = {}
-    for tag, filt in filts.items():
+
+    def table(filt):
         with np.errstate(over="ignore"):  # D_t may overflow where G_t does not: the table reads inf there
             d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
         # t = 0 has no forecast, so its log_forecast field is empty
-        _write_table(outdir / f"filtered_{tag}.csv", header, np.arange(data.T + 1), filt.k_seq,
-                     *d.reshape(-1, q * q).T, [""] + filt.log_forecast.tolist())
-        summaries[tag] = {"loglik": filt.loglik}
-    return {"warning": warning, "models": summaries}
+        return _table_text(header, np.arange(data.T + 1), filt.k_seq, *d.reshape(-1, q * q).T,
+                           [""] + filt.log_forecast.tolist())
+
+    for tag, text in _per_table(filts, table).items():
+        _write_text(outdir / f"filtered_{tag}.csv", text)
+    return {"warning": warning, "models": {tag: {"loglik": filt.loglik} for tag, filt in filts.items()}}
 
 
 # default (n, lambda) grid: n in 3..20, lambda in 0.600..0.990 step 0.001
@@ -393,11 +426,15 @@ def cmd_ppc(cfg: dict, outdir: Path) -> dict:
     filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     level = cfg.get("level", 0.95)
     header = ["t"] + [f"length_{i + 1}" for i in range(data.q)] + ["cumulative_coverage"]
-    out = {}
-    for tag, filt in filts.items():
+
+    def table(filt):
         lengths, coverage = ppc_intervals(filt, data, level)
-        _write_table(outdir / f"ppc_{tag}.csv", header, np.arange(1, data.T + 1), *lengths.T, coverage)
-        out[tag] = {"terminal_coverage": float(coverage[-1])}
+        return _table_text(header, np.arange(1, data.T + 1), *lengths.T, coverage), float(coverage[-1])
+
+    out = {}
+    for tag, (text, terminal) in _per_table(filts, table).items():
+        _write_text(outdir / f"ppc_{tag}.csv", text)
+        out[tag] = {"terminal_coverage": terminal}
     return {"level": level, "warning": warning, "models": out}
 
 

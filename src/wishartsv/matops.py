@@ -164,10 +164,10 @@ def _chain_at(q: int):
             f"        rho = hypot(rii, {x[i]})",
             "        if rho <= 0.0:",
             f"            raise error('zero pivot in rank-1 update at row {i}')",
-            "        c = rii / rho",
-            f"        s = {x[i]} / rho",
-            f"        {r[i][i]} = rho",
         ]
+        if i + 1 < q:  # the last row has no entry right of its pivot to rotate
+            lines += ["        c = rii / rho", f"        s = {x[i]} / rho"]
+        lines.append(f"        {r[i][i]} = rho")
         for j in range(i + 1, q):
             lines += [
                 f"        rj = scale * {r[i][j]}",

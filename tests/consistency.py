@@ -21,6 +21,8 @@ matrix forms are checked against them.  ``exact_steps`` and
 backward recursions and a path's log likelihood in 60-digit ``decimal``.
 ``whitened_mean_z`` checks a whole ensemble of either sampler against the
 closed-form means of its paths in coordinates whitened by the filter's factor.
+``row_table`` is the plain row-by-row CSV writer whose bytes the CLI's
+column-wise table text must match.
 """
 
 import math
@@ -105,6 +107,19 @@ def givens_chain(flat: array, xs, scale: float) -> array:
                 x[j] = c * xj - s * rj
         flat.extend(r)
     return flat
+
+
+def row_table(path, header, *columns) -> None:
+    """Write a CSV table from whole columns of equal length, one row at a time.
+
+    Each field is written by ``str`` (an array column is read through
+    ``tolist``), fields are joined by commas, and each row ends in CRLF.
+    The CLI's column-wise ``_table_text`` must give the same bytes.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in zip(*cols, strict=True))
 
 
 def expected_utu_entrywise(u: np.ndarray, n: float, k: float) -> np.ndarray:

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wishartsv import filtering
+from consistency import row_table
+from wishartsv import cli, filtering
 from wishartsv.cli import (
     build_parser,
     d0_from_presample,
@@ -17,7 +18,7 @@ from wishartsv.cli import (
     run_command,
 )
 from wishartsv.errors import DimensionMismatch, InvalidParameter, ParseError
-from wishartsv.filtering import ReturnsSeries, forward_filter, simulate
+from wishartsv.filtering import ReturnsSeries, _df_path, forward_filter, simulate
 from wishartsv.matops import gram
 from wishartsv.randsamp import substream
 from wishartsv.smoother import backward_sample
@@ -325,9 +326,30 @@ class TestCommands:
     @pytest.mark.parametrize("n", [10, 6.0])
     def test_matched_filter_tables_are_identical(self, returns_csv, tmp_path, n):
         # under matching beta k_{t-1} = n and k_t = n + 1 exactly, and k_t is a float under both models
-        run_command("filter", self.base_cfg(returns_csv, tmp_path, n=n))
         out = tmp_path / "out"
-        assert (out / "filtered_ue.csv").read_bytes() == (out / "filtered_bb.csv").read_bytes()
+        for command, prefix in (("filter", "filtered"), ("ppc", "ppc")):
+            run_command(command, self.base_cfg(returns_csv, tmp_path, n=n))
+            assert (out / f"{prefix}_ue.csv").read_bytes() == (out / f"{prefix}_bb.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, prefix", [("filter", "filtered"), ("ppc", "ppc")])
+    def test_matched_tables_on_df_paths_an_ulp_apart(self, returns_csv, tmp_path, command, prefix):
+        # at q = 2, n = 3.32 matching leaves BB's prior df beta k_{t-1} one ulp off n: each model writes its own table
+        ue = UEHyper(q=2, k=1, n=3.32, lam=0.8, d0=np.eye(2))
+        df_ue, df_bb = _df_path(ue, 30)[2], _df_path(match_ue_to_bb(ue), 30)[2]
+        assert not np.array_equal(df_ue, df_bb) and np.abs(df_ue - df_bb).max() <= np.spacing(3.32)
+        run_command(command, self.base_cfg(returns_csv, tmp_path, n=3.32))
+        run_command(command, self.base_cfg(returns_csv, tmp_path, n=3.32, model="bb", out=str(tmp_path / "bb")))
+        matched = (tmp_path / "out" / f"{prefix}_bb.csv").read_bytes()
+        assert matched != (tmp_path / "out" / f"{prefix}_ue.csv").read_bytes()
+        assert matched == (tmp_path / "bb" / f"{prefix}_bb.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["filter", "ppc"])
+    @pytest.mark.parametrize("n, calls", [(6.0, 1), (3.32, 2)])
+    def test_matched_pair_formats_a_coinciding_table_once(self, returns_csv, tmp_path, monkeypatch, command, n, calls):
+        count, table_text = [], cli._table_text
+        monkeypatch.setattr(cli, "_table_text", lambda *args: count.append(1) or table_text(*args))
+        run_command(command, self.base_cfg(returns_csv, tmp_path, n=n))
+        assert len(count) == calls
 
     @pytest.mark.parametrize("command, model, calls", [
         *[(c, "matched", 1) for c in ("filter", "ppc", "smooth", "compare-plr")],
@@ -375,6 +397,39 @@ class TestCommands:
         assert summary["T"] == 20
         lines = (tmp_path / "sim" / "returns.csv").read_text().strip().splitlines()
         assert len(lines) == 21
+
+
+class TestTableText:
+    # the column-wise table text against the row-by-row writer in consistency.py, byte for byte
+    EDGE = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-5, 11.0, 0.1, 1.7976931348623157e308]
+
+    @staticmethod
+    def check(tmp_path, header, *columns):
+        row_table(tmp_path / "rows.csv", header, *columns)
+        cli._write_table(tmp_path / "cols.csv", header, *columns)
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_edge_values(self, tmp_path):
+        x = np.array(self.EDGE)
+        ints = np.array([0, -1, 2**62, -(2**63), 7, 11, 3, 5, 9, 1, 2, 4])
+        # a list column led by an empty field, and Python int, float and mixed list columns
+        self.check(tmp_path, ["i", "x", "e", "pi", "pf", "mix"], ints, x, [""] + self.EDGE[1:],
+                   list(range(-5, 7)), self.EDGE[::-1], [3, 0.6, 20, 0.99] * 3)
+
+    def test_random_doubles_and_strided_views(self, tmp_path):
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((40, 3, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3, 3))
+        self.check(tmp_path, [f"d{k}" for k in range(9)], *d.reshape(-1, 9).T)
+        self.check(tmp_path, ["a", "b"], d[::-2, 0, 1], d[::2, :, 2].T[1])
+
+    def test_zero_rows(self, tmp_path):
+        # simulate at T = 0 writes only a header
+        self.check(tmp_path, ["t", "r1", "r2"], np.arange(1, 1), *np.zeros((0, 2)).T)
+        self.check(tmp_path, ["t", "f"], np.arange(0), [])
+
+    def test_unequal_columns_raise(self):
+        with pytest.raises(ValueError):
+            cli._table_text(["a", "b"], np.arange(3), [""] + [1.0, 2.0, 3.0])
 
 
 class TestMain:
