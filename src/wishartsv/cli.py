@@ -374,12 +374,14 @@ def cmd_smooth(cfg: dict, outdir: Path) -> dict:
     iu, ju = np.triu_indices(data.q, k=1)  # no pair at q = 1, and so no table
     steps = data.T + 1
     pairs = np.tile(np.arange(steps), iu.size), np.repeat(iu + 1, steps), np.repeat(ju + 1, steps)
+    # the "t,i,j" fields of each row, formatted once for every model's table
+    pair_fields = list(map(",".join, zip(*map(_fields, pairs))))
     out = {}
     for tag, filt in filts.items():
         ens = sample_ensemble(filt, n_draws=n_draws, seed=cfg["seed"])
         curves = correlation_summary(ens, quantiles)  # [level][pair][t]
         if iu.size:
-            _write_table(outdir / f"correlations_{tag}.csv", header, *pairs, *curves.reshape(len(quantiles), -1))
+            _write_table(outdir / f"correlations_{tag}.csv", header, pair_fields, *curves.reshape(len(quantiles), -1))
         out[tag] = {"draws": n_draws}
     return {"warning": warning, "models": out}
 

@@ -24,8 +24,15 @@ D_{t-1}^{-1} r_t, and log|D_{t-1}| off G's diagonal alone: by the matrix
 determinant lemma the first is log|D_t| - log|disc D_{t-1}|.  Neither
 depends on n: the filter and ``grid_search`` (so ``marginal_loglik``,
 its one-cell case, which serves a single step too) reduce them through
-``_forecast_logdensity``; a grid factors D_0 once.  A mixture sweep runs
-``_factor_path`` alone, through ``_factor_path_on``.
+``_forecast_logdensity``.  The filter, a mixture sweep (``_factor_path``
+alone, through ``_factor_path_on``), the single-path UE backward pass
+and ``simulate`` run the Givens chain's full rendering, which keeps
+every G_t.  A grid factors D_0 once, turns the returns into Python rows
+once, and for each lambda runs ``matops._givens_pivots``, the rendering
+that keeps only G_t's diagonal and G_T.  Where one of those is not
+finite it runs ``_factor_path`` for that lambda, whose check names the
+first t at which G_t is not finite, so a grid, ``marginal_loglik`` and
+the filter raise the same error at the same t.
 
 ``simulate`` draws returns through the factor path's Givens chain, each
 r_t from its one-step forecast law, and then their precision path from
@@ -46,7 +53,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter
-from .matops import _fault_at, _givens_chain, gram, tri_solve_stack, uchol
+from .matops import _fault_at, _givens_chain, _givens_pivots, gram, tri_solve_stack, uchol
 from .randsamp import make_rng, sample_bartlett_factor, substream
 from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper, _prior_scale
@@ -148,17 +155,18 @@ def _factor_path_on(path: FactorPath, returns: np.ndarray) -> FactorPath:
     return FactorPath(path.hyper, g, path.k_seq, path.df_prior, path.discount)
 
 
-def _forecast_terms(g: np.ndarray, discount: float):
+def _forecast_terms(diag: np.ndarray, discount: float):
     """(b, logdet): b[t-1] = log(1 + s_t / discount) and logdet[t-1] = log|D_{t-1}|, from G's diagonal.
 
+    ``diag`` (T+1, q) holds G_0..G_T's diagonals, diag[t, i] = (G_t)_ii.
     Here s_t = r_t' D_{t-1}^{-1} r_t.  By the matrix determinant lemma
     |discount D_{t-1} + r_t r_t'| = discount^q |D_{t-1}| (1 + s_t / discount),
     so b[t-1] = log|D_t| - log|discount D_{t-1}|: no solve, and b stays
     finite where s_t overflows.  Each log g_ii is differenced on its own;
     a ratio g_ii(t) / g_ii(t-1) overflows at a subnormal pivot.
     """
-    log_diag = np.log(np.diagonal(g, axis1=1, axis2=2))
-    b = 2.0 * (log_diag[1:] - log_diag[:-1]).sum(axis=1) - g.shape[-1] * math.log(discount)
+    log_diag = np.log(diag)
+    b = 2.0 * (log_diag[1:] - log_diag[:-1]).sum(axis=1) - diag.shape[-1] * math.log(discount)
     return b, 2.0 * log_diag[:-1].sum(axis=1)
 
 
@@ -190,7 +198,8 @@ def _df_path(hyper, T: int):
 
 def _filter_output(hyper: UEHyper | BBHyper, g: np.ndarray, discount: float, k_seq, df_prior) -> FilterOutput:
     """The model ``hyper``'s ``FilterOutput`` on the factor path g, given its ``_df_path``."""
-    log_forecast = _forecast_logdensity(*_forecast_terms(g, discount), df_prior, discount, hyper.q)
+    terms = _forecast_terms(np.diagonal(g, axis1=1, axis2=2), discount)
+    log_forecast = _forecast_logdensity(*terms, df_prior, discount, hyper.q)
     return FilterOutput(hyper, g, k_seq, df_prior, discount, log_forecast, float(log_forecast.sum()))
 
 
@@ -273,6 +282,10 @@ def grid_search(
     Returns (n_star, lambda_star, surface) with surface[i, j] the log
     marginal likelihood at (n_grid[i], lambda_grid[j]).  Ties break
     toward the smallest n, then the smallest lambda.
+
+    Each lambda keeps only G_t's diagonal and G_T (``_givens_pivots``);
+    where one is not finite, ``_factor_path`` runs for that lambda and
+    names the first t at which G_t is not finite, as the filter does.
     """
     n_grid = list(n_grid)
     lambda_grid = list(lambda_grid)
@@ -288,9 +301,14 @@ def grid_search(
     n_col = np.asarray(n_grid, dtype=float)[:, None]
     surface = np.empty((len(n_grid), len(lambda_grid)))
     jg0 = _reversed_factor(d0, q)
+    r0, rows = tuple(jg0.ravel().tolist()), data.returns[:, ::-1].tolist()
     for j, lam in enumerate(lambda_grid):
-        terms = _forecast_terms(_factor_path(data.returns, jg0, lam), lam)
-        surface[:, j] = _forecast_logdensity(*terms, n_col, lam, q).sum(axis=1)
+        pivots, last = _givens_pivots(r0, rows, math.sqrt(lam))
+        if np.isfinite(pivots).all() and np.isfinite(last).all():
+            diag = pivots[:, ::-1]  # (J G_t' J)_ii = (G_t)_{q-1-i, q-1-i}
+        else:
+            diag = np.diagonal(_factor_path(data.returns, jg0, lam), axis1=1, axis2=2)
+        surface[:, j] = _forecast_logdensity(*_forecast_terms(diag, lam), n_col, lam, q).sum(axis=1)
     best = np.unravel_index(np.argmax(surface), surface.shape)
     return float(n_grid[best[0]]), float(lambda_grid[best[1]]), surface
 

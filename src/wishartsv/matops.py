@@ -31,7 +31,10 @@ and compiled once on first use, with every entry of the factor a local
 variable; each step's factor is appended as one tuple and the list is
 converted to an array once.  The filter's factor path, the single-path
 UE backward pass and ``simulate`` all run through it; a stack of UE
-paths is refactored densely instead.
+paths is refactored densely instead.  ``_givens_pivots`` runs a second
+rendering of the same generated loop, which appends only each step's q
+pivots and returns the last factor: ``filtering.grid_search`` reads
+nothing else of the path.
 """
 
 from __future__ import annotations
@@ -144,17 +147,21 @@ def uchol_components(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _chain_at(q: int):
+def _chain_at(q: int, pivots: bool = False):
     """The Givens loop at dimension q, generated from q alone and compiled on first use.
 
-    Straight-line code with every entry of R and of x a local variable.
+    Straight-line code with every entry of R and of x a local variable,
+    called as chain(r0, out, xs, scale) with R_0 the row-major tuple r0.
+    Each step appends its factor to ``out`` as one row-major tuple, or with
+    ``pivots`` only its diagonal, the q new pivots; the last factor is
+    returned as a row-major tuple.  The two renderings share every rotation.
     """
     r = [[f"r{i}_{j}" for j in range(q)] for i in range(q)]
     x = [f"x{j}" for j in range(q)]
     flat = ", ".join(e for row in r for e in row)
     lines = [
-        "def chain(out, xs, scale, hypot=hypot, error=error):",
-        f"    {flat}, = out[-1]",
+        "def chain(r0, out, xs, scale, hypot=hypot, error=error):",
+        f"    {flat}, = r0",
         "    append = out.append",
         f"    for {', '.join(x)}, in xs:",
     ]
@@ -174,7 +181,8 @@ def _chain_at(q: int):
                 f"        {r[i][j]} = c * rj + s * {x[j]}",
                 f"        {x[j]} = c * {x[j]} - s * rj",
             ]
-    lines.append(f"        append(({flat},))")
+    appended = ", ".join(r[i][i] for i in range(q)) if pivots else flat
+    lines += [f"        append(({appended},))", f"    return ({flat},)"]
     namespace = {"hypot": math.hypot, "error": NotPositiveDefinite}
     exec("\n".join(lines) + "\n", namespace)
     return namespace["chain"]
@@ -196,5 +204,21 @@ def _givens_chain(out: list, xs, scale: float) -> np.ndarray:
     NotPositiveDefinite on a zero pivot.
     """
     q = math.isqrt(len(out[-1]))
-    _chain_at(q)(out, xs, scale)
+    _chain_at(q)(out[-1], out, xs, scale)
     return np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q * q).reshape(-1, q, q)
+
+
+def _givens_pivots(r0: tuple, xs, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of ``_givens_chain``'s factors, bit for bit, and its last factor.
+
+    Runs the same rotations from R_0, the row-major tuple ``r0``, but keeps
+    only each R_i's diagonal: returns (pivots, last), pivots[i] the
+    diagonal of R_i, one row per x and one for R_0, and last the final
+    factor, (q, q).  No entry is checked for finiteness; raises
+    NotPositiveDefinite on a zero pivot, as ``_givens_chain`` does.
+    """
+    q = math.isqrt(len(r0))
+    out = [r0[:: q + 1]]
+    last = _chain_at(q, True)(r0, out, xs, scale)
+    pivots = np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q).reshape(-1, q)
+    return pivots, np.reshape(last, (q, q))

@@ -12,6 +12,9 @@ LAPACK solve, the form the package's closed form is checked against.
 rotations, the reference the filter's factor path is checked against;
 ``givens_chain`` is the plain loop over a flat list that the package's
 generated per-q Givens chain must match bit for bit.
+``factor_path_surface`` is the grid surface from each lambda's whole factor
+path G_0..G_T; ``grid_search``, which keeps only G's diagonal, must match
+it byte for byte.
 ``wishart_draws`` draws Wishart_q(df, P' P) matrices from the package's
 Bartlett factors.  ``expected_utu_entrywise`` and
 ``example1_moments_entrywise`` state the closed-form moments entry by
@@ -34,6 +37,7 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 
 from wishartsv.errors import NotPositiveDefinite
+from wishartsv.filtering import _factor_path, _forecast_logdensity, _forecast_terms, _reversed_factor
 from wishartsv.matops import gram, tri_solve_stack, uchol
 from wishartsv.randsamp import sample_chi2, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, sample_ensemble, ue_backward_step
@@ -107,6 +111,21 @@ def givens_chain(flat: array, xs, scale: float) -> array:
                 x[j] = c * xj - s * rj
         flat.extend(r)
     return flat
+
+
+def factor_path_surface(data, d0: np.ndarray, n_grid, lambda_grid) -> np.ndarray:
+    """The log marginal likelihood surface[i, j] at (n_grid[i], lambda_grid[j]), one factor path per lambda.
+
+    Each lambda runs ``_factor_path`` over the whole series and reads the
+    forecast terms off the diagonals of the (T+1, q, q) path it returns.
+    """
+    q, jg0 = data.q, _reversed_factor(d0, data.q)
+    n_col = np.asarray(n_grid, dtype=float)[:, None]
+    surface = np.empty((len(n_grid), len(lambda_grid)))
+    for j, lam in enumerate(lambda_grid):
+        diag = np.diagonal(_factor_path(data.returns, jg0, lam), axis1=1, axis2=2)
+        surface[:, j] = _forecast_logdensity(*_forecast_terms(diag, lam), n_col, lam, q).sum(axis=1)
+    return surface
 
 
 def row_table(path, header, *columns) -> None:

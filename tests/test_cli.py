@@ -359,13 +359,17 @@ class TestCommands:
         ("compare-mixture", "matched", 12),  # two filters, then two per later sweep
     ])
     def test_scale_recursion_runs_once_per_filter(self, returns_csv, tmp_path, monkeypatch, command, model, calls):
-        # a matched pair shares UE's factor path
+        # a matched pair shares UE's factor path; grid-search keeps only its
+        # pivots, and runs no full factor path on finite data
         extra = {"grid-search": {"n_grid": [4, 6], "lambda_grid": [0.7, 0.8, 0.9]}, "simulate": {"T": 20},
                  "compare-mixture": {"draws": 6, "burn_in": 2, "batches": 2}}.get(command, {"draws": 4})
-        count, factor_path = [], filtering._factor_path
-        monkeypatch.setattr(filtering, "_factor_path", lambda *args: count.append(1) or factor_path(*args))
+        counts = {"_factor_path": [], "_givens_pivots": []}
+        for name, count in counts.items():
+            run = getattr(filtering, name)
+            monkeypatch.setattr(filtering, name, lambda *args, run=run, count=count: count.append(1) or run(*args))
         run_command(command, self.base_cfg(returns_csv, tmp_path, model=model, **extra))
-        assert len(count) == calls
+        pivots = calls if command == "grid-search" else 0
+        assert (len(counts["_factor_path"]), len(counts["_givens_pivots"])) == (calls - pivots, pivots)
 
     @pytest.mark.parametrize("ridge", [None, 0.01])
     def test_d0_from_presample(self, returns_csv, tmp_path, ridge):

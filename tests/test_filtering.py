@@ -12,7 +12,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 from scipy.stats import cauchy
 
-from consistency import chol_update, rchol
+from consistency import chol_update, factor_path_surface, rchol
 from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     ReturnsSeries,
@@ -37,7 +37,7 @@ def toy_series(T=40, q=2, seed=0):
 def scale_terms(returns, d0, discount):
     """(g, b, logdet): the factor path from D_0 and its forecast terms."""
     g = _factor_path(returns, _reversed_factor(d0, returns.shape[1]), discount)
-    return (g, *_forecast_terms(g, discount))
+    return (g, *_forecast_terms(np.diagonal(g, axis1=1, axis2=2), discount))
 
 
 def one_step(r, d, n, lam):
@@ -344,16 +344,26 @@ class TestForwardFilters:
                 lambda: grid_search(data, d0, [5.0], [lam])[2][0, 0],
             ):
                 assert run() == pytest.approx(expect, rel=1e-12)
-        # G_t overflows from t=3, and the first overflow is named
-        late_g = ReturnsSeries(np.vstack([big[:1], np.full((3, 2), 1.7e308)]))
-        for run in (
-            lambda: forward_filter(late_g, ue),
-            lambda: forward_filter(late_g, match_ue_to_bb(ue)),
-            lambda: marginal_loglik(late_g, 5.0, 0.9, np.eye(2)),
-            lambda: grid_search(late_g, np.eye(2), [5.0], [0.9]),
+        # the first t at which G_t is not finite is named: G_t overflows from
+        # t=3 in the first series; in the other two, G_2's entry off the
+        # diagonal overflows while both its pivots stay finite, and the third
+        # series' last return then makes a pivot of G_3 infinite
+        off = np.array([[1.7260981682604566e308, 1.1602498958633312e308],
+                        [1.7237577868070446e308, 6.859659004083275e307]])
+        for returns, t in (
+            (np.vstack([big[:1], np.full((3, 2), 1.7e308)]), 3),
+            (off, 2),
+            (np.vstack([off, np.ones(2)]), 2),
         ):
-            with pytest.raises(InvalidParameter, match="D_t is not finite at t=3$"):
-                run()
+            late_g = ReturnsSeries(returns)
+            for run in (
+                lambda: forward_filter(late_g, ue),
+                lambda: forward_filter(late_g, match_ue_to_bb(ue)),
+                lambda: marginal_loglik(late_g, 5.0, 0.9, np.eye(2)),
+                lambda: grid_search(late_g, np.eye(2), [5.0], [0.9]),
+            ):
+                with pytest.raises(InvalidParameter, match=f"D_t is not finite at t={t}$"):
+                    run()
 
 
 class TestMarginalLoglik:
@@ -416,6 +426,21 @@ class TestGridSearch:
                 ref = dense_loglik(data.returns, n, lam, d0)
                 assert surface[i, j] == pytest.approx(ref, rel=1e-10)
                 assert marginal_loglik(data, n, lam, d0) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_matches_the_factor_path_route(self, q):
+        # byte for byte against one whole factor path per lambda, on returns
+        # from 1e-150 to 1e150 and on criterion 13's series (cond(D_t) > 1e16)
+        rng = np.random.default_rng(60 + q)
+        a = rng.standard_normal((q, q))
+        d0 = a @ a.T + np.eye(q)
+        n_grid, lambda_grid = np.arange(q - 0.5, q + 12.0), [0.6, 0.85, 0.95, 0.999]
+        cases = [(ReturnsSeries(rng.standard_normal((400, q)) * 10.0**u), d0 * 10.0**u) for u in (-150, 0, 150)]
+        if q == 3:
+            cases.append((criterion13_reference(0.85)[0], np.eye(3)))
+        for data, d in cases:
+            surface = grid_search(data, d, n_grid, lambda_grid)[2]
+            assert surface.tobytes() == factor_path_surface(data, d, n_grid, lambda_grid).tobytes()
 
     def test_tie_breaks_to_first(self):
         data = ReturnsSeries(np.array([[0.5]]))

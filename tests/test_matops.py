@@ -13,7 +13,7 @@ from scipy.linalg import solve_triangular
 from consistency import chol_update, givens_chain
 import wishartsv
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
-from wishartsv.matops import _fault_at, _givens_chain, tri_solve_stack, uchol, uchol_components
+from wishartsv.matops import _fault_at, _givens_chain, _givens_pivots, tri_solve_stack, uchol, uchol_components
 
 ENTRIES = st.floats(-1e3, 1e3)
 
@@ -185,7 +185,8 @@ def chain_case(q, seed, T=60):
 
 
 class TestGivensChain:
-    # the generated per-q loop against the plain loop in consistency.py, bit for bit
+    # the generated per-q loop against the plain loop in consistency.py, bit for bit;
+    # its pivots-only rendering against the full one's diagonals and last factor
 
     @pytest.mark.parametrize("q", range(1, 7))
     @pytest.mark.parametrize("seed", range(3))
@@ -196,6 +197,9 @@ class TestGivensChain:
         got = _givens_chain([tuple(r0.ravel().tolist())], rows, scale)
         assert got.shape == (len(rows) + 1, q, q)
         assert got.tobytes() == expect.tobytes()
+        pivots, last = _givens_pivots(tuple(r0.ravel().tolist()), rows, scale)
+        assert pivots.tobytes() == np.diagonal(got, axis1=1, axis2=2).tobytes()
+        assert last.tobytes() == got[-1].tobytes()
         assert rows == x.tolist()  # the rows are read, not written
 
     @pytest.mark.parametrize("q", range(1, 7))
@@ -221,11 +225,17 @@ class TestGivensChain:
             givens_chain(array("d", r0.ravel().tolist()), x.tolist(), 0.9)
         with pytest.raises(NotPositiveDefinite) as got:
             _givens_chain([tuple(r0.ravel().tolist())], x.tolist(), 0.9)
-        assert str(got.value) == str(expect.value) == f"zero pivot in rank-1 update at row {row}"
+        with pytest.raises(NotPositiveDefinite) as got_pivots:
+            _givens_pivots(tuple(r0.ravel().tolist()), x.tolist(), 0.9)
+        message = f"zero pivot in rank-1 update at row {row}"
+        assert str(got.value) == str(got_pivots.value) == str(expect.value) == message
 
     def test_no_step(self):
         r0, _, scale = chain_case(3, 0)
         np.testing.assert_array_equal(_givens_chain([tuple(r0.ravel().tolist())], [], scale), r0[None])
+        pivots, last = _givens_pivots(tuple(r0.ravel().tolist()), [], scale)
+        np.testing.assert_array_equal(pivots, r0.diagonal()[None])
+        np.testing.assert_array_equal(last, r0)
 
 
 def components(a):

@@ -3,6 +3,8 @@
 Returns are scaled by 10^u and D_0 by 10^v, u and v in [-300, 300], and
 one return column is sometimes zero (a pegged rate).  No other exception
 and no RuntimeWarning (an error under the pytest configuration) may escape.
+The one-cell grid search gives the UE filter's log likelihood bit for bit,
+or raises the same error with the same message.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from wishartsv.compare import MixtureConfig, mixture_gibbs, path_loglik
 from wishartsv.errors import WishartSVError
-from wishartsv.filtering import ReturnsSeries, forward_filter
+from wishartsv.filtering import ReturnsSeries, forward_filter, grid_search
 from wishartsv.randsamp import make_rng
 from wishartsv.smoother import backward_sample, correlation_summary, sample_ensemble
 from wishartsv.volproc import UEHyper, match_ue_to_bb
@@ -39,9 +41,19 @@ def test_passes_return_valid_output_or_raise_package_errors(q, T, u, v, pegged, 
     if pegged:
         returns[:, 0] = 0.0
     a = rng.standard_normal((q, q))
-    ue = UEHyper(q=q, k=1, n=q + 2.0, lam=lam, d0=(a @ a.T + np.eye(q)) * 10.0**v)
+    d0 = (a @ a.T + np.eye(q)) * 10.0**v
+    ue = UEHyper(q=q, k=1, n=q + 2.0, lam=lam, d0=d0)
     bb = match_ue_to_bb(ue)
     data = ReturnsSeries(returns)
+
+    def result(run):
+        try:
+            return float(run()).hex()
+        except WishartSVError as exc:
+            return type(exc), str(exc)
+
+    cell = result(lambda: grid_search(data, d0, [q + 2.0], [lam])[2][0, 0])
+    assert cell == result(lambda: forward_filter(data, ue).loglik)
 
     def outcome(run, check):
         try:
