@@ -24,15 +24,10 @@ D_{t-1}^{-1} r_t, and log|D_{t-1}| off G's diagonal alone: by the matrix
 determinant lemma the first is log|D_t| - log|disc D_{t-1}|.  Neither
 depends on n: the filter and ``grid_search`` (so ``marginal_loglik``,
 its one-cell case, which serves a single step too) reduce them through
-``_forecast_logdensity``.  The filter, a mixture sweep (``_factor_path``
-alone, through ``_factor_path_on``), the single-path UE backward pass
-and ``simulate`` run the Givens chain's full rendering, which keeps
-every G_t.  A grid factors D_0 once, turns the returns into Python rows
-once, and for each lambda runs ``matops._givens_pivots``, the rendering
-that keeps only G_t's diagonal and G_T.  Where one of those is not
-finite it runs ``_factor_path`` for that lambda, whose check names the
-first t at which G_t is not finite, so a grid, ``marginal_loglik`` and
-the filter raise the same error at the same t.
+``_forecast_logdensity``.  The filter and a mixture sweep (``_factor_path``
+alone, through ``_factor_path_on``) run the Givens chain's full
+rendering, which keeps every G_t; a grid the one that keeps only G_t's
+diagonal and G_T, and raises what the filter raises, at the same t.
 
 ``simulate`` draws returns through the factor path's Givens chain, each
 r_t from its one-step forecast law, and then their precision path from
@@ -52,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 from .matops import _fault_at, _givens_chain, _givens_pivots, gram, tri_solve_stack, uchol
 from .randsamp import make_rng, sample_bartlett_factor, substream
 from .smoother import backward_sample
@@ -127,31 +122,32 @@ def _forecast_logdensity(b, logdet, n, lam: float, q: int):
     )
 
 
-def _reversed_factor(d0, q: int) -> np.ndarray:
-    """J G_0' J = uchol(J D_0 J), J the reversal permutation; D_0 is checked as UEHyper checks it."""
-    return uchol(_prior_scale(d0, q)[::-1, ::-1])
+def _initial_factor(d0, q: int) -> np.ndarray:
+    """G_0 with G_0 G_0' = D_0, upper-triangular; D_0 is checked as UEHyper checks it."""
+    return uchol(_prior_scale(d0, q)[::-1, ::-1]).T[::-1, ::-1]  # J uchol(J D_0 J)' J, J the reversal
 
 
-def _factor_path(returns: np.ndarray, jg0: np.ndarray, discount: float) -> np.ndarray:
-    """G_0..G_T of the scale recursion D_t = discount D_{t-1} + r_t r_t', from J G_0' J.
+def _factor_path(returns: np.ndarray, g0: np.ndarray, discount: float) -> np.ndarray:
+    """G_0..G_T of the scale recursion D_t = discount D_{t-1} + r_t r_t', from G_0.
 
-    Each step is a rank-1 update of J G_t' J = uchol(J D_t J); no matrix is
-    refactored or inverted, which matters because the simulated data law
-    drives cond(D_t) far past what dense refactorization tolerates.  The
-    loop, ``matops._givens_chain``, is straight-line code generated per q
-    on Python floats (at q <= 5 a numpy call per step costs more than the
-    arithmetic).
-    Raises InvalidParameter at the first t where G_t is not finite.
+    Each step is a rank-1 update of G_t by ``matops._givens_chain``; no
+    matrix is refactored or inverted, which matters because the simulated
+    data law drives cond(D_t) far past what dense refactorization
+    tolerates.  Raises NotPositiveDefinite at the t where a pivot of G_t
+    vanishes, InvalidParameter at the first t where G_t is not finite.
     """
-    jg = _givens_chain([tuple(jg0.ravel().tolist())], returns[:, ::-1].tolist(), math.sqrt(discount))
-    g = jg.transpose(0, 2, 1)[:, ::-1, ::-1].copy()
+    out = [tuple(g0.ravel().tolist())]
+    try:
+        g = _givens_chain(out, returns.tolist(), math.sqrt(discount), outer=True)
+    except NotPositiveDefinite as exc:  # out holds G_0..G_{t-1}
+        raise NotPositiveDefinite(f"{exc} at t={len(out)}") from None
     _fault_at((~np.isfinite(g[1:]), InvalidParameter, "scale recursion overflows: D_t is not finite"))
     return g
 
 
 def _factor_path_on(path: FactorPath, returns: np.ndarray) -> FactorPath:
-    """``path``'s model on other returns of its length: only ``_factor_path`` runs, from J G_0' J."""
-    g = _factor_path(returns, path.g[0, ::-1, ::-1].T, path.discount)
+    """``path``'s model on other returns of its length: only ``_factor_path`` runs, from its G_0."""
+    g = _factor_path(returns, path.g[0], path.discount)
     return FactorPath(path.hyper, g, path.k_seq, path.df_prior, path.discount)
 
 
@@ -215,7 +211,7 @@ def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutpu
     df_path = _df_path(hyper, data.T)
     if data.q != hyper.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {hyper.q}")
-    g = _factor_path(data.returns, _reversed_factor(hyper.d0, data.q), df_path[0])
+    g = _factor_path(data.returns, _initial_factor(hyper.d0, data.q), df_path[0])
     return _filter_output(hyper, g, *df_path)
 
 
@@ -283,9 +279,10 @@ def grid_search(
     marginal likelihood at (n_grid[i], lambda_grid[j]).  Ties break
     toward the smallest n, then the smallest lambda.
 
-    Each lambda keeps only G_t's diagonal and G_T (``_givens_pivots``);
-    where one is not finite, ``_factor_path`` runs for that lambda and
-    names the first t at which G_t is not finite, as the filter does.
+    D_0 is factored and the returns turned into Python rows once.  Each
+    lambda keeps only G_t's diagonal and G_T (``_givens_pivots``); where
+    one is not finite or a pivot vanishes, ``_factor_path`` runs for that
+    lambda and names the t of the fault, as the filter does.
     """
     n_grid = list(n_grid)
     lambda_grid = list(lambda_grid)
@@ -300,14 +297,15 @@ def grid_search(
             raise InvalidParameter(f"grid point lambda={lam} outside (0, 1)")
     n_col = np.asarray(n_grid, dtype=float)[:, None]
     surface = np.empty((len(n_grid), len(lambda_grid)))
-    jg0 = _reversed_factor(d0, q)
-    r0, rows = tuple(jg0.ravel().tolist()), data.returns[:, ::-1].tolist()
+    g0 = _initial_factor(d0, q)
+    r0, rows = tuple(g0.ravel().tolist()), data.returns.tolist()
     for j, lam in enumerate(lambda_grid):
-        pivots, last = _givens_pivots(r0, rows, math.sqrt(lam))
-        if np.isfinite(pivots).all() and np.isfinite(last).all():
-            diag = pivots[:, ::-1]  # (J G_t' J)_ii = (G_t)_{q-1-i, q-1-i}
-        else:
-            diag = np.diagonal(_factor_path(data.returns, jg0, lam), axis1=1, axis2=2)
+        try:
+            diag, last = _givens_pivots(r0, rows, math.sqrt(lam))
+        except NotPositiveDefinite:
+            diag = last = np.nan
+        if not (np.isfinite(diag).all() and np.isfinite(last).all()):
+            diag = np.diagonal(_factor_path(data.returns, g0, lam), axis1=1, axis2=2)
         surface[:, j] = _forecast_logdensity(*_forecast_terms(diag, lam), n_col, lam, q).sum(axis=1)
     best = np.unravel_index(np.argmax(surface), surface.shape)
     return float(n_grid[best[0]]), float(lambda_grid[best[1]]), surface

@@ -1,9 +1,10 @@
 """Dense small-matrix primitives for SPD and upper-triangular matrices.
 
-Convention used throughout the package: a symmetric positive-definite
-matrix ``a`` factors as ``a = R' R`` with ``R`` upper-triangular and
-positive diagonal (``R = uchol(a)``).  Lower-triangular factors never
-appear in the public surface.
+Factors are upper-triangular with positive diagonal, in two layouts.  A
+symmetric positive-definite ``a`` factors as ``a = R' R`` (``R =
+uchol(a)``) in every public function, the sampled paths and ``simulate``;
+the filter stores D_t as G_t with ``G_t G_t' = D_t``, so that G_t^{-1}
+factors D_t^{-1} in R's layout.  Lower-triangular factors never appear.
 
 ``sym``, ``uchol``, ``gram`` and ``tri_solve_stack`` accept a stack of
 matrices of shape (..., q, q), so one call serves one path or every draw
@@ -13,9 +14,10 @@ Kernels compute; passes check.  No kernel tests for non-finite values:
 each pass (the factor path, a backward pass, ``simulate``, a mixture
 sweep) checks its input once and its output once, and ``_fault_at``
 raises the package error naming the time step.  ``uchol`` rejects a non-finite matrix.  A zero pivot makes
-``_givens_chain`` raise NotPositiveDefinite (a Python float division by
-zero would raise ZeroDivisionError), while ``tri_solve_stack`` divides
-by 0 and ``uchol_components`` gives NaN, and the calling pass reports the
+``_givens_chain`` raise NotPositiveDefinite naming the factor's row (a
+Python float division by zero would raise ZeroDivisionError), and the
+factor path adds its t, while ``tri_solve_stack`` divides by 0 and
+``uchol_components`` gives NaN, and the calling pass reports the
 non-finite result with its t.
 
 ``tri_solve_stack`` is the one triangular solve: it back-substitutes
@@ -23,18 +25,15 @@ against one factor or a whole stack at once, so no pass solves per time
 step.  A right solve m G^{-1} solves G' x = b with ``trans`` for each
 row b of m.
 
-The one Givens loop on Python floats is ``_givens_chain``: a whole
-recursion of rank-1 updates, with rho from ``math.hypot`` (a tenth of
-``np.hypot``'s cost on Python floats; inf on overflow).  Its loop body is
-generated per q as straight-line source, built from the integer q alone
-and compiled once on first use, with every entry of the factor a local
-variable; each step's factor is appended as one tuple and the list is
-converted to an array once.  The filter's factor path, the single-path
-UE backward pass and ``simulate`` all run through it; a stack of UE
-paths is refactored densely instead.  ``_givens_pivots`` runs a second
-rendering of the same generated loop, which appends only each step's q
-pivots and returns the last factor: ``filtering.grid_search`` reads
-nothing else of the path.
+The one Givens loop on Python floats, a whole recursion of rank-1
+updates with rho from ``math.hypot`` (a tenth of ``np.hypot``'s cost on
+Python floats; inf on overflow), is generated per q by ``_chain_at`` as
+straight-line source with every entry of the factor a local variable,
+in either layout.  ``_givens_chain`` keeps every factor: the filter's in
+G's layout, the single-path UE backward pass's and ``simulate``'s in R's
+(a stack of UE paths is refactored densely instead).  ``_givens_pivots``
+keeps only each G_t's pivots and the last factor, all that
+``filtering.grid_search`` reads.
 """
 
 from __future__ import annotations
@@ -147,30 +146,33 @@ def uchol_components(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _chain_at(q: int, pivots: bool = False):
+def _chain_at(q: int, pivots: bool = False, outer: bool = False):
     """The Givens loop at dimension q, generated from q alone and compiled on first use.
 
     Straight-line code with every entry of R and of x a local variable,
     called as chain(r0, out, xs, scale) with R_0 the row-major tuple r0.
     Each step appends its factor to ``out`` as one row-major tuple, or with
     ``pivots`` only its diagonal, the q new pivots; the last factor is
-    returned as a row-major tuple.  The two renderings share every rotation.
+    returned as a row-major tuple.  With ``outer`` the factor is G, G G' =
+    R' R with R = J G' J (J the reversal), so G[a][b] is R[q-1-b][q-1-a] and
+    x_j the input's entry q-1-j: only names move, so every bit stays.
     """
     r = [[f"r{i}_{j}" for j in range(q)] for i in range(q)]
     x = [f"x{j}" for j in range(q)]
-    flat = ", ".join(e for row in r for e in row)
+    stored = [[r[q - 1 - b][q - 1 - a] for b in range(q)] for a in range(q)] if outer else r
+    flat = ", ".join(e for row in stored for e in row)
     lines = [
         "def chain(r0, out, xs, scale, hypot=hypot, error=error):",
         f"    {flat}, = r0",
         "    append = out.append",
-        f"    for {', '.join(x)}, in xs:",
+        f"    for {', '.join(x[::-1] if outer else x)}, in xs:",
     ]
     for i in range(q):
         lines += [
             f"        rii = scale * {r[i][i]}",
             f"        rho = hypot(rii, {x[i]})",
             "        if rho <= 0.0:",
-            f"            raise error('zero pivot in rank-1 update at row {i}')",
+            f"            raise error('zero pivot in rank-1 update at row {q - 1 - i if outer else i}')",
         ]
         if i + 1 < q:  # the last row has no entry right of its pivot to rotate
             lines += ["        c = rii / rho", f"        s = {x[i]} / rho"]
@@ -181,14 +183,14 @@ def _chain_at(q: int, pivots: bool = False):
                 f"        {r[i][j]} = c * rj + s * {x[j]}",
                 f"        {x[j]} = c * {x[j]} - s * rj",
             ]
-    appended = ", ".join(r[i][i] for i in range(q)) if pivots else flat
+    appended = ", ".join(stored[i][i] for i in range(q)) if pivots else flat
     lines += [f"        append(({appended},))", f"    return ({flat},)"]
     namespace = {"hypot": math.hypot, "error": NotPositiveDefinite}
     exec("\n".join(lines) + "\n", namespace)
     return namespace["chain"]
 
 
-def _givens_chain(out: list, xs, scale: float) -> np.ndarray:
+def _givens_chain(out: list, xs, scale: float, outer: bool = False) -> np.ndarray:
     """All factors of R_{i+1}' R_{i+1} = scale^2 R_i' R_i + x_i x_i', on Python floats.
 
     ``out`` holds R_0 as one row-major tuple of q * q floats; each R_{i+1}
@@ -198,27 +200,27 @@ def _givens_chain(out: list, xs, scale: float) -> np.ndarray:
     just before its rotation, which rounds as scaling R first would.  The
     strict lower triangle of R_0 is carried unchanged.  The loop is
     ``_chain_at(q)``: at q <= 5 an index or a numpy call costs more than
-    the arithmetic.  ``xs`` may be a generator that reads
-    the latest factor, ``out[-1]``, before it yields the next x
-    (``simulate``); the x rows are not written to.  Raises
-    NotPositiveDefinite on a zero pivot.
+    the arithmetic.  With ``outer`` every factor is G in G's layout,
+    G_{i+1} G_{i+1}' = scale^2 G_i G_i' + x_i x_i'.  ``xs`` may be a
+    generator that reads the latest factor, ``out[-1]``, before it yields
+    the next x (``simulate``); the x rows are not written to.  Raises
+    NotPositiveDefinite on a zero pivot, naming the factor's row.
     """
     q = math.isqrt(len(out[-1]))
-    _chain_at(q)(out[-1], out, xs, scale)
+    _chain_at(q, False, outer)(out[-1], out, xs, scale)
     return np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q * q).reshape(-1, q, q)
 
 
-def _givens_pivots(r0: tuple, xs, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals of ``_givens_chain``'s factors, bit for bit, and its last factor.
+def _givens_pivots(g0: tuple, xs, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of ``_givens_chain``'s factors in G's layout, bit for bit, and its last factor.
 
-    Runs the same rotations from R_0, the row-major tuple ``r0``, but keeps
-    only each R_i's diagonal: returns (pivots, last), pivots[i] the
-    diagonal of R_i, one row per x and one for R_0, and last the final
-    factor, (q, q).  No entry is checked for finiteness; raises
-    NotPositiveDefinite on a zero pivot, as ``_givens_chain`` does.
+    Runs the same rotations from G_0, the row-major tuple ``g0``: returns
+    (pivots, last), pivots[i] the diagonal of G_i, one row per x and one for
+    G_0, and last the final factor, (q, q).  No entry is checked for
+    finiteness; raises NotPositiveDefinite on a zero pivot, as ``_givens_chain`` does.
     """
-    q = math.isqrt(len(r0))
-    out = [r0[:: q + 1]]
-    last = _chain_at(q, True)(r0, out, xs, scale)
+    q = math.isqrt(len(g0))
+    out = [g0[:: q + 1]]
+    last = _chain_at(q, True, True)(g0, out, xs, scale)
     pivots = np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q).reshape(-1, q)
     return pivots, np.reshape(last, (q, q))

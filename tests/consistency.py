@@ -24,6 +24,8 @@ matrix forms are checked against them.  ``exact_steps`` and
 backward recursions and a path's log likelihood in 60-digit ``decimal``.
 ``whitened_mean_z`` checks a whole ensemble of either sampler against the
 closed-form means of its paths in coordinates whitened by the filter's factor.
+``sbc_pvalues`` calibrates either sampler's whole paths against a truth drawn
+from either model's state equation (simulation-based calibration).
 ``row_table`` is the plain row-by-row CSV writer whose bytes the CLI's
 column-wise table text must match.
 """
@@ -35,11 +37,20 @@ from decimal import Decimal, localcontext
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
+from scipy.special import chdtrc
 
 from wishartsv.errors import NotPositiveDefinite
-from wishartsv.filtering import _factor_path, _forecast_logdensity, _forecast_terms, _reversed_factor
+from wishartsv.filtering import (
+    ReturnsSeries,
+    _df_path,
+    _factor_path,
+    _forecast_logdensity,
+    _forecast_terms,
+    _initial_factor,
+    forward_filter,
+)
 from wishartsv.matops import gram, tri_solve_stack, uchol
-from wishartsv.randsamp import sample_chi2, sample_wishart_factor
+from wishartsv.randsamp import make_rng, sample_chi2, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, sample_ensemble, ue_backward_step
 from wishartsv.specfun import sqrt_beta_moment, tricomi_u_neg_half
 from wishartsv.volproc import UEHyper, bb_evolve, ue_evolve
@@ -119,11 +130,11 @@ def factor_path_surface(data, d0: np.ndarray, n_grid, lambda_grid) -> np.ndarray
     Each lambda runs ``_factor_path`` over the whole series and reads the
     forecast terms off the diagonals of the (T+1, q, q) path it returns.
     """
-    q, jg0 = data.q, _reversed_factor(d0, data.q)
+    q, g0 = data.q, _initial_factor(d0, data.q)
     n_col = np.asarray(n_grid, dtype=float)[:, None]
     surface = np.empty((len(n_grid), len(lambda_grid)))
     for j, lam in enumerate(lambda_grid):
-        diag = np.diagonal(_factor_path(data.returns, jg0, lam), axis1=1, axis2=2)
+        diag = np.diagonal(_factor_path(data.returns, g0, lam), axis1=1, axis2=2)
         surface[:, j] = _forecast_logdensity(*_forecast_terms(diag, lam), n_col, lam, q).sum(axis=1)
     return surface
 
@@ -206,6 +217,47 @@ def whitened_mean_z(filt, n_draws: int, seed: int) -> np.ndarray:
             m[t] = (1.0 - filt.hyper.beta) * filt.k_seq[t] + filt.discount * np.diagonal(a[t]) ** 2 * m[t + 1]
     z = (x.mean(axis=0) - m) / (x.std(axis=0, ddof=1) / math.sqrt(n_draws))
     return z[(slice(None), *np.triu_indices(q))] if ue else z
+
+
+def sbc_pvalues(truth, smoother, T: int, n_reps: int, seed: int, n_ranked: int = 19) -> np.ndarray:
+    """Simulation-based calibration of whole smoothed paths (Talts et al. 2018): one p-value per statistic.
+
+    ``truth`` and ``smoother`` are hyperparameter sets with one D_0 and discount.  Each
+    of ``n_reps`` replications draws Phi_0 ~ Wishart(k_0, D_0^{-1}) and steps ``truth``'s
+    state equation, ``ue_evolve`` or ``bb_evolve`` with p_prev = G_{t-1}^{-1}, drawing
+    r_t ~ N(0, Phi_t^{-1}) and D_t = discount D_{t-1} + r_t r_t' as it goes; never
+    ``simulate``, whose path comes from the sampler under test.  It then ranks the
+    truth's Phi_00, Phi_0,q-1 and log|Phi| at t = 0, T // 2 and T among ``n_ranked``
+    paths of ``sample_ensemble`` on ``smoother``'s filter.  Where the sampler draws
+    the truth's law every rank is uniform on 0..n_ranked: returns the chi-square
+    p-value of each statistic's rank counts, 9 of them.
+    """
+    rng, q, ts = make_rng(seed), truth.q, [0, T // 2, T]
+    disc, k_seq, _ = _df_path(truth, T)
+
+    def stats(phi):  # (..., T + 1, q, q) -> (..., 9)
+        phi = phi[..., ts, :, :]
+        return np.concatenate([phi[..., 0, 0], phi[..., 0, q - 1], np.linalg.slogdet(phi)[1]], axis=-1)
+
+    ranks = np.empty((n_reps, 9), dtype=int)
+    for m in range(n_reps):
+        d, returns = truth.d0, []
+        p = solve_triangular(rchol(d), np.eye(q))  # G_{t-1}^{-1}, so P' P = D_{t-1}^{-1}
+        phi = [wishart_draws(k_seq[0], p, rng)]
+        for t in range(1, T + 1):
+            if isinstance(truth, UEHyper):
+                phi.append(ue_evolve(phi[-1], truth, rng))
+            else:
+                phi.append(bb_evolve(phi[-1], k_seq[t - 1], truth, rng, p_prev=p))
+            returns.append(solve_triangular(uchol(phi[-1]), rng.standard_normal(q)))  # covariance Phi_t^{-1}
+            d = disc * d + np.outer(returns[-1], returns[-1])
+            p = solve_triangular(rchol(d), np.eye(q))
+        filt = forward_filter(ReturnsSeries(np.array(returns)), smoother)
+        draws = gram(sample_ensemble(filt, n_ranked, int(rng.integers(2**32))))
+        ranks[m] = (stats(draws) < stats(np.array(phi))).sum(axis=0)
+    counts = (ranks[..., None] == np.arange(n_ranked + 1)).sum(axis=0)
+    expected = n_reps / (n_ranked + 1)
+    return chdtrc(n_ranked, ((counts - expected) ** 2 / expected).sum(axis=1))
 
 
 def kummer_partner(z: float) -> float:

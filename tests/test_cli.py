@@ -607,6 +607,21 @@ class TestMain:
         for loglik in logliks:
             assert loglik == pytest.approx(-5992.81470722051, rel=1e-12)
 
+    @pytest.mark.parametrize("command", ["filter", "grid-search"])
+    def test_zero_pivot_is_reported(self, tmp_path, capsys, command):
+        # (G_t)_11 shrinks by sqrt(0.01) a step from 1e-155 and rounds to 0 at t=169
+        data = tmp_path / "peg.csv"
+        write_returns(data, [[t, 1e-150, 0.0] for t in range(400)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.01, "d0": [[1e-310, 0.0], [0.0, 1e-310]],
+                                        "data_csv": str(data), "n_grid": [5.0], "lambda_grid": [0.01]}))
+        rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert json.loads(err) == {"error": "NotPositiveDefinite",
+                                   "message": "zero pivot in rank-1 update at row 1 at t=169"}
+        assert not list((tmp_path / "x").glob("*"))
+
     @pytest.mark.parametrize("command", ["smooth", "compare-plr", "compare-mixture"])
     def test_nonfinite_draws_are_reported(self, tmp_path, capsys, command):
         # a pegged rate: column 2 is all zeros, so D_t's second pivot is

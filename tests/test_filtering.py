@@ -19,7 +19,7 @@ from wishartsv.filtering import (
     _df_path,
     _factor_path,
     _forecast_terms,
-    _reversed_factor,
+    _initial_factor,
     constrained_lambda,
     forward_filter,
     grid_search,
@@ -36,7 +36,7 @@ def toy_series(T=40, q=2, seed=0):
 
 def scale_terms(returns, d0, discount):
     """(g, b, logdet): the factor path from D_0 and its forecast terms."""
-    g = _factor_path(returns, _reversed_factor(d0, returns.shape[1]), discount)
+    g = _factor_path(returns, _initial_factor(d0, returns.shape[1]), discount)
     return (g, *_forecast_terms(np.diagonal(g, axis1=1, axis2=2), discount))
 
 
@@ -231,6 +231,7 @@ class TestForwardFilters:
         d = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
         ue = UEHyper(q=3, k=1, n=5, lam=0.8, d0=d)
         filt = forward_filter(data, ue)
+        assert filt.g.flags.c_contiguous  # the chain appends G_t in its own layout
         for t in range(5):
             g = filt.g[t]
             assert np.all(np.tril(g, -1) == 0) and np.all(g.diagonal() > 0)
@@ -364,6 +365,20 @@ class TestForwardFilters:
             ):
                 with pytest.raises(InvalidParameter, match=f"D_t is not finite at t={t}$"):
                     run()
+
+    def test_zero_pivot_is_reported(self):
+        # D_0 = 1e-310 I and a zero second column shrink (G_t)_11 by sqrt(0.01)
+        # a step until it rounds to 0 at t=169; the message names G's row and t
+        data, d0 = ReturnsSeries(np.tile([1e-150, 0.0], (400, 1))), 1e-310 * np.eye(2)
+        hyper = UEHyper(q=2, k=1, n=5, lam=0.01, d0=d0)
+        for run in (
+            lambda: forward_filter(data, hyper),
+            lambda: forward_filter(data, match_ue_to_bb(hyper)),
+            lambda: marginal_loglik(data, 5.0, 0.01, d0),
+            lambda: grid_search(data, d0, [5.0], [0.5, 0.01]),
+        ):
+            with pytest.raises(NotPositiveDefinite, match="^zero pivot in rank-1 update at row 1 at t=169$"):
+                run()
 
 
 class TestMarginalLoglik:

@@ -184,19 +184,32 @@ def chain_case(q, seed, T=60):
     return r0, x, float(rng.uniform(0.5, 1.0))
 
 
+def reference_chain(r0, x, scale, outer):
+    """``givens_chain``'s factors from R_0 = r0; with ``outer`` from G_0 = r0 in G's layout (G G' = A).
+
+    There the reference runs on R_0 = J G_0' J and rows J x, J the reversal,
+    and each R_i maps back to G_i = J R_i' J.
+    """
+    q = r0.shape[0]
+    if outer:
+        r0, x = r0.T[::-1, ::-1], x[:, ::-1]
+    got = np.frombuffer(givens_chain(array("d", r0.ravel().tolist()), x.tolist(), scale)).reshape(-1, q, q)
+    return got.transpose(0, 2, 1)[:, ::-1, ::-1] if outer else got
+
+
 class TestGivensChain:
-    # the generated per-q loop against the plain loop in consistency.py, bit for bit;
-    # its pivots-only rendering against the full one's diagonals and last factor
+    # the generated per-q loop, in each layout, against the plain loop in consistency.py,
+    # bit for bit; its pivots-only rendering against the full one's diagonals and last factor
 
     @pytest.mark.parametrize("q", range(1, 7))
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_the_reference_loop(self, q, seed):
         r0, x, scale = chain_case(q, seed)
         rows = x.tolist()
-        expect = np.frombuffer(givens_chain(array("d", r0.ravel().tolist()), x.tolist(), scale))
-        got = _givens_chain([tuple(r0.ravel().tolist())], rows, scale)
-        assert got.shape == (len(rows) + 1, q, q)
-        assert got.tobytes() == expect.tobytes()
+        for outer in (False, True):
+            got = _givens_chain([tuple(r0.ravel().tolist())], rows, scale, outer=outer)
+            assert got.shape == (len(rows) + 1, q, q)
+            assert got.tobytes() == reference_chain(r0, x, scale, outer).tobytes()
         pivots, last = _givens_pivots(tuple(r0.ravel().tolist()), rows, scale)
         assert pivots.tobytes() == np.diagonal(got, axis1=1, axis2=2).tobytes()
         assert last.tobytes() == got[-1].tobytes()
@@ -219,16 +232,20 @@ class TestGivensChain:
 
     @pytest.mark.parametrize("q, row", [(1, 0), (2, 0), (2, 1), (3, 1), (5, 4), (6, 2)])
     def test_zero_pivot_raises(self, q, row):
+        # each layout names its own factor's row; J G' J holds G's pivot (row, row) at (q-1-row, q-1-row)
         r0, x = np.eye(q), np.zeros((3, q))
         r0[row, row] = 0.0
-        with pytest.raises(NotPositiveDefinite) as expect:
-            givens_chain(array("d", r0.ravel().tolist()), x.tolist(), 0.9)
-        with pytest.raises(NotPositiveDefinite) as got:
-            _givens_chain([tuple(r0.ravel().tolist())], x.tolist(), 0.9)
+        message = f"zero pivot in rank-1 update at row {row}"
+        for outer in (False, True):
+            with pytest.raises(NotPositiveDefinite) as expect:
+                reference_chain(r0, x, 0.9, outer)
+            with pytest.raises(NotPositiveDefinite) as got:
+                _givens_chain([tuple(r0.ravel().tolist())], x.tolist(), 0.9, outer=outer)
+            assert str(got.value) == message
+            assert str(expect.value) == f"zero pivot in rank-1 update at row {q - 1 - row if outer else row}"
         with pytest.raises(NotPositiveDefinite) as got_pivots:
             _givens_pivots(tuple(r0.ravel().tolist()), x.tolist(), 0.9)
-        message = f"zero pivot in rank-1 update at row {row}"
-        assert str(got.value) == str(got_pivots.value) == str(expect.value) == message
+        assert str(got_pivots.value) == message
 
     def test_no_step(self):
         r0, _, scale = chain_case(3, 0)

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
-from consistency import bb_backward_step_product, joint_consistency_report, whitened_mean_z
+from consistency import bb_backward_step_product, joint_consistency_report, sbc_pvalues, whitened_mean_z
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     FactorPath,
     ReturnsSeries,
     _df_path,
     _factor_path,
-    _reversed_factor,
+    _initial_factor,
     constrained_lambda,
     forward_filter,
     simulate,
@@ -249,7 +249,7 @@ class TestFactorPathInput:
         hyper = {"ue": ue, "bb": bb, "bb-unmatched": unmatched}[model]
         filt = forward_filter(data, hyper)
         discount, k_seq, df_prior = _df_path(hyper, data.T)
-        g = _factor_path(data.returns, _reversed_factor(hyper.d0, 3), discount)
+        g = _factor_path(data.returns, _initial_factor(hyper.d0, 3), discount)
         path = FactorPath(hyper, g, k_seq, df_prior, discount)
         np.testing.assert_array_equal(backward_sample(path, make_rng(5)), backward_sample(filt, make_rng(5)))
         np.testing.assert_array_equal(sample_ensemble(path, 4, 6), sample_ensemble(filt, 4, 6))
@@ -527,6 +527,34 @@ class TestWhitenedMeans:
         data, _ = simulate(ue, 50, 100 + q)
         filt = forward_filter(data, ue if model == "ue" else match_ue_to_bb(ue))
         assert np.abs(whitened_mean_z(filt, 2000, 200 + q)).max() < 5.49
+
+
+class TestSimulationBasedCalibration:
+    """Whole paths (T = 10) of both samplers against truths from both state equations.
+
+    ``consistency.sbc_pvalues`` at n = q + 3, D_0 = I: 400 replications of 19 ranked
+    paths, 9 statistics each, seed 0.  The family is the 7 pairs that must pass, 63
+    p-values; Bonferroni at family-wise level 1e-3 bounds each at 1e-3 / 63 for any
+    dependence among them.  At q = 1 UE and BB have one law, so a swapped pair passes;
+    at q = 2 a UE truth smoothed by BB fails far past any bound.  A mutant that passes
+    G_{t+1} for G_t to ``_bb_chain`` scales each step's increment by D_{t+1} where D_t
+    belongs.  At lambda = 0.8 it passed (min p 0.025 at q = 2; 9e-4 at 1200 replications);
+    at lambda = 0.5, where D_{t+1} = lambda D_t + r r' differs more from D_t, it fails with
+    min p 2e-94, so that case is here too.  Each pair takes about 1.2 s.
+    """
+
+    @pytest.mark.parametrize("q, lam, truth, smoother", [
+        (1, 0.8, "ue", "ue"), (1, 0.8, "bb", "bb"), (2, 0.8, "ue", "ue"), (2, 0.8, "bb", "bb"),
+        (2, 0.5, "bb", "bb"), (1, 0.8, "ue", "bb"), (1, 0.8, "bb", "ue"),
+    ])
+    def test_pair_is_calibrated(self, q, lam, truth, smoother):
+        ue = UEHyper(q=q, k=1, n=q + 3.0, lam=lam, d0=np.eye(q))
+        hyper = {"ue": ue, "bb": match_ue_to_bb(ue)}
+        assert sbc_pvalues(hyper[truth], hyper[smoother], 10, 400, 0).min() > 1e-3 / 63
+
+    def test_ue_truth_fails_the_bb_smoother(self):
+        ue = UEHyper(q=2, k=1, n=5.0, lam=0.8, d0=np.eye(2))
+        assert sbc_pvalues(ue, match_ue_to_bb(ue), 10, 400, 0).min() < 1e-10
 
 
 class TestEnsembles:
