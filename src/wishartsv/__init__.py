@@ -17,7 +17,6 @@ from .errors import (
     WishartSVError,
 )
 from .filtering import (
-    FactorPath,
     FilterOutput,
     ReturnsSeries,
     constrained_lambda,

@@ -12,7 +12,6 @@ per-time tables as plain CSV so any plotting tool can consume them.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import itertools
@@ -41,7 +40,7 @@ from .errors import (
     ParseError,
     WishartSVError,
 )
-from .filtering import ReturnsSeries, _df_path, _filter_output, forward_filter, grid_search, simulate
+from .filtering import FilterOutput, ReturnsSeries, _df_path, forward_filter, grid_search, simulate
 from .matops import sym, uchol
 from .randsamp import RNG_ALGORITHM
 from .smoother import correlation_summary, sample_ensemble
@@ -140,15 +139,6 @@ def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):
 # ---------------------------------------------------------------- output
 
 
-@contextlib.contextmanager
-def _written(path: Path):
-    """Report an OSError raised while writing the output file ``path`` as InvalidParameter."""
-    try:
-        yield
-    except OSError as exc:
-        raise InvalidParameter(f"{path}: cannot write output file: {exc.strerror}") from None
-
-
 def _table_text(header, *columns) -> str:
     """A CSV table from whole columns (arrays or lists) of equal length, as one string.
 
@@ -169,14 +159,15 @@ def _fields(col: np.ndarray) -> list:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` with no newline translation."""
-    with _written(path):
+    """Write ``text`` to the output file ``path`` with no newline translation; an OSError is InvalidParameter.
+
+    The one file writer: a table is ``_table_text``'s text, a JSON record
+    ``json.dumps(obj, indent=2) + "\n"``.
+    """
+    try:
         path.write_text(text, newline="")
-
-
-def _write_table(path: Path, header, *columns) -> None:
-    """Write the table ``_table_text(header, *columns)`` to ``path``."""
-    _write_text(path, _table_text(header, *columns))
+    except OSError as exc:
+        raise InvalidParameter(f"{path}: cannot write output file: {exc.strerror}") from None
 
 
 def _same_table(a, b) -> bool:
@@ -192,22 +183,6 @@ def _per_table(filts: dict, make) -> dict:
         out[tag] = out[prev] if prev is not None and _same_table(filts[prev], filt) else make(filt)
         prev = tag
     return out
-
-
-def _write_json(path: Path, obj) -> None:
-    with _written(path):
-        path.write_text(json.dumps(obj, indent=2) + "\n")
-
-
-def _write_meta(outdir: Path, cfg: dict, command: str, t0: float):
-    meta = {
-        "config": cfg,
-        "version": __version__,
-        "rng": RNG_ALGORITHM,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "command": command,
-    }
-    _write_json(outdir / "meta.json", meta)
 
 
 def _flat_header(prefix: str, q: int):
@@ -300,7 +275,8 @@ def _filters(cfg: dict, data: ReturnsSeries, model: str):
         return {model: forward_filter(data, hypers[model])}, warning
     ue = forward_filter(data, hypers["ue"])
     # BB is match_ue_to_bb(UE): D_0 and the discount are UE's own objects, so BB's factor path is UE's g
-    bb = _filter_output(hypers["bb"], ue.g, *_df_path(hypers["bb"], data.T))
+    discount, k_seq, df_prior = _df_path(hypers["bb"], data.T)
+    bb = FilterOutput(hypers["bb"], ue.g, k_seq, df_prior, discount)
     # on one factor path the densities differ only by the df paths, n (UE) and beta k_{t-1} (BB), which matching equates
     gap = np.abs(ue.log_forecast - bb.log_forecast).max()
     if gap > 1e-8:
@@ -320,8 +296,8 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
         raise InvalidParameter(f"simulate draws from one model, ue or bb; got {model!r}")
     series, phis = simulate(hypers[model], _required(cfg, "T"), cfg["seed"])
     t = np.arange(series.T + 1)
-    _write_table(outdir / "returns.csv", ["t"] + [f"r{i + 1}" for i in range(q)], t[1:], *series.returns.T)
-    _write_table(outdir / "true_path.csv", ["t"] + _flat_header("phi", q), t, *phis.reshape(-1, q * q).T)
+    _write_text(outdir / "returns.csv", _table_text(["t"] + [f"r{i + 1}" for i in range(q)], t[1:], *series.returns.T))
+    _write_text(outdir / "true_path.csv", _table_text(["t"] + _flat_header("phi", q), t, *phis.reshape(-1, q * q).T))
     return {"T": series.T, "q": q, "model": model, "warning": warning}
 
 
@@ -356,7 +332,8 @@ def cmd_grid_search(cfg: dict, outdir: Path) -> dict:
     n_star, lambda_star, surface = grid_search(data, d0, n_grid, lambda_grid)
     # the grid values as the config gave them, so integer n stay integers
     n_col = [n for n in n_grid for _ in lambda_grid]
-    _write_table(outdir / "surface.csv", ["n", "lambda", "loglik"], n_col, lambda_grid * len(n_grid), surface.ravel())
+    _write_text(outdir / "surface.csv",
+                _table_text(["n", "lambda", "loglik"], n_col, lambda_grid * len(n_grid), surface.ravel()))
     return {
         "n_star": n_star,
         "lambda_star": lambda_star,
@@ -381,7 +358,8 @@ def cmd_smooth(cfg: dict, outdir: Path) -> dict:
         ens = sample_ensemble(filt, n_draws=n_draws, seed=cfg["seed"])
         curves = correlation_summary(ens, quantiles)  # [level][pair][t]
         if iu.size:
-            _write_table(outdir / f"correlations_{tag}.csv", header, pair_fields, *curves.reshape(len(quantiles), -1))
+            _write_text(outdir / f"correlations_{tag}.csv",
+                        _table_text(header, pair_fields, *curves.reshape(len(quantiles), -1)))
         out[tag] = {"draws": n_draws}
     return {"warning": warning, "models": out}
 
@@ -400,19 +378,15 @@ def cmd_compare_plr(cfg: dict, outdir: Path) -> dict:
 def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
     data = _load_data(cfg)
     hypers, warning = _models(cfg, data.q)
-    mix = MixtureConfig(
-        a0=cfg.get("a0", 1.0),
-        b0=cfg.get("b0", 1.0),
-        iterations=cfg.get("draws", 10_000),
-        burn_in=cfg.get("burn_in"),
-        seed=cfg["seed"],
-    )
+    # MixtureConfig's defaults stand for the keys the config does not give
+    fields = {"a0": "a0", "b0": "b0", "draws": "iterations", "burn_in": "burn_in"}
+    mix = MixtureConfig(seed=cfg["seed"], **{field: cfg[key] for key, field in fields.items() if key in cfg})
     n_batches = cfg.get("batches", 50)
     kept = mix.iterations - mix.burn_in
     if not 2 <= n_batches <= kept:
         raise InvalidParameter(f"batches must lie in [2, {kept}], the kept draws; got {n_batches}")
     trace = mixture_gibbs(data, hypers["ue"], hypers["bb"], mix)
-    _write_table(outdir / "alpha_trace.csv", ["iteration", "alpha"], np.arange(kept), trace.alpha)
+    _write_text(outdir / "alpha_trace.csv", _table_text(["iteration", "alpha"], np.arange(kept), trace.alpha))
     below = (trace.alpha < 0.5).astype(float)
     return {
         "alpha_mean": float(trace.alpha.mean()),
@@ -482,8 +456,10 @@ def run_command(command: str, cfg: dict) -> dict:
     t0 = time.perf_counter()
     summary = COMMANDS[command](cfg, outdir)
     summary = {"command": command, "seed": cfg["seed"], **summary}
-    _write_json(outdir / "results.json", summary)
-    _write_meta(outdir, cfg, command, t0)
+    _write_text(outdir / "results.json", json.dumps(summary, indent=2) + "\n")
+    meta = {"config": cfg, "version": __version__, "rng": RNG_ALGORITHM,
+            "wall_time_s": round(time.perf_counter() - t0, 3), "command": command}
+    _write_text(outdir / "meta.json", json.dumps(meta, indent=2) + "\n")
     return summary
 
 

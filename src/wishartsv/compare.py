@@ -10,14 +10,14 @@ interval checks, and batch-means standard errors for chain output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, logsumexp, stdtrit
 
 from .errors import DimensionMismatch, EmptyEnsemble, InvalidParameter
-from .filtering import FilterOutput, ReturnsSeries, _factor_path_on, forward_filter
-from .matops import _fault_at, _row_norms
+from .filtering import FilterOutput, ReturnsSeries, _factor_path, forward_filter
+from .matops import _fault_at, _fits_index, _row_norms
 from .randsamp import make_rng, sample_mvnormal_prec
 from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper
@@ -127,33 +127,35 @@ def mixture_gibbs(
     it; every sweep reuses that filter's df path, discount and D_0 factor,
     and the first sweep its factors.  Per sweep,
     in draw order: (1) the UE, then the BB precision path, each by a
-    backward sample of its ``FactorPath`` on its imputed series (the Givens
-    chain alone, no forecast term); (2) all z_t from one ``rng.random(T)``,
-    by the log-scale comparison of alpha N(r_t^U | 0, (Phi_t^U)^{-1})
-    against (1 - alpha) times the BB term; (3) one (T, q) normal block
+    backward sample of a copy of its filter with the Givens chain's factors
+    on its imputed series (no forecast density is computed); (2) all z_t
+    from one ``rng.random(T)``, by the log-scale comparison of
+    alpha N(r_t^U | 0, (Phi_t^U)^{-1}) against (1 - alpha) times the BB
+    term; (3) one (T, q) normal block
     imputing, at each t, the return of the model not chosen from its own
     path; (4) alpha ~ Beta(a0 + sum z, b0 + T - sum z).  Nothing in a sweep
     loops over t outside the passes.
 
     ``degenerate`` is a calibration harness: the BB likelihood term is
     forced equal to the UE term, making z_t | - ~ Bernoulli(alpha) and
-    the stationary law of alpha its Beta(a0, b0) prior.
+    the stationary law of alpha its Beta(a0, b0) prior.  A trace no array
+    can index raises InvalidParameter before any draw.
     """
-    rng = make_rng(cfg.seed)
-    T, q = data.T, data.q
+    T, kept = data.T, cfg.iterations - cfg.burn_in
     if T < 1:
         raise InvalidParameter("need T >= 1")
+    _fits_index(kept * T, f"a trace of {kept} kept sweeps of T={T} indicators")
+    rng = make_rng(cfg.seed)
     filts = paths = (forward_filter(data, ue), forward_filter(data, bb))
     alpha = rng.beta(cfg.a0, cfg.b0)
     r_u = r_b = data.returns
 
-    kept = cfg.iterations - cfg.burn_in
     alpha_trace = np.empty(kept)
     z_trace = np.empty((kept, T), dtype=np.int8)
 
     for it in range(cfg.iterations):
         if it:
-            paths = [_factor_path_on(f, r) for f, r in zip(filts, (r_u, r_b))]
+            paths = [replace(f, g=_factor_path(r, f.g[0], f.discount)) for f, r in zip(filts, (r_u, r_b))]
         f_u = backward_sample(paths[0], rng)[1:]
         f_b = backward_sample(paths[1], rng)[1:]
         if degenerate:

@@ -7,7 +7,8 @@ k = 1 and y_t = r_t r_t' the one-step forecast is multivariate-t.
 
 A hyperparameter set, ``UEHyper`` or ``BBHyper``, is the only statement
 of the model.  ``forward_filter(data, hyper)`` runs either model and
-keeps ``hyper`` in its ``FilterOutput``; ``simulate(hyper, T, seed)``
+keeps ``hyper`` in its ``FilterOutput``, the one filter type, which the
+forecasts and both backward samplers read; ``simulate(hyper, T, seed)``
 draws from either.  Both read the discount, k_0..k_T and the prior df
 from one function, ``_df_path``, which sums the BB df recursion in closed form.
 
@@ -15,19 +16,22 @@ from one function, ``_df_path``, which sums the BB df recursion in closed form.
 stores each D_t only as an upper-triangular factor G_t with G_t G_t' =
 D_t (square-root filtering, Bierman 1977).  Then G_t^{-1} =
 uchol(D_t^{-1}) is the scale factor of the filtered Wishart posterior of
-Phi_t, so the backward samplers, which read only a ``FactorPath``, need
-nothing but triangular products and solves against G_t.  Its loop over t
+Phi_t, so the backward samplers, which read only a ``FilterOutput``'s
+factors, df path and discount, need nothing but triangular products and
+solves against G_t.  Its loop over t
 is one Givens rank-1 update per step (Gill, Golub, Murray & Saunders
 1974) on Python floats, with no numpy call or solve inside it.
 ``_forecast_terms`` then reads log(1 + s_t / disc), with s_t = r_t'
 D_{t-1}^{-1} r_t, and log|D_{t-1}| off G's diagonal alone: by the matrix
 determinant lemma the first is log|D_t| - log|disc D_{t-1}|.  Neither
-depends on n: the filter and ``grid_search`` (so ``marginal_loglik``,
-its one-cell case, which serves a single step too) reduce them through
-``_forecast_logdensity``.  The filter and a mixture sweep (``_factor_path``
-alone, through ``_factor_path_on``) run the Givens chain's full
-rendering, which keeps every G_t; a grid the one that keeps only G_t's
-diagonal and G_T, and raises what the filter raises, at the same t.
+depends on n: a ``FilterOutput``, on first reading its ``log_forecast``,
+and ``grid_search`` (so ``marginal_loglik``, its one-cell case, which
+serves a single step too) reduce them through ``_forecast_logdensity``.
+The filter and a mixture sweep (``_factor_path`` on
+the sweep's imputed series, in a copy of the chain's filter) run the
+Givens chain's full rendering, which keeps every G_t; a grid the one that
+keeps only G_t's diagonal and G_T, and raises what the filter raises, at
+the same t.
 
 ``simulate`` draws returns through the factor path's Givens chain, each
 r_t from its one-step forecast law, and then their precision path from
@@ -43,12 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
-from .matops import _fault_at, _givens_chain, _givens_pivots, gram, tri_solve_stack, uchol
+from .matops import _fault_at, _fits_index, _givens_chain, _givens_pivots, gram, tri_solve_stack, uchol
 from .randsamp import make_rng, sample_bartlett_factor, substream
 from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper, _prior_scale
@@ -80,15 +85,18 @@ class ReturnsSeries:
 
 
 @dataclass(frozen=True)
-class FactorPath:
-    """What the backward samplers read of a filter: the model and its factors.
+class FilterOutput:
+    """A filter of the model ``hyper``: its factor path, df path and discount, and its forecasts.
 
     ``hyper`` is the hyperparameter set the filter ran with; its type,
     ``UEHyper`` or ``BBHyper``, is the model.  ``g`` stacks the
     upper-triangular factors G_0..G_T with positive diagonal and
     G_t G_t' = D_t; ``k_seq`` carries k_0..k_T for BB (constant n + k for
     UE); ``df_prior[t-1]`` is the prior-at-t degrees of freedom of the
-    one-step forecast (n for UE, beta k_{t-1} for BB).
+    one-step forecast (n for UE, beta k_{t-1} for BB).  The backward
+    samplers read only these fields.  ``log_forecast`` and ``loglik`` are
+    read off G's diagonal on first access and kept, so a filter whose
+    forecasts nothing reads (``simulate``'s, a mixture sweep's) computes none.
     """
 
     hyper: UEHyper | BBHyper  # the model the filter ran
@@ -97,13 +105,16 @@ class FactorPath:
     df_prior: np.ndarray  # (T,)
     discount: float  # lambda (UE) / b (BB)
 
+    @cached_property
+    def log_forecast(self) -> np.ndarray:
+        """(T,) one-step forecast log densities, log p(r_t | r_{1:t-1}) at t = 1..T."""
+        terms = _forecast_terms(np.diagonal(self.g, axis1=1, axis2=2), self.discount)
+        return _forecast_logdensity(*terms, self.df_prior, self.discount, self.hyper.q)
 
-@dataclass(frozen=True)
-class FilterOutput(FactorPath):
-    """A ``FactorPath`` with its one-step forecast log densities and their sum."""
-
-    log_forecast: np.ndarray  # (T,)
-    loglik: float
+    @cached_property
+    def loglik(self) -> float:
+        """The log marginal likelihood, the sum of ``log_forecast``."""
+        return float(self.log_forecast.sum())
 
 
 def _forecast_logdensity(b, logdet, n, lam: float, q: int):
@@ -145,12 +156,6 @@ def _factor_path(returns: np.ndarray, g0: np.ndarray, discount: float) -> np.nda
     return g
 
 
-def _factor_path_on(path: FactorPath, returns: np.ndarray) -> FactorPath:
-    """``path``'s model on other returns of its length: only ``_factor_path`` runs, from its G_0."""
-    g = _factor_path(returns, path.g[0], path.discount)
-    return FactorPath(path.hyper, g, path.k_seq, path.df_prior, path.discount)
-
-
 def _forecast_terms(diag: np.ndarray, discount: float):
     """(b, logdet): b[t-1] = log(1 + s_t / discount) and logdet[t-1] = log|D_{t-1}|, from G's diagonal.
 
@@ -176,12 +181,15 @@ def _df_path(hyper, T: int):
     sum cancels.  When k_0 is the fixed point to 4 machine epsilons, as
     under matching (k_0 = n + k), k_inf = k_0 and k_t = k_0 exactly.  The
     prior df beta k_{t-1} must stay above q - 1: raises InvalidParameter
-    at the first t where it does not.
+    at the first t where it does not.  A T whose path of T + 1 q x q
+    matrices no array can index raises InvalidParameter before any array
+    is made, so ``simulate`` draws nothing for it.
     """
+    if not isinstance(hyper, (UEHyper, BBHyper)):
+        raise InvalidParameter(f"expected a UEHyper or BBHyper, got {type(hyper).__name__}")
+    _fits_index((T + 1) * hyper.q**2, f"a path of T={T} steps at q={hyper.q}")
     if isinstance(hyper, UEHyper):
         return hyper.lam, np.full(T + 1, float(hyper.n + hyper.k)), np.full(T, float(hyper.n))
-    if not isinstance(hyper, BBHyper):
-        raise InvalidParameter(f"expected a UEHyper or BBHyper, got {type(hyper).__name__}")
     beta, k, k0 = float(hyper.beta), float(hyper.k), float(hyper.k0)
     k_inf = k0 if abs(beta * k0 + k - k0) <= 4.0 * math.ulp(1.0) * k0 else k / (1.0 - beta)
     t = np.arange(T + 1.0)
@@ -192,27 +200,20 @@ def _df_path(hyper, T: int):
     return hyper.b, k_seq, df_prior
 
 
-def _filter_output(hyper: UEHyper | BBHyper, g: np.ndarray, discount: float, k_seq, df_prior) -> FilterOutput:
-    """The model ``hyper``'s ``FilterOutput`` on the factor path g, given its ``_df_path``."""
-    terms = _forecast_terms(np.diagonal(g, axis1=1, axis2=2), discount)
-    log_forecast = _forecast_logdensity(*terms, df_prior, discount, hyper.q)
-    return FilterOutput(hyper, g, k_seq, df_prior, discount, log_forecast, float(log_forecast.sum()))
-
-
 def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutput:
     """The conjugate filter of the model ``hyper`` states, with y_t = r_t r_t'.
 
     D_t = discount D_{t-1} + y_t, the discount being lambda (UE) or b
     (BB); BB also runs k_t = beta k_{t-1} + k.  The factor path depends
     only on the returns, D_0 and the discount; the models part after it,
-    in ``_filter_output``.  So matched UE and BB share one factor path and
-    give the same output but for ``hyper``, the model every later step reads.
+    in the df path.  So matched UE and BB share one factor path and give
+    the same output but for ``hyper``, the model every later step reads.
     """
-    df_path = _df_path(hyper, data.T)
+    discount, k_seq, df_prior = _df_path(hyper, data.T)
     if data.q != hyper.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {hyper.q}")
-    g = _factor_path(data.returns, _initial_factor(hyper.d0, data.q), df_path[0])
-    return _filter_output(hyper, g, *df_path)
+    g = _factor_path(data.returns, _initial_factor(hyper.d0, data.q), discount)
+    return FilterOutput(hyper, g, k_seq, df_prior, discount)
 
 
 def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):

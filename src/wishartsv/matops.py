@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import InvalidParameter, NotPositiveDefinite
 
 # Relative pivot tolerance for positive-definiteness checks.  Rank-1
 # observation matrices y_t = r r' are singular by design and are never
@@ -87,6 +87,12 @@ def uchol(a: np.ndarray) -> np.ndarray:
     if np.any(np.diagonal(r, axis1=-2, axis2=-1) ** 2 <= pivot_floor[..., None]):
         raise NotPositiveDefinite("pivot below tolerance")
     return r
+
+
+def _fits_index(elements: int, what: str) -> None:
+    """Raise InvalidParameter when ``what`` needs more array elements than an index reaches, before it is made."""
+    if elements > np.iinfo(np.intp).max:
+        raise InvalidParameter(f"{what} needs {elements} array elements, more than an array can index")
 
 
 def _fault_at(*faults, t0: int = 1, last: bool = False) -> None:

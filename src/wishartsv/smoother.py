@@ -1,12 +1,12 @@
 """Backward sampling of full precision paths Phi_{0:T} | D_T.
 
 Matched UE and BB share one forward filter and differ only here, in the
-backward law.  The samplers read only a ``filtering.FactorPath`` (a
-``FilterOutput`` is one, and a mixture sweep builds one): ``hyper``,
-whose type is the model, ``g``, ``k_seq`` and ``discount``.
-``backward_sample(filt, rng)`` draws one path and ``sample_ensemble(filt,
-n_draws, seed)`` N of them; neither takes the hyperparameters again, so
-the law sampled is always the one the filter ran.
+backward law.  The samplers read of a ``filtering.FilterOutput`` only
+``hyper``, whose type is the model, ``g``, ``k_seq`` and ``discount``,
+never its forecast densities.  ``backward_sample(filt, rng)`` draws one
+path and ``sample_ensemble(filt, n_draws, seed)`` N of them; neither
+takes the hyperparameters again, so the law sampled is always the one
+the filter ran.
 
 A path is its array of upper-triangular factors F_0..F_T, (T + 1, q, q),
 with F_t' F_t = Phi_t and positive diagonal, and an ensemble of N paths
@@ -47,12 +47,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
-from .matops import _fault_at, _givens_chain, _row_norms, tri_solve_stack, uchol_components
+from .matops import _fault_at, _fits_index, _givens_chain, _row_norms, tri_solve_stack, uchol_components
 from .randsamp import sample_bartlett_factor, sample_chi2, substream
 from .volproc import UEHyper
 
 if TYPE_CHECKING:  # filtering imports this module for simulate
-    from .filtering import FactorPath
+    from .filtering import FilterOutput
 
 
 def ue_backward_step(f_next: np.ndarray, g_t: np.ndarray, lam: float, z: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def _bb_chain(g: np.ndarray, w_T: np.ndarray, theta: np.ndarray, b: float) -> np
     return f
 
 
-def _noise(filt: FactorPath, rng: np.random.Generator):
+def _noise(filt: FilterOutput, rng: np.random.Generator):
     """One path's noise: the terminal Bartlett factor of Wishart(k_T, I), then per-step noise.
 
     UE draws T rows z ~ N(0, I), so z' z ~ Wishart(1, I) at every q; BB a
@@ -137,7 +137,7 @@ def _noise(filt: FactorPath, rng: np.random.Generator):
     return w_T, sample_chi2(df, rng, size=(T, q))[::-1]
 
 
-def _backward_pass(filt: FactorPath, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """F_0..F_T from the terminal Bartlett factor(s) and per-step noise, time axis first.
 
     F_T = W_T G_T^{-1}, then F_t = step(F_{t+1}, G_t, discount, noise[t]): BB as
@@ -194,7 +194,7 @@ def _ue_whitened(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> n
     return np.swapaxes(f, 0, 1).reshape((T + 1,) + lead + (q, q))
 
 
-def backward_sample(filt: FactorPath, rng: np.random.Generator) -> np.ndarray:
+def backward_sample(filt: FilterOutput, rng: np.random.Generator) -> np.ndarray:
     """Draw Phi_{0:T} | D_T for the model ``filt.hyper`` states, as its factors F_0..F_T.
 
     The terminal draw from the filtered posterior Wishart(k_T, D_T^{-1})
@@ -205,14 +205,16 @@ def backward_sample(filt: FactorPath, rng: np.random.Generator) -> np.ndarray:
     return _backward_pass(filt, *_noise(filt, rng))
 
 
-def sample_ensemble(filt: FactorPath, n_draws: int, seed: int) -> np.ndarray:
+def sample_ensemble(filt: FilterOutput, n_draws: int, seed: int) -> np.ndarray:
     """Independent backward draws with per-draw (seed, index) substreams.
 
     Draw i consumes substream (seed, i) exactly as ``backward_sample``
-    would; all draws then run through one backward pass on stacks.
+    would; all draws then run through one backward pass on stacks.  An
+    ensemble no array can index raises InvalidParameter before any draw.
     """
     if n_draws < 1:
         raise InvalidParameter(f"n_draws must be >= 1, got {n_draws}")
+    _fits_index(n_draws * filt.g.size, f"an ensemble of {n_draws} paths")
     w_T, noise = zip(*(_noise(filt, substream(seed, i)) for i in range(n_draws)))
     f = _backward_pass(filt, np.stack(w_T), np.stack(noise, axis=1))
     return np.ascontiguousarray(np.swapaxes(f, 0, 1))

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from consistency import row_table
-from wishartsv import cli, filtering
+from wishartsv import cli, compare, filtering, smoother
 from wishartsv.cli import (
     build_parser,
     d0_from_presample,
@@ -360,13 +361,14 @@ class TestCommands:
     ])
     def test_scale_recursion_runs_once_per_filter(self, returns_csv, tmp_path, monkeypatch, command, model, calls):
         # a matched pair shares UE's factor path; grid-search keeps only its
-        # pivots, and runs no full factor path on finite data
+        # pivots, and runs no full factor path on finite data; a mixture sweep
+        # calls _factor_path by compare's own name for it
         extra = {"grid-search": {"n_grid": [4, 6], "lambda_grid": [0.7, 0.8, 0.9]}, "simulate": {"T": 20},
                  "compare-mixture": {"draws": 6, "burn_in": 2, "batches": 2}}.get(command, {"draws": 4})
         counts = {"_factor_path": [], "_givens_pivots": []}
-        for name, count in counts.items():
-            run = getattr(filtering, name)
-            monkeypatch.setattr(filtering, name, lambda *args, run=run, count=count: count.append(1) or run(*args))
+        for module, name in ((filtering, "_factor_path"), (compare, "_factor_path"), (filtering, "_givens_pivots")):
+            run, count = getattr(module, name), counts[name]
+            monkeypatch.setattr(module, name, lambda *args, run=run, count=count: count.append(1) or run(*args))
         run_command(command, self.base_cfg(returns_csv, tmp_path, model=model, **extra))
         pivots = calls if command == "grid-search" else 0
         assert (len(counts["_factor_path"]), len(counts["_givens_pivots"])) == (calls - pivots, pivots)
@@ -410,7 +412,7 @@ class TestTableText:
     @staticmethod
     def check(tmp_path, header, *columns):
         row_table(tmp_path / "rows.csv", header, *columns)
-        cli._write_table(tmp_path / "cols.csv", header, *columns)
+        cli._write_text(tmp_path / "cols.csv", cli._table_text(header, *columns))
         assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_edge_values(self, tmp_path):
@@ -638,6 +640,36 @@ class TestMain:
         assert err.count("\n") == 1
         record = json.loads(err)
         assert record["error"] == "InvalidParameter" and "t=2840" in record["message"]
+
+    @pytest.mark.parametrize("command, key, size", [
+        ("simulate", "T", 10**20),
+        ("compare-mixture", "draws", 10**20),
+        ("compare-mixture", "draws", 2**63),
+        ("smooth", "draws", 10**20),
+        ("compare-plr", "draws", 10**20),
+    ])
+    def test_size_past_any_array_index_is_reported(self, returns_csv, tmp_path, capsys, monkeypatch, command, key,
+                                                   size):
+        # no array of more than intp's maximum elements can be made, so each
+        # command refuses before its first draw; smooth and compare-plr would
+        # otherwise draw one noise substream after another until killed
+        def no_draw(*args):
+            raise AssertionError("a draw began")
+
+        for module, name in ((filtering, "make_rng"), (compare, "make_rng"), (smoother, "substream")):
+            monkeypatch.setattr(module, name, no_draw)
+        data = {} if command == "simulate" else {"data_csv": str(returns_csv)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.9, **data, key: size}))
+        start = time.perf_counter()
+        rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "InvalidParameter" and "more than an array can index" in record["message"]
+        assert elapsed < 1.0
+        assert not list((tmp_path / "x").glob("*"))
 
     @pytest.mark.parametrize("command", ["smooth", "compare-plr"])
     def test_huge_scale_runs_clean(self, tmp_path, capsys, command):

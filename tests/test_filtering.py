@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from decimal import Decimal, localcontext
@@ -13,6 +14,8 @@ from scipy.special import gammaln
 from scipy.stats import cauchy
 
 from consistency import chol_update, factor_path_surface, rchol
+from wishartsv import filtering
+from wishartsv.compare import MixtureConfig, mixture_gibbs
 from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     ReturnsSeries,
@@ -379,6 +382,56 @@ class TestForwardFilters:
         ):
             with pytest.raises(NotPositiveDefinite, match="^zero pivot in rank-1 update at row 1 at t=169$"):
                 run()
+
+
+class TestFilterOutput:
+    @staticmethod
+    def count_forecast_terms(monkeypatch):
+        calls, run = [], filtering._forecast_terms
+        monkeypatch.setattr(filtering, "_forecast_terms", lambda *args: calls.append(1) or run(*args))
+        return calls
+
+    def test_forecasts_are_computed_on_first_read_only(self, monkeypatch):
+        calls = self.count_forecast_terms(monkeypatch)
+        filt = forward_filter(toy_series(30, 2), UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2)))
+        assert len(calls) == 0
+        loglik, log_forecast = filt.loglik, filt.log_forecast
+        assert len(calls) == 1
+        assert filt.loglik is loglik and filt.log_forecast is log_forecast
+
+    def test_simulate_and_a_mixture_chain_compute_no_forecast(self, monkeypatch):
+        calls = self.count_forecast_terms(monkeypatch)
+        ue = UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2))
+        for hyper in (ue, match_ue_to_bb(ue)):
+            data, _ = simulate(hyper, 20, seed=1)
+        assert len(calls) == 0
+        mixture_gibbs(data, ue, match_ue_to_bb(ue), MixtureConfig(iterations=6, burn_in=2, seed=2))
+        assert len(calls) == 0
+
+    @staticmethod
+    def check_replaced(filt, data):
+        # filt's own forecasts are read first, so a copy that kept them would fail
+        assert filt.log_forecast.shape == (data.T,)
+        moved = dataclasses.replace(filt, g=_factor_path(data.returns, filt.g[0], filt.discount))
+        expect = forward_filter(data, filt.hyper)
+        assert list(map(float.hex, moved.log_forecast.tolist())) == list(map(float.hex, expect.log_forecast.tolist()))
+        assert moved.loglik.hex() == expect.loglik.hex()
+
+    @pytest.mark.parametrize("model", ["ue", "bb"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_replaced_factor_path_forecasts_as_the_filter(self, q, model):
+        # a filter copied with the factor path of other returns, as a mixture
+        # sweep builds it, has forward_filter's forecasts on those returns
+        ue = UEHyper(q=q, k=1, n=q + 3.0, lam=0.85, d0=np.diag(np.linspace(0.5, 2.0, q)))
+        hyper = {"ue": ue, "bb": match_ue_to_bb(ue)}[model]
+        self.check_replaced(forward_filter(toy_series(50, q, seed=q), hyper), toy_series(50, q, seed=q + 10))
+
+    @pytest.mark.parametrize("model", ["ue", "bb"])
+    def test_replaced_factor_path_on_criterion13_series(self, model):
+        ue = UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3))
+        hyper = {"ue": ue, "bb": match_ue_to_bb(ue)}[model]
+        data, _ = simulate(ue, 1000, seed=42)
+        self.check_replaced(forward_filter(toy_series(1000, 3, seed=7), hyper), data)
 
 
 class TestMarginalLoglik:

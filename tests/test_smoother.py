@@ -11,7 +11,7 @@ from scipy.stats import kstest
 from consistency import bb_backward_step_product, joint_consistency_report, sbc_pvalues, whitened_mean_z
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
-    FactorPath,
+    FilterOutput,
     ReturnsSeries,
     _df_path,
     _factor_path,
@@ -242,15 +242,15 @@ class TestSinglePathEquivalence:
 class TestFactorPathInput:
     @pytest.mark.parametrize("model", ["ue", "bb", "bb-unmatched"])
     def test_samplers_read_only_the_factor_path(self, model):
-        # a path built from the factor recursion alone, with no forecast
-        # term, gives the filter output's draws bit for bit
+        # a FilterOutput built from the factor recursion alone, whose forecast
+        # densities are never read, gives forward_filter's draws bit for bit
         data, ue, bb, _, _ = filters(T=30, q=3, seed=4)
         unmatched = BBHyper(q=3, k=1, beta=0.8, b=0.85, k0=20.0, d0=np.diag([1.0, 2.0, 0.5]))
         hyper = {"ue": ue, "bb": bb, "bb-unmatched": unmatched}[model]
         filt = forward_filter(data, hyper)
         discount, k_seq, df_prior = _df_path(hyper, data.T)
         g = _factor_path(data.returns, _initial_factor(hyper.d0, 3), discount)
-        path = FactorPath(hyper, g, k_seq, df_prior, discount)
+        path = FilterOutput(hyper, g, k_seq, df_prior, discount)
         np.testing.assert_array_equal(backward_sample(path, make_rng(5)), backward_sample(filt, make_rng(5)))
         np.testing.assert_array_equal(sample_ensemble(path, 4, 6), sample_ensemble(filt, 4, 6))
 
