@@ -20,7 +20,6 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -60,32 +59,43 @@ def _read_text(path, what: str) -> str:
 def load_returns_csv(path, q: int) -> ReturnsSeries:
     """Strictly parse a returns CSV: header, timestamp column (required, not read), q numeric columns.
 
-    All lines are read at once and their field counts checked in one pass;
-    then the return columns are converted whole, one ``map(float, ...)``
-    into one array, and checked finite in one call.  Only when one of these
-    finds a fault does the row-by-row reader run, to name the first bad
-    line.  ``float`` is the one number parser.
+    Two readers, one result: both give the same values and the same errors.
+    Text with no ``"`` and no line longer than ``csv.field_size_limit()``,
+    as ``csv.writer`` and ``_table_text`` write a table of numbers, is read
+    in one pass, since on it a plain split and ``csv.reader`` agree field
+    for field: every line must hold q commas, the data lines' fields are
+    split at once and the timestamps dropped, and one ``map(float, ...)``
+    fills one array, checked finite in one call and shaped (T, q) in C
+    order.  Other text, and text with a fault this pass finds, goes to
+    ``_read_rows``, which reads row by row with ``csv.reader`` and raises
+    the first fault in file order.  ``float`` is the one number parser.
     """
     text = _read_text(path, "returns")
-    try:
-        lines = list(csv.reader(io.StringIO(text)))
-    except csv.Error:
-        lines = []
-    if len(lines) > 1 and set(map(len, lines)) == {q + 1}:
-        _, *cols = zip(*lines[1:])
-        try:
-            vals = np.fromiter(map(float, itertools.chain.from_iterable(cols)), float, q * (len(lines) - 1))
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(vals).all():
-                return ReturnsSeries(vals.reshape(q, -1).T.copy())  # C order: matmuls round by memory order
-    _raise_first_fault(path, text, q)
+    if '"' not in text:
+        rows = text.split("\n")  # _read_text has turned CRLF and a lone CR into "\n"
+        if rows[-1] == "":
+            rows.pop()
+        if (
+            len(rows) > 1
+            and max(map(len, rows)) <= csv.field_size_limit()
+            and set(map(str.count, rows, itertools.repeat(","))) == {q}
+        ):
+            fields = ",".join(rows[1:]).split(",")
+            del fields[:: q + 1]
+            try:
+                vals = np.fromiter(map(float, fields), float, len(fields))
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(vals).all():
+                    return ReturnsSeries(vals.reshape(-1, q))
+    return _read_rows(path, text, q)
 
 
-def _raise_first_fault(path, text: str, q: int) -> NoReturn:
-    """Raise the error for the first fault of a returns CSV, reading ``text`` row by row."""
+def _read_rows(path, text: str, q: int) -> ReturnsSeries:
+    """Read a returns CSV's ``text`` row by row with ``csv.reader``; raise its first fault in file order."""
     reader = csv.reader(io.StringIO(text))
+    vals = []
     try:
         header = next(reader, None)
         if header is None:
@@ -105,9 +115,12 @@ def _raise_first_fault(path, text: str, q: int) -> NoReturn:
                     raise ParseError(f"{path}:{line_no}: column {col}: not a number: {cell!r}") from None
                 if not math.isfinite(v):
                     raise ParseError(f"{path}:{line_no}: column {col}: non-finite value {cell!r}")
+                vals.append(v)
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    raise ParseError(f"{path}: no data rows")
+    if not vals:
+        raise ParseError(f"{path}: no data rows")
+    return ReturnsSeries(np.array(vals).reshape(-1, q))
 
 
 def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):

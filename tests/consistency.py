@@ -22,8 +22,9 @@ entry over 1-based indices, as the paper writes them; the package's
 matrix forms are checked against them.  ``exact_steps`` and
 ``exact_path_loglik`` are the exact-arithmetic oracle: the filter, both
 backward recursions and a path's log likelihood in 60-digit ``decimal``.
-``whitened_mean_z`` checks a whole ensemble of either sampler against the
-closed-form means of its paths in coordinates whitened by the filter's factor.
+``whitened_means`` gives the closed-form means of either model's smoothed paths in
+coordinates whitened by the filter's factor, and ``whitened_mean_z`` checks a whole
+ensemble of either sampler against them.
 ``sbc_pvalues`` calibrates either sampler's whole paths against a truth drawn
 from either model's state equation (simulation-based calibration).
 ``row_table`` is the plain row-by-row CSV writer whose bytes the CLI's
@@ -193,29 +194,40 @@ def example1_moments_entrywise(upsilon: np.ndarray, lam: float):
     return e_ue, v_ue, e_bb, v_bb
 
 
-def whitened_mean_z(filt, n_draws: int, seed: int) -> np.ndarray:
-    """z-scores of ``sample_ensemble(filt, n_draws, seed)``'s whitened means against their closed forms.
+def whitened_means(filt) -> np.ndarray:
+    """The closed-form means of ``filt``'s smoothed paths in coordinates whitened by its factor G_t.
 
     With C_t = F_t G_t and A_t = G_{t+1}^{-1} G_t, UE's C_t' C_t has mean M_t,
     M_T = k_T I and M_t = lambda A_t' M_{t+1} A_t + I (E[W_T' W_T] = k_T I and
-    E[z_t' z_t] = I).  BB's c_{t,ii}^2 has mean m_{t,i}, m_{T,i} = k_T - i (0-based
-    i, the chi-square df of the Bartlett diagonal) and m_{t,i} = (1 - beta) k_t +
-    a_{t,i}^2 m_{t+1,i}, a_{t,i} = sqrt(b) (A_t)_ii.  Returns (mean - closed form) /
-    standard error over t = 0..T and every UE entry i <= j or BB index i.
+    E[z_t' z_t] = I); returns M, (T + 1, q, q).  BB's c_{t,ii}^2 has mean m_{t,i},
+    m_{T,i} = k_T - i (0-based i, the chi-square df of the Bartlett diagonal) and
+    m_{t,i} = (1 - beta) k_t + a_{t,i}^2 m_{t+1,i}, a_{t,i} = sqrt(b) (A_t)_ii; returns
+    m, (T + 1, q).  So UE's E[Phi_t | D_T] = G_t^{-T} M_t G_t^{-1}, and BB's
+    E[(Phi_t)_00 | D_T] = m_{t,0} / g_{t,00}^2, both upper factors having c_00 = f_00 g_00.
     """
     g, ue = filt.g, isinstance(filt.hyper, UEHyper)
     T, q, eye = g.shape[0] - 1, g.shape[-1], np.eye(g.shape[-1])
     a = np.swapaxes(tri_solve_stack(g[1:, None], np.swapaxes(g[:-1], -1, -2)), -1, -2)  # G_{t+1} A_t = G_t
-    c = sample_ensemble(filt, n_draws, seed) @ g
-    x = gram(c) if ue else np.diagonal(c, axis1=-2, axis2=-1) ** 2
-    m = np.empty(x.shape[1:])
+    m = np.empty((T + 1, q, q) if ue else (T + 1, q))
     m[T] = filt.k_seq[T] * eye if ue else filt.k_seq[T] - np.arange(q)
     for t in range(T - 1, -1, -1):
         if ue:
             m[t] = filt.discount * a[t].T @ m[t + 1] @ a[t] + eye
         else:
             m[t] = (1.0 - filt.hyper.beta) * filt.k_seq[t] + filt.discount * np.diagonal(a[t]) ** 2 * m[t + 1]
-    z = (x.mean(axis=0) - m) / (x.std(axis=0, ddof=1) / math.sqrt(n_draws))
+    return m
+
+
+def whitened_mean_z(filt, n_draws: int, seed: int) -> np.ndarray:
+    """z-scores of ``sample_ensemble(filt, n_draws, seed)``'s whitened means against ``whitened_means``.
+
+    Returns (mean - closed form) / standard error over t = 0..T and every UE
+    entry i <= j of C_t' C_t or BB index i of c_{t,ii}^2.
+    """
+    ue, q = isinstance(filt.hyper, UEHyper), filt.g.shape[-1]
+    c = sample_ensemble(filt, n_draws, seed) @ filt.g
+    x = gram(c) if ue else np.diagonal(c, axis1=-2, axis2=-1) ** 2
+    z = (x.mean(axis=0) - whitened_means(filt)) / (x.std(axis=0, ddof=1) / math.sqrt(n_draws))
     return z[(slice(None), *np.triu_indices(q))] if ue else z
 
 

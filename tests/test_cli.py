@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,17 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from consistency import row_table
 from wishartsv import cli, compare, filtering, smoother
 from wishartsv.cli import (
+    _read_rows,
+    _read_text,
     build_parser,
     d0_from_presample,
     load_returns_csv,
     main,
     run_command,
 )
-from wishartsv.errors import DimensionMismatch, InvalidParameter, ParseError
+from wishartsv.errors import DimensionMismatch, InvalidParameter, ParseError, WishartSVError
 from wishartsv.filtering import ReturnsSeries, _df_path, forward_filter, simulate
 from wishartsv.matops import gram
 from wishartsv.randsamp import substream
@@ -150,6 +155,100 @@ class TestLoadReturnsCsv:
         assert err.count("\n") == 1
         record = json.loads(err)
         assert record["error"] == "ParseError" and "field larger than field limit" in record["message"]
+
+
+# every character the csv module or float treats specially, and some it does not
+FUZZ_ALPHABET = ',\n\r" \0\x0c\x85\u2028_.-+e0123456789abfinx'
+
+
+@st.composite
+def near_valid_tables(draw):
+    """(q, text): a returns table of floats with LF or CRLF rows, then 0-3 characters inserted, replaced or cut.
+
+    Timestamps are dates, quoted dates or numbers; with numbers, a comma moved
+    from one line to another leaves every field a number.  Half the characters
+    put in are a comma, a newline or a quote, which move field boundaries.
+    """
+    q, T = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=q * T, max_size=q * T))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    stamp = draw(st.sampled_from(["2001-01-{:02d}", '"2001-01-{:02d}"', "{}"]))
+    lines = ["date," + ",".join(f"r{i + 1}" for i in range(q))]
+    lines += [stamp.format(t + 1) + "," + ",".join(map(repr, cells[t * q:(t + 1) * q])) for t in range(T)]
+    text = eol.join(lines) + eol
+    for _ in range(draw(st.integers(0, 3))):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 1))
+        char = draw(st.one_of(st.sampled_from(',\n"'), st.sampled_from([*FUZZ_ALPHABET, ""])))
+        text = text[:at] + char + text[at + cut:]
+    return q, text
+
+
+def _bench_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTwoReaders:
+    """``load_returns_csv`` splits unquoted text in one pass and leaves all else to the row-by-row ``_read_rows``."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            returns = read().returns
+        except WishartSVError as exc:
+            return type(exc), str(exc)
+        return returns.shape, returns.tobytes()
+
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.one_of(st.tuples(st.integers(1, 3), st.text(FUZZ_ALPHABET, max_size=60)), near_valid_tables()),
+           limit=st.sampled_from([None, 4, 16]))
+    @example(case=(2, "date,r1,r2\n1,0.5,0.25,2\n3,0.125\n"), limit=None)  # a comma moved to the next line
+    @example(case=(1, 'date,r1\n"x,1\n2",3\n'), limit=None)  # split, the quoted field reads as two numbers
+    @example(case=(1, "date,r1\n2001-01-01,1\n"), limit=4)  # a field past the limit, no quote
+    def test_same_values_or_same_error_as_row_by_row(self, tmp_path, case, limit):
+        # a small field limit puts some lines past it, so the line-length guard is exercised too
+        (q, text), p = case, tmp_path / "r.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        default = csv.field_size_limit()
+        try:
+            csv.field_size_limit(limit or default)
+            fast = self.outcome(lambda: load_returns_csv(p, q))
+            slow = self.outcome(lambda: _read_rows(p, _read_text(p, "returns"), q))
+        finally:
+            csv.field_size_limit(default)
+        assert fast == slow
+
+    def test_unquoted_field_past_the_size_limit(self, tmp_path):
+        # one split of this line has no field limit; csv.reader's is the one the reader keeps
+        p = tmp_path / "r.csv"
+        p.write_text("date,r1\n" + "2" * (csv.field_size_limit() + 5) + ",0.5\n2001-01-02,0.25\n")
+        with pytest.raises(ParseError) as err:
+            load_returns_csv(p, 1)
+        assert str(err.value) == f"{p}:2: field larger than field limit (131072)"
+
+    def test_unquoted_crlf_files_never_reach_csv_reader(self, tmp_path, monkeypatch):
+        returns = np.random.default_rng(5).standard_normal((40, 3)) * 0.01
+        _bench_inputs().write_returns_csv(tmp_path / "bench.csv", returns)
+        cli._write_text(tmp_path / "table.csv", cli._table_text(["t", "r1", "r2", "r3"], np.arange(40), *returns.T))
+        quoted = tmp_path / "quoted.csv"
+        with quoted.open("w", newline="") as fh:
+            rows = [[f"day {t}", *map(repr, row)] for t, row in enumerate(returns.tolist())]
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([["date", "r1", "r2", "r3"], *rows])
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader ran")
+
+        monkeypatch.setattr(cli.csv, "reader", no_reader)
+        for name in ("bench.csv", "table.csv"):
+            assert (tmp_path / name).read_bytes().count(b"\r\n") == 41
+            assert load_returns_csv(tmp_path / name, 3).returns.tobytes() == returns.tobytes()
+        with pytest.raises(AssertionError, match="csv.reader ran"):
+            load_returns_csv(quoted, 3)
+        monkeypatch.undo()
+        assert load_returns_csv(quoted, 3).returns.tobytes() == returns.tobytes()
 
 
 class TestD0FromPresample:

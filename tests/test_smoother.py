@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
-from consistency import bb_backward_step_product, joint_consistency_report, sbc_pvalues, whitened_mean_z
+from consistency import (
+    bb_backward_step_product,
+    joint_consistency_report,
+    sbc_pvalues,
+    whitened_mean_z,
+    whitened_means,
+)
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     FilterOutput,
@@ -527,6 +533,48 @@ class TestWhitenedMeans:
         data, _ = simulate(ue, 50, 100 + q)
         filt = forward_filter(data, ue if model == "ue" else match_ue_to_bb(ue))
         assert np.abs(whitened_mean_z(filt, 2000, 200 + q)).max() < 5.49
+
+
+def _ordered_filters(q: int, order) -> tuple:
+    """Matched UE and BB filters (n = q + 3, lambda = 0.95) on one correlated T = 200 series, columns and D_0 in ``order``."""
+    rng = np.random.default_rng(31 + q)
+    mix = rng.standard_normal((q, q)) + 2.0 * np.eye(q)
+    returns, d0 = 0.01 * rng.standard_normal((200, q)) @ mix.T, 1e-4 * mix @ mix.T
+    ue = UEHyper(q=q, k=1, n=q + 3.0, lam=0.95, d0=d0[np.ix_(order, order)])
+    data = ReturnsSeries(returns[:, order])
+    return forward_filter(data, ue), forward_filter(data, match_ue_to_bb(ue))
+
+
+def _ue_mean_precision(filt) -> np.ndarray:
+    """UE's closed-form E[Phi_t | D_T] = G_t^{-T} M_t G_t^{-1}, t = 0..T."""
+    h = tri_solve_stack(filt.g[:, None], np.eye(filt.g.shape[-1]))  # h_t = G_t^{-T}
+    return h @ whitened_means(filt) @ np.swapaxes(h, -1, -2)
+
+
+class TestColumnOrder:
+    """The smoothed means that are closed form, with the series taken in another column order (no sampling).
+
+    UE's smoothed law is permutation-equivariant, so its mean precision is too.  BB's
+    law depends on the order, but the mean precision of the series placed first is
+    exact and equals UE's.  The worst errors over these cases are 2.5e-15 and 1.3e-15.
+    """
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("shift", ["reversed", "cyclic"])
+    def test_ue_mean_precision_is_equivariant(self, q, shift):
+        order = np.arange(q)[::-1] if shift == "reversed" else np.roll(np.arange(q), 1)
+        base = _ue_mean_precision(_ordered_filters(q, np.arange(q))[0])
+        moved = _ue_mean_precision(_ordered_filters(q, order)[0])
+        err = np.linalg.norm(moved - base[:, order][:, :, order], axis=(1, 2)) / np.linalg.norm(base, axis=(1, 2))
+        assert err.max() < 1e-10
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_bb_mean_precision_of_first_series_is_ue_s(self, q):
+        for first in range(q):
+            ue, bb = _ordered_filters(q, [first] + [i for i in range(q) if i != first])
+            ue_00 = _ue_mean_precision(ue)[:, 0, 0]
+            bb_00 = whitened_means(bb)[:, 0] / bb.g[:, 0, 0] ** 2
+            assert np.abs(bb_00 / ue_00 - 1.0).max() < 1e-12
 
 
 class TestSimulationBasedCalibration:
