@@ -17,6 +17,8 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -159,10 +161,20 @@ def _table_text(header, *columns) -> str:
     writes it: a float in its shortest round-trip form, so the table reads
     back bit for bit.  An array column is formatted whole, by one ``repr``
     of its list, which formats every number in C; a list column goes
-    through ``str`` field by field.  Rows end in CRLF, as
-    ``csv.writer``'s do, and are joined once.
+    through ``str`` field by field.  Array columns of one dtype and equal
+    bytes, as a symmetric D_t's (i, j) and (j, i) columns often are, are
+    formatted once; columns that differ in any bit are formatted apart.
+    Rows end in CRLF, as ``csv.writer``'s do, and are joined once.
     """
-    fields = [_fields(c) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
+    done, fields = {}, []
+    for c in columns:
+        if isinstance(c, np.ndarray):
+            key = c.dtype.str, c.tobytes()
+            if key not in done:
+                done[key] = _fields(c)
+            fields.append(done[key])
+        else:
+            fields.append(map(str, c))
     return "\r\n".join([",".join(header), *map(",".join, zip(*fields, strict=True))]) + "\r\n"
 
 
@@ -171,14 +183,30 @@ def _fields(col: np.ndarray) -> list:
     return repr(col.tolist())[1:-1].split(", ") if col.size else []
 
 
+def _open_in_place(path, _flags) -> int:
+    """An ``open`` opener for writing without ``O_TRUNC``; 0o666 leaves the mode to the umask, as ``open`` does."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+
+
 def _write_text(path: Path, text: str) -> None:
     """Write ``text`` to the output file ``path`` with no newline translation; an OSError is InvalidParameter.
 
     The one file writer: a table is ``_table_text``'s text, a JSON record
-    ``json.dumps(obj, indent=2) + "\n"``.
+    ``json.dumps(obj, indent=2) + "\n"``.  An existing file is overwritten
+    in place: opened without ``O_TRUNC``, written from the start, then cut
+    at the end of the new text.  On ext4 (unless mounted with
+    ``noauto_da_alloc``) truncating a non-empty file to zero and rewriting
+    it starts writeback of the file at its close, which costs more than the
+    write itself; cutting only the old tail does not.  Only a regular file
+    is cut: a FIFO or ``/dev/null`` has no length to cut.  No write is
+    atomic, with ``O_TRUNC`` or without: a run that fails part way leaves
+    some files new and some old, so check the exit status.
     """
     try:
-        path.write_text(text, newline="")
+        with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except OSError as exc:
         raise InvalidParameter(f"{path}: cannot write output file: {exc.strerror}") from None
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -535,6 +536,80 @@ class TestTableText:
     def test_unequal_columns_raise(self):
         with pytest.raises(ValueError):
             cli._table_text(["a", "b"], np.arange(3), [""] + [1.0, 2.0, 3.0])
+
+    @staticmethod
+    def count_formats(monkeypatch):
+        formatted, fields = [], cli._fields
+        monkeypatch.setattr(cli, "_fields", lambda c: formatted.append(c.copy()) or fields(c))
+        return formatted
+
+    def test_mirrored_columns_differing_in_the_last_bit_are_formatted_apart(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        g = np.triu(rng.standard_normal((40, 5, 5)))
+        d = g @ np.swapaxes(g, 1, 2)
+        d = (d + np.swapaxes(d, 1, 2)) / 2  # bitwise symmetric: 15 distinct columns
+        d[7, 1, 3] = np.nextafter(d[7, 3, 1], np.inf)
+        d[:, 4, 0] = np.nextafter(d[:, 0, 4], -np.inf)
+        formatted = self.count_formats(monkeypatch)
+        self.check(tmp_path, cli._flat_header("d", 5), *d.reshape(-1, 25).T)
+        assert len(formatted) == 17
+        for col in (d[:, 1, 3], d[:, 3, 1], d[:, 0, 4], d[:, 4, 0]):
+            assert sum(f.tobytes() == col.tobytes() for f in formatted) == 1
+        fields = [line.split(",") for line in (tmp_path / "cols.csv").read_text().splitlines()[1:]]
+        assert fields[7][8] != fields[7][16] and fields[7][4] != fields[7][20]
+
+    def test_equal_bytes_of_another_dtype_are_formatted_apart(self, tmp_path, monkeypatch):
+        # int64 and float64 zeros have the same bytes but print as 0 and 0.0
+        x = np.arange(4.0)
+        formatted = self.count_formats(monkeypatch)
+        self.check(tmp_path, ["i", "f", "x", "y", "v"], np.zeros(4, int), np.zeros(4), x, x.copy(), x[::-1][::-1])
+        assert [f.dtype.kind for f in formatted] == ["i", "f", "f"]
+
+
+class TestWriteText:
+    def test_long_file_rewritten_short_holds_the_new_bytes_in_the_same_inode(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_text(path, "x" * 10_000 + "\r\n")
+        inode = path.stat().st_ino
+        cli._write_text(path, "a,b\r\n1,2\r\n")
+        assert path.read_bytes() == b"a,b\r\n1,2\r\n"
+        assert path.stat().st_ino == inode
+
+    def test_no_write_opens_with_o_trunc(self, tmp_path, returns_csv, monkeypatch):
+        flags, os_open = [], os.open
+        monkeypatch.setattr(os, "open", lambda path, flag, *args: flags.append(flag) or os_open(path, flag, *args))
+        cfg = {"q": 2, "n": 5.0, "lambda": 0.8, "data_csv": str(returns_csv), "out": str(tmp_path / "out")}
+        for _ in range(2):  # a first write and an overwrite
+            run_command("filter", cfg)
+        assert len(flags) == 8  # filtered_ue.csv, filtered_bb.csv, results.json, meta.json, twice
+        assert not any(f & os.O_TRUNC for f in flags)
+
+    def test_output_symlinked_to_devnull_is_written(self, tmp_path):
+        cfg_path = tmp_path / "s.json"
+        cfg_path.write_text(json.dumps({"model": "ue", "q": 2, "T": 5, "n": 5.0, "lambda": 0.9}))
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "true_path.csv").symlink_to(os.devnull)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "true_path.csv").is_symlink()
+        assert len((out / "returns.csv").read_text().splitlines()) == 6
+
+    def test_rerun_with_a_smaller_grid_equals_a_fresh_run(self, returns_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))  # meta.json's wall time
+        names = ("surface.csv", "results.json", "meta.json")
+        out = tmp_path / "out"
+        cfg = {"q": 2, "data_csv": str(returns_csv), "out": str(out)}
+        # long grid values, so that every file, results.json's (n*, lambda*) included, is longer than the rerun's
+        run_command("grid-search", {**cfg, "n_grid": [3.125, 4.0625, 5.03125, 6.015625],
+                                    "lambda_grid": [0.6015625, 0.70703125, 0.80078125, 0.900390625]})
+        first = [(out / name).stat().st_size for name in names]
+        run_command("grid-search", {**cfg, "n_grid": [4, 6], "lambda_grid": [0.7, 0.8]})
+        rerun = [(out / name).read_bytes() for name in names]
+        assert all(len(new) < old for new, old in zip(rerun, first))
+        for name in names:
+            (out / name).unlink()
+        run_command("grid-search", {**cfg, "n_grid": [4, 6], "lambda_grid": [0.7, 0.8]})
+        assert rerun == [(out / name).read_bytes() for name in names]
 
 
 class TestMain:
