@@ -149,7 +149,7 @@ def _factor_path(returns: np.ndarray, g0: np.ndarray, discount: float) -> np.nda
     """
     out = [tuple(g0.ravel().tolist())]
     try:
-        g = _givens_chain(out, returns.tolist(), math.sqrt(discount), outer=True)
+        g = _givens_chain(out, returns.tolist(), math.sqrt(discount))
     except NotPositiveDefinite as exc:  # out holds G_0..G_{t-1}
         raise NotPositiveDefinite(f"{exc} at t={len(out)}") from None
     _fault_at((~np.isfinite(g[1:]), InvalidParameter, "scale recursion overflows: D_t is not finite"))
@@ -219,16 +219,15 @@ def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutpu
 def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
     """Generate returns and their precision path Phi_0..Phi_T from the model ``hyper`` states.
 
-    Each r_t is drawn from its one-step forecast law given the past
-    returns (their joint law is the product of those densities), in
-    D_{t-1}-whitened coordinates where every quantity is O(1): with A_t
-    the Bartlett factor of Wishart(prior df, I) and z_t ~ N(0, I),
-    r_t = R_{t-1}' w_t with w_t = sqrt(disc) A_t^{-1} z_t and R_{t-1} the
-    factor of D_{t-1} the Givens chain appended last, so no inverse factor of
-    the (possibly extremely ill-conditioned) D is formed.  The path is one
-    ``backward_sample`` of the model's filter on the returns, from
-    substream (seed, 1), so matched UE and BB give the same returns and
-    differently distributed paths.
+    Each r_t is drawn from its one-step forecast law given the past returns
+    (their joint law is the product of those densities), in D_{t-1}-whitened
+    coordinates where every quantity is O(1): with A_t the Bartlett factor of
+    Wishart(prior df, I), z_t ~ N(0, I) and J the reversal, J r_t = G_{t-1} J w_t
+    with w_t = sqrt(disc) A_t^{-1} z_t and G_{t-1} the factor of J D_{t-1} J the
+    Givens chain appended last, so no inverse factor of the (possibly extremely
+    ill-conditioned) D is formed.  The path is one ``backward_sample`` of the
+    model's filter on the returns, from substream (seed, 1), so matched UE and
+    BB give the same returns and differently distributed paths.
 
     Stepping the state equation directly instead is only viable for
     short horizons: the precision's log-determinant drifts, so condition
@@ -245,19 +244,22 @@ def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):
         a[t] = sample_bartlett_factor(q, df, rng)
         z[t] = rng.standard_normal(q)
     with np.errstate(all="ignore"):  # a chi-square draw that underflows to 0 gives an infinite w_t
-        w = (tri_solve_stack(a, z) * math.sqrt(disc)).tolist()
-    out = [tuple(uchol(hyper.d0).ravel().tolist())]  # R_0 with R_0' R_0 = D_0, row-major
-    cols = [[(i * q + j, i) for i in range(j, -1, -1)] for j in range(q)]  # R[i, j], i <= j
+        w = (tri_solve_stack(a, z)[:, ::-1] * math.sqrt(disc)).tolist()  # J w_t
+    out = [tuple(uchol(hyper.d0).T[::-1, ::-1].ravel().tolist())]  # G_0 = J uchol(D_0)' J, row-major
+    rows = [[(i * q + j, j) for j in range(i, q)] for i in range(q)]  # G[i, j], j >= i
     returns = []
 
-    def draws():  # r_t = R_{t-1}' w_t, R_{t-1} the factor the chain appended last
+    def draws():  # J r_t = G_{t-1} J w_t, G_{t-1} the factor the chain appended last
         for w_t in w:
-            r = out[-1]
-            returns.append([sum(r[k] * w_t[i] for k, i in col) for col in cols])
+            g = out[-1]
+            returns.append([sum(g[k] * w_t[j] for k, j in row) for row in rows])
             yield returns[-1]
 
-    _givens_chain(out, draws(), math.sqrt(disc))
-    returns = np.array(returns).reshape(T, q)
+    try:
+        _givens_chain(out, draws(), math.sqrt(disc))
+    except NotPositiveDefinite:  # out holds G_0..G_{t-1}; the row is one of J D_t J
+        raise NotPositiveDefinite(f"simulated scale D_t has a zero pivot at t={len(out)}") from None
+    returns = np.array(returns).reshape(T, q)[:, ::-1].copy()  # r_t from J r_t
     _fault_at((~np.isfinite(returns), InvalidParameter, "simulated r_t overflows double precision"))
     series = ReturnsSeries(returns)
     return series, gram(backward_sample(forward_filter(series, hyper), substream(seed, 1)))

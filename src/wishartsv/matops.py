@@ -1,10 +1,11 @@
 """Dense small-matrix primitives for SPD and upper-triangular matrices.
 
-Factors are upper-triangular with positive diagonal, in two layouts.  A
-symmetric positive-definite ``a`` factors as ``a = R' R`` (``R =
-uchol(a)``) in every public function, the sampled paths and ``simulate``;
-the filter stores D_t as G_t with ``G_t G_t' = D_t``, so that G_t^{-1}
-factors D_t^{-1} in R's layout.  Lower-triangular factors never appear.
+Factors are upper-triangular with positive diagonal.  A symmetric
+positive-definite ``a`` factors as ``a = R' R`` (``R = uchol(a)``) in every
+public function and the sampled paths; the filter stores D_t as G_t with
+``G_t G_t' = D_t``, so that G_t^{-1} factors D_t^{-1} in R's layout.  The
+Givens chain works in G's layout only: R' R = a is G G' = J a J for G =
+J R' J, J the reversal.  Lower-triangular factors never appear.
 
 ``sym``, ``uchol``, ``gram`` and ``tri_solve_stack`` accept a stack of
 matrices of shape (..., q, q), so one call serves one path or every draw
@@ -16,7 +17,7 @@ sweep) checks its input once and its output once, and ``_fault_at``
 raises the package error naming the time step.  ``uchol`` rejects a non-finite matrix.  A zero pivot makes
 ``_givens_chain`` raise NotPositiveDefinite naming the factor's row (a
 Python float division by zero would raise ZeroDivisionError), and the
-factor path adds its t, while ``tri_solve_stack`` divides by 0 and
+factor path and ``simulate`` add their t, while ``tri_solve_stack`` divides by 0 and
 ``uchol_components`` gives NaN, and the calling pass reports the
 non-finite result with its t.
 
@@ -28,12 +29,11 @@ row b of m.
 The one Givens loop on Python floats, a whole recursion of rank-1
 updates with rho from ``math.hypot`` (a tenth of ``np.hypot``'s cost on
 Python floats; inf on overflow), is generated per q by ``_chain_at`` as
-straight-line source with every entry of the factor a local variable,
-in either layout.  ``_givens_chain`` keeps every factor: the filter's in
-G's layout, the single-path UE backward pass's and ``simulate``'s in R's
-(a stack of UE paths is refactored densely instead).  ``_givens_pivots``
-keeps only each G_t's pivots and the last factor, all that
-``filtering.grid_search`` reads.
+straight-line source with every entry of G a local variable.
+``_givens_chain`` keeps every factor, for the filter, ``simulate`` and
+the single-path UE backward pass (a stack of UE paths is refactored
+densely instead); ``_givens_pivots`` keeps only each G_t's pivots and the
+last factor, all that ``filtering.grid_search`` reads.
 """
 
 from __future__ import annotations
@@ -152,73 +152,69 @@ def uchol_components(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _chain_at(q: int, pivots: bool = False, outer: bool = False):
+def _chain_at(q: int, pivots: bool = False):
     """The Givens loop at dimension q, generated from q alone and compiled on first use.
 
-    Straight-line code with every entry of R and of x a local variable,
-    called as chain(r0, out, xs, scale) with R_0 the row-major tuple r0.
-    Each step appends its factor to ``out`` as one row-major tuple, or with
-    ``pivots`` only its diagonal, the q new pivots; the last factor is
-    returned as a row-major tuple.  With ``outer`` the factor is G, G G' =
-    R' R with R = J G' J (J the reversal), so G[a][b] is R[q-1-b][q-1-a] and
-    x_j the input's entry q-1-j: only names move, so every bit stays.
+    Straight-line code with every entry of G and of x a local variable,
+    called as chain(g0, out, xs, scale) with G_0 the row-major tuple g0.  For
+    i = q-1 down to 0 it rotates g_ii against x_i, then g_ji against x_j for
+    j = i-1 down to 0.  Each step appends its factor to ``out`` as one
+    row-major tuple, or with ``pivots`` only its diagonal, the q new pivots;
+    the last factor is returned as a row-major tuple.
     """
-    r = [[f"r{i}_{j}" for j in range(q)] for i in range(q)]
+    g = [[f"g{i}_{j}" for j in range(q)] for i in range(q)]
     x = [f"x{j}" for j in range(q)]
-    stored = [[r[q - 1 - b][q - 1 - a] for b in range(q)] for a in range(q)] if outer else r
-    flat = ", ".join(e for row in stored for e in row)
+    flat = ", ".join(e for row in g for e in row)
     lines = [
-        "def chain(r0, out, xs, scale, hypot=hypot, error=error):",
-        f"    {flat}, = r0",
+        "def chain(g0, out, xs, scale, hypot=hypot, error=error):",
+        f"    {flat}, = g0",
         "    append = out.append",
-        f"    for {', '.join(x[::-1] if outer else x)}, in xs:",
+        f"    for {', '.join(x)}, in xs:",
     ]
-    for i in range(q):
+    for i in reversed(range(q)):
         lines += [
-            f"        rii = scale * {r[i][i]}",
-            f"        rho = hypot(rii, {x[i]})",
+            f"        gii = scale * {g[i][i]}",
+            f"        rho = hypot(gii, {x[i]})",
             "        if rho <= 0.0:",
-            f"            raise error('zero pivot in rank-1 update at row {q - 1 - i if outer else i}')",
+            f"            raise error('zero pivot in rank-1 update at row {i}')",
         ]
-        if i + 1 < q:  # the last row has no entry right of its pivot to rotate
-            lines += ["        c = rii / rho", f"        s = {x[i]} / rho"]
-        lines.append(f"        {r[i][i]} = rho")
-        for j in range(i + 1, q):
+        if i:  # column 0 has no entry above its pivot to rotate
+            lines += ["        c = gii / rho", f"        s = {x[i]} / rho"]
+        lines.append(f"        {g[i][i]} = rho")
+        for j in reversed(range(i)):
             lines += [
-                f"        rj = scale * {r[i][j]}",
-                f"        {r[i][j]} = c * rj + s * {x[j]}",
-                f"        {x[j]} = c * {x[j]} - s * rj",
+                f"        gj = scale * {g[j][i]}",
+                f"        {g[j][i]} = c * gj + s * {x[j]}",
+                f"        {x[j]} = c * {x[j]} - s * gj",
             ]
-    appended = ", ".join(stored[i][i] for i in range(q)) if pivots else flat
+    appended = ", ".join(g[i][i] for i in range(q)) if pivots else flat
     lines += [f"        append(({appended},))", f"    return ({flat},)"]
     namespace = {"hypot": math.hypot, "error": NotPositiveDefinite}
     exec("\n".join(lines) + "\n", namespace)
     return namespace["chain"]
 
 
-def _givens_chain(out: list, xs, scale: float, outer: bool = False) -> np.ndarray:
-    """All factors of R_{i+1}' R_{i+1} = scale^2 R_i' R_i + x_i x_i', on Python floats.
+def _givens_chain(out: list, xs, scale: float) -> np.ndarray:
+    """All factors of G_{i+1} G_{i+1}' = scale^2 G_i G_i' + x_i x_i', on Python floats.
 
-    ``out`` holds R_0 as one row-major tuple of q * q floats; each R_{i+1}
-    is appended as another, and the list is returned as an array of shape
-    (len(out), q, q).  Each x in ``xs``, q floats, is rotated into the
-    factor by Givens rotations, rho from ``math.hypot``, row i scaled
-    just before its rotation, which rounds as scaling R first would.  The
-    strict lower triangle of R_0 is carried unchanged.  The loop is
-    ``_chain_at(q)``: at q <= 5 an index or a numpy call costs more than
-    the arithmetic.  With ``outer`` every factor is G in G's layout,
-    G_{i+1} G_{i+1}' = scale^2 G_i G_i' + x_i x_i'.  ``xs`` may be a
-    generator that reads the latest factor, ``out[-1]``, before it yields
-    the next x (``simulate``); the x rows are not written to.  Raises
+    ``out`` holds G_0 as one row-major tuple of q * q floats; each G_{i+1} is
+    appended as another, and the list is returned as an array of shape
+    (len(out), q, q).  Each x in ``xs``, q floats, is rotated into the factor
+    by Givens rotations, rho from ``math.hypot``, column i scaled just before
+    its rotation, which rounds as scaling G first would.  The strict lower
+    triangle of G_0 is carried unchanged.  The loop is ``_chain_at(q)``: at
+    q <= 5 an index or a numpy call costs more than the arithmetic.  ``xs``
+    may be a generator that reads the latest factor, ``out[-1]``, before it
+    yields the next x (``simulate``); the x rows are not written to.  Raises
     NotPositiveDefinite on a zero pivot, naming the factor's row.
     """
     q = math.isqrt(len(out[-1]))
-    _chain_at(q, False, outer)(out[-1], out, xs, scale)
+    _chain_at(q)(out[-1], out, xs, scale)
     return np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q * q).reshape(-1, q, q)
 
 
 def _givens_pivots(g0: tuple, xs, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals of ``_givens_chain``'s factors in G's layout, bit for bit, and its last factor.
+    """The diagonals of ``_givens_chain``'s factors, bit for bit, and its last factor.
 
     Runs the same rotations from G_0, the row-major tuple ``g0``: returns
     (pivots, last), pivots[i] the diagonal of G_i, one row per x and one for
@@ -227,6 +223,6 @@ def _givens_pivots(g0: tuple, xs, scale: float) -> tuple[np.ndarray, np.ndarray]
     """
     q = math.isqrt(len(g0))
     out = [g0[:: q + 1]]
-    last = _chain_at(q, True, True)(g0, out, xs, scale)
+    last = _chain_at(q, True)(g0, out, xs, scale)
     pivots = np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q).reshape(-1, q)
     return pivots, np.reshape(last, (q, q))

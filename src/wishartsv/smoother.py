@@ -31,12 +31,12 @@ checks G before and F after it.  Every solve against G is one
 ``tri_solve_stack`` over all t and draws.  The BB pass (``_bb_chain``)
 has no loop over t: its two recursions are linear, so each is summed by
 recursive doubling, and its squared diagonal is carried in coordinates
-whitened by G_t, where every term is of order 1.  One UE path is one
-chain of Givens rotations on Python floats (``_ue_chain``); a stack runs
-in coordinates whitened by G_t (``_ue_whitened``): two small GEMMs per t
-for all draws, then one stacked Cholesky.  All three passes take (G_0..G_T,
-W_T, noise, discount), and each matches a loop of its step within 1e-12
-per matrix.
+whitened by G_t, where every term is of order 1.  One UE path is one chain
+of Givens rotations on Python floats (``_ue_chain``) in the filter's layout,
+on J F_t' J (J the reversal) and mapped back; a stack runs in coordinates
+whitened by G_t (``_ue_whitened``): two small GEMMs per t for all draws,
+then one stacked Cholesky.  All three passes take (G_0..G_T, W_T, noise,
+discount), and each matches a loop of its step within 1e-12 per matrix.
 """
 
 from __future__ import annotations
@@ -166,7 +166,9 @@ def _ue_chain(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> np.n
     """One UE path from G_0..G_T, W_T and rows z (T, q): ``_givens_chain`` over x_t = z_t G_t^{-1}."""
     T = z.shape[0]
     f_T, x = tri_solve_stack(g[T], w_T, trans=True), tri_solve_stack(g[:T], z, trans=True)
-    return _givens_chain([tuple(f_T.ravel().tolist())], x[::-1].tolist(), math.sqrt(lam))[::-1].copy()
+    # the chain runs on H_t = J F_t' J (H_t H_t' = J Phi_t J, J the reversal) from H_T over rows J x_t
+    h = _givens_chain([tuple(f_T.T[::-1, ::-1].ravel().tolist())], x[::-1, ::-1].tolist(), math.sqrt(lam))
+    return h.transpose(0, 2, 1)[::-1, ::-1, ::-1].copy()
 
 
 def _ue_whitened(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:

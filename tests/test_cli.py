@@ -798,6 +798,18 @@ class TestMain:
                                    "message": "zero pivot in rank-1 update at row 1 at t=169"}
         assert not list((tmp_path / "x").glob("*"))
 
+    def test_simulate_zero_pivot_is_reported(self, tmp_path, capsys):
+        # D_0 = 1e-300 I at lambda = 0.01: a pivot of the simulated scale's factor rounds to 0 at t=184
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q": 2, "n": 5.0, "lambda": 0.01, "d0": [[1e-300, 0.0], [0.0, 1e-300]],
+                                        "T": 400, "seed": 0}))
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1
+        assert json.loads(err) == {"error": "NotPositiveDefinite",
+                                   "message": "simulated scale D_t has a zero pivot at t=184"}
+        assert not list((tmp_path / "x").glob("*"))
+
     @pytest.mark.parametrize("command", ["smooth", "compare-plr", "compare-mixture"])
     def test_nonfinite_draws_are_reported(self, tmp_path, capsys, command):
         # a pegged rate: column 2 is all zeros, so D_t's second pivot is

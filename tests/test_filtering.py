@@ -383,6 +383,13 @@ class TestForwardFilters:
             with pytest.raises(NotPositiveDefinite, match="^zero pivot in rank-1 update at row 1 at t=169$"):
                 run()
 
+    def test_simulate_names_the_step_of_a_zero_pivot(self):
+        # D_0 = 1e-300 I at lambda = 0.01: a pivot of the simulated scale's factor rounds to 0 at t=184
+        hyper = UEHyper(q=2, k=1, n=5, lam=0.01, d0=1e-300 * np.eye(2))
+        for model in (hyper, match_ue_to_bb(hyper)):
+            with pytest.raises(NotPositiveDefinite, match="^simulated scale D_t has a zero pivot at t=184$"):
+                simulate(model, 400, 0)
+
 
 class TestFilterOutput:
     @staticmethod

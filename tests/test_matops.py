@@ -14,7 +14,10 @@ from scipy.linalg import solve_triangular
 from consistency import chol_update, givens_chain
 import wishartsv
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
-from wishartsv.matops import _fault_at, _givens_chain, _givens_pivots, tri_solve_stack, uchol, uchol_components
+from wishartsv.filtering import ReturnsSeries, forward_filter, grid_search, simulate
+from wishartsv.matops import _chain_at, _fault_at, _givens_chain, _givens_pivots, tri_solve_stack, uchol, uchol_components
+from wishartsv.smoother import backward_sample
+from wishartsv.volproc import UEHyper
 
 ENTRIES = st.floats(-1e3, 1e3)
 
@@ -177,83 +180,94 @@ class TestCholUpdate:
 
 
 def chain_case(q, seed, T=60):
-    """(R_0 with a positive diagonal and a non-zero strict lower triangle, rows x (T, q), scale)."""
+    """(G_0 with a positive diagonal and a non-zero strict lower triangle, rows x (T, q), scale)."""
     rng = np.random.default_rng(seed)
-    r0 = rng.standard_normal((q, q))
-    r0[np.diag_indices(q)] = rng.uniform(0.1, 3.0, q)
+    g0 = rng.standard_normal((q, q))
+    g0[np.diag_indices(q)] = rng.uniform(0.1, 3.0, q)
     x = rng.standard_normal((T, q)) * 10.0 ** rng.uniform(-3, 3, (T, 1))
-    return r0, x, float(rng.uniform(0.5, 1.0))
+    return g0, x, float(rng.uniform(0.5, 1.0))
 
 
-def reference_chain(r0, x, scale, outer):
-    """``givens_chain``'s factors from R_0 = r0; with ``outer`` from G_0 = r0 in G's layout (G G' = A).
+def reference_chain(g0, x, scale):
+    """``givens_chain``'s factors in G's layout (G G' = A) from G_0 = g0.
 
-    There the reference runs on R_0 = J G_0' J and rows J x, J the reversal,
-    and each R_i maps back to G_i = J R_i' J.
+    The reference runs in R's layout on R_0 = J G_0' J and rows J x, J the
+    reversal, and each R_i maps back to G_i = J R_i' J.
     """
-    q = r0.shape[0]
-    if outer:
-        r0, x = r0.T[::-1, ::-1], x[:, ::-1]
-    got = np.frombuffer(givens_chain(array("d", r0.ravel().tolist()), x.tolist(), scale)).reshape(-1, q, q)
-    return got.transpose(0, 2, 1)[:, ::-1, ::-1] if outer else got
+    q = g0.shape[0]
+    flat = array("d", g0.T[::-1, ::-1].ravel().tolist())
+    got = np.frombuffer(givens_chain(flat, x[:, ::-1].tolist(), scale)).reshape(-1, q, q)
+    return got.transpose(0, 2, 1)[:, ::-1, ::-1]
 
 
 class TestGivensChain:
-    # the generated per-q loop, in each layout, against the plain loop in consistency.py,
-    # bit for bit; its pivots-only rendering against the full one's diagonals and last factor
+    # the generated per-q loop against the plain loop in consistency.py, bit for bit;
+    # its pivots-only rendering against the full one's diagonals and last factor
 
     @pytest.mark.parametrize("q", range(1, 7))
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_the_reference_loop(self, q, seed):
-        r0, x, scale = chain_case(q, seed)
+        g0, x, scale = chain_case(q, seed)
         rows = x.tolist()
-        for outer in (False, True):
-            got = _givens_chain([tuple(r0.ravel().tolist())], rows, scale, outer=outer)
-            assert got.shape == (len(rows) + 1, q, q)
-            assert got.tobytes() == reference_chain(r0, x, scale, outer).tobytes()
-        pivots, last = _givens_pivots(tuple(r0.ravel().tolist()), rows, scale)
+        got = _givens_chain([tuple(g0.ravel().tolist())], rows, scale)
+        assert got.shape == (len(rows) + 1, q, q)
+        assert got.tobytes() == reference_chain(g0, x, scale).tobytes()
+        pivots, last = _givens_pivots(tuple(g0.ravel().tolist()), rows, scale)
         assert pivots.tobytes() == np.diagonal(got, axis1=1, axis2=2).tobytes()
         assert last.tobytes() == got[-1].tobytes()
         assert rows == x.tolist()  # the rows are read, not written
 
     @pytest.mark.parametrize("q", range(1, 7))
     def test_generator_reading_the_latest_factor(self, q):
-        # as in simulate: each x is built from the factor the chain appended last
-        r0, w, scale = chain_case(q, 10 + q)
-        cols = [[(i * q + j, i) for i in range(j + 1)] for j in range(q)]
+        # as in simulate: each x = G v is built from the factor G the chain appended last, summed
+        # from the diagonal outward; the reference builds J x = R' J v from its R = J G' J in that order
+        g0, v, scale = chain_case(q, 10 + q)
+        rows = [[(i * q + j, j) for j in range(i, q)] for i in range(q)]  # G[i, j], j >= i
+        cols = [[(i * q + j, q - 1 - i) for i in range(j, -1, -1)] for j in range(q)]  # R[i, j], i <= j
 
-        def draws(latest):
-            for w_t in w.tolist():
-                r = latest()
-                yield [sum(r[k] * w_t[i] for k, i in col) for col in cols]
+        def draws(latest, terms):
+            for v_t in v.tolist():
+                m = latest()
+                yield [sum(m[k] * v_t[i] for k, i in term) for term in terms]
 
-        flat, out = array("d", r0.ravel().tolist()), [tuple(r0.ravel().tolist())]
-        expect = np.frombuffer(givens_chain(flat, draws(lambda: flat[-q * q :]), scale))
-        assert _givens_chain(out, draws(lambda: out[-1]), scale).tobytes() == expect.tobytes()
+        flat, out = array("d", g0.T[::-1, ::-1].ravel().tolist()), [tuple(g0.ravel().tolist())]
+        expect = np.frombuffer(givens_chain(flat, draws(lambda: flat[-q * q :], cols), scale)).reshape(-1, q, q)
+        got = _givens_chain(out, draws(lambda: out[-1], rows), scale)
+        assert got.tobytes() == expect.transpose(0, 2, 1)[:, ::-1, ::-1].tobytes()
 
     @pytest.mark.parametrize("q, row", [(1, 0), (2, 0), (2, 1), (3, 1), (5, 4), (6, 2)])
     def test_zero_pivot_raises(self, q, row):
-        # each layout names its own factor's row; J G' J holds G's pivot (row, row) at (q-1-row, q-1-row)
-        r0, x = np.eye(q), np.zeros((3, q))
-        r0[row, row] = 0.0
+        # the chain names G's row; the reference's J G' J holds G's pivot (row, row) at (q-1-row, q-1-row)
+        g0, x = np.eye(q), np.zeros((3, q))
+        g0[row, row] = 0.0
         message = f"zero pivot in rank-1 update at row {row}"
-        for outer in (False, True):
-            with pytest.raises(NotPositiveDefinite) as expect:
-                reference_chain(r0, x, 0.9, outer)
-            with pytest.raises(NotPositiveDefinite) as got:
-                _givens_chain([tuple(r0.ravel().tolist())], x.tolist(), 0.9, outer=outer)
-            assert str(got.value) == message
-            assert str(expect.value) == f"zero pivot in rank-1 update at row {q - 1 - row if outer else row}"
+        with pytest.raises(NotPositiveDefinite) as expect:
+            reference_chain(g0, x, 0.9)
+        assert str(expect.value) == f"zero pivot in rank-1 update at row {q - 1 - row}"
+        with pytest.raises(NotPositiveDefinite) as got:
+            _givens_chain([tuple(g0.ravel().tolist())], x.tolist(), 0.9)
+        assert str(got.value) == message
         with pytest.raises(NotPositiveDefinite) as got_pivots:
-            _givens_pivots(tuple(r0.ravel().tolist()), x.tolist(), 0.9)
+            _givens_pivots(tuple(g0.ravel().tolist()), x.tolist(), 0.9)
         assert str(got_pivots.value) == message
 
     def test_no_step(self):
-        r0, _, scale = chain_case(3, 0)
-        np.testing.assert_array_equal(_givens_chain([tuple(r0.ravel().tolist())], [], scale), r0[None])
-        pivots, last = _givens_pivots(tuple(r0.ravel().tolist()), [], scale)
-        np.testing.assert_array_equal(pivots, r0.diagonal()[None])
-        np.testing.assert_array_equal(last, r0)
+        g0, _, scale = chain_case(3, 0)
+        np.testing.assert_array_equal(_givens_chain([tuple(g0.ravel().tolist())], [], scale), g0[None])
+        pivots, last = _givens_pivots(tuple(g0.ravel().tolist()), [], scale)
+        np.testing.assert_array_equal(pivots, g0.diagonal()[None])
+        np.testing.assert_array_equal(last, g0)
+
+    def test_one_rendering_serves_every_full_factor_caller(self):
+        # the filter, a single UE path and simulate run one compiled loop; a grid adds the pivots-only one
+        hyper = UEHyper(q=2, k=1, n=5, lam=0.9, d0=np.eye(2))
+        data = ReturnsSeries(np.random.default_rng(0).standard_normal((20, 2)))
+        _chain_at.cache_clear()
+        backward_sample(forward_filter(data, hyper), np.random.default_rng(1))
+        simulate(hyper, 20, seed=2)
+        assert _chain_at.cache_info().currsize == 1
+        grid_search(data, np.eye(2), [5.0], [0.8, 0.9])
+        assert _chain_at.cache_info().currsize == 2
 
 
 def components(a):
