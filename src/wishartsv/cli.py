@@ -154,19 +154,22 @@ def d0_from_presample(presample: ReturnsSeries, ridge: float = 0.0):
 # ---------------------------------------------------------------- output
 
 
-def _table_text(header, *columns) -> str:
+def _table_text(header, *columns, done=None) -> str:
     """A CSV table from whole columns (arrays or lists) of equal length, as one string.
 
     Each field is a Python int, float or comma-free string as ``str``
     writes it: a float in its shortest round-trip form, so the table reads
     back bit for bit.  An array column is formatted whole, by one ``repr``
     of its list, which formats every number in C; a list column goes
-    through ``str`` field by field.  Array columns of one dtype and equal
-    bytes, as a symmetric D_t's (i, j) and (j, i) columns often are, are
-    formatted once; columns that differ in any bit are formatted apart.
-    Rows end in CRLF, as ``csv.writer``'s do, and are joined once.
+    through ``str`` field by field.  ``done`` maps an array column's dtype
+    and bytes to its fields: a command passes one dict to every table of
+    its run, so a column formatted for one table, as a matched pair's
+    shared columns are, or for its own table, as a symmetric D_t's (i, j)
+    and (j, i) columns often are, is formatted once.  Columns that differ
+    in any bit, or in dtype, are formatted apart.  Rows end in CRLF, as
+    ``csv.writer``'s do, and are joined once.
     """
-    done, fields = {}, []
+    done, fields = {} if done is None else done, []
     for c in columns:
         if isinstance(c, np.ndarray):
             key = c.dtype.str, c.tobytes()
@@ -189,12 +192,13 @@ def _open_in_place(path, _flags) -> int:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to the output file ``path`` with no newline translation; an OSError is InvalidParameter.
+    """Write ``text`` to the output file ``path`` as UTF-8 bytes; an OSError is InvalidParameter.
 
-    The one file writer: a table is ``_table_text``'s text, a JSON record
-    ``json.dumps(obj, indent=2) + "\n"``.  An existing file is overwritten
-    in place: opened without ``O_TRUNC``, written from the start, then cut
-    at the end of the new text.  On ext4 (unless mounted with
+    No newline is translated.  The one file writer: a table is
+    ``_table_text``'s text, a JSON record ``json.dumps(obj, indent=2) +
+    "\n"``.  An existing file is overwritten in place: opened without
+    ``O_TRUNC`` and written from the start, then, if it was longer, cut at
+    the end of the new bytes.  On ext4 (unless mounted with
     ``noauto_da_alloc``) truncating a non-empty file to zero and rewriting
     it starts writeback of the file at its close, which costs more than the
     write itself; cutting only the old tail does not.  Only a regular file
@@ -202,28 +206,15 @@ def _write_text(path: Path, text: str) -> None:
     atomic, with ``O_TRUNC`` or without: a run that fails part way leaves
     some files new and some old, so check the exit status.
     """
+    data = text.encode()
     try:
-        with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as f:
-            f.write(text)
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        with open(path, "wb", opener=_open_in_place) as f:
+            old = os.fstat(f.fileno())
+            f.write(data)
+            if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
                 f.truncate()
     except OSError as exc:
         raise InvalidParameter(f"{path}: cannot write output file: {exc.strerror}") from None
-
-
-def _same_table(a, b) -> bool:
-    """Whether two filter outputs agree in all a table reads: one factor path, and discount and df paths bit for bit."""
-    return (a.g is b.g and a.discount == b.discount
-            and a.k_seq.tobytes() == b.k_seq.tobytes() and a.df_prior.tobytes() == b.df_prior.tobytes())
-
-
-def _per_table(filts: dict, make) -> dict:
-    """{tag: make(filt)}, made once for a matched pair whose outputs agree in all their tables read."""
-    out, prev = {}, None
-    for tag, filt in filts.items():
-        out[tag] = out[prev] if prev is not None and _same_table(filts[prev], filt) else make(filt)
-        prev = tag
-    return out
 
 
 def _flat_header(prefix: str, q: int):
@@ -347,16 +338,14 @@ def cmd_filter(cfg: dict, outdir: Path) -> dict:
     filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     q = data.q
     header = ["t", "k_t"] + _flat_header("d", q) + ["log_forecast"]
-
-    def table(filt):
+    done = {}  # one column cache for the run's tables
+    for tag, filt in filts.items():
         with np.errstate(over="ignore"):  # D_t may overflow where G_t does not: the table reads inf there
             d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
         # t = 0 has no forecast, so its log_forecast field is empty
-        return _table_text(header, np.arange(data.T + 1), filt.k_seq, *d.reshape(-1, q * q).T,
-                           [""] + filt.log_forecast.tolist())
-
-    for tag, text in _per_table(filts, table).items():
-        _write_text(outdir / f"filtered_{tag}.csv", text)
+        _write_text(outdir / f"filtered_{tag}.csv",
+                    _table_text(header, np.arange(data.T + 1), filt.k_seq, *d.reshape(-1, q * q).T,
+                                [""] + filt.log_forecast.tolist(), done=done))
     return {"warning": warning, "models": {tag: {"loglik": filt.loglik} for tag, filt in filts.items()}}
 
 
@@ -392,15 +381,14 @@ def cmd_smooth(cfg: dict, outdir: Path) -> dict:
     iu, ju = np.triu_indices(data.q, k=1)  # no pair at q = 1, and so no table
     steps = data.T + 1
     pairs = np.tile(np.arange(steps), iu.size), np.repeat(iu + 1, steps), np.repeat(ju + 1, steps)
-    # the "t,i,j" fields of each row, formatted once for every model's table
-    pair_fields = list(map(",".join, zip(*map(_fields, pairs))))
+    done = {}  # one column cache for the run's tables, so every model's table shares the (t, i, j) fields
     out = {}
     for tag, filt in filts.items():
         ens = sample_ensemble(filt, n_draws=n_draws, seed=cfg["seed"])
         curves = correlation_summary(ens, quantiles)  # [level][pair][t]
         if iu.size:
             _write_text(outdir / f"correlations_{tag}.csv",
-                        _table_text(header, pair_fields, *curves.reshape(len(quantiles), -1)))
+                        _table_text(header, *pairs, *curves.reshape(len(quantiles), -1), done=done))
         out[tag] = {"draws": n_draws}
     return {"warning": warning, "models": out}
 
@@ -424,6 +412,9 @@ def cmd_compare_mixture(cfg: dict, outdir: Path) -> dict:
     mix = MixtureConfig(seed=cfg["seed"], **{field: cfg[key] for key, field in fields.items() if key in cfg})
     n_batches = cfg.get("batches", 50)
     kept = mix.iterations - mix.burn_in
+    if "batches" not in cfg and n_batches > kept:
+        raise InvalidParameter(
+            f"batches defaults to 50, more than the {kept} kept draws; set 'batches' or raise 'draws'")
     if not 2 <= n_batches <= kept:
         raise InvalidParameter(f"batches must lie in [2, {kept}], the kept draws; got {n_batches}")
     trace = mixture_gibbs(data, hypers["ue"], hypers["bb"], mix)
@@ -443,15 +434,12 @@ def cmd_ppc(cfg: dict, outdir: Path) -> dict:
     filts, warning = _filters(cfg, data, cfg.get("model", "matched"))
     level = cfg.get("level", 0.95)
     header = ["t"] + [f"length_{i + 1}" for i in range(data.q)] + ["cumulative_coverage"]
-
-    def table(filt):
+    done, out = {}, {}  # one column cache for the run's tables
+    for tag, filt in filts.items():
         lengths, coverage = ppc_intervals(filt, data, level)
-        return _table_text(header, np.arange(1, data.T + 1), *lengths.T, coverage), float(coverage[-1])
-
-    out = {}
-    for tag, (text, terminal) in _per_table(filts, table).items():
-        _write_text(outdir / f"ppc_{tag}.csv", text)
-        out[tag] = {"terminal_coverage": terminal}
+        _write_text(outdir / f"ppc_{tag}.csv",
+                    _table_text(header, np.arange(1, data.T + 1), *lengths.T, coverage, done=done))
+        out[tag] = {"terminal_coverage": float(coverage[-1])}
     return {"level": level, "warning": warning, "models": out}
 
 

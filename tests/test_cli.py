@@ -444,13 +444,32 @@ class TestCommands:
         assert matched != (tmp_path / "out" / f"{prefix}_ue.csv").read_bytes()
         assert matched == (tmp_path / "bb" / f"{prefix}_bb.csv").read_bytes()
 
-    @pytest.mark.parametrize("command", ["filter", "ppc"])
-    @pytest.mark.parametrize("n, calls", [(6.0, 1), (3.32, 2)])
+    @pytest.mark.parametrize("command, n, calls", [
+        # t, k_t and the three distinct d_ij of a symmetric D_t, shared by both tables
+        ("filter", 5.0, 5), ("filter", 3.32, 5),
+        # t, two lengths and the coverage; an ulp off n, BB's lengths are its own
+        ("ppc", 5.0, 4), ("ppc", 3.32, 6),
+        # t, i and j, shared, and each model's three quantile columns
+        ("smooth", 5.0, 9), ("smooth", 3.32, 9),
+    ])
     def test_matched_pair_formats_a_coinciding_table_once(self, returns_csv, tmp_path, monkeypatch, command, n, calls):
-        count, table_text = [], cli._table_text
-        monkeypatch.setattr(cli, "_table_text", lambda *args: count.append(1) or table_text(*args))
-        run_command(command, self.base_cfg(returns_csv, tmp_path, n=n))
+        # a run's tables share one column cache: a column both models write is formatted once
+        count = TestTableText.count_formats(monkeypatch)
+        run_command(command, self.base_cfg(returns_csv, tmp_path, n=n, draws=4))
         assert len(count) == calls
+
+    @pytest.mark.parametrize("command", ["filter", "ppc", "smooth"])
+    def test_no_column_cache_outlives_a_run(self, returns_csv, tmp_path, monkeypatch, command):
+        # a second identical run formats every column again and writes the same bytes
+        count = TestTableText.count_formats(monkeypatch)
+        cfg = self.base_cfg(returns_csv, tmp_path, draws=4)
+        formats, tables = [], []
+        for _ in range(2):
+            run_command(command, cfg)
+            formats.append(len(count) - sum(formats))
+            tables.append({p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")})
+        assert formats[0] == formats[1] > 0
+        assert len(tables[0]) == 2 and tables[0] == tables[1]
 
     @pytest.mark.parametrize("command, model, calls", [
         *[(c, "matched", 1) for c in ("filter", "ppc", "smooth", "compare-plr")],
@@ -567,6 +586,14 @@ class TestTableText:
 
 
 class TestWriteText:
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        # a shorter rewrite cuts the old tail; an equal or longer one needs no cut
+        path = tmp_path / "t.csv"
+        cli._write_text(path, "t,x\r\n0,1.25\r\n1,-0.5\r\n")
+        for text in ("t,x\r\n0,1\r\n", "t,y\r\n0,2\r\n", "t,x\r\n0,1.5e-300\r\n1,\u00b5\r\n"):
+            cli._write_text(path, text)
+            assert path.read_bytes() == text.encode()
+
     def test_long_file_rewritten_short_holds_the_new_bytes_in_the_same_inode(self, tmp_path):
         path = tmp_path / "t.csv"
         cli._write_text(path, "x" * 10_000 + "\r\n")
@@ -725,6 +752,9 @@ class TestMain:
              "InvalidParameter", "kept draws"),
             ("compare-mixture", '{"q": 2, "n": 5.0, "lambda": 0.8, "draws": 20, "batches": 19, "data_csv": DATA}',
              "InvalidParameter", "kept draws"),
+            # 40 draws keep 36 after the default burn-in of 4; the config never set batches, so the record names the default
+            ("compare-mixture", '{"q": 2, "n": 5.0, "lambda": 0.9, "draws": 40, "data_csv": DATA}', "InvalidParameter",
+             "batches defaults to 50, more than the 36 kept draws; set 'batches' or raise 'draws'"),
             # DATES stands for a CSV with only its timestamp column; q is checked with
             # the config, before any table is read or any D_0 is built
             ("grid-search", '{"q": 0, "data_csv": DATES}', "InvalidParameter", "'q'"),
@@ -739,7 +769,7 @@ class TestMain:
             "q-string", "n-string", "d0-string", "draws-float", "seed-string",
             "seed-negative", "unknown-key", "d0-nan", "n-infinity", "simulate-negative-T", "n-grid-empty", "lambda-grid-empty",
             "grid-d0-shape", "grid-d0-asymmetric",
-            "model-unknown", "quantiles-empty", "batches-zero", "batches-above-kept",
+            "model-unknown", "quantiles-empty", "batches-zero", "batches-above-kept", "batches-default-above-kept",
             "q-zero", "simulate-negative-q", "d0-and-presample", "ridge-without-presample",
         ],
     )
