@@ -169,16 +169,17 @@ def _table_text(header, *columns, done=None) -> str:
     in any bit, or in dtype, are formatted apart.  Rows end in CRLF, as
     ``csv.writer``'s do, and are joined once.
     """
-    done, fields = {} if done is None else done, []
-    for c in columns:
-        if isinstance(c, np.ndarray):
-            key = c.dtype.str, c.tobytes()
-            if key not in done:
-                done[key] = _fields(c)
-            fields.append(done[key])
-        else:
-            fields.append(map(str, c))
+    done = {} if done is None else done
+    fields = [_cached_fields(c, done) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
     return "\r\n".join([",".join(header), *map(",".join, zip(*fields, strict=True))]) + "\r\n"
+
+
+def _cached_fields(col: np.ndarray, done: dict) -> list:
+    """The fields of an array column from the run's cache ``done``, formatted on first use."""
+    key = col.dtype.str, col.tobytes()
+    if key not in done:
+        done[key] = _fields(col)
+    return done[key]
 
 
 def _fields(col: np.ndarray) -> list:
@@ -342,10 +343,10 @@ def cmd_filter(cfg: dict, outdir: Path) -> dict:
     for tag, filt in filts.items():
         with np.errstate(over="ignore"):  # D_t may overflow where G_t does not: the table reads inf there
             d = filt.g @ np.swapaxes(filt.g, 1, 2)  # dense D_t, for the table only
-        # t = 0 has no forecast, so its log_forecast field is empty
+        # t = 0 has no forecast: its empty log_forecast field joins the column after the cache formats it
         _write_text(outdir / f"filtered_{tag}.csv",
                     _table_text(header, np.arange(data.T + 1), filt.k_seq, *d.reshape(-1, q * q).T,
-                                [""] + filt.log_forecast.tolist(), done=done))
+                                ["", *_cached_fields(filt.log_forecast, done)], done=done))
     return {"warning": warning, "models": {tag: {"loglik": filt.loglik} for tag, filt in filts.items()}}
 
 

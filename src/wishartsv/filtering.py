@@ -21,17 +21,23 @@ factors, df path and discount, need nothing but triangular products and
 solves against G_t.  Its loop over t
 is one Givens rank-1 update per step (Gill, Golub, Murray & Saunders
 1974) on Python floats, with no numpy call or solve inside it.
-``_forecast_terms`` then reads log(1 + s_t / disc), with s_t = r_t'
+``_forecast_terms`` then reads b_t = log(1 + s_t / disc), with s_t = r_t'
 D_{t-1}^{-1} r_t, and log|D_{t-1}| off G's diagonal alone: by the matrix
-determinant lemma the first is log|D_t| - log|disc D_{t-1}|.  Neither
-depends on n: a ``FilterOutput``, on first reading its ``log_forecast``,
-and ``grid_search`` (so ``marginal_loglik``, its one-cell case, which
-serves a single step too) reduce them through ``_forecast_logdensity``.
-The filter and a mixture sweep (``_factor_path`` on
+determinant lemma b_t is log|D_t| - log|disc D_{t-1}|.  Neither depends
+on n, and a ``FilterOutput``, on first reading its ``log_forecast``,
+reduces them through ``_forecast_logdensity``, one density per t.
+``grid_search`` (so ``marginal_loglik``, its one-cell case, which serves
+a single step too) needs only the sum over t, in which both terms enter
+linearly: each lambda reduces to S = sum_{t<T} log|D_t| and B = sum_t b_t
+= log|D_T| - log|D_0| - T q log lambda (``_lambda_sums``), and the
+surface is T [kappa(n) - q/2 log(lambda pi)] - S/2 - (n+1) B/2, kappa(n)
+= lnGamma((n+1)/2) - lnGamma((n+1-q)/2), in one broadcast
+(``_grid_surface``).  The filter and a mixture sweep (``_factor_path`` on
 the sweep's imputed series, in a copy of the chain's filter) run the
 Givens chain's full rendering, which keeps every G_t; a grid the one that
 keeps only G_t's diagonal and G_T, and raises what the filter raises, at
-the same t.
+the same t.  Each reads the returns as one flat list, q floats at a time
+(``matops._chain_rows``).
 
 ``simulate`` draws returns through the factor path's Givens chain, each
 r_t from its one-step forecast law, and then their precision path from
@@ -53,7 +59,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
-from .matops import _fault_at, _fits_index, _givens_chain, _givens_pivots, gram, tri_solve_stack, uchol
+from .matops import _chain_rows, _fault_at, _fits_index, _givens_chain, _givens_pivots, gram, tri_solve_stack, uchol
 from .randsamp import make_rng, sample_bartlett_factor, substream
 from .smoother import backward_sample
 from .volproc import BBHyper, UEHyper, _prior_scale
@@ -149,7 +155,7 @@ def _factor_path(returns: np.ndarray, g0: np.ndarray, discount: float) -> np.nda
     """
     out = [tuple(g0.ravel().tolist())]
     try:
-        g = _givens_chain(out, returns.tolist(), math.sqrt(discount))
+        g = _givens_chain(out, _chain_rows(returns.ravel().tolist(), returns.shape[1]), math.sqrt(discount))
     except NotPositiveDefinite as exc:  # out holds G_0..G_{t-1}
         raise NotPositiveDefinite(f"{exc} at t={len(out)}") from None
     _fault_at((~np.isfinite(g[1:]), InvalidParameter, "scale recursion overflows: D_t is not finite"))
@@ -282,10 +288,16 @@ def grid_search(
     marginal likelihood at (n_grid[i], lambda_grid[j]).  Ties break
     toward the smallest n, then the smallest lambda.
 
-    D_0 is factored and the returns turned into Python rows once.  Each
-    lambda keeps only G_t's diagonal and G_T (``_givens_pivots``); where
-    one is not finite or a pivot vanishes, ``_factor_path`` runs for that
-    lambda and names the t of the fault, as the filter does.
+    D_0 is factored and the returns turned into one flat list of floats
+    once.  Each lambda keeps only G_t's diagonal and G_T
+    (``_givens_pivots``); where one is not finite or a pivot vanishes,
+    ``_factor_path`` runs for that lambda and names the t of the fault, as
+    the filter does.  The diagonals reduce to two sums (``_lambda_sums``):
+    S_lambda = sum_{t<T} log|D_t| and B_lambda = sum_t log(1 + s_t /
+    lambda) = log|D_T| - log|D_0| - T q log lambda.  The surface is then
+    one broadcast, T [kappa(n) - q/2 log(lambda pi)] - S_lambda / 2 -
+    (n + 1) B_lambda / 2 with kappa(n) = lnGamma((n+1)/2) -
+    lnGamma((n+1-q)/2); no (n, T) array is formed.
     """
     n_grid = list(n_grid)
     lambda_grid = list(lambda_grid)
@@ -298,20 +310,48 @@ def grid_search(
     for lam in lambda_grid:
         if not (0.0 < lam < 1.0):
             raise InvalidParameter(f"grid point lambda={lam} outside (0, 1)")
-    n_col = np.asarray(n_grid, dtype=float)[:, None]
-    surface = np.empty((len(n_grid), len(lambda_grid)))
     g0 = _initial_factor(d0, q)
-    r0, rows = tuple(g0.ravel().tolist()), data.returns.tolist()
+    r0, flat = tuple(g0.ravel().tolist()), data.returns.ravel().tolist()
+    sums = np.empty((2, len(lambda_grid)))
     for j, lam in enumerate(lambda_grid):
         try:
-            diag, last = _givens_pivots(r0, rows, math.sqrt(lam))
+            diag, last = _givens_pivots(r0, _chain_rows(flat, q), math.sqrt(lam))
         except NotPositiveDefinite:
             diag = last = np.nan
         if not (np.isfinite(diag).all() and np.isfinite(last).all()):
             diag = np.diagonal(_factor_path(data.returns, g0, lam), axis1=1, axis2=2)
-        surface[:, j] = _forecast_logdensity(*_forecast_terms(diag, lam), n_col, lam, q).sum(axis=1)
+        sums[:, j] = _lambda_sums(diag, lam)
+    surface = _grid_surface(n_grid, lambda_grid, q, data.T, *sums)
     best = np.unravel_index(np.argmax(surface), surface.shape)
     return float(n_grid[best[0]]), float(lambda_grid[best[1]]), surface
+
+
+def _lambda_sums(diag: np.ndarray, lam: float) -> tuple[float, float]:
+    """(S, B), the two sums over t of one lambda's forecast terms, from G_0..G_T's diagonals (T+1, q).
+
+    S = sum_{t<T} log|D_t| = 2 sum_{t<T} sum_i log g_{t,ii}.  B = sum_t b_t,
+    b_t = log(1 + s_t / lam) as in ``_forecast_terms``: each b_t is
+    log|D_t| - log|D_{t-1}| - q log lam, so B telescopes to log|D_T| -
+    log|D_0| - T q log lam and reads only G_0's and G_T's diagonals.
+    """
+    log_diag = np.log(diag)
+    T, q = log_diag.shape[0] - 1, log_diag.shape[1]
+    return 2.0 * log_diag[:-1].sum(), 2.0 * (log_diag[-1].sum() - log_diag[0].sum()) - T * q * math.log(lam)
+
+
+def _grid_surface(n_grid, lambda_grid, q: int, T: int, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The log marginal likelihood surface[i, j] at (n_grid[i], lambda_grid[j]) from each lambda's S and B.
+
+    ``_forecast_logdensity`` summed over t = 1..T, in one broadcast over
+    the (S, B) pairs of ``_lambda_sums``:
+    T [kappa(n) - q/2 log(lambda pi)] - S / 2 - (n + 1) B / 2, with
+    kappa(n) = lnGamma((n+1)/2) - lnGamma((n+1-q)/2).
+    """
+    n = np.asarray(n_grid, dtype=float)[:, None]
+    lam = np.asarray(lambda_grid, dtype=float)
+    kappa = gammaln((n + 1.0) / 2.0) - gammaln((n + 1.0 - q) / 2.0)
+    # 0.0 + first: at T = 0 the product T * (...) may be -0.0, and the empty sum is +0.0
+    return 0.0 + T * (kappa - 0.5 * q * np.log(lam * np.pi)) - 0.5 * s - 0.5 * (n + 1.0) * b
 
 
 def constrained_lambda(n: float, k: float, q: int) -> float:

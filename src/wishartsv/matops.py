@@ -33,7 +33,9 @@ straight-line source with every entry of G a local variable.
 ``_givens_chain`` keeps every factor, for the filter, ``simulate`` and
 the single-path UE backward pass (a stack of UE paths is refactored
 densely instead); ``_givens_pivots`` keeps only each G_t's pivots and the
-last factor, all that ``filtering.grid_search`` reads.
+last factor, all that ``filtering.grid_search`` reads.  Every caller
+that feeds the chain an array of rows feeds it ``_chain_rows`` of the
+array's flat list.
 """
 
 from __future__ import annotations
@@ -211,6 +213,16 @@ def _givens_chain(out: list, xs, scale: float) -> np.ndarray:
     q = math.isqrt(len(out[-1]))
     _chain_at(q)(out[-1], out, xs, scale)
     return np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q * q).reshape(-1, q, q)
+
+
+def _chain_rows(flat: list, q: int):
+    """The x feed of a Givens chain: the rows of the row-major list ``flat``, as q-tuples.
+
+    One ``tolist`` of a raveled array and a ``zip`` of one iterator q times
+    cost less than a list per row, and the zip is cheap to make again for
+    each run of the chain over the same rows.
+    """
+    return zip(*[iter(flat)] * q)
 
 
 def _givens_pivots(g0: tuple, xs, scale: float) -> tuple[np.ndarray, np.ndarray]:

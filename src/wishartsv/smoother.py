@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
-from .matops import _fault_at, _fits_index, _givens_chain, _row_norms, tri_solve_stack, uchol_components
+from .matops import _chain_rows, _fault_at, _fits_index, _givens_chain, _row_norms, tri_solve_stack, uchol_components
 from .randsamp import sample_bartlett_factor, sample_chi2, substream
 from .volproc import UEHyper
 
@@ -167,7 +167,8 @@ def _ue_chain(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> np.n
     T = z.shape[0]
     f_T, x = tri_solve_stack(g[T], w_T, trans=True), tri_solve_stack(g[:T], z, trans=True)
     # the chain runs on H_t = J F_t' J (H_t H_t' = J Phi_t J, J the reversal) from H_T over rows J x_t
-    h = _givens_chain([tuple(f_T.T[::-1, ::-1].ravel().tolist())], x[::-1, ::-1].tolist(), math.sqrt(lam))
+    rows = _chain_rows(x[::-1, ::-1].ravel().tolist(), x.shape[1])
+    h = _givens_chain([tuple(f_T.T[::-1, ::-1].ravel().tolist())], rows, math.sqrt(lam))
     return h.transpose(0, 2, 1)[::-1, ::-1, ::-1].copy()
 
 

@@ -445,8 +445,9 @@ class TestCommands:
         assert matched == (tmp_path / "bb" / f"{prefix}_bb.csv").read_bytes()
 
     @pytest.mark.parametrize("command, n, calls", [
-        # t, k_t and the three distinct d_ij of a symmetric D_t, shared by both tables
-        ("filter", 5.0, 5), ("filter", 3.32, 5),
+        # t, k_t and the three distinct d_ij of a symmetric D_t, shared by both tables, and
+        # log_forecast, shared too; an ulp off n, each model's log_forecast is its own
+        ("filter", 5.0, 6), ("filter", 3.32, 7),
         # t, two lengths and the coverage; an ulp off n, BB's lengths are its own
         ("ppc", 5.0, 4), ("ppc", 3.32, 6),
         # t, i and j, shared, and each model's three quantile columns

@@ -13,7 +13,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 from scipy.stats import cauchy
 
-from consistency import chol_update, factor_path_surface, rchol
+from consistency import chol_update, factor_path_surface, per_t_surface, rchol
 from wishartsv import filtering
 from wishartsv.compare import MixtureConfig, mixture_gibbs
 from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
@@ -516,6 +516,46 @@ class TestGridSearch:
         for data, d in cases:
             surface = grid_search(data, d, n_grid, lambda_grid)[2]
             assert surface.tobytes() == factor_path_surface(data, d, n_grid, lambda_grid).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 400),
+        st.floats(-150.0, 150.0),
+        st.lists(st.floats(0.01, 0.999), min_size=1, max_size=3),
+        st.integers(0, 2**16),
+    )
+    def test_matches_the_per_t_sum(self, q, T, u, lambda_grid, seed):
+        # the closed form in S and B against each forecast term summed over t,
+        # within consistency.surface_bound; where the per-t surface's top two
+        # cells are further apart than their bounds, the argmax is the same
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((q, q))
+        data, d0 = ReturnsSeries(rng.standard_normal((T, q)) * 10.0**u), (a @ a.T + np.eye(q)) * 10.0**u
+        n_grid = np.arange(q - 0.5, q + 12.0)
+        _, _, surface = grid_search(data, d0, n_grid, lambda_grid)
+        ref, bound = per_t_surface(data, d0, n_grid, lambda_grid)
+        assert (np.abs(surface - ref) <= bound).all()
+        second, top = np.argsort(ref, axis=None)[-2:]
+        if ref.flat[top] - ref.flat[second] > bound.flat[top] + bound.flat[second]:
+            assert np.argmax(surface) == top
+
+    def test_reads_no_per_t_forecast_terms(self, monkeypatch):
+        # each lambda reduces to two sums; no (n, T) array of forecast terms is formed
+        calls = []
+        for name in ("_forecast_terms", "_forecast_logdensity"):
+            run = getattr(filtering, name)
+            monkeypatch.setattr(filtering, name, lambda *args, run=run: calls.append(1) or run(*args))
+        grid_search(toy_series(50, 3), np.eye(3), [3.0, 6.0], [0.7, 0.9])
+        marginal_loglik(toy_series(50, 2), 5.0, 0.8, np.eye(2))
+        assert not calls
+        assert np.isfinite(forward_filter(toy_series(5, 2), UEHyper(q=2, k=1, n=5, lam=0.8, d0=np.eye(2))).loglik)
+        assert len(calls) == 2  # the counters see a filter's forecasts
+
+    def test_empty_series_has_a_zero_surface(self):
+        # the empty sum, +0.0 in every cell, as a filter's loglik of no step
+        surface = grid_search(ReturnsSeries(np.empty((0, 2))), np.eye(2), [1.2, 5.0], [0.6, 0.9])[2]
+        assert surface.tobytes() == np.zeros((2, 2)).tobytes()
 
     def test_tie_breaks_to_first(self):
         data = ReturnsSeries(np.array([[0.5]]))

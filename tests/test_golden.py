@@ -130,7 +130,7 @@ GOLDEN_SIMULATE = {  # (model, q): (returns, precision path)
         "b964ffa4d0c31afc9f0025491cac684fe3662859dfa51d7d9fe325f0d2b6e0df",
     ),
 }
-GOLDEN_GRID = "f66ee9160060e9731d7385e6b01dcac00d02da7038a852d1241fea10d071e4b7"
+GOLDEN_GRID = "1e657af523ad5277d4257637e6e1f0f3f738406e4d6bf2d98718acbe000ff984"
 GOLDEN_LOG_FORECAST = {
     "ue": "62f3a94c74286564fc62fb6e20f900ea459acc3e3722755d0a75bf02c376cd40",
     "bb-unmatched": "139b77bbb0e5f37683545858f0c82b131b75cdb33773d281c43ae8b4a12372d3",
@@ -240,8 +240,8 @@ GOLDEN_CLI = {
     }),
     # integer n stay integers in the table, float n stay floats
     "grid-search": ({"n_grid": [3, 5.5, 8], "lambda_grid": [0.7, 0.85, 0.95]}, {
-        "results.json": "a55f488781515dd7823d58272f992831695393bbf60348d817461773f5449e03",
-        "surface.csv": "bd7f664feb24e576be0ab6763ed2bc2d12ffb53eb837c708b8940ca7316481fe",
+        "results.json": "377bac3d267da1275b436cee788190c103e961e4643b3556adf095cea0f02b48",
+        "surface.csv": "caadf6e980eab0c6d97b0d8eeb3ce440941d5bf94daa35a56feb6963a8285d46",
     }),
     "compare-plr": ({"draws": 4}, {
         "results.json": "94b14f69b643fbc2b1099bf97bfdae8659f6492a054c0e4af8f72ad4ac7b4140",

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import warnings
 from array import array
 from pathlib import Path
@@ -14,8 +15,17 @@ from scipy.linalg import solve_triangular
 from consistency import chol_update, givens_chain
 import wishartsv
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
-from wishartsv.filtering import ReturnsSeries, forward_filter, grid_search, simulate
-from wishartsv.matops import _chain_at, _fault_at, _givens_chain, _givens_pivots, tri_solve_stack, uchol, uchol_components
+from wishartsv.filtering import ReturnsSeries, _factor_path, forward_filter, grid_search, simulate
+from wishartsv.matops import (
+    _chain_at,
+    _chain_rows,
+    _fault_at,
+    _givens_chain,
+    _givens_pivots,
+    tri_solve_stack,
+    uchol,
+    uchol_components,
+)
 from wishartsv.smoother import backward_sample
 from wishartsv.volproc import UEHyper
 
@@ -216,6 +226,18 @@ class TestGivensChain:
         assert pivots.tobytes() == np.diagonal(got, axis1=1, axis2=2).tobytes()
         assert last.tobytes() == got[-1].tobytes()
         assert rows == x.tolist()  # the rows are read, not written
+
+    @pytest.mark.parametrize("T", [0, 1, 60])
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_flat_row_feed_gives_the_same_bits(self, q, T):
+        # _factor_path and the UE backward chain feed q-tuples zipped off one flat list
+        g0, x, _ = chain_case(q, T + q, T)
+        expect = _givens_chain([tuple(g0.ravel().tolist())], x.tolist(), math.sqrt(0.9))
+        assert _factor_path(x, g0, 0.9).tobytes() == expect.tobytes()
+        rows = _chain_rows(x.ravel().tolist(), q)
+        pivots, last = _givens_pivots(tuple(g0.ravel().tolist()), rows, math.sqrt(0.9))
+        assert pivots.tobytes() == np.diagonal(expect, axis1=1, axis2=2).tobytes()
+        assert last.tobytes() == expect[-1].tobytes()
 
     @pytest.mark.parametrize("q", range(1, 7))
     def test_generator_reading_the_latest_factor(self, q):

@@ -3,14 +3,16 @@
 Returns are scaled by 10^u and D_0 by 10^v, u and v in [-300, 300], and
 one return column is sometimes zero (a pegged rate).  No other exception
 and no RuntimeWarning (an error under the pytest configuration) may escape.
-The one-cell grid search gives the UE filter's log likelihood bit for bit,
-or raises the same error with the same message.
+The one-cell grid search gives the UE filter's log likelihood within
+``consistency.surface_bound`` (the grid sums its forecast terms in another
+grouping), or raises the same error with the same message.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from consistency import surface_bound
 from wishartsv.compare import MixtureConfig, mixture_gibbs, path_loglik
 from wishartsv.errors import WishartSVError
 from wishartsv.filtering import ReturnsSeries, forward_filter, grid_search
@@ -48,12 +50,16 @@ def test_passes_return_valid_output_or_raise_package_errors(q, T, u, v, pegged, 
 
     def result(run):
         try:
-            return float(run()).hex()
+            return run()
         except WishartSVError as exc:
             return type(exc), str(exc)
 
     cell = result(lambda: grid_search(data, d0, [q + 2.0], [lam])[2][0, 0])
-    assert cell == result(lambda: forward_filter(data, ue).loglik)
+    filt = result(lambda: forward_filter(data, ue))
+    if isinstance(filt, tuple):
+        assert cell == filt
+    else:
+        assert abs(cell - filt.loglik) <= surface_bound(q + 2.0, filt.log_forecast)
 
     def outcome(run, check):
         try:
