@@ -291,9 +291,10 @@ def grid_search(
     D_0 is factored and the returns turned into one flat list of floats
     once.  Each lambda keeps only G_t's diagonal and G_T
     (``_givens_pivots``); where one is not finite or a pivot vanishes,
-    ``_factor_path`` runs for that lambda and names the t of the fault, as
-    the filter does.  The diagonals reduce to two sums (``_lambda_sums``):
-    S_lambda = sum_{t<T} log|D_t| and B_lambda = sum_t log(1 + s_t /
+    ``_factor_path`` runs for that lambda only to raise its error, which
+    names the t of the fault, as the filter does: its diagonals are these
+    pivots, so it always raises there.  The diagonals reduce to two sums
+    (``_lambda_sums``): S_lambda = sum_{t<T} log|D_t| and B_lambda = sum_t log(1 + s_t /
     lambda) = log|D_T| - log|D_0| - T q log lambda.  The surface is then
     one broadcast, T [kappa(n) - q/2 log(lambda pi)] - S_lambda / 2 -
     (n + 1) B_lambda / 2 with kappa(n) = lnGamma((n+1)/2) -
@@ -319,7 +320,7 @@ def grid_search(
         except NotPositiveDefinite:
             diag = last = np.nan
         if not (np.isfinite(diag).all() and np.isfinite(last).all()):
-            diag = np.diagonal(_factor_path(data.returns, g0, lam), axis1=1, axis2=2)
+            _factor_path(data.returns, g0, lam)  # raises, naming the t of the fault
         sums[:, j] = _lambda_sums(diag, lam)
     surface = _grid_surface(n_grid, lambda_grid, q, data.T, *sums)
     best = np.unravel_index(np.argmax(surface), surface.shape)

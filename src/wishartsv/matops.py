@@ -7,9 +7,10 @@ public function and the sampled paths; the filter stores D_t as G_t with
 Givens chain works in G's layout only: R' R = a is G G' = J a J for G =
 J R' J, J the reversal.  Lower-triangular factors never appear.
 
-``sym``, ``uchol``, ``gram`` and ``tri_solve_stack`` accept a stack of
-matrices of shape (..., q, q), so one call serves one path or every draw
-of an ensemble; ``uchol_components`` takes a stack component-major.
+``sym``, ``uchol``, ``gram``, ``tri_solve_stack`` and ``tri_inverse`` accept
+a stack of matrices of shape (..., q, q), so one call serves one path or
+every draw of an ensemble; ``uchol_components`` takes a stack
+component-major.
 
 Kernels compute; passes check.  No kernel tests for non-finite values:
 each pass (the factor path, a backward pass, ``simulate``, a mixture
@@ -17,14 +18,16 @@ sweep) checks its input once and its output once, and ``_fault_at``
 raises the package error naming the time step.  ``uchol`` rejects a non-finite matrix.  A zero pivot makes
 ``_givens_chain`` raise NotPositiveDefinite naming the factor's row (a
 Python float division by zero would raise ZeroDivisionError), and the
-factor path and ``simulate`` add their t, while ``tri_solve_stack`` divides by 0 and
-``uchol_components`` gives NaN, and the calling pass reports the
-non-finite result with its t.
+factor path and ``simulate`` add their t, while ``tri_solve_stack`` and
+``tri_inverse`` divide by 0 and ``uchol_components`` gives NaN, and the
+calling pass reports the non-finite result with its t.
 
 ``tri_solve_stack`` is the one triangular solve: it back-substitutes
 against one factor or a whole stack at once, so no pass solves per time
 step.  A right solve m G^{-1} solves G' x = b with ``trans`` for each
-row b of m.
+row b of m.  ``tri_inverse`` is the one triangular inverse: it gives
+every R^{-1} of a stack from the upper triangle alone, the bits of the
+solve against the identity at a fraction of its work.
 
 The one Givens loop on Python floats, a whole recursion of rank-1
 updates with rho from ``math.hypot`` (a tenth of ``np.hypot``'s cost on
@@ -134,6 +137,29 @@ def tri_solve_stack(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.nda
             acc = acc - (r[..., j, i] if trans else r[..., i, j]) * x[j]
         x[i] = acc / r[..., i, i]
     return np.stack(x, axis=-1)
+
+
+def tri_inverse(r: np.ndarray) -> np.ndarray:
+    """R^{-1} for every upper-triangular R of a stack (..., q, q) with a positive diagonal.
+
+    Row i forward-substitutes over its own entries k >= i only, each a
+    numpy operation on the whole stack, with the entries held
+    component-major; returns a (..., q, q) view of that array.  The bits
+    are ``tri_solve_stack(r[..., None, :, :], np.eye(q), trans=True)``'s,
+    whose entries left of the diagonal are exact zeros.  A zero or NaN
+    pivot, or a non-finite entry above the diagonal, gives a non-finite
+    entry in its own matrix only.
+    """
+    q, lead = r.shape[-1], tuple(range(r.ndim - 2))
+    rc, v = r.transpose((r.ndim - 2, r.ndim - 1) + lead), np.zeros(r.shape[-2:] + r.shape[:-2])
+    for i in range(q):
+        v[i, i] = 1.0 / rc[i, i]
+        for k in range(i + 1, q):
+            acc = 0.0 - rc[i, k] * v[i, i]
+            for j in range(i + 1, k):
+                acc = acc - rc[j, k] * v[i, j]
+            v[i, k] = acc / rc[k, k]
+    return v.transpose(tuple(i + 2 for i in lead) + (0, 1))
 
 
 def uchol_components(a: np.ndarray) -> np.ndarray:

@@ -28,8 +28,9 @@ factor, then the increments for t = T-1 down to 0), and the steps
 that noise.  ``sample_ensemble`` runs all N paths, each with its own
 (seed, index) substream, through one pass on stacked factors, which
 checks G before and F after it.  Every solve against G is one
-``tri_solve_stack`` over all t and draws.  The BB pass (``_bb_chain``)
-has no loop over t: its two recursions are linear, so each is summed by
+``tri_solve_stack``, and every G_t^{-1} comes from one ``tri_inverse``,
+over all t and draws.  The BB pass (``_bb_chain``) has no loop over t:
+its two recursions are linear, so each is summed by
 recursive doubling, and its squared diagonal is carried in coordinates
 whitened by G_t, where every term is of order 1.  One UE path is one chain
 of Givens rotations on Python floats (``_ue_chain``) in the filter's layout,
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite
-from .matops import _chain_rows, _fault_at, _fits_index, _givens_chain, _row_norms, tri_solve_stack, uchol_components
+from .matops import _chain_rows, _fault_at, _fits_index, _givens_chain, _row_norms, tri_inverse, tri_solve_stack, uchol_components
 from .randsamp import sample_bartlett_factor, sample_chi2, substream
 from .volproc import UEHyper
 
@@ -115,8 +116,7 @@ def _bb_chain(g: np.ndarray, w_T: np.ndarray, theta: np.ndarray, b: float) -> np
     w_diag = np.broadcast_to(np.diagonal(w_T, axis1=-2, axis2=-1), lead + (q,))
     c = np.sqrt(_discounted_sums(np.concatenate([theta, w_diag[None] ** 2]), a * a))
     delta = theta / (c[:T] + a * c[1:])
-    # row i of G_t^{-1} solves G_t' x = e_i, for every t at once
-    g_inv = tri_solve_stack(g[:T, ..., None, :, :], np.eye(q), trans=True)
+    g_inv = tri_inverse(g[:T])
     f = _discounted_sums(np.concatenate([delta[..., None] * g_inv, f_T[None]]), sqrt_b)
     f[:T].reshape((T,) + lead + (q * q,))[..., :: q + 1] = c[:T] / g_diag[:T]
     return f
@@ -178,8 +178,8 @@ def _ue_whitened(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> n
     Psi_t = G_t' Phi_t G_t = lam A_t' Psi_{t+1} A_t + z_t' z_t from Psi_T = W_T' W_T,
     A_t = G_{t+1}^{-1} G_t.  Psi_t is Wishart(k_t, I)-like and ||sqrt(lam) A_t|| <= 1
     (D_{t+1} = lam D_t + r r'), so every term is of order 1 however ill-conditioned D_t
-    is.  The draws' Psi_{t+1} is one (q, N, q) block: a step is two 2-D GEMMs and an add.
-    Then F_t = chol(Psi_t) G_t^{-1}, and F_T = W_T G_T^{-1} exactly.
+    is.  The draws' Psi_{t+1} is one (q, N, q) block: a step is two 2-D GEMMs into
+    buffers made once, and an add.  Then F_t = chol(Psi_t) G_t^{-1}, and F_T = W_T G_T^{-1} exactly.
     """
     T, q, lead, n = g.shape[0] - 1, g.shape[-1], w_T.shape[:-2], math.prod(w_T.shape[:-2])
     w, z = w_T.reshape(n, q, q), z.reshape(T, n, q)
@@ -187,12 +187,18 @@ def _ue_whitened(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> n
     psi = np.empty((T + 1, q, n * q))  # psi[t, i, d * q + j] is entry (i, j) of draw d's Psi_t
     np.multiply(np.swapaxes(z, 1, 2)[..., None], z[:, None], out=psi[:T].reshape(T, q, n, q))  # z_t' z_t
     psi[T] = np.swapaxes(np.swapaxes(w, 1, 2) @ w, 0, 1).reshape(q, n * q)
-    for t in range(T - 1, -1, -1):
-        psi[t] += a[t].T @ (psi[t + 1].reshape(q * n, q) @ a[t]).reshape(q, n * q)
+    # every view the loop reads is made once: psi_{t+1} as (q * N, q) rows, A_t', and the two products
+    rows, a_trans = psi.reshape(T + 1, q * n, q), np.swapaxes(a, -1, -2)
+    right, left = np.empty((q * n, q)), np.empty((q, n * q))  # Psi_{t+1} A_t, A_t' Psi_{t+1} A_t
+    right_block = right.reshape(q, n * q)
+    for psi_t, rows_next, a_t, a_t_trans in zip(psi[:T][::-1], rows[:0:-1], a[::-1], a_trans[::-1]):
+        np.matmul(rows_next, a_t, out=right)
+        np.matmul(a_t_trans, right_block, out=left)
+        psi_t += left
     c = uchol_components(psi.reshape(T + 1, q, n, q).transpose(1, 3, 0, 2))
     del psi
-    # F_t = C_t G_t^{-1}, row i of G_t^{-1} solving G_t' x = e_i; draws first, as sample_ensemble returns them
-    f = c.transpose(3, 2, 0, 1) @ tri_solve_stack(g[:, None], np.eye(q), trans=True)
+    # F_t = C_t G_t^{-1}; draws first, as sample_ensemble returns them
+    f = c.transpose(3, 2, 0, 1) @ tri_inverse(g)
     f[:, T] = tri_solve_stack(g[T], w, trans=True)  # every row of W_T
     return np.swapaxes(f, 0, 1).reshape((T + 1,) + lead + (q, q))
 
@@ -228,22 +234,52 @@ def correlation_summary(factors: np.ndarray, quantiles) -> np.ndarray:
 
     Over an ensemble of N >= 2 paths, ``factors`` (N, T + 1, q, q):
     Sigma_t = Phi_t^{-1} = V V' with V = F_t^{-1}, so rho_ij is the cosine
-    between rows i and j of V, all from one ``tri_solve_stack``.
-    Each row is divided by its ``_row_norms`` norm, folded by hypot, so no
-    square overflows or underflows: 2^k F gives the same bits as F.
-    Returns (len(quantiles), q (q - 1) / 2, T + 1), pairs in row-major
-    order (0, 1), (0, 2), ..., (q - 2, q - 1).
+    between rows i and j of V, all from one ``tri_inverse``, which reads
+    and writes only the upper triangle.  Row i's norm is the ``_row_norms``
+    hypot fold over its own entries k >= i, so no square overflows or
+    underflows: 2^k F gives the same bits as F.  The quantiles come from
+    one sort over the draws (``_quantiles``).  Returns (len(quantiles),
+    q (q - 1) / 2, T + 1), pairs in row-major order (0, 1), (0, 2), ...,
+    (q - 2, q - 1).
     """
     if factors.shape[0] < 2:
         raise InvalidParameter("need at least 2 draws")
     quantiles = np.asarray(list(quantiles), dtype=float)
     if quantiles.size == 0 or not np.all((quantiles > 0) & (quantiles < 1)):
         raise InvalidParameter(f"quantiles must be nonempty levels in (0, 1), got {quantiles.tolist()}")
-    iu, ju = np.triu_indices(factors.shape[-1], k=1)
-    v = tri_solve_stack(factors[..., None, :, :], np.eye(factors.shape[-1]), trans=True)  # row i solves F' x = e_i
-    v /= _row_norms(v)[..., None]
+    q = factors.shape[-1]
+    iu, ju = np.triu_indices(q, k=1)
+    v = tri_inverse(factors)  # entries left of the diagonal are exact zeros
+    for i in range(q):
+        row = v[..., i, i:]
+        row /= _row_norms(row)[..., None]
+    v = np.ascontiguousarray(v)  # the einsum below rounds by memory layout
     rho = np.empty((factors.shape[0], iu.size, factors.shape[1]))
     for p, (i, j) in enumerate(zip(iu, ju)):
         rho[:, p] = np.einsum("ntk,ntk->nt", v[..., i, :], v[..., j, :])
     # |cosine| <= 1 exactly, so clipping only removes rounding excess
-    return np.quantile(np.clip(rho, -1.0, 1.0), quantiles, axis=0)
+    return _quantiles(np.clip(rho, -1.0, 1.0, out=rho), quantiles)
+
+
+def _quantiles(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, levels, axis=0)`` (its linear rule), bit for bit, from one sort of x along axis 0.
+
+    x is sorted in place.  As numpy does: the virtual index is (N - 1) p,
+    the result a + d gamma with d = b - a, or b - d (1 - gamma) where
+    gamma >= 1/2; an index at or past N - 1 reads the last value; and a
+    column holding NaN gives NaN.  Where +0 and -0 tie in a column the
+    sign of a zero result may differ, since no sort orders equal values.
+    """
+    x.sort(axis=0)
+    n = x.shape[0]
+    virtual = (n - 1) * levels
+    top = virtual >= n - 1
+    lo = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    gamma = (virtual - lo).reshape((-1,) + (1,) * (x.ndim - 1))
+    a, b = x[lo], x[hi]
+    d = b - a
+    out = a + d * gamma
+    np.subtract(b, d * (1 - gamma), out=out, where=gamma >= 0.5)
+    np.copyto(out, x[-1], where=np.isnan(x[-1]))
+    return out

@@ -31,6 +31,10 @@ ensemble of either sampler against them.
 from either model's state equation (simulation-based calibration).
 ``row_table`` is the plain row-by-row CSV writer whose bytes the CLI's
 column-wise table text must match.
+``correlation_summary_solved`` is ``correlation_summary`` by its full-matrix
+route: every F_t^{-1} from a stacked solve against the identity, each row's
+norm folded over all q columns and ``np.quantile`` over the draws; the
+package's triangle-only, one-sort route must match it bit for bit.
 """
 
 import math
@@ -54,7 +58,7 @@ from wishartsv.filtering import (
     _lambda_sums,
     forward_filter,
 )
-from wishartsv.matops import gram, tri_solve_stack, uchol
+from wishartsv.matops import _row_norms, gram, tri_solve_stack, uchol
 from wishartsv.randsamp import make_rng, sample_chi2, sample_wishart_factor
 from wishartsv.smoother import bb_backward_step, sample_ensemble, ue_backward_step
 from wishartsv.specfun import sqrt_beta_moment, tricomi_u_neg_half
@@ -254,6 +258,18 @@ def whitened_means(filt) -> np.ndarray:
         else:
             m[t] = (1.0 - filt.hyper.beta) * filt.k_seq[t] + filt.discount * np.diagonal(a[t]) ** 2 * m[t + 1]
     return m
+
+
+def correlation_summary_solved(factors: np.ndarray, quantiles) -> np.ndarray:
+    """``smoother.correlation_summary`` on full q x q stacks: V = F^{-1} by solve, ``_row_norms``, ``np.quantile``."""
+    q = factors.shape[-1]
+    iu, ju = np.triu_indices(q, k=1)
+    v = tri_solve_stack(factors[..., None, :, :], np.eye(q), trans=True)  # row i solves F' x = e_i
+    v /= _row_norms(v)[..., None]
+    rho = np.empty((factors.shape[0], iu.size, factors.shape[1]))
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        rho[:, p] = np.einsum("ntk,ntk->nt", v[..., i, :], v[..., j, :])
+    return np.quantile(np.clip(rho, -1.0, 1.0), np.asarray(quantiles, dtype=float), axis=0)
 
 
 def whitened_mean_z(filt, n_draws: int, seed: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from wishartsv.matops import (
     _fault_at,
     _givens_chain,
     _givens_pivots,
+    tri_inverse,
     tri_solve_stack,
     uchol,
     uchol_components,
@@ -125,6 +126,39 @@ class TestTriSolveStack:
         np.testing.assert_allclose(x @ g, m, rtol=1e-15)
         for i in range(len(m)):
             np.testing.assert_array_equal(tri_solve_stack(g, m[i], trans=True), x[i])
+
+
+class TestTriInverse:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.lists(st.integers(0, 4), max_size=3), st.booleans(),
+           st.sampled_from([2.0**-60, 1.0, 2.0**60]), st.integers(0, 2**32 - 1))
+    @example(q=1, lead=[], fortran=False, scale=1.0, seed=0)
+    @example(q=5, lead=[0], fortran=True, scale=1.0, seed=0)
+    def test_matches_the_identity_solve(self, q, lead, fortran, scale, seed):
+        # the triangle-only forward substitution against the full stacked solve
+        # with an identity right-hand side, bit for bit: left of the diagonal the
+        # solve's entries are exact zeros, 0 - r (+0) = +0 and x / r = 1 / r at 1.
+        # Either reads only the upper triangle, so the strict lower one is noise
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(-1.0, 1.0, tuple(lead) + (q, q)) * 10.0 ** rng.uniform(-3, 3, tuple(lead) + (q, q))
+        idx = np.arange(q)
+        r[..., idx, idx] = rng.uniform(0.1, 3.0, tuple(lead) + (q,))
+        r = np.asfortranarray(r * scale) if fortran else r * scale
+        got = tri_inverse(r)
+        expect = tri_solve_stack(r[..., None, :, :], np.eye(q), trans=True)
+        assert got.shape == expect.shape
+        assert np.ascontiguousarray(got).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("q, row", [(1, 0), (2, 0), (2, 1), (3, 1), (5, 0), (5, 4)])
+    def test_zero_pivot_gives_a_non_finite_matrix(self, q, row):
+        # the passes report a non-finite result: a zero pivot must not vanish
+        # from the matrix it sits in, nor reach the other matrices of the stack
+        r = np.triu(np.ones((3, q, q))) + np.eye(q)
+        r[1, row, row] = 0.0
+        with np.errstate(all="ignore"):
+            got = tri_inverse(r)
+        assert not np.isfinite(got[1]).all()
+        assert np.isfinite(got[[0, 2]]).all()
 
 
 class TestCholUpdate:
@@ -373,8 +407,24 @@ def package_uses(*names):
 
 
 def test_no_explicit_inverse_in_the_package():
-    # every solve is a back-substitution (tri_solve_stack): no module forms an inverse
+    # every solve is a back-substitution (tri_solve_stack) and every inverse of a
+    # triangular stack one forward substitution (tri_inverse): no module calls a
+    # dense inverse
     assert package_uses("inv", "pinv") == []
+
+
+def test_no_identity_solve_or_per_column_quantile_in_the_package():
+    # a triangular inverse is tri_inverse, which works on the triangle only, not
+    # tri_solve_stack against an identity; quantiles over draws come from one
+    # sort, not from np.quantile's partition of every column
+    found = package_uses("quantile", "nanquantile", "percentile", "nanpercentile")
+    for path in sorted(Path(wishartsv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("tri_solve_stack")):
+                continue
+            calls = [ast.unparse(c.func) for arg in node.args for c in ast.walk(arg) if isinstance(c, ast.Call)]
+            found += [f"{path.name}:{node.lineno}" for c in calls if c.split(".")[-1] in ("eye", "identity")]
+    assert found == []
 
 
 def test_no_exponent_bookkeeping_in_the_package():

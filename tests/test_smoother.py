@@ -1,20 +1,23 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
 from consistency import (
     bb_backward_step_product,
+    correlation_summary_solved,
     joint_consistency_report,
     sbc_pvalues,
     whitened_mean_z,
     whitened_means,
 )
+from wishartsv.compare import path_loglik
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import (
     FilterOutput,
@@ -33,6 +36,7 @@ from wishartsv.smoother import (
     _bb_chain,
     _discounted_sums,
     _noise,
+    _quantiles,
     backward_sample,
     bb_backward_step,
     correlation_summary,
@@ -637,6 +641,19 @@ class TestEnsembles:
         levels = [0.1, 0.5, 0.9]
         np.testing.assert_array_equal(correlation_summary(ens * 2.0**k, levels), correlation_summary(ens, levels))
 
+    @pytest.mark.parametrize("n_draws", [2, 10, 100])
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_correlation_summary_matches_the_solved_route(self, q, n_draws):
+        # the triangle-only inverse, the triangle row norms and the one sort
+        # give the full-matrix route's bits: solve, fold over all q columns,
+        # np.quantile; levels unsorted and repeated as well as the CLI's
+        data, ue, bb, fu, fb = filters(T=12, q=q, seed=q)
+        for filt in (fu, fb):
+            ens = sample_ensemble(filt, n_draws, seed=n_draws)
+            for levels in ([0.025, 0.5, 0.975], [0.9, 0.1, 0.5, 0.5, 0.999]):
+                expect = correlation_summary_solved(ens, levels)
+                assert correlation_summary(ens, levels).tobytes() == expect.tobytes()
+
     def test_correlation_summary_q1(self):
         # one coordinate has no pairs: an empty table, not an error
         data, ue, _, fu, _ = filters(T=4, q=1)
@@ -650,3 +667,140 @@ class TestEnsembles:
                 correlation_summary(ens, levels)
         with pytest.raises(InvalidParameter):
             correlation_summary(sample_ensemble(fu, 1, seed=0), [0.5])
+
+
+class TestQuantiles:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 150),
+        levels=st.lists(st.one_of(st.sampled_from([0.025, 0.5, 0.975]), st.floats(1e-9, 1.0 - 1e-9)),
+                        min_size=1, max_size=6),
+        ties=st.booleans(),
+        nan=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=100, levels=[0.025, 0.5, 0.975], ties=False, nan=False, seed=0)
+    @example(n=2, levels=[0.975, 0.025, 0.5, 0.5], ties=True, nan=False, seed=0)
+    def test_one_sort_matches_np_quantile(self, n, levels, ties, nan, seed):
+        # numpy's linear rule, bit for bit, over draws in [-1, 1]: with ties,
+        # values on a grid of eighths that holds both ends; a column holding
+        # NaN gives NaN.  No -0 is drawn: where +0 and -0 tie, which of them
+        # a sort or a partition puts first is not fixed
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-8, 9, (n, 3, 7)) / 8.0 if ties else rng.uniform(-1.0, 1.0, (n, 3, 7))
+        x[rng.integers(n), 1, :2] = [1.0, -1.0]
+        if nan:
+            x[rng.integers(n), 2, 3] = np.nan
+        levels = np.array(levels)
+        expect = np.quantile(x, levels, axis=0)
+        assert _quantiles(x.copy(), levels).tobytes() == expect.tobytes()
+
+
+def changed_coordinates(filt, data, l, g0):
+    """``filt`` on the returns L r_t from G_0 = g0, and those returns; model, df path and discount stay ``filt``'s."""
+    returns = data.returns @ l.T
+    return dataclasses.replace(filt, g=_factor_path(returns, g0, filt.discount)), ReturnsSeries(returns)
+
+
+def coordinate_filters(q, T, seed):
+    """Correlated returns, a dense D_0 and the matched UE and BB filters on them."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((q, q))
+    data = ReturnsSeries(rng.standard_normal((T, q)) @ rng.standard_normal((q, q)))
+    ue = UEHyper(q=q, k=1, n=q + 3.0, lam=0.9, d0=a @ a.T + 0.1 * np.eye(q))
+    return data, forward_filter(data, ue), forward_filter(data, match_ue_to_bb(ue))
+
+
+def coordinate_error(filt, data, l, g0):
+    """Largest per-matrix error, relative to the matrix's largest entry, of paths on L r_t against F_t L^{-1}.
+
+    One single path (``make_rng(3)``) and a 3-draw ensemble (seed 5).
+    """
+    moved = changed_coordinates(filt, data, l, g0)[0]
+    worst = 0.0
+    for got, f in ((backward_sample(moved, make_rng(3)), backward_sample(filt, make_rng(3))),
+                   (sample_ensemble(moved, 3, 5), sample_ensemble(filt, 3, 5))):
+        expect = f @ np.linalg.inv(l)
+        worst = max(worst, (np.abs(got - expect).max(axis=(-2, -1)) / np.abs(expect).max(axis=(-2, -1))).max())
+    return worst
+
+
+class TestCoordinateChange:
+    # Map r_t -> L r_t and D_0 -> L D_0 L' for an upper-triangular L with a positive
+    # diagonal.  The chain's rotations act from the right, so the same rotations
+    # triangularise [sqrt(lam) L G_{t-1}, L r_t]: the factors become L G_t, and
+    # A_t = G_{t+1}^{-1} G_t and C_t = F_t G_t do not change, so on the same noise
+    # both passes return F_t L^{-1} path by path.  A power-of-two diagonal L
+    # commutes with every rounding, so that holds bit for bit; a lower-triangular L
+    # or a permutation leaves L G_t non-triangular, and the paths move.
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(q=st.integers(1, 5), T=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+           exponents=st.lists(st.integers(-40, 40), min_size=5, max_size=5))
+    @example(q=5, T=30, seed=0, exponents=[40, -40, 40, -40, 0])
+    def test_power_of_two_diagonal_is_exact(self, q, T, seed, exponents):
+        data, fu, fb = coordinate_filters(q, T, seed)
+        self.assert_exact(data, (fu, fb), 2.0 ** np.array(exponents[:q], dtype=float))
+
+    def test_power_of_two_diagonal_on_criterion_13s_series(self):
+        # cond(D_t) runs far past 1e16 here: the exact statement still holds
+        ue = UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3))
+        data, _ = simulate(ue, 1000, seed=42)
+        filters_ = (forward_filter(data, ue), forward_filter(data, match_ue_to_bb(ue)))
+        self.assert_exact(data, filters_, 2.0 ** np.array([37.0, -40.0, 5.0]))
+
+    @staticmethod
+    def assert_exact(data, filters_, scales):
+        l = np.diag(scales)
+        for filt in filters_:
+            moved, moved_data = changed_coordinates(filt, data, l, l @ filt.g[0])
+            assert moved.g.tobytes() == (l @ filt.g).tobytes()
+            path, ens = backward_sample(filt, make_rng(3)), sample_ensemble(filt, 3, 5)
+            assert backward_sample(moved, make_rng(3)).tobytes() == (path / scales).tobytes()
+            moved_ens = sample_ensemble(moved, 3, 5)
+            assert moved_ens.tobytes() == (ens / scales).tobytes()
+            assert correlation_summary(moved_ens, [0.025, 0.5, 0.975]).tobytes() == \
+                correlation_summary(ens, [0.025, 0.5, 0.975]).tobytes()
+            # the log likelihood falls by T log|det L|; only its log-determinant
+            # terms round otherwise, q per step, each within an ulp of its size
+            log_det = np.log(scales).sum()
+            shifted = path_loglik(moved_ens, moved_data) + data.T * log_det
+            expect = path_loglik(ens, data)
+            bound = 1e-13 * (np.abs(expect) + data.T * (np.abs(np.log(scales)).sum() + data.q))
+            assert (np.abs(shifted - expect) <= bound).all()
+
+    def test_initial_factor_maps_with_a_power_of_two_diagonal(self):
+        # D_0 -> L D_0 L' has the factor L G_0, bit for bit, as uchol factors it
+        data, fu, _ = coordinate_filters(4, 0, 9)
+        l = np.diag(2.0 ** np.array([8.0, -8.0, 3.0, 0.0]))
+        assert _initial_factor(l @ fu.hyper.d0 @ l, 4).tobytes() == (l @ fu.g[0]).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_dense_upper_triangular_within_a_bound(self, q, seed):
+        # The mapped pass and F L^{-1} are one exact quantity.  Each side rounds
+        # relative to its own entries, a few ulps per operation over O(q)
+        # operations per entry of a contractive recursion (||sqrt(lam) A_t|| <= 1);
+        # carrying one side's rounding through L or L^{-1} to the other's
+        # coordinates grows its relative size by at most cond(L).  So each matrix
+        # agrees within 64 q u cond(L) of its largest entry (u the unit roundoff,
+        # 2^-53); over q = 2..5 and seeds 0..5 the largest error measured was 4.4 u cond(L).
+        data, fu, fb = coordinate_filters(q, 40, seed)
+        rng = np.random.default_rng(100 + seed)
+        l = np.triu(rng.standard_normal((q, q))) * 2.0 ** rng.integers(-3, 4, q)
+        l[np.diag_indices(q)] = np.abs(l[np.diag_indices(q)]) + 0.5
+        bound = 64 * q * 2.0**-53 * np.linalg.cond(l)
+        for filt in (fu, fb):
+            assert coordinate_error(filt, data, l, l @ filt.g[0]) <= bound
+
+    @pytest.mark.parametrize("kind", ["lower", "reversal"])
+    def test_lower_triangular_and_reversal_fail_path_by_path(self, kind):
+        # L G_t is not triangular, so its filter factor is L G_t Q_t for some
+        # rotation Q_t, and the same noise gives another path: the check can fail.
+        # The mapped filter starts from the factor of L D_0 L'
+        q = 3
+        data, fu, fb = coordinate_filters(q, 40, 0)
+        l = np.eye(q)[::-1] if kind == "reversal" else np.tril(np.ones((q, q))) + np.eye(q)
+        for filt in (fu, fb):
+            g0 = _initial_factor(l @ filt.hyper.d0 @ l.T, q)
+            assert coordinate_error(filt, data, l, g0) > 1e-3
