@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     WishartSVError,
 )
-from .filtering import FilterOutput, ReturnsSeries, _df_path, forward_filter, grid_search, simulate
+from .filtering import ReturnsSeries, filter_pair, forward_filter, grid_search, simulate
 from .matops import sym, uchol
 from .randsamp import RNG_ALGORITHM
 from .smoother import correlation_summary, sample_ensemble
@@ -306,10 +306,7 @@ def _filters(cfg: dict, data: ReturnsSeries, model: str):
     hypers, warning = _models(cfg, data.q)
     if model != "matched":
         return {model: forward_filter(data, hypers[model])}, warning
-    ue = forward_filter(data, hypers["ue"])
-    # BB is match_ue_to_bb(UE): D_0 and the discount are UE's own objects, so BB's factor path is UE's g
-    discount, k_seq, df_prior = _df_path(hypers["bb"], data.T)
-    bb = FilterOutput(hypers["bb"], ue.g, k_seq, df_prior, discount)
+    ue, bb = filter_pair(data, hypers["ue"], hypers["bb"])  # BB is match_ue_to_bb(UE): one factor path
     # on one factor path the densities differ only by the df paths, n (UE) and beta k_{t-1} (BB), which matching equates
     gap = np.abs(ue.log_forecast - bb.log_forecast).max()
     if gap > 1e-8:

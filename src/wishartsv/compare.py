@@ -10,13 +10,13 @@ interval checks, and batch-means standard errors for chain output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logsumexp, stdtrit
 
 from .errors import DimensionMismatch, EmptyEnsemble, InvalidParameter
-from .filtering import FilterOutput, ReturnsSeries, _factor_path, forward_filter
+from .filtering import FilterOutput, ReturnsSeries, _factor_path, filter_pair
 from .matops import _fault_at, _fits_index, _row_norms
 from .randsamp import make_rng, sample_mvnormal_prec
 from .smoother import backward_sample
@@ -32,7 +32,7 @@ def _gauss_terms(factors: np.ndarray, returns: np.ndarray) -> np.ndarray:
     r' Phi_t r = |F_t r|^2.
     """
     fr = np.einsum("tij,tj->ti", factors, returns)
-    return np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1) - 0.5 * np.einsum("ti,ti->t", fr, fr)
+    return np.log(factors.diagonal(0, 1, 2)).sum(axis=1) - 0.5 * np.einsum("ti,ti->t", fr, fr)
 
 
 def path_loglik(factors: np.ndarray, data: ReturnsSeries):
@@ -123,15 +123,17 @@ def mixture_gibbs(
 ) -> MixtureTrace:
     """Missing-data-augmented Gibbs sampler for the two-model mixture.
 
-    Once per chain, each model filters the observed series, which checks
-    it; every sweep reuses that filter's df path, discount and D_0 factor,
-    and the first sweep its factors.  Per sweep,
+    Once per chain, the models filter the observed series (``filter_pair``:
+    once when they are matched), which checks it; every sweep reuses that
+    filter's df path, discount and D_0 factor, and the first sweep its
+    factors.  Per sweep,
     in draw order: (1) the UE, then the BB precision path, each by a
-    backward sample of a copy of its filter with the Givens chain's factors
-    on its imputed series (no forecast density is computed); (2) all z_t
+    backward sample of a ``FilterOutput`` built from its filter's fields
+    and the Givens chain's factors on its imputed series (no forecast
+    density is computed); (2) all z_t
     from one ``rng.random(T)``, by the log-scale comparison of
     alpha N(r_t^U | 0, (Phi_t^U)^{-1}) against (1 - alpha) times the BB
-    term; (3) one (T, q) normal block
+    term, both models' terms from one ``_gauss_terms`` call; (3) one (T, q) normal block
     imputing, at each t, the return of the model not chosen from its own
     path; (4) alpha ~ Beta(a0 + sum z, b0 + T - sum z).  Nothing in a sweep
     loops over t outside the passes.
@@ -146,7 +148,7 @@ def mixture_gibbs(
         raise InvalidParameter("need T >= 1")
     _fits_index(kept * T, f"a trace of {kept} kept sweeps of T={T} indicators")
     rng = make_rng(cfg.seed)
-    filts = paths = (forward_filter(data, ue), forward_filter(data, bb))
+    filts = paths = filter_pair(data, ue, bb)
     alpha = rng.beta(cfg.a0, cfg.b0)
     r_u = r_b = data.returns
 
@@ -155,7 +157,8 @@ def mixture_gibbs(
 
     for it in range(cfg.iterations):
         if it:
-            paths = [replace(f, g=_factor_path(r, f.g[0], f.discount)) for f, r in zip(filts, (r_u, r_b))]
+            paths = [FilterOutput(f.hyper, _factor_path(r, f.g[0], f.discount), f.k_seq, f.df_prior, f.discount)
+                     for f, r in zip(filts, (r_u, r_b))]
         f_u = backward_sample(paths[0], rng)[1:]
         f_b = backward_sample(paths[1], rng)[1:]
         if degenerate:
@@ -163,7 +166,7 @@ def mixture_gibbs(
             f_b = f_u
             term_u = term_b = _gauss_terms(f_u, data.returns)
         else:
-            term_u, term_b = _gauss_terms(f_u, r_u), _gauss_terms(f_b, r_b)
+            term_u, term_b = _gauss_terms(np.concatenate([f_u, f_b]), np.concatenate([r_u, r_b])).reshape(2, T)
         _fault_at((~np.isfinite(term_u + term_b), InvalidParameter, "mixture likelihood term is not finite"))
         prob = expit((np.log(alpha) + term_u) - (np.log1p(-alpha) + term_b))
 

@@ -11,6 +11,8 @@ keeps ``hyper`` in its ``FilterOutput``, the one filter type, which the
 forecasts and both backward samplers read; ``simulate(hyper, T, seed)``
 draws from either.  Both read the discount, k_0..k_T and the prior df
 from one function, ``_df_path``, which sums the BB df recursion in closed form.
+``filter_pair(data, ue, bb)`` is the one place that knows when two models
+share a factor path: BB's D_0 and discount are UE's, as matching makes them.
 
 ``_factor_path`` runs the recursion D_t = disc D_{t-1} + r_t r_t' and
 stores each D_t only as an upper-triangular factor G_t with G_t G_t' =
@@ -33,7 +35,8 @@ linearly: each lambda reduces to S = sum_{t<T} log|D_t| and B = sum_t b_t
 surface is T [kappa(n) - q/2 log(lambda pi)] - S/2 - (n+1) B/2, kappa(n)
 = lnGamma((n+1)/2) - lnGamma((n+1-q)/2), in one broadcast
 (``_grid_surface``).  The filter and a mixture sweep (``_factor_path`` on
-the sweep's imputed series, in a copy of the chain's filter) run the
+the sweep's imputed series, in a ``FilterOutput`` with the chain filter's
+other fields) run the
 Givens chain's full rendering, which keeps every G_t; a grid the one that
 keeps only G_t's diagonal and G_T, and raises what the filter raises, at
 the same t.  Each reads the returns as one flat list, q floats at a time
@@ -213,13 +216,28 @@ def forward_filter(data: ReturnsSeries, hyper: UEHyper | BBHyper) -> FilterOutpu
     (BB); BB also runs k_t = beta k_{t-1} + k.  The factor path depends
     only on the returns, D_0 and the discount; the models part after it,
     in the df path.  So matched UE and BB share one factor path and give
-    the same output but for ``hyper``, the model every later step reads.
+    the same output but for ``hyper``, the model every later step reads;
+    ``filter_pair`` runs it once for both.
     """
     discount, k_seq, df_prior = _df_path(hyper, data.T)
     if data.q != hyper.q:
         raise DimensionMismatch(f"data dimension {data.q} != hyperparameter q {hyper.q}")
     g = _factor_path(data.returns, _initial_factor(hyper.d0, data.q), discount)
     return FilterOutput(hyper, g, k_seq, df_prior, discount)
+
+
+def filter_pair(data: ReturnsSeries, ue: UEHyper, bb: BBHyper) -> tuple[FilterOutput, FilterOutput]:
+    """UE's and BB's filters of one series, BB on UE's factor path when its D_0 and discount are UE's.
+
+    The factor path depends only on the returns, D_0 and the discount, so
+    under ``match_ue_to_bb`` a second run would repeat the first bit for
+    bit; D_0 is compared by its bytes.  Other pairs run two filters.
+    """
+    filt_u = forward_filter(data, ue)
+    if bb.b != ue.lam or bb.d0.tobytes() != ue.d0.tobytes():
+        return filt_u, forward_filter(data, bb)
+    discount, k_seq, df_prior = _df_path(bb, data.T)
+    return filt_u, FilterOutput(bb, filt_u.g, k_seq, df_prior, discount)
 
 
 def simulate(hyper: UEHyper | BBHyper, T: int, seed: int):

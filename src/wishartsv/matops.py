@@ -126,17 +126,22 @@ def tri_solve_stack(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.nda
 
     r (..., q, q) and b (..., q) broadcast; returns (..., q).  Each row of
     the substitution is a numpy operation on the whole stack, so a slice
-    gives the same bits as solving it alone.  A zero pivot or a
-    non-finite entry gives a non-finite x.
+    gives the same bits as solving it alone.  The output is allocated
+    once, from the first solved row's shape, and each row is written into
+    ``x[..., i]`` and read back from there: at q = 2 a list and
+    ``np.stack`` cost more than the solve.  A zero pivot or a non-finite
+    entry gives a non-finite x.
     """
-    q = r.shape[-1]
-    x = [None] * q
+    q, x = r.shape[-1], None
     for i in range(q) if trans else reversed(range(q)):
         acc = b[..., i]
         for j in range(i) if trans else range(i + 1, q):
-            acc = acc - (r[..., j, i] if trans else r[..., i, j]) * x[j]
-        x[i] = acc / r[..., i, i]
-    return np.stack(x, axis=-1)
+            acc = acc - (r[..., j, i] if trans else r[..., i, j]) * x[..., j]
+        acc = acc / r[..., i, i]
+        if x is None:
+            x = np.empty(acc.shape + (q,), acc.dtype)
+        x[..., i] = acc
+    return x
 
 
 def tri_inverse(r: np.ndarray) -> np.ndarray:
@@ -187,8 +192,8 @@ def _chain_at(q: int, pivots: bool = False):
     called as chain(g0, out, xs, scale) with G_0 the row-major tuple g0.  For
     i = q-1 down to 0 it rotates g_ii against x_i, then g_ji against x_j for
     j = i-1 down to 0.  Each step appends its factor to ``out`` as one
-    row-major tuple, or with ``pivots`` only its diagonal, the q new pivots;
-    the last factor is returned as a row-major tuple.
+    row-major tuple, or with ``pivots`` extends the flat list ``out`` by its
+    diagonal, the q new pivots; the last factor is returned as a row-major tuple.
     """
     g = [[f"g{i}_{j}" for j in range(q)] for i in range(q)]
     x = [f"x{j}" for j in range(q)]
@@ -196,7 +201,7 @@ def _chain_at(q: int, pivots: bool = False):
     lines = [
         "def chain(g0, out, xs, scale, hypot=hypot, error=error):",
         f"    {flat}, = g0",
-        "    append = out.append",
+        f"    add = out.{'extend' if pivots else 'append'}",
         f"    for {', '.join(x)}, in xs:",
     ]
     for i in reversed(range(q)):
@@ -216,7 +221,7 @@ def _chain_at(q: int, pivots: bool = False):
                 f"        {x[j]} = c * {x[j]} - s * gj",
             ]
     appended = ", ".join(g[i][i] for i in range(q)) if pivots else flat
-    lines += [f"        append(({appended},))", f"    return ({flat},)"]
+    lines += [f"        add(({appended},))", f"    return ({flat},)"]
     namespace = {"hypot": math.hypot, "error": NotPositiveDefinite}
     exec("\n".join(lines) + "\n", namespace)
     return namespace["chain"]
@@ -256,11 +261,11 @@ def _givens_pivots(g0: tuple, xs, scale: float) -> tuple[np.ndarray, np.ndarray]
 
     Runs the same rotations from G_0, the row-major tuple ``g0``: returns
     (pivots, last), pivots[i] the diagonal of G_i, one row per x and one for
-    G_0, and last the final factor, (q, q).  No entry is checked for
+    G_0, from one flat list of every pivot and one ``np.fromiter``, and last
+    the final factor, (q, q).  No entry is checked for
     finiteness; raises NotPositiveDefinite on a zero pivot, as ``_givens_chain`` does.
     """
     q = math.isqrt(len(g0))
-    out = [g0[:: q + 1]]
+    out = list(g0[:: q + 1])
     last = _chain_at(q, True)(g0, out, xs, scale)
-    pivots = np.fromiter(itertools.chain.from_iterable(out), float, len(out) * q).reshape(-1, q)
-    return pivots, np.reshape(last, (q, q))
+    return np.fromiter(out, float, len(out)).reshape(-1, q), np.reshape(last, (q, q))

@@ -8,6 +8,8 @@ results do not depend on worker count.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidParameter
@@ -27,7 +29,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 def sample_chi2(df, rng: np.random.Generator, size=None):
     """Chi-square draw(s) with real-valued df > 0; df may be an array (the bits of gamma(df/2, scale 2))."""
-    if np.any(df <= 0):
+    if np.less_equal(df, 0).any():  # the method, not np.any's wrapper: a BB path checks T df per draw
         raise InvalidParameter(f"chi-square df must be > 0, got {df}")
     return rng.chisquare(df, size=size)
 
@@ -48,11 +50,21 @@ def sample_bartlett_factor(q: int, df: float, rng: np.random.Generator, size: in
     if df <= q - 1:
         raise InvalidParameter(f"full-rank Bartlett factor needs df > q-1, got df={df}, q={q}")
     u = rng.standard_normal((q, q) if size is None else (size, q, q))
-    for i in range(1, q):  # the strict lower triangle, row by row (np.triu costs more than the draw)
-        u[..., i, :i] = 0.0
-    idx = np.arange(q)
-    u[..., idx, idx] = np.sqrt(rng.chisquare(df - idx, size=None if size is None else (size, q)))
+    # the strict lower triangle is one masked copy and the diagonal a strided slice of the row-major
+    # view, the mask and 0..q-1 made once per q: at q = 2..5 that costs no more than a loop over rows,
+    # and less than np.triu or a fancy index
+    lower, idx = _bartlett_layout(q)
+    np.copyto(u, 0.0, where=lower)
+    u.reshape(-1, q * q)[:, :: q + 1] = np.sqrt(rng.chisquare(df - idx, size=None if size is None else (size, q)))
     return u
+
+
+@functools.cache
+def _bartlett_layout(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the q x q mask of the strict lower triangle, 0..q-1), both read-only."""
+    lower, idx = np.tri(q, k=-1, dtype=bool), np.arange(q)
+    lower.flags.writeable = idx.flags.writeable = False
+    return lower, idx
 
 
 def sample_wishart_factor(q: int, df: float, rng: np.random.Generator, size: int | None = None):

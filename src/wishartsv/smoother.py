@@ -107,13 +107,14 @@ def _bb_chain(g: np.ndarray, w_T: np.ndarray, theta: np.ndarray, b: float) -> np
     shrinks a pivot below sqrt(b) times its old value, so every c^2 is of order 1 however
     far G ranges.  All work is per lane, so a stack of draws gives each draw's bits.
     """
-    T, q = g.shape[0] - 1, g.shape[-1]
-    lead = np.broadcast_shapes(theta.shape[1:-1], w_T.shape[:-2])  # the draws axes
-    f_T = np.broadcast_to(tri_solve_stack(g[T], w_T, trans=True), lead + (q, q))
+    T, q, lead = g.shape[0] - 1, g.shape[-1], theta.shape[1:-1]  # lead: the draws axes
+    f_T, w_diag = tri_solve_stack(g[T], w_T, trans=True), w_T.diagonal(0, -2, -1)
+    if w_T.shape[:-2] != lead:  # bb_backward_step's F_{t+1} and theta may hold different draws axes
+        lead = np.broadcast_shapes(lead, w_T.shape[:-2])
+        f_T, w_diag = np.broadcast_to(f_T, lead + (q, q)), np.broadcast_to(w_diag, lead + (q,))
     g = g.reshape((T + 1,) + (1,) * len(lead) + (q, q))  # broadcast over the draws axes
-    g_diag, sqrt_b = np.diagonal(g, axis1=-2, axis2=-1), math.sqrt(b)
+    g_diag, sqrt_b = g.diagonal(0, -2, -1), math.sqrt(b)
     a = sqrt_b * g_diag[:T] / g_diag[1:]
-    w_diag = np.broadcast_to(np.diagonal(w_T, axis1=-2, axis2=-1), lead + (q,))
     c = np.sqrt(_discounted_sums(np.concatenate([theta, w_diag[None] ** 2]), a * a))
     delta = theta / (c[:T] + a * c[1:])
     g_inv = tri_inverse(g[:T])
@@ -147,19 +148,30 @@ def _backward_pass(filt: FilterOutput, w_T: np.ndarray, noise: np.ndarray) -> np
     first the backward recursion meets.
     """
     g = filt.g
-    # at one t a non-finite entry is named before a diagonal entry <= 0
-    _fault_at((~np.isfinite(g), InvalidParameter, "filter factor G is not finite"),
-              (np.diagonal(g, axis1=1, axis2=2) <= 0, NotPositiveDefinite,
-               "filter factor G has a diagonal entry <= 0"), t0=0)
+    _check_factors(g, "filter factor G")
     with np.errstate(all="ignore"):  # a non-finite F_t is reported below
         chain = _bb_chain
         if isinstance(filt.hyper, UEHyper):
             chain = _ue_chain if w_T.ndim == 2 else _ue_whitened
         f = chain(g, w_T, noise, filt.discount)
-    _fault_at((~np.isfinite(f), InvalidParameter, "sampled factor F is not finite"),
-              (np.diagonal(f, axis1=-2, axis2=-1) <= 0, NotPositiveDefinite,
-               "sampled factor F has a diagonal entry <= 0"), t0=0, last=True)
+    _check_factors(f, "sampled factor F", last=True)
     return f
+
+
+def _check_factors(x: np.ndarray, what: str, last: bool = False) -> None:
+    """Raise at the first t (the last if ``last``) where a factor of x, time axis first from t = 0, is bad.
+
+    A factor with a non-finite entry raises InvalidParameter, one with a
+    diagonal entry <= 0 NotPositiveDefinite; at one t the non-finite
+    entry is named first.  The no-fault path is one min over the
+    diagonals (a NaN minimum fails it) and one ``isfinite``: a clean pass
+    builds no array per fault and makes no ``_fault_at`` call.
+    """
+    diag = x.diagonal(0, -2, -1)
+    if diag.min() > 0 and np.isfinite(x).all():
+        return
+    _fault_at((~np.isfinite(x), InvalidParameter, f"{what} is not finite"),
+              (diag <= 0, NotPositiveDefinite, f"{what} has a diagonal entry <= 0"), t0=0, last=last)
 
 
 def _ue_chain(g: np.ndarray, w_T: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:

@@ -35,6 +35,13 @@ column-wise table text must match.
 route: every F_t^{-1} from a stacked solve against the identity, each row's
 norm folded over all q columns and ``np.quantile`` over the draws; the
 package's triangle-only, one-sort route must match it bit for bit.
+``tri_solve_stacked`` is the stacked triangular solve that keeps its rows in a
+list and stacks them at the end, and ``bartlett_factor_rows`` the Bartlett
+factor zeroed row by row with its diagonal set by fancy indexing; the
+package's solve into one preallocated array and its masked, strided
+Bartlett factor must match them bit for bit.
+``coordinate_case`` is the series and hyperparameters that the filter's and
+the samplers' coordinate-change tests map to L r_t and L D_0 L'.
 """
 
 import math
@@ -270,6 +277,36 @@ def correlation_summary_solved(factors: np.ndarray, quantiles) -> np.ndarray:
     for p, (i, j) in enumerate(zip(iu, ju)):
         rho[:, p] = np.einsum("ntk,ntk->nt", v[..., i, :], v[..., j, :])
     return np.quantile(np.clip(rho, -1.0, 1.0), np.asarray(quantiles, dtype=float), axis=0)
+
+
+def tri_solve_stacked(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """``matops.tri_solve_stack`` with its solved rows kept in a list and joined by ``np.stack``."""
+    q = r.shape[-1]
+    x = [None] * q
+    for i in range(q) if trans else reversed(range(q)):
+        acc = b[..., i]
+        for j in range(i) if trans else range(i + 1, q):
+            acc = acc - (r[..., j, i] if trans else r[..., i, j]) * x[j]
+        x[i] = acc / r[..., i, i]
+    return np.stack(x, axis=-1)
+
+
+def bartlett_factor_rows(q: int, df: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """``randsamp.sample_bartlett_factor``'s draws, the strict lower triangle zeroed row by row."""
+    u = rng.standard_normal((q, q) if size is None else (size, q, q))
+    for i in range(1, q):
+        u[..., i, :i] = 0.0
+    idx = np.arange(q)
+    u[..., idx, idx] = np.sqrt(rng.chisquare(df - idx, size=None if size is None else (size, q)))
+    return u
+
+
+def coordinate_case(q: int, T: int, seed: int):
+    """(correlated returns, a UE hyperparameter set with a dense D_0): the series the coordinate-change tests map."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((q, q))
+    data = ReturnsSeries(rng.standard_normal((T, q)) @ rng.standard_normal((q, q)))
+    return data, UEHyper(q=q, k=1, n=q + 3.0, lam=0.9, d0=a @ a.T + 0.1 * np.eye(q))
 
 
 def whitened_mean_z(filt, n_draws: int, seed: int) -> np.ndarray:

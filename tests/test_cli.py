@@ -477,7 +477,7 @@ class TestCommands:
         *[(c, m, 1) for c in ("filter", "ppc", "smooth") for m in ("ue", "bb")],
         ("grid-search", "matched", 3),  # one per lambda
         ("simulate", "bb", 1),
-        ("compare-mixture", "matched", 12),  # two filters, then two per later sweep
+        ("compare-mixture", "matched", 11),  # one filter for the matched pair, then two per later sweep
     ])
     def test_scale_recursion_runs_once_per_filter(self, returns_csv, tmp_path, monkeypatch, command, model, calls):
         # a matched pair shares UE's factor path; grid-search keeps only its
@@ -669,6 +669,12 @@ class TestMain:
     def test_import_leaves_scipy_stats_out(self):
         # importing scipy.stats takes longer than a CLI run on a q = 5, T = 500 series
         assert not self.fresh_import_loads("scipy.stats")
+
+    @pytest.mark.parametrize("module", ["scipy.linalg", "scipy.optimize"])
+    def test_import_leaves_more_of_scipy_out(self, module):
+        # a kernel must not buy speed with start-up time; the benchmark imports
+        # scipy.linalg before the package, so its runs would not show that cost
+        assert not self.fresh_import_loads(module)
 
     def test_cli_end_to_end(self, returns_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"

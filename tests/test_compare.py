@@ -1,5 +1,5 @@
+import collections
 import dataclasses
-import itertools
 import warnings
 
 import numpy as np
@@ -190,8 +190,8 @@ class TestMixtureGibbs:
         # log weight gaps of +-2000 give P(z = 1) of exactly 1 and 0, with no overflow warning
         data, ue, bb = toy(T=6, q=2, seed=11)
         gaps = np.array([2000.0, -2000.0, 2000.0, 2000.0, -2000.0, -2000.0])
-        terms = itertools.cycle([np.zeros(6), -gaps])  # the UE term, then the BB term, per sweep
-        monkeypatch.setattr(compare, "_gauss_terms", lambda f, r: next(terms))
+        terms = np.concatenate([np.zeros(6), -gaps])  # one call per sweep: the UE terms, then the BB terms
+        monkeypatch.setattr(compare, "_gauss_terms", lambda f, r: terms)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tr = mixture_gibbs(data, ue, bb, MixtureConfig(iterations=20, burn_in=0, seed=12))
@@ -236,6 +236,27 @@ class TestMixtureGibbs:
             mixture_gibbs(data, ue, bb, MixtureConfig(iterations=iterations, burn_in=0, seed=12))
             counts.append(dict(calls))
         assert counts[0] == counts[1] and counts[0]["uchol"] > 0 and counts[0]["_df_path"] > 0
+
+    def test_a_later_sweep_calls_no_array_wrapper(self, monkeypatch):
+        # a sweep builds its small arrays and its filters directly, and both
+        # models' likelihood terms come from one call: per sweep after the
+        # first, no np.stack, np.broadcast_to, np.broadcast_shapes or
+        # dataclasses.replace, and one _gauss_terms
+        calls = collections.Counter()
+        counted = [(np, "stack"), (np, "broadcast_to"), (np, "broadcast_shapes"),
+                   (compare, "replace"), (compare, "_gauss_terms")]
+        for module, name in counted:
+            inner = getattr(module, name, dataclasses.replace)  # compare need not bind replace
+            monkeypatch.setattr(module, name, lambda *a, name=name, inner=inner, **k: calls.update([name]) or inner(*a, **k),
+                                raising=False)
+        data, ue, bb = toy(T=20, q=2, seed=11)
+        runs = []
+        for iterations in (2, 7):
+            calls.clear()
+            mixture_gibbs(data, ue, bb, MixtureConfig(iterations=iterations, burn_in=0, seed=12))
+            runs.append(dict(calls))
+        per_sweep = {name: (runs[1].get(name, 0) - runs[0].get(name, 0)) / 5 for _, name in counted}
+        assert per_sweep == {"stack": 0, "broadcast_to": 0, "broadcast_shapes": 0, "replace": 0, "_gauss_terms": 1}
 
     def test_degenerate_recovers_prior(self):
         # with identical likelihood terms alpha's stationary law is Beta(a0, b0)

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 from scipy.stats import cauchy
 
-from consistency import chol_update, factor_path_surface, per_t_surface, rchol
+from consistency import chol_update, coordinate_case, factor_path_surface, per_t_surface, rchol, surface_bound
 from wishartsv import filtering
 from wishartsv.compare import MixtureConfig, mixture_gibbs
 from wishartsv.errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite
@@ -640,3 +640,91 @@ class TestConstrainedLambda:
         # each returned NaN or 0 instead of a discount in (0, 1)
         with pytest.raises(InvalidParameter, match="finite"):
             constrained_lambda(n, k, 2)
+
+
+class TestCoordinateChange:
+    # Map r_t -> L r_t and D_0 -> L D_0 L' for an upper-triangular L with a positive
+    # diagonal.  The chain's rotations act from the right, so the same rotations
+    # triangularise [sqrt(lam) L G_{t-1}, L r_t]: the filter's factors become L G_t,
+    # each |D_t| gains det(L)^2, and each forecast density, now one of L r_t, falls by
+    # log|det L|.  A power-of-two diagonal L commutes with every rounding, so G maps
+    # bit for bit, and the log likelihood and every grid cell, read off the same
+    # pivots times 2^k, fall by T log|det L| within the rounding of their sums
+    # (``surface_bound`` of each side).  A lower-triangular L or a permutation leaves
+    # L G_t non-triangular, and the factors move.
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(q=st.integers(1, 5), T=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+           exponents=st.lists(st.integers(-40, 40), min_size=5, max_size=5))
+    @example(q=5, T=30, seed=0, exponents=[40, -40, 40, -40, 0])
+    def test_power_of_two_diagonal_is_exact(self, q, T, seed, exponents):
+        data, ue = coordinate_case(q, T, seed)
+        self.assert_exact(data, ue, 2.0 ** np.array(exponents[:q], dtype=float))
+
+    def test_power_of_two_diagonal_on_criterion_13s_series(self):
+        # cond(D_t) runs far past 1e16 here: the exact statement still holds
+        ue = UEHyper(q=3, k=1, n=6.0, lam=0.85, d0=np.eye(3))
+        self.assert_exact(criterion13_reference(0.85)[0], ue, 2.0 ** np.array([37.0, -40.0, 5.0]))
+
+    @staticmethod
+    def assert_exact(data, ue, scales):
+        # a spread of 2^80 between scales takes L D_0 L' past uchol's pivot tolerance, so
+        # the mapped filter runs its factor path from L G_0, the factor uchol gives
+        # L D_0 L' wherever it accepts it (test_smoother's TestCoordinateChange)
+        moved_returns, log_det = data.returns * scales, np.log(scales).sum()
+        for filt in (forward_filter(data, ue), forward_filter(data, match_ue_to_bb(ue))):
+            g = scales[:, None] * filt.g  # L G_t
+            moved = dataclasses.replace(filt, g=_factor_path(moved_returns, g[0], filt.discount))
+            assert moved.g.tobytes() == g.tobytes()
+            bound = surface_bound(ue.n, filt.log_forecast) + surface_bound(ue.n, moved.log_forecast)
+            assert abs(moved.loglik + data.T * log_det - filt.loglik) <= bound
+
+    @pytest.mark.parametrize("q, seed, exponents", [(1, 0, [5]), (2, 1, [3, -4]), (3, 2, [-6, 0, 6]),
+                                                    (5, 3, [2, -3, 0, 4, -1])])
+    def test_power_of_two_diagonal_through_the_filter_and_the_grid(self, q, seed, exponents):
+        # where uchol accepts L D_0 L', forward_filter on the mapped hyperparameters
+        # gives L G_t, and every grid_search cell falls by T log|det L|
+        data, ue = coordinate_case(q, 30, seed)
+        scales = 2.0 ** np.array(exponents, dtype=float)
+        moved_data, d0 = ReturnsSeries(data.returns * scales), ue.d0 * np.outer(scales, scales)  # L D_0 L', exact
+        for hyper in (ue, match_ue_to_bb(ue)):
+            moved = forward_filter(moved_data, dataclasses.replace(hyper, d0=d0))
+            assert moved.g.tobytes() == (scales[:, None] * forward_filter(data, hyper).g).tobytes()
+        n_grid, lambda_grid = [q - 0.5, q + 3.0, q + 20.0], [0.7, 0.9, 0.99]
+        shifted = grid_search(moved_data, d0, n_grid, lambda_grid)[2] + data.T * np.log(scales).sum()
+        bound = per_t_surface(data, ue.d0, n_grid, lambda_grid)[1] + per_t_surface(moved_data, d0, n_grid, lambda_grid)[1]
+        assert (np.abs(shifted - grid_search(data, ue.d0, n_grid, lambda_grid)[2]) <= bound).all()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_dense_upper_triangular_within_a_bound(self, q, seed):
+        # The mapped filter and L G_t are one exact quantity.  Each step rounds a few
+        # ulps of G_t's entries over O(q) operations per entry.  The rotations are
+        # orthogonal and scale the old factor by sqrt(lam), so an error made s steps
+        # back arrives damped by lam^(s/2): all of them sum to at most 1 / (1 - sqrt(lam))
+        # times one step's.  Carrying one side's rounding through L to the other's
+        # coordinates grows its relative size by at most cond(L).  So each G_t agrees
+        # within 4 q u cond(L) / (1 - sqrt(lam)) of its largest entry (u the unit
+        # roundoff, 2^-53); over q = 1..5 and seeds 0..11 the largest error measured
+        # was 6.2 q u cond(L), against the bound's 78 q u cond(L) at lam = 0.9.
+        data, ue = coordinate_case(q, 40, seed)
+        rng = np.random.default_rng(100 + seed)
+        l = np.triu(rng.standard_normal((q, q))) * 2.0 ** rng.integers(-3, 4, q)
+        l[np.diag_indices(q)] = np.abs(l[np.diag_indices(q)]) + 0.5
+        bound = 4 * q * 2.0**-53 * np.linalg.cond(l) / (1.0 - math.sqrt(ue.lam))
+        assert self.factor_error(data, ue, l) <= bound
+
+    @pytest.mark.parametrize("kind", ["lower", "reversal"])
+    def test_lower_triangular_and_reversal_move_the_factors(self, kind):
+        # L G_t is not triangular, so the mapped filter's factor is L G_t Q_t for
+        # some rotation Q_t: the check can fail
+        data, ue = coordinate_case(3, 40, 0)
+        l = np.eye(3)[::-1] if kind == "reversal" else np.tril(np.ones((3, 3))) + np.eye(3)
+        assert self.factor_error(data, ue, l) > 1e-3
+
+    @staticmethod
+    def factor_error(data, ue, l):
+        """Largest error, relative to each matrix's largest entry, of the filter on L r_t from L D_0 L' against L G_t."""
+        expect = l @ forward_filter(data, ue).g
+        got = forward_filter(ReturnsSeries(data.returns @ l.T), dataclasses.replace(ue, d0=l @ ue.d0 @ l.T)).g
+        return (np.abs(got - expect).max(axis=(1, 2)) / np.abs(expect).max(axis=(1, 2))).max()

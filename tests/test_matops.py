@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 
-from consistency import chol_update, givens_chain
+from consistency import chol_update, givens_chain, tri_solve_stacked
 import wishartsv
 from wishartsv.errors import InvalidParameter, NotPositiveDefinite
 from wishartsv.filtering import ReturnsSeries, _factor_path, forward_filter, grid_search, simulate
@@ -126,6 +126,26 @@ class TestTriSolveStack:
         np.testing.assert_allclose(x @ g, m, rtol=1e-15)
         for i in range(len(m)):
             np.testing.assert_array_equal(tri_solve_stack(g, m[i], trans=True), x[i])
+
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("r_lead, b_lead", [((), ()), ((6,), (6,)), ((4, 1), (3,)), ((), (2, 5)), ((3,), ())])
+    def test_same_bits_as_stacking_the_rows(self, q, trans, r_lead, b_lead):
+        # the rows written into one preallocated output and read back from it
+        # give the bits of a list of rows joined by np.stack, on broadcast
+        # stacks too; a zero pivot gives the same non-finite x
+        rng = np.random.default_rng(q + 10 * trans)
+        r = rng.uniform(-1.0, 1.0, r_lead + (q, q)) * 10.0 ** rng.uniform(-3, 3, r_lead + (q, q))
+        b = rng.standard_normal(b_lead + (q,))
+        for pivot in (None, q // 2):
+            if pivot is not None:
+                r[..., pivot, pivot] = 0.0
+            with np.errstate(all="ignore"):
+                got, expect = tri_solve_stack(r, b, trans=trans), tri_solve_stacked(r, b, trans=trans)
+            assert got.shape == expect.shape and got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
+            assert pivot is None or not np.isfinite(got).all()
 
 
 class TestTriInverse:

@@ -4,7 +4,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
-from consistency import wishart_draws
+from consistency import bartlett_factor_rows, wishart_draws
 from wishartsv.errors import InvalidParameter
 from wishartsv.matops import uchol
 from wishartsv.randsamp import (
@@ -106,6 +106,20 @@ class TestBartlettFactor:
         idx = np.arange(q)
         ref[..., idx, idx] = np.sqrt(rng.gamma((df - idx) / 2.0, 2.0, size=None if size is None else (size, q)))
         assert u.tobytes() == ref.tobytes()
+
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [None, 1, 4])
+    def test_same_bits_as_the_row_loop(self, q, size):
+        # the masked copy and the strided diagonal of the row-major view give
+        # the bits of zeroing row by row and fancy-indexing the diagonal, from
+        # the same draws in the same order
+        df = q + 0.75
+        rng, ref_rng = make_rng(q), make_rng(q)
+        for _ in range(2):  # a second call reuses the layout made for q
+            u = sample_bartlett_factor(q, df, rng, size=size)
+            assert u.tobytes() == bartlett_factor_rows(q, df, ref_rng, size=size).tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 class TestMatrixBeta:

@@ -11,6 +11,7 @@ from scipy.stats import kstest
 
 from consistency import (
     bb_backward_step_product,
+    coordinate_case,
     correlation_summary_solved,
     joint_consistency_report,
     sbc_pvalues,
@@ -703,11 +704,8 @@ def changed_coordinates(filt, data, l, g0):
 
 
 def coordinate_filters(q, T, seed):
-    """Correlated returns, a dense D_0 and the matched UE and BB filters on them."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((q, q))
-    data = ReturnsSeries(rng.standard_normal((T, q)) @ rng.standard_normal((q, q)))
-    ue = UEHyper(q=q, k=1, n=q + 3.0, lam=0.9, d0=a @ a.T + 0.1 * np.eye(q))
+    """``coordinate_case``'s series and the matched UE and BB filters on it."""
+    data, ue = coordinate_case(q, T, seed)
     return data, forward_filter(data, ue), forward_filter(data, match_ue_to_bb(ue))
 
 
